@@ -46,6 +46,7 @@ __all__ = [
     "align_scenarios",
     "scenario_channels",
     "scenario_length",
+    "series_head",
 ]
 
 
@@ -318,6 +319,15 @@ def scenario_channels(scenario: Scenario) -> dict[str, TimeSeries]:
 
 def scenario_length(scenario: Scenario) -> int:
     return len(scenario.climate.t_amb)
+
+
+def series_head(series, horizon: int, name: str) -> np.ndarray:
+    """The first ``horizon`` values of a series or array; ``name`` labels
+    the error when it is shorter."""
+    values = series.values if isinstance(series, TimeSeries) else np.asarray(series, float)
+    if values.size < horizon:
+        raise ValueError(f"{name}: series of length {values.size} cannot cover horizon {horizon}")
+    return values[:horizon]
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:

@@ -19,13 +19,13 @@ free decision bounded only by the state limits and the cyclic inequality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import DeviceKind, DeviceSpec, TimeSeries
-from .milp import LinExpr, Model, Sense, VarRef
+from .core import DeviceKind, DeviceSpec, TimeSeries, series_head
+from .milp import LinExpr, Model, Sense, VarBlock, VarRef
 
 __all__ = [
     "DesignRefs",
@@ -46,6 +46,7 @@ __all__ = [
     "cop_profile",
     "stc_yield_profile",
     "simulate_storage",
+    "roof_capped",
 ]
 
 W_PER_KW = 1000.0
@@ -70,8 +71,8 @@ class DeviceBlockRefs:
 
     kind: DeviceKind
     design: DesignRefs
-    flows: Mapping[str, tuple[VarRef, ...]]
-    state: tuple[VarRef, ...] | None = None
+    flows: Mapping[str, VarBlock]
+    state: VarBlock | None = None
 
     @property
     def chi(self) -> VarRef:
@@ -82,17 +83,17 @@ class DeviceBlockRefs:
 class BuildingEnergyRefs:
     """Grid-exchange vectors of one building and its balance constraints."""
 
-    e_in: tuple[VarRef, ...]
-    e_out: tuple[VarRef, ...]
-    heat_ids: tuple[int, ...]
-    elec_ids: tuple[int, ...]
+    e_in: Sequence[VarRef]
+    e_out: Sequence[VarRef]
+    heat_ids: Sequence[int]
+    elec_ids: Sequence[int]
 
 
-def _as_array(series, horizon: int, name: str) -> np.ndarray:
-    values = series.values if isinstance(series, TimeSeries) else np.asarray(series, float)
-    if values.size < horizon:
-        raise ValueError(f"{name}: series of length {values.size} cannot cover horizon {horizon}")
-    return values[:horizon]
+def roof_capped(spec: DeviceSpec, roof_cap: float) -> DeviceSpec:
+    """The spec with its design bounds limited to the available roof."""
+    return replace(
+        spec, cap_min=min(spec.cap_min, roof_cap), cap_max=min(spec.cap_max, roof_cap)
+    )
 
 
 def emit_design(model: Model, spec: DeviceSpec, tag: str) -> DesignRefs:
@@ -150,41 +151,47 @@ def _emit_storage(
     if horizon < 2:
         raise ValueError("storage blocks need a horizon of at least 2 steps")
     kind = spec.kind.value
-    state_min = spec.state_min()
-    state = [
-        model.add_var(f"E_{kind}_{tag}_t{t}", lo=state_min) for t in range(horizon + 1)
-    ]
-    charge = [model.add_var(f"{flow_symbol}ch_{kind}_{tag}_t{t}") for t in range(horizon)]
-    discharge = [
-        model.add_var(f"{flow_symbol}dch_{kind}_{tag}_t{t}") for t in range(horizon)
-    ]
-    cap = design.design
-    for t in range(horizon + 1):
-        model.add_constraint(state[t] - cap, Sense.LE, 0.0, f"cap_{kind}_{tag}_t{t}")
-    for t in range(horizon):
-        model.add_constraint(
-            charge[t] - spec.gamma_ch * cap, Sense.LE, 0.0, f"rate_ch_{kind}_{tag}_t{t}"
-        )
-        model.add_constraint(
-            discharge[t] - spec.gamma_dch * cap,
-            Sense.LE,
-            0.0,
-            f"rate_dch_{kind}_{tag}_t{t}",
-        )
-        recursion = (
-            state[t + 1]
-            - spec.sigma * state[t]
-            - spec.eta_ch * step_hours * charge[t]
-            + (step_hours / spec.eta_dch) * discharge[t]
-        )
-        model.add_constraint(recursion, Sense.EQ, 0.0, f"soc_{kind}_{tag}_t{t}")
-    model.add_constraint(state[0] - state[horizon], Sense.LE, 0.0, f"cyc_{kind}_{tag}")
+    state = model.add_vars(f"E_{kind}_{tag}", horizon + 1, lo=spec.state_min())
+    charge = model.add_vars(f"{flow_symbol}ch_{kind}_{tag}", horizon)
+    discharge = model.add_vars(f"{flow_symbol}dch_{kind}_{tag}", horizon)
+    _emit_storage_rows(
+        model, horizon, step_hours, design.design, design.design, design.design,
+        state, charge, discharge, spec, spec, spec,
+        (f"cap_{kind}_{tag}", f"rate_ch_{kind}_{tag}", f"rate_dch_{kind}_{tag}",
+         f"soc_{kind}_{tag}", f"cyc_{kind}_{tag}"),
+    )
     return DeviceBlockRefs(
         kind=spec.kind,
         design=design,
-        flows={"charge": tuple(charge), "discharge": tuple(discharge)},
-        state=tuple(state),
+        flows={"charge": charge, "discharge": discharge},
+        state=state,
     )
+
+
+def _emit_storage_rows(model, horizon, step_hours, cap_state, cap_ch, cap_dch,
+                       state, charge, discharge, spec_ch, spec_state, spec_dch,
+                       names) -> None:
+    """State caps, charge and discharge rates, the state recursion and the
+    cyclic bound of one storage; ``names`` are the five row stems."""
+    cap, rate_ch, rate_dch, soc, cyc = names
+    model.add_constraints((cap,), horizon + 1, [[(state, 1.0), (cap_state, -1.0)]],
+                          (Sense.LE,))
+    model.add_constraints(
+        (rate_ch, rate_dch, soc),
+        horizon,
+        [
+            [(charge, 1.0), (cap_ch, -spec_ch.gamma_ch)],
+            [(discharge, 1.0), (cap_dch, -spec_dch.gamma_dch)],
+            [
+                (state[1:], 1.0),
+                (state[:-1], -spec_state.sigma),
+                (charge, -(spec_ch.eta_ch * step_hours)),
+                (discharge, step_hours / spec_dch.eta_dch),
+            ],
+        ],
+        (Sense.LE, Sense.LE, Sense.EQ),
+    )
+    model.add_constraint(state[0] - state[horizon], Sense.LE, 0.0, cyc)
 
 
 def emit_battery(
@@ -226,20 +233,15 @@ def emit_boiler(
         raise ValueError(f"emit_boiler got kind {spec.kind}")
     design = design or emit_design(model, spec, tag)
     eta = float(spec.extra["eta"])
-    heat = [model.add_var(f"Q_BOL_{tag}_t{t}") for t in range(horizon)]
-    gas = [model.add_var(f"Vgas_{tag}_t{t}") for t in range(horizon)]
-    for t in range(horizon):
-        model.add_constraint(
-            heat[t] - eta * gas[t], Sense.EQ, 0.0, f"conv_BOL_{tag}_t{t}"
-        )
-        model.add_constraint(
-            heat[t] - design.design, Sense.LE, 0.0, f"cap_BOL_{tag}_t{t}"
-        )
-    return DeviceBlockRefs(
-        kind=spec.kind,
-        design=design,
-        flows={"heat": tuple(heat), "gas": tuple(gas)},
+    heat = model.add_vars(f"Q_BOL_{tag}", horizon)
+    gas = model.add_vars(f"Vgas_{tag}", horizon)
+    model.add_constraints(
+        (f"conv_BOL_{tag}", f"cap_BOL_{tag}"),
+        horizon,
+        [[(heat, 1.0), (gas, -eta)], [(heat, 1.0), (design.design, -1.0)]],
+        (Sense.EQ, Sense.LE),
     )
+    return DeviceBlockRefs(kind=spec.kind, design=design, flows={"heat": heat, "gas": gas})
 
 
 def cop_profile(spec: DeviceSpec, t_amb) -> np.ndarray:
@@ -263,25 +265,20 @@ def emit_heat_pump(
 ) -> DeviceBlockRefs:
     if spec.kind != DeviceKind.HP:
         raise ValueError(f"emit_heat_pump got kind {spec.kind}")
-    cop = cop_profile(spec, _as_array(t_amb, horizon, "T_amb"))
+    cop = cop_profile(spec, series_head(t_amb, horizon, "T_amb"))
     if np.any(cop <= 0):
         bad = int(np.argmax(cop <= 0))
         raise ValueError(f"heat pump COP non-positive at step {bad}: {cop[bad]:.4f}")
     design = design or emit_design(model, spec, tag)
-    heat = [model.add_var(f"Q_HP_{tag}_t{t}") for t in range(horizon)]
-    power = [model.add_var(f"E_HP_{tag}_t{t}") for t in range(horizon)]
-    for t in range(horizon):
-        model.add_constraint(
-            heat[t] - cop[t] * power[t], Sense.EQ, 0.0, f"conv_HP_{tag}_t{t}"
-        )
-        model.add_constraint(
-            heat[t] - design.design, Sense.LE, 0.0, f"cap_HP_{tag}_t{t}"
-        )
-    return DeviceBlockRefs(
-        kind=spec.kind,
-        design=design,
-        flows={"heat": tuple(heat), "power": tuple(power)},
+    heat = model.add_vars(f"Q_HP_{tag}", horizon)
+    power = model.add_vars(f"E_HP_{tag}", horizon)
+    model.add_constraints(
+        (f"conv_HP_{tag}", f"cap_HP_{tag}"),
+        horizon,
+        [[(heat, 1.0), (power, -cop)], [(heat, 1.0), (design.design, -1.0)]],
+        (Sense.EQ, Sense.LE),
     )
+    return DeviceBlockRefs(kind=spec.kind, design=design, flows={"heat": heat, "power": power})
 
 
 def emit_pv(
@@ -295,26 +292,18 @@ def emit_pv(
 ) -> DeviceBlockRefs:
     if spec.kind not in (DeviceKind.PV, DeviceKind.PV_COM):
         raise ValueError(f"emit_pv got kind {spec.kind}")
-    if design is None:
-        capped = DeviceSpec(
-            kind=spec.kind,
-            cap_min=min(spec.cap_min, roof_cap),
-            cap_max=min(spec.cap_max, roof_cap),
-            size_price=spec.size_price,
-            base_price=spec.base_price,
-            lifetime_years=spec.lifetime_years,
-            extra=spec.extra,
-        )
-        design = emit_design(model, capped, tag)
-    irr = _as_array(i_sol, horizon, "I_sol")
+    design = design or emit_design(model, roof_capped(spec, roof_cap), tag)
+    irr = series_head(i_sol, horizon, "I_sol")
     eta = float(spec.extra["eta"])
-    out = [model.add_var(f"E_{spec.kind.value}_{tag}_t{t}") for t in range(horizon)]
-    for t in range(horizon):
-        coef = irr[t] * eta / W_PER_KW  # kW output per m2 of panel
-        model.add_constraint(
-            out[t] - coef * design.design, Sense.EQ, 0.0, f"conv_{spec.kind.value}_{tag}_t{t}"
-        )
-    return DeviceBlockRefs(kind=spec.kind, design=design, flows={"power": tuple(out)})
+    out = model.add_vars(f"E_{spec.kind.value}_{tag}", horizon)
+    coef = irr * eta / W_PER_KW  # kW output per m2 of panel
+    model.add_constraints(
+        (f"conv_{spec.kind.value}_{tag}",),
+        horizon,
+        [[(out, 1.0), (design.design, -coef)]],
+        (Sense.EQ,),
+    )
+    return DeviceBlockRefs(kind=spec.kind, design=design, flows={"power": out})
 
 
 def stc_yield_profile(spec: DeviceSpec, i_sol, t_amb) -> np.ndarray:
@@ -345,26 +334,15 @@ def emit_stc(
 ) -> DeviceBlockRefs:
     if spec.kind != DeviceKind.STC:
         raise ValueError(f"emit_stc got kind {spec.kind}")
-    if design is None:
-        capped = DeviceSpec(
-            kind=spec.kind,
-            cap_min=min(spec.cap_min, roof_cap),
-            cap_max=min(spec.cap_max, roof_cap),
-            size_price=spec.size_price,
-            base_price=spec.base_price,
-            lifetime_years=spec.lifetime_years,
-            extra=spec.extra,
-        )
-        design = emit_design(model, capped, tag)
+    design = design or emit_design(model, roof_capped(spec, roof_cap), tag)
     coefs = stc_yield_profile(
-        spec, _as_array(i_sol, horizon, "I_sol"), _as_array(t_amb, horizon, "T_amb")
+        spec, series_head(i_sol, horizon, "I_sol"), series_head(t_amb, horizon, "T_amb")
     )
-    heat = [model.add_var(f"Q_STC_{tag}_t{t}") for t in range(horizon)]
-    for t in range(horizon):
-        model.add_constraint(
-            heat[t] - coefs[t] * design.design, Sense.EQ, 0.0, f"conv_STC_{tag}_t{t}"
-        )
-    return DeviceBlockRefs(kind=spec.kind, design=design, flows={"heat": tuple(heat)})
+    heat = model.add_vars(f"Q_STC_{tag}", horizon)
+    model.add_constraints(
+        (f"conv_STC_{tag}",), horizon, [[(heat, 1.0), (design.design, -coefs)]], (Sense.EQ,)
+    )
+    return DeviceBlockRefs(kind=spec.kind, design=design, flows={"heat": heat})
 
 
 def emit_roof_coupling(
@@ -411,37 +389,20 @@ def emit_hydrogen_chain(
     cap_el = design.entries[0][1]
     cap_hyd = design.entries[1][1]
     cap_fc = design.entries[2][1]
-    state = [
-        model.add_var(f"E_HYD_{tag}_t{t}", lo=spec_hyd.state_min())
-        for t in range(horizon + 1)
-    ]
-    charge = [model.add_var(f"Ech_EL_{tag}_t{t}") for t in range(horizon)]
-    discharge = [model.add_var(f"Edch_FC_{tag}_t{t}") for t in range(horizon)]
-    for t in range(horizon + 1):
-        model.add_constraint(state[t] - cap_hyd, Sense.LE, 0.0, f"cap_HYD_{tag}_t{t}")
-    for t in range(horizon):
-        model.add_constraint(
-            charge[t] - spec_el.gamma_ch * cap_el, Sense.LE, 0.0, f"rate_EL_{tag}_t{t}"
-        )
-        model.add_constraint(
-            discharge[t] - spec_fc.gamma_dch * cap_fc,
-            Sense.LE,
-            0.0,
-            f"rate_FC_{tag}_t{t}",
-        )
-        recursion = (
-            state[t + 1]
-            - spec_hyd.sigma * state[t]
-            - spec_el.eta_ch * step_hours * charge[t]
-            + (step_hours / spec_fc.eta_dch) * discharge[t]
-        )
-        model.add_constraint(recursion, Sense.EQ, 0.0, f"soc_HYD_{tag}_t{t}")
-    model.add_constraint(state[0] - state[horizon], Sense.LE, 0.0, f"cyc_HYD_{tag}")
+    state = model.add_vars(f"E_HYD_{tag}", horizon + 1, lo=spec_hyd.state_min())
+    charge = model.add_vars(f"Ech_EL_{tag}", horizon)
+    discharge = model.add_vars(f"Edch_FC_{tag}", horizon)
+    _emit_storage_rows(
+        model, horizon, step_hours, cap_hyd, cap_el, cap_fc,
+        state, charge, discharge, spec_el, spec_hyd, spec_fc,
+        (f"cap_HYD_{tag}", f"rate_EL_{tag}", f"rate_FC_{tag}", f"soc_HYD_{tag}",
+         f"cyc_HYD_{tag}"),
+    )
     return DeviceBlockRefs(
         kind=DeviceKind.HYD,
         design=design,
-        flows={"charge": tuple(charge), "discharge": tuple(discharge)},
-        state=tuple(state),
+        flows={"charge": charge, "discharge": discharge},
+        state=state,
     )
 
 
@@ -461,46 +422,37 @@ def emit_building_balances(
     load, battery charging, heat pump input and export; supply side:
     battery discharge, PV and import.
     """
-    base = _as_array(e_base, horizon, "E_base")
-    e_in = [model.add_var(f"Ein_{tag}_t{t}") for t in range(horizon)]
-    e_out = [model.add_var(f"Eout_{tag}_t{t}") for t in range(horizon)]
-    heat_ids = []
-    elec_ids = []
+    base = series_head(e_base, horizon, "E_base")
+    e_in = model.add_vars(f"Ein_{tag}", horizon)
+    e_out = model.add_vars(f"Eout_{tag}", horizon)
     tes = blocks.get(DeviceKind.TES)
     boiler = blocks.get(DeviceKind.BOL)
     hp = blocks.get(DeviceKind.HP)
     battery = blocks.get(DeviceKind.BAT)
     pv = blocks.get(DeviceKind.PV)
-    for t in range(horizon):
-        heat = LinExpr()
-        heat.add(q_sp[t], 1.0)
-        if tes is not None:
-            heat.add(tes.flows["charge"][t], 1.0)
-            heat.add(tes.flows["discharge"][t], -1.0)
-        if boiler is not None:
-            heat.add(boiler.flows["heat"][t], -1.0)
-        if hp is not None:
-            heat.add(hp.flows["heat"][t], -1.0)
-        heat_ids.append(model.add_constraint(heat, Sense.EQ, 0.0, f"heat_{tag}_t{t}"))
-
-        elec = LinExpr()
-        elec.add(e_out[t], 1.0)
-        elec.add(e_in[t], -1.0)
-        if battery is not None:
-            elec.add(battery.flows["charge"][t], 1.0)
-            elec.add(battery.flows["discharge"][t], -1.0)
-        if hp is not None:
-            elec.add(hp.flows["power"][t], 1.0)
-        if pv is not None:
-            elec.add(pv.flows["power"][t], -1.0)
-        elec_ids.append(
-            model.add_constraint(elec, Sense.EQ, -base[t], f"elec_{tag}_t{t}")
-        )
+    heat = [(q_sp, 1.0)]
+    if tes is not None:
+        heat += [(tes.flows["charge"], 1.0), (tes.flows["discharge"], -1.0)]
+    if boiler is not None:
+        heat.append((boiler.flows["heat"], -1.0))
+    if hp is not None:
+        heat.append((hp.flows["heat"], -1.0))
+    elec = [(e_out, 1.0), (e_in, -1.0)]
+    if battery is not None:
+        elec += [(battery.flows["charge"], 1.0), (battery.flows["discharge"], -1.0)]
+    if hp is not None:
+        elec.append((hp.flows["power"], 1.0))
+    if pv is not None:
+        elec.append((pv.flows["power"], -1.0))
+    start = model.add_constraints(
+        (f"heat_{tag}", f"elec_{tag}"), horizon, [heat, elec], (Sense.EQ, Sense.EQ),
+        (0.0, -base),
+    )
     return BuildingEnergyRefs(
-        e_in=tuple(e_in),
-        e_out=tuple(e_out),
-        heat_ids=tuple(heat_ids),
-        elec_ids=tuple(elec_ids),
+        e_in=e_in,
+        e_out=e_out,
+        heat_ids=range(start, start + 2 * horizon, 2),
+        elec_ids=range(start + 1, start + 2 * horizon, 2),
     )
 
 
@@ -511,33 +463,26 @@ def emit_community_balance(
     lv_to_mv: Sequence[VarRef],
     horizon: int,
     tag: str = "COM",
-) -> tuple[tuple[VarRef, ...], tuple[int, ...]]:
+) -> tuple[VarBlock, Sequence[int]]:
     """Medium-voltage bus balance linking community devices, the LV feeder
     exchange and the high-voltage import.
 
     Creates and returns the HV import vector (the community draws from
     but never sells to the HV grid) together with the constraint ids.
     """
-    hv_in = [model.add_var(f"Ehv_{tag}_t{t}") for t in range(horizon)]
+    hv_in = model.add_vars(f"Ehv_{tag}", horizon)
     battery = com_blocks.get(DeviceKind.BAT_COM)
     pv = com_blocks.get(DeviceKind.PV_COM)
     hyd = com_blocks.get(DeviceKind.HYD)
-    ids = []
-    for t in range(horizon):
-        expr = LinExpr()
-        expr.add(mv_to_lv[t], 1.0)
-        expr.add(lv_to_mv[t], -1.0)
-        expr.add(hv_in[t], -1.0)
-        if battery is not None:
-            expr.add(battery.flows["charge"][t], 1.0)
-            expr.add(battery.flows["discharge"][t], -1.0)
-        if hyd is not None:
-            expr.add(hyd.flows["charge"][t], 1.0)
-            expr.add(hyd.flows["discharge"][t], -1.0)
-        if pv is not None:
-            expr.add(pv.flows["power"][t], -1.0)
-        ids.append(model.add_constraint(expr, Sense.EQ, 0.0, f"combal_{tag}_t{t}"))
-    return tuple(hv_in), tuple(ids)
+    terms = [(mv_to_lv, 1.0), (lv_to_mv, -1.0), (hv_in, -1.0)]
+    if battery is not None:
+        terms += [(battery.flows["charge"], 1.0), (battery.flows["discharge"], -1.0)]
+    if hyd is not None:
+        terms += [(hyd.flows["charge"], 1.0), (hyd.flows["discharge"], -1.0)]
+    if pv is not None:
+        terms.append((pv.flows["power"], -1.0))
+    start = model.add_constraints((f"combal_{tag}",), horizon, [terms], (Sense.EQ,))
+    return hv_in, range(start, start + horizon)
 
 
 def simulate_storage(

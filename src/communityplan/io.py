@@ -14,7 +14,7 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -630,7 +630,9 @@ def make_run_manifest(
         manifest_path = Path(scenario_dir) / "manifest.json"
         if manifest_path.exists():
             scenario_hash = sha256_of(manifest_path)
-    created = clock if clock is not None else datetime.utcnow().isoformat() + "Z"
+    created = clock if clock is not None else (
+        datetime.now(timezone.utc).replace(tzinfo=None).isoformat() + "Z"
+    )
     return RunManifest(
         config_path=str(config_path),
         config_sha256=sha256_of(config_path),

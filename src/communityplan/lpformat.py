@@ -17,7 +17,9 @@ from __future__ import annotations
 import re
 from typing import Mapping
 
-from .milp import Domain, LinExpr, Model, Sense, Status
+import numpy as np
+
+from .milp import SENSES, Domain, LinExpr, Model, Sense, Status
 
 __all__ = [
     "export_lp",
@@ -36,13 +38,22 @@ def _num(x: float) -> str:
     return repr(float(x))
 
 
-def _expr_tokens(expr: LinExpr, model: Model, with_constant: bool) -> list[str]:
+def _num_all(values: np.ndarray) -> list[str]:
+    """:func:`_num` of every element, formatting each distinct value once."""
+    if not len(values):
+        return []
+    unique, inverse = np.unique(values, return_inverse=True)
+    text = [_num(u) for u in unique.tolist()]
+    return [text[i] for i in inverse.ravel().tolist()]
+
+
+def _expr_tokens(expr: LinExpr, names: list[str], with_constant: bool) -> list[str]:
     tokens: list[str] = []
     for vid in sorted(expr.terms):
         coef = expr.terms[vid]
         sign = "-" if coef < 0 else "+"
         mag = abs(coef)
-        name = model.variables[vid].name
+        name = names[vid]
         if mag == 1.0:
             tokens.extend([sign, name])
         else:
@@ -57,37 +68,70 @@ def _expr_tokens(expr: LinExpr, model: Model, with_constant: bool) -> list[str]:
     return tokens
 
 
+def _real_rows(model: Model) -> np.ndarray:
+    """Indices of the rows with at least one term; vacuous rows are checked
+    for satisfiability on the way."""
+    for con in model.vacuous_rows():
+        _check_vacuous(con.name, con.expr.constant, con.sense, con.rhs)
+    indptr = model.matrix().indptr
+    return np.flatnonzero(indptr[1:] > indptr[:-1])
+
+
 def export_lp(model: Model) -> str:
     """Serialize to LP text.  Vacuous (empty-expression) constraints are
     checked for satisfiability and then omitted, since LP rows need at
     least one variable."""
-    lines = [f"\\ {model.name}", "Minimize"]
-    lines.append(" obj: " + " ".join(_expr_tokens(model.objective, model, True)))
-    lines.append("Subject To")
-    for con in model.constraints:
-        if not con.expr.terms:
-            _check_vacuous(con.name, con.expr.constant, con.sense, con.rhs)
-            continue
-        body = " ".join(_expr_tokens(con.expr, model, False))
-        rhs = con.rhs - con.expr.constant
-        lines.append(f" {con.name}: {body} {con.sense.value} {_num(rhs)}")
-    lines.append("Bounds")
-    for var in model.variables:
-        if var.domain == Domain.BINARY:
-            continue
-        if var.lo == 0.0 and var.hi == float("inf"):
-            continue
-        if var.hi == float("inf"):
-            lines.append(f" {var.name} >= {_num(var.lo)}")
+    names = model.var_names()
+    head = [f"\\ {model.name}", "Minimize"]
+    head.append(" obj: " + " ".join(_expr_tokens(model.objective, names, True)))
+    head.append("Subject To")
+    lines = ["Bounds"]
+    lo, hi = model.bounds()
+    binary = model.binary_mask()
+    bounded = np.flatnonzero(~binary & ((lo != 0.0) | (hi != np.inf)))
+    for vid, low, high in zip(bounded.tolist(), lo[bounded].tolist(), hi[bounded].tolist()):
+        if high == float("inf"):
+            lines.append(f" {names[vid]} >= {_num(low)}")
         else:
-            lines.append(f" {_num(var.lo)} <= {var.name} <= {_num(var.hi)}")
-    binaries = [v.name for v in model.variables if v.domain == Domain.BINARY]
+            lines.append(f" {_num(low)} <= {names[vid]} <= {_num(high)}")
+    binaries = np.flatnonzero(binary).tolist()
     if binaries:
         lines.append("Binaries")
-        for name in binaries:
-            lines.append(f" {name}")
+        for vid in binaries:
+            lines.append(f" {names[vid]}")
     lines.append("End")
-    return "\n".join(lines) + "\n"
+    return "\n".join(head) + "\n" + _constraint_section(model, names) + "\n".join(lines) + "\n"
+
+
+def _constraint_section(model: Model, names: list[str]) -> str:
+    """``Subject To`` rows, one line each: terms in column order, each
+    distinct coefficient magnitude formatted once."""
+    rows = _real_rows(model)
+    if not len(rows):
+        return ""
+    mat = model.matrix()[rows] if len(rows) < model.matrix().shape[0] else model.matrix().copy()
+    mat.sort_indices()
+    indptr, cols, data = mat.indptr, mat.indices, mat.data
+    # prefix of each term by (magnitude, sign, first in row): "+ 2.5 ", "- ", "2.5 ", ...
+    unique, inverse = np.unique(np.abs(data), return_inverse=True)
+    prefixes = []
+    for mag in unique.tolist():
+        text = "" if mag == 1.0 else _num(mag) + " "
+        prefixes.extend(["+ " + text, "- " + text, text, "- " + text])
+    first = np.zeros(len(data), bool)
+    first[indptr[:-1]] = True
+    code = 4 * inverse.ravel() + (data < 0) + 2 * first
+    terms = [prefixes[c] + names[j] for c, j in zip(code.tolist(), cols.tolist())]
+    row_names = model.row_names()
+    sense_text = [s.value for s in SENSES]
+    sense = model.row_sense()[rows].tolist()
+    rhs = _num_all(model.row_rhs()[rows])
+    bounds = indptr.tolist()
+    return "".join([
+        f" {row_names[row]}: {' '.join(terms[bounds[i]:bounds[i + 1]])} "
+        f"{sense_text[sense[i]]} {rhs[i]}\n"
+        for i, row in enumerate(rows.tolist())
+    ])
 
 
 def _check_vacuous(name: str, lhs: float, sense: Sense, rhs: float) -> None:
@@ -103,25 +147,23 @@ def _check_vacuous(name: str, lhs: float, sense: Sense, rhs: float) -> None:
 def export_mps(model: Model) -> str:
     rows = [f"NAME          {model.name}", "ROWS", " N  OBJ"]
     sense_tag = {Sense.LE: "L", Sense.GE: "G", Sense.EQ: "E"}
-    real_cons = []
-    for con in model.constraints:
-        if not con.expr.terms:
-            _check_vacuous(con.name, con.expr.constant, con.sense, con.rhs)
-            continue
-        real_cons.append(con)
-        rows.append(f" {sense_tag[con.sense]}  {con.name}")
+    real = _real_rows(model)
+    all_row_names = model.row_names()
+    row_names = [all_row_names[r] for r in real.tolist()]
+    for name, code in zip(row_names, model.row_sense()[real].tolist()):
+        rows.append(f" {sense_tag[SENSES[code]]}  {name}")
     rows.append("COLUMNS")
-    # column-major coefficient map
-    by_var: dict[int, list[tuple[str, float]]] = {v.id: [] for v in model.variables}
-    for vid, coef in model.objective.terms.items():
-        by_var[vid].append(("OBJ", coef))
-    for con in real_cons:
-        for vid, coef in con.expr.terms.items():
-            by_var[vid].append((con.name, coef))
+    # column-major: the objective entry, then the rows in order
+    csc = model.matrix()[real].tocsc()
+    csc.sort_indices()
+    coef_text = _num_all(csc.data)
+    indptr, row_idx = csc.indptr.tolist(), csc.indices.tolist()
+    names = model.var_names()
+    binary = model.binary_mask().tolist()
     in_integer = False
     marker = 0
-    for var in model.variables:
-        want_integer = var.domain == Domain.BINARY
+    for vid, name in enumerate(names):
+        want_integer = binary[vid]
         if want_integer and not in_integer:
             rows.append(f"    MARKER{marker}    'MARKER'    'INTORG'")
             marker += 1
@@ -130,29 +172,32 @@ def export_mps(model: Model) -> str:
             rows.append(f"    MARKER{marker}    'MARKER'    'INTEND'")
             marker += 1
             in_integer = False
-        entries = by_var[var.id]
-        if not entries:
-            entries = [("OBJ", 0.0)]  # keep every declared column present
-        for row_name, coef in entries:
-            rows.append(f"    {var.name}  {row_name}  {_num(coef)}")
+        a, b = indptr[vid], indptr[vid + 1]
+        if vid in model.objective.terms:
+            rows.append(f"    {name}  OBJ  {_num(model.objective.terms[vid])}")
+        elif a == b:
+            rows.append(f"    {name}  OBJ  0")  # keep every declared column present
+        for j in range(a, b):
+            rows.append(f"    {name}  {row_names[row_idx[j]]}  {coef_text[j]}")
     if in_integer:
         rows.append(f"    MARKER{marker}    'MARKER'    'INTEND'")
     rows.append("RHS")
     if model.objective.constant != 0.0:
         rows.append(f"    RHS  OBJ  {_num(-model.objective.constant)}")
-    for con in real_cons:
-        rhs = con.rhs - con.expr.constant
-        if rhs != 0.0:
-            rows.append(f"    RHS  {con.name}  {_num(rhs)}")
+    rhs = model.row_rhs()[real]
+    nonzero = np.flatnonzero(rhs != 0.0)
+    for i, text in zip(nonzero.tolist(), _num_all(rhs[nonzero])):
+        rows.append(f"    RHS  {row_names[i]}  {text}")
     rows.append("BOUNDS")
-    for var in model.variables:
-        if var.domain == Domain.BINARY:
-            rows.append(f" BV BND  {var.name}")
+    lo, hi = model.bounds()
+    for name, is_binary, low, high in zip(names, binary, lo.tolist(), hi.tolist()):
+        if is_binary:
+            rows.append(f" BV BND  {name}")
             continue
-        if var.lo != 0.0:
-            rows.append(f" LO BND  {var.name}  {_num(var.lo)}")
-        if var.hi != float("inf"):
-            rows.append(f" UP BND  {var.name}  {_num(var.hi)}")
+        if low != 0.0:
+            rows.append(f" LO BND  {name}  {_num(low)}")
+        if high != float("inf"):
+            rows.append(f" UP BND  {name}  {_num(high)}")
     rows.append("ENDATA")
     return "\n".join(rows) + "\n"
 

@@ -6,27 +6,46 @@ continuous or a binary; nothing here knows about buildings or devices.
 Models are built single-threaded, solved through the pluggable backends in
 :mod:`communityplan.solvers`, and exportable to LP/MPS text via
 :mod:`communityplan.lpformat`.
+
+Storage is columnar.  Columns live in bound and integrality arrays and
+rows in one row-major coefficient store (per-row term counts, column
+indices and values, in the order the terms were added) plus right-hand
+side and sense arrays.  Emitters add whole families at once:
+:meth:`Model.add_vars` declares a block of columns named
+``{stem}_t{index}`` and :meth:`Model.add_constraints` a family of
+interleaved rows named the same way; those names are derived from
+(stem, index) when asked for, not stored per column or row.  The scalar API
+(:class:`VarRef`, :class:`LinExpr`, :meth:`Model.add_var`,
+:meth:`Model.add_constraint`, ``model.variables``, ``model.constraints``)
+reads and writes the same storage.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
+from scipy import sparse
 
 __all__ = [
     "Domain",
     "Sense",
     "Status",
     "VarRef",
+    "VarBlock",
     "LinExpr",
     "Constraint",
     "Model",
     "SolveResult",
+    "SolutionValues",
     "evaluate",
     "constraint_violation",
+    "read_values",
 ]
 
 _model_counter = itertools.count()
@@ -41,6 +60,11 @@ class Sense(str, enum.Enum):
     LE = "<="
     EQ = "="
     GE = ">="
+
+
+# row sense codes in the sense array
+SENSES = (Sense.LE, Sense.EQ, Sense.GE)
+_SENSE_CODE = {sense: code for code, sense in enumerate(SENSES)}
 
 
 class Status(str, enum.Enum):
@@ -79,6 +103,78 @@ class VarRef:
         return LinExpr({self.id: -1.0}, 0.0, self.model_id)
 
 
+class VarBlock(Sequence):
+    """Contiguous columns ``start, start + 1, ...`` named ``{stem}_t{i}``.
+
+    Indexing hands out :class:`VarRef` handles; slicing with step 1 gives
+    a sub-block that keeps the original names.
+    """
+
+    __slots__ = ("model_id", "stem", "start", "first", "size", "domain", "lo", "hi")
+
+    def __init__(self, model_id: int, stem: str, start: int, first: int, size: int,
+                 domain: Domain, lo: float, hi: float) -> None:
+        self.model_id = model_id
+        self.stem = stem
+        self.start = start  # column index of element 0
+        self.first = first  # name index of element 0
+        self.size = size
+        self.domain = domain
+        self.lo = lo
+        self.hi = hi
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            a, b, step = key.indices(self.size)
+            if step != 1:
+                return tuple(self[i] for i in range(a, b, step))
+            return VarBlock(self.model_id, self.stem, self.start + a, self.first + a,
+                            max(b - a, 0), self.domain, self.lo, self.hi)
+        i = key + self.size if key < 0 else key
+        if not 0 <= i < self.size:
+            raise IndexError(f"block {self.stem} has {self.size} elements")
+        return VarRef(self.start + i, f"{self.stem}_t{self.first + i}", self.domain,
+                      self.lo, self.hi, self.model_id)
+
+    @property
+    def ids(self) -> np.ndarray:
+        return np.arange(self.start, self.start + self.size)
+
+    def __repr__(self) -> str:
+        return f"VarBlock({self.stem}_t{self.first}..{self.first + self.size - 1})"
+
+
+def _column_ids(vars, model_id: int | None = None) -> tuple[int | None, np.ndarray]:
+    """Model id and column indices of a variable, block or sequence."""
+    if isinstance(vars, VarRef):
+        return vars.model_id, np.array([vars.id])
+    if isinstance(vars, VarBlock):
+        return vars.model_id, vars.ids
+    ids = np.empty(len(vars), dtype=np.int64)
+    for i, var in enumerate(vars):
+        if model_id is None:
+            model_id = var.model_id
+        elif var.model_id != model_id:
+            raise ValueError(f"variable {var.name} belongs to a different model")
+        ids[i] = var.id
+    return model_id, ids
+
+
+def _accumulate(terms: dict[int, float], ids: Iterable[int], coefs: Iterable[float]) -> None:
+    """Add coefficients into a term map in order: zeros are skipped, a
+    repeated id is summed, and a sum of exactly zero drops the term."""
+    for vid, coef in zip(ids, coefs):
+        if coef:
+            new = terms.get(vid, 0.0) + coef
+            if new == 0.0:
+                terms.pop(vid, None)
+            else:
+                terms[vid] = new
+
+
 @dataclass
 class LinExpr:
     """Linear expression: coefficient map over variable ids plus a constant.
@@ -98,17 +194,26 @@ class LinExpr:
             expr.add(var, coef)
         return expr
 
-    def add(self, var: VarRef, coef: float) -> "LinExpr":
+    def _own(self, model_id: int | None, what: str) -> None:
         if self.model_id is None:
-            self.model_id = var.model_id
-        elif self.model_id != var.model_id:
-            raise ValueError(f"variable {var.name} belongs to a different model")
-        if coef:
-            new = self.terms.get(var.id, 0.0) + coef
-            if new == 0.0:
-                self.terms.pop(var.id, None)
-            else:
-                self.terms[var.id] = new
+            self.model_id = model_id
+        elif model_id is not None and self.model_id != model_id:
+            raise ValueError(f"variable {what} belongs to a different model")
+
+    def add(self, var: VarRef, coef: float) -> "LinExpr":
+        self._own(var.model_id, var.name)
+        _accumulate(self.terms, (var.id,), (coef,))
+        return self
+
+    def add_terms(self, vars, coefs) -> "LinExpr":
+        """:meth:`add` for each variable of a block or sequence, in order,
+        with a scalar or per-variable coefficient."""
+        model_id, ids = _column_ids(vars, self.model_id)
+        if len(ids) == 0:
+            return self
+        self._own(model_id, "block")
+        coefs = np.broadcast_to(np.asarray(coefs, float), ids.shape)
+        _accumulate(self.terms, ids.tolist(), coefs.tolist())
         return self
 
     def _merge(self, other, sign: float) -> "LinExpr":
@@ -174,19 +279,187 @@ class Constraint:
     rhs: float
 
 
+def _split_name(name: str) -> tuple[str, int] | None:
+    """(stem, index) of a name shaped like a family member ``{stem}_t{index}``."""
+    stem, sep, index = name.rpartition("_t")
+    if sep and index.isascii() and index.isdigit() and (index == "0" or index[0] != "0"):
+        return stem, int(index)
+    return None
+
+
+@dataclass(frozen=True)
+class _Family:
+    stems: tuple[str, ...]
+    first: int
+    steps: int
+
+
+class _Names:
+    """Names along one axis (columns or rows): runs of explicit names and
+    families whose member ``k`` of step ``t`` is ``{stems[k]}_t{first + t}``."""
+
+    def __init__(self) -> None:
+        self.size = 0
+        self._starts: list[int] = []
+        self._segments: list[list[str] | _Family] = []
+        self._explicit: dict[str, int] = {}
+        self._stems: dict[str, tuple[int, int]] = {}  # stem -> (segment, member)
+        self._explicit_indexed: dict[str, set[int]] = {}  # stem -> indices
+
+    def add_explicit(self, name: str, kind: str) -> int:
+        if name in self._explicit or self._family_index(name) is not None:
+            raise ValueError(f"duplicate {kind} name '{name}'")
+        split = _split_name(name)
+        if split is not None:
+            self._explicit_indexed.setdefault(split[0], set()).add(split[1])
+        if not self._segments or isinstance(self._segments[-1], _Family):
+            self._starts.append(self.size)
+            self._segments.append([])
+        self._segments[-1].append(name)
+        self._explicit[name] = self.size
+        self.size += 1
+        return self.size - 1
+
+    def add_family(self, stems: Sequence[str], first: int, steps: int, kind: str) -> int:
+        start = self.size
+        if steps == 0:
+            return start
+        if len(set(stems)) != len(stems):
+            raise ValueError(f"duplicate {kind} name stems {stems}")
+        for stem in stems:
+            clash = self._explicit_indexed.get(stem, ())
+            if stem in self._stems or any(first <= i < first + steps for i in clash):
+                raise ValueError(f"duplicate {kind} name stem '{stem}'")
+        for k, stem in enumerate(stems):
+            self._stems[stem] = (len(self._segments), k)
+        self._starts.append(start)
+        self._segments.append(_Family(tuple(stems), first, steps))
+        self.size += len(stems) * steps
+        return start
+
+    def _family_index(self, name: str) -> int | None:
+        split = _split_name(name)
+        if split is None or split[0] not in self._stems:
+            return None
+        segment, k = self._stems[split[0]]
+        family = self._segments[segment]
+        t = split[1] - family.first
+        if not 0 <= t < family.steps:
+            return None
+        return self._starts[segment] + t * len(family.stems) + k
+
+    def index(self, name: str) -> int:
+        pos = self._explicit.get(name)
+        if pos is None:
+            pos = self._family_index(name)
+        if pos is None:
+            raise KeyError(name)
+        return pos
+
+    def name(self, pos: int) -> str:
+        if not 0 <= pos < self.size:
+            raise IndexError(pos)
+        segment = bisect.bisect_right(self._starts, pos) - 1
+        offset = pos - self._starts[segment]
+        family = self._segments[segment]
+        if isinstance(family, list):
+            return family[offset]
+        t, k = divmod(offset, len(family.stems))
+        return f"{family.stems[k]}_t{family.first + t}"
+
+    def names(self) -> list[str]:
+        out: list[str] = []
+        for family in self._segments:
+            if isinstance(family, list):
+                out.extend(family)
+            elif len(family.stems) == 1:
+                stem = family.stems[0]
+                out.extend([f"{stem}_t{t}" for t in range(family.first, family.first + family.steps)])
+            else:
+                out.extend([f"{stem}_t{t}"
+                            for t in range(family.first, family.first + family.steps)
+                            for stem in family.stems])
+        return out
+
+
+class _Grow:
+    """Append-only NumPy array with amortized doubling."""
+
+    def __init__(self, dtype) -> None:
+        self._buf = np.empty(16, dtype)
+        self.size = 0
+
+    def _reserve(self, extra: int) -> None:
+        need = self.size + extra
+        if need > len(self._buf):
+            buf = np.empty(max(need, 2 * len(self._buf)), self._buf.dtype)
+            buf[: self.size] = self._buf[: self.size]
+            self._buf = buf
+
+    def append(self, value) -> None:
+        self._reserve(1)
+        self._buf[self.size] = value
+        self.size += 1
+
+    def extend(self, values) -> None:
+        values = np.asarray(values)
+        self._reserve(len(values))
+        self._buf[self.size: self.size + len(values)] = values
+        self.size += len(values)
+
+    @property
+    def view(self) -> np.ndarray:
+        out = self._buf[: self.size]
+        out.flags.writeable = False
+        return out
+
+
+def _broadcast(value, steps: int, what: str) -> np.ndarray:
+    arr = np.asarray(value, float)
+    if arr.ndim and arr.shape != (steps,):
+        raise ValueError(f"{what} has shape {arr.shape}, expected ({steps},)")
+    out = np.broadcast_to(arr, (steps,))
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} must be finite")
+    return out
+
+
 class Model:
     """Mutable model builder; single-threaded per instance."""
 
     def __init__(self, name: str = "model") -> None:
         self.name = name
-        self.variables: list[VarRef] = []
-        self.constraints: list[Constraint] = []
         self.objective: LinExpr = LinExpr()
         self._model_id = next(_model_counter)
-        self._var_names: set[str] = set()
-        self._con_by_name: dict[str, Constraint] = {}
+        self._cols = _Names()
+        self._rows = _Names()
+        self._lo = _Grow(float)
+        self._hi = _Grow(float)
+        self._binary = _Grow(bool)
+        self._row_nnz = _Grow(np.int64)
+        self._row_rhs = _Grow(float)  # rhs minus the expression constant
+        self._row_sense = _Grow(np.int8)
+        self._term_col = _Grow(np.int32)
+        self._term_val = _Grow(float)
+        # rows whose expression carried a constant: row -> (rhs, constant)
+        self._row_offsets: dict[int, tuple[float, float]] = {}
+        self._matrix: sparse.csr_matrix | None = None
 
     # -- variables --------------------------------------------------------
+
+    def _new_columns(self, size: int, domain: Domain, lo: float, hi: float,
+                     what: str) -> tuple[Domain, float, float]:
+        domain = Domain(domain)
+        if domain == Domain.BINARY:
+            lo, hi = 0.0, 1.0
+        if lo < 0:
+            raise ValueError(f"variable '{what}': lower bound must be >= 0")
+        if lo > hi:
+            raise ValueError(f"variable '{what}': lo {lo} > hi {hi}")
+        if self._cols.size + size >= 2**31:
+            raise ValueError("model exceeds 2**31 columns")
+        self._matrix = None
+        return domain, float(lo), float(hi)
 
     def add_var(
         self,
@@ -195,54 +468,209 @@ class Model:
         lo: float = 0.0,
         hi: float = math.inf,
     ) -> VarRef:
-        domain = Domain(domain)
-        if name in self._var_names:
-            raise ValueError(f"duplicate variable name '{name}'")
-        if domain == Domain.BINARY:
-            lo, hi = 0.0, 1.0
-        if lo < 0:
-            raise ValueError(f"variable '{name}': lower bound must be >= 0")
-        if lo > hi:
-            raise ValueError(f"variable '{name}': lo {lo} > hi {hi}")
-        var = VarRef(len(self.variables), name, domain, float(lo), float(hi), self._model_id)
-        self.variables.append(var)
-        self._var_names.add(name)
-        return var
+        domain, lo, hi = self._new_columns(1, domain, lo, hi, name)
+        vid = self._cols.add_explicit(name, "variable")
+        self._lo.append(lo)
+        self._hi.append(hi)
+        self._binary.append(domain == Domain.BINARY)
+        return VarRef(vid, name, domain, lo, hi, self._model_id)
 
     def add_binary(self, name: str) -> VarRef:
         return self.add_var(name, Domain.BINARY)
 
+    def add_vars(
+        self,
+        stem: str,
+        size: int,
+        domain: Domain = Domain.CONTINUOUS_NONNEG,
+        lo: float = 0.0,
+        hi: float = math.inf,
+    ) -> VarBlock:
+        """Block of ``size`` variables named ``{stem}_t0 .. {stem}_t{size-1}``."""
+        domain, lo, hi = self._new_columns(size, domain, lo, hi, f"{stem}_t*")
+        start = self._cols.add_family((stem,), 0, size, "variable")
+        self._lo.extend(np.full(size, lo))
+        self._hi.extend(np.full(size, hi))
+        self._binary.extend(np.full(size, domain == Domain.BINARY))
+        return VarBlock(self._model_id, stem, start, 0, size, domain, lo, hi)
+
+    def _var(self, vid: int) -> VarRef:
+        binary = bool(self._binary.view[vid])
+        return VarRef(vid, self._cols.name(vid),
+                      Domain.BINARY if binary else Domain.CONTINUOUS_NONNEG,
+                      float(self._lo.view[vid]), float(self._hi.view[vid]), self._model_id)
+
+    @property
+    def variables(self) -> "_VariableView":
+        return _VariableView(self)
+
     def var_by_name(self, name: str) -> VarRef:
-        for var in self.variables:
-            if var.name == name:
-                return var
-        raise KeyError(name)
+        return self._var(self._cols.index(name))
+
+    def var_index(self, name: str) -> int:
+        return self._cols.index(name)
+
+    def var_names(self) -> list[str]:
+        return self._cols.names()
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper bound of every column (read-only)."""
+        return self._lo.view, self._hi.view
+
+    def binary_mask(self) -> np.ndarray:
+        return self._binary.view
 
     # -- constraints and objective ----------------------------------------
 
     def _check_owned(self, expr: LinExpr) -> None:
         if expr.model_id is not None and expr.model_id != self._model_id:
             raise ValueError("expression references variables of a foreign model")
-        for vid in expr.terms:
-            if vid >= len(self.variables):
-                raise ValueError(f"expression references unregistered variable id {vid}")
+        if expr.terms and max(expr.terms) >= self._cols.size:
+            raise ValueError(
+                f"expression references unregistered variable id {max(expr.terms)}"
+            )
 
     def add_constraint(self, expr: LinExpr, sense: Sense, rhs: float, name: str) -> int:
         if isinstance(expr, VarRef):
             expr = LinExpr({expr.id: 1.0}, 0.0, expr.model_id)
-        if name in self._con_by_name:
-            raise ValueError(f"duplicate constraint name '{name}'")
         if not math.isfinite(rhs):
             raise ValueError(f"constraint '{name}': rhs must be finite")
         expr.validate_finite()
         self._check_owned(expr)
-        con = Constraint(len(self.constraints), name, expr.normalized(), Sense(sense), float(rhs))
-        self.constraints.append(con)
-        self._con_by_name[name] = con
-        return con.index
+        sense = Sense(sense)
+        row = self._rows.add_explicit(name, "constraint")
+        self._append_row_terms(expr.normalized().terms)
+        rhs = float(rhs)
+        self._row_rhs.append(rhs - expr.constant)
+        self._row_sense.append(_SENSE_CODE[sense])
+        if expr.constant != 0.0:
+            self._row_offsets[row] = (rhs, expr.constant)
+        self._matrix = None
+        return row
+
+    def add_constraints(
+        self,
+        stems: Sequence[str],
+        steps: int,
+        rows: Sequence[Sequence[tuple[object, object]]],
+        senses: Sequence[Sense],
+        rhs: float | Sequence[object] = 0.0,
+        first: int = 0,
+    ) -> int:
+        """Add a family of ``steps`` x ``len(stems)`` rows; returns the index
+        of its first row.
+
+        Member ``k`` of step ``t`` is named ``{stems[k]}_t{first + t}`` and
+        reads ``sum(coef * var) senses[k] rhs[k]`` over the terms
+        ``rows[k]``.  A term pairs a block (or any sequence of ``steps``
+        variables) or one variable, used at every step, with a scalar or
+        per-step coefficient.  ``rhs`` is one number for every row, or one
+        entry per stem, each a number or a per-step array.
+        Rows are stored step by step, the members of one step in stem
+        order, and keep their terms in the order given.  As with
+        :meth:`LinExpr.add`, zero coefficients are dropped and a variable
+        given twice in one row has its coefficients summed.
+        """
+        if isinstance(rhs, (int, float)):
+            rhs = [rhs] * len(stems)
+        if not (len(rows) == len(senses) == len(rhs) == len(stems)):
+            raise ValueError("stems, rows, senses and rhs must have equal lengths")
+        start = self._rows.size
+        if steps == 0:
+            return start
+        cols, vals, widths = [], [], []
+        for k, terms in enumerate(rows):
+            for vars, coef in terms:
+                model_id, ids = _column_ids(vars, self._model_id)
+                if model_id != self._model_id:
+                    raise ValueError("expression references variables of a foreign model")
+                if not isinstance(vars, VarRef) and len(ids) != steps:
+                    raise ValueError(f"{stems[k]}: term of {len(ids)} variables for {steps} steps")
+                cols.append(np.broadcast_to(ids, (steps,)))
+                vals.append(_broadcast(coef, steps, f"{stems[k]} coefficient"))
+            widths.append(len(terms))
+        col_mat = np.stack(cols, axis=1) if cols else np.empty((steps, 0), np.int64)
+        val_mat = np.stack(vals, axis=1) if vals else np.empty((steps, 0))
+        if col_mat.size and col_mat.max() >= self._cols.size:
+            raise ValueError(f"{stems[0]}: references an unregistered variable")
+        rhs_mat = np.stack([_broadcast(r, steps, f"{s} rhs") for s, r in zip(stems, rhs)],
+                           axis=1)
+        self._rows.add_family(stems, first, steps, "constraint")
+        edges = np.concatenate([[0], np.cumsum(widths)])
+        if any(
+            w > 1 and (np.diff(np.sort(col_mat[:, a:b], axis=1), axis=1) == 0).any()
+            for w, a, b in zip(widths, edges[:-1], edges[1:])
+        ):
+            self._add_summed_rows(col_mat, val_mat, edges)
+        else:
+            keep = val_mat != 0.0
+            nnz = np.stack([keep[:, a:b].sum(axis=1) for a, b in zip(edges[:-1], edges[1:])],
+                           axis=1)
+            self._row_nnz.extend(nnz.ravel())
+            self._term_col.extend(col_mat[keep])
+            self._term_val.extend(val_mat[keep])
+        self._row_rhs.extend(rhs_mat.ravel())
+        self._row_sense.extend(np.tile([_SENSE_CODE[Sense(s)] for s in senses], steps))
+        self._matrix = None
+        return start
+
+    def _append_row_terms(self, terms: Mapping[int, float]) -> None:
+        self._row_nnz.append(len(terms))
+        self._term_col.extend(np.fromiter(terms.keys(), np.int32, len(terms)))
+        self._term_val.extend(np.fromiter(terms.values(), float, len(terms)))
+
+    def _add_summed_rows(self, col_mat: np.ndarray, val_mat: np.ndarray,
+                         edges: np.ndarray) -> None:
+        """Rows with a repeated variable: accumulate exactly as LinExpr.add."""
+        for t in range(col_mat.shape[0]):
+            for a, b in zip(edges[:-1], edges[1:]):
+                terms: dict[int, float] = {}
+                _accumulate(terms, col_mat[t, a:b].tolist(), val_mat[t, a:b].tolist())
+                self._append_row_terms(terms)
+
+    @property
+    def constraints(self) -> "_ConstraintView":
+        return _ConstraintView(self)
 
     def constraint_by_name(self, name: str) -> Constraint:
-        return self._con_by_name[name]
+        return self.constraints[self._rows.index(name)]
+
+    def row_names(self) -> list[str]:
+        return self._rows.names()
+
+    def matrix(self) -> sparse.csr_matrix:
+        """Constraint coefficients, one row per constraint (vacuous rows
+        empty), terms of a row in the order they were added."""
+        if self._matrix is None:
+            nnz = self._row_nnz.view
+            indptr = np.zeros(len(nnz) + 1, np.int64)
+            np.cumsum(nnz, out=indptr[1:])
+            self._matrix = sparse.csr_matrix(
+                (self._term_val.view, self._term_col.view, indptr),
+                shape=(self._rows.size, self._cols.size),
+            )
+        return self._matrix
+
+    def row_sense(self) -> np.ndarray:
+        """Sense code of every row, indexing :data:`SENSES`."""
+        return self._row_sense.view
+
+    def row_rhs(self) -> np.ndarray:
+        """Right-hand side minus the expression constant, per row."""
+        return self._row_rhs.view
+
+    def row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Activity bounds per row: (-inf, rhs) for <=, (rhs, rhs) for =,
+        (rhs, inf) for >=, with rhs net of the expression constant."""
+        rhs, sense = self.row_rhs(), self.row_sense()
+        return (np.where(sense == _SENSE_CODE[Sense.LE], -np.inf, rhs),
+                np.where(sense == _SENSE_CODE[Sense.GE], np.inf, rhs))
+
+    def vacuous_rows(self) -> list[Constraint]:
+        """The constraints without terms: a constant held against the rhs."""
+        indptr = self.matrix().indptr
+        return [self.constraints[row]
+                for row in np.flatnonzero(indptr[1:] == indptr[:-1]).tolist()]
 
     def minimize(self, expr: LinExpr) -> None:
         expr.validate_finite()
@@ -250,17 +678,105 @@ class Model:
         self.objective = expr.normalized()
 
     def stats(self) -> dict[str, int]:
-        n_bin = sum(1 for v in self.variables if v.domain == Domain.BINARY)
         return {
-            "variables": len(self.variables),
-            "binaries": n_bin,
-            "constraints": len(self.constraints),
+            "variables": self._cols.size,
+            "binaries": int(np.count_nonzero(self._binary.view)),
+            "constraints": self._rows.size,
         }
+
+
+class _VariableView(Sequence):
+    """``model.variables``: VarRef handles made on access."""
+
+    def __init__(self, model: Model) -> None:
+        self._model = model
+
+    def __len__(self) -> int:
+        return self._model._cols.size
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [self[i] for i in range(*key.indices(len(self)))]
+        i = key + len(self) if key < 0 else key
+        if not 0 <= i < len(self):
+            raise IndexError(key)
+        return self._model._var(i)
+
+    def __iter__(self) -> Iterator[VarRef]:
+        model = self._model
+        lo, hi = model.bounds()
+        kinds = (Domain.CONTINUOUS_NONNEG, Domain.BINARY)
+        for vid, (name, binary, low, high) in enumerate(
+            zip(model.var_names(), model.binary_mask().tolist(), lo.tolist(), hi.tolist())
+        ):
+            yield VarRef(vid, name, kinds[binary], low, high, model._model_id)
+
+
+class _ConstraintView(Sequence):
+    """``model.constraints``: Constraint records made on access."""
+
+    def __init__(self, model: Model) -> None:
+        self._model = model
+
+    def __len__(self) -> int:
+        return self._model._rows.size
+
+    def _make(self, row: int, name: str, cols, vals, sense: int, rhs: float) -> Constraint:
+        model = self._model
+        constant = 0.0
+        if row in model._row_offsets:
+            rhs, constant = model._row_offsets[row]
+        expr = LinExpr(dict(zip(cols, vals)), constant, model._model_id)
+        return Constraint(row, name, expr, SENSES[sense], rhs)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [self[i] for i in range(*key.indices(len(self)))]
+        i = key + len(self) if key < 0 else key
+        if not 0 <= i < len(self):
+            raise IndexError(key)
+        mat = self._model.matrix()
+        a, b = mat.indptr[i], mat.indptr[i + 1]
+        return self._make(i, self._model._rows.name(i), mat.indices[a:b].tolist(),
+                          mat.data[a:b].tolist(), int(self._model.row_sense()[i]),
+                          float(self._model.row_rhs()[i]))
+
+    def __iter__(self) -> Iterator[Constraint]:
+        model = self._model
+        mat = model.matrix()
+        indptr = mat.indptr.tolist()
+        cols, vals = mat.indices.tolist(), mat.data.tolist()
+        for row, (name, sense, rhs) in enumerate(
+            zip(model.row_names(), model.row_sense().tolist(), model.row_rhs().tolist())
+        ):
+            a, b = indptr[row], indptr[row + 1]
+            yield self._make(row, name, cols[a:b], vals[a:b], sense, rhs)
+
+
+class SolutionValues(Mapping):
+    """Name-keyed view of a solution vector ``x`` of a model."""
+
+    def __init__(self, model: Model, x: np.ndarray) -> None:
+        self._model = model
+        self.x = x
+
+    def __getitem__(self, name: str) -> float:
+        return float(self.x[self._model.var_index(name)])
+
+    def __iter__(self) -> Iterator[str]:
+        return itertools.islice(self._model.var_names(), len(self.x))
+
+    def __len__(self) -> int:
+        return len(self.x)
 
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of one solve; values keyed by variable name."""
+    """Outcome of one solve; values keyed by variable name.
+
+    ``values`` is empty when the solver returned no solution (an
+    infeasible model, or a limit hit before any incumbent was found).
+    """
 
     status: Status
     objective: float
@@ -268,8 +784,14 @@ class SolveResult:
     solver_meta: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", dict(self.values))
+        if not isinstance(self.values, SolutionValues):
+            object.__setattr__(self, "values", dict(self.values))
         object.__setattr__(self, "solver_meta", dict(self.solver_meta))
+
+    @property
+    def x(self) -> np.ndarray | None:
+        """Solution vector in column order, or None without a solution."""
+        return self.values.x if isinstance(self.values, SolutionValues) else None
 
     def __getitem__(self, var: VarRef) -> float:
         return self.values[var.name]
@@ -278,24 +800,54 @@ class SolveResult:
         return self.values.get(var.name, default)
 
 
-def evaluate(expr: LinExpr, model: Model, values: Mapping[str, float]) -> float:
-    """Dot-product evaluation of an expression at a value assignment."""
+def _solution_vector(model: Model, values) -> np.ndarray:
+    if isinstance(values, SolutionValues):
+        return values.x
+    if isinstance(values, np.ndarray):
+        return values
+    return np.array([values[name] for name in model.var_names()], float)
+
+
+def read_values(values, vars) -> np.ndarray:
+    """Values of a block or sequence of variables, from a solution vector
+    or a name-keyed mapping."""
+    x = values.x if isinstance(values, SolutionValues) else values
+    if isinstance(x, np.ndarray):
+        if isinstance(vars, VarBlock):
+            return x[vars.start: vars.start + vars.size].copy()
+        return x[_column_ids(vars)[1]]
+    return np.array([values[v.name] for v in vars], float)
+
+
+def evaluate(expr: LinExpr, model: Model, values) -> float:
+    """Dot-product evaluation of an expression at a value assignment
+    (a solution vector, or values keyed by variable name)."""
+    if isinstance(values, (SolutionValues, np.ndarray)):
+        value = _solution_vector(model, values).tolist().__getitem__
+    else:
+        def value(vid: int) -> float:
+            return values[model._cols.name(vid)]
     total = expr.constant
     for vid, coef in expr.terms.items():
-        total += coef * values[model.variables[vid].name]
+        total += coef * value(vid)
     return total
 
 
-def constraint_violation(model: Model, values: Mapping[str, float]) -> float:
-    """Largest absolute constraint violation at a value assignment."""
-    worst = 0.0
-    for con in model.constraints:
-        lhs = evaluate(con.expr, model, values)
-        if con.sense == Sense.LE:
-            gap = lhs - con.rhs
-        elif con.sense == Sense.GE:
-            gap = con.rhs - lhs
-        else:
-            gap = abs(lhs - con.rhs)
-        worst = max(worst, gap)
-    return worst
+def constraint_violation(model: Model, values) -> float:
+    """Largest absolute constraint violation at a value assignment.
+
+    ``A @ x`` sums the terms of each row in the order they were added, as
+    :func:`evaluate` does; the few rows whose expression has a constant
+    are evaluated as that constant plus the terms.
+    """
+    x = _solution_vector(model, values)
+    lhs = model.matrix() @ x
+    rhs = model.row_rhs().copy()
+    for row in model._row_offsets:
+        con = model.constraints[row]
+        lhs[row], rhs[row] = evaluate(con.expr, model, x), con.rhs
+    if not len(lhs):
+        return 0.0
+    sense = model.row_sense()
+    gap = np.where(sense == 0, lhs - rhs, np.where(sense == 2, rhs - lhs, np.abs(lhs - rhs)))
+    return float(max(0.0, gap.max()))

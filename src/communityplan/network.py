@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .devices import BuildingEnergyRefs
-from .milp import LinExpr, Model, Sense, VarRef
+from .milp import Model, Sense, VarBlock, VarRef
 
 __all__ = [
     "GridBlockRefs",
@@ -32,8 +32,8 @@ __all__ = [
 class GridBlockRefs:
     """MV feeder flows and the slack variables of one scenario."""
 
-    mv_to_lv: tuple[VarRef, ...]
-    lv_to_mv: tuple[VarRef, ...]
+    mv_to_lv: VarBlock
+    lv_to_mv: VarBlock
     s_mv: VarRef
     s_lv: Mapping[int, VarRef]
 
@@ -42,8 +42,8 @@ def create_grid_refs(
     model: Model, building_ids: Sequence[int], horizon: int, tag: str = "COM"
 ) -> GridBlockRefs:
     """Declare the MV exchange vectors plus one slack per line entity."""
-    mv_to_lv = tuple(model.add_var(f"Emvlv_{tag}_t{t}") for t in range(horizon))
-    lv_to_mv = tuple(model.add_var(f"Elvmv_{tag}_t{t}") for t in range(horizon))
+    mv_to_lv = model.add_vars(f"Emvlv_{tag}", horizon)
+    lv_to_mv = model.add_vars(f"Elvmv_{tag}", horizon)
     s_mv = model.add_var(f"sMV_{tag}")
     s_lv = {bid: model.add_var(f"sLV_b{bid}_{tag}") for bid in building_ids}
     return GridBlockRefs(mv_to_lv=mv_to_lv, lv_to_mv=lv_to_mv, s_mv=s_mv, s_lv=s_lv)
@@ -62,33 +62,24 @@ def emit_grid_limits(
     Both MV flow directions share one slack; each building's import and
     export share that building's LV slack.
     """
-    ids = []
     horizon = len(grid.mv_to_lv)
-    for t in range(horizon):
-        ids.append(
-            model.add_constraint(
-                grid.mv_to_lv[t] - grid.s_mv, Sense.LE, mv_limit, f"lim_mvlv_{tag}_t{t}"
-            )
-        )
-        ids.append(
-            model.add_constraint(
-                grid.lv_to_mv[t] - grid.s_mv, Sense.LE, mv_limit, f"lim_lvmv_{tag}_t{t}"
-            )
-        )
+    start = model.add_constraints(
+        (f"lim_mvlv_{tag}", f"lim_lvmv_{tag}"),
+        horizon,
+        [[(grid.mv_to_lv, 1.0), (grid.s_mv, -1.0)], [(grid.lv_to_mv, 1.0), (grid.s_mv, -1.0)]],
+        (Sense.LE, Sense.LE),
+        float(mv_limit),
+    )
     for bid, flows in building_flows.items():
         slack = grid.s_lv[bid]
-        for t in range(horizon):
-            ids.append(
-                model.add_constraint(
-                    flows.e_in[t] - slack, Sense.LE, lv_limit, f"lim_in_b{bid}_{tag}_t{t}"
-                )
-            )
-            ids.append(
-                model.add_constraint(
-                    flows.e_out[t] - slack, Sense.LE, lv_limit, f"lim_out_b{bid}_{tag}_t{t}"
-                )
-            )
-    return ids
+        model.add_constraints(
+            (f"lim_in_b{bid}_{tag}", f"lim_out_b{bid}_{tag}"),
+            horizon,
+            [[(flows.e_in, 1.0), (slack, -1.0)], [(flows.e_out, 1.0), (slack, -1.0)]],
+            (Sense.LE, Sense.LE),
+            float(lv_limit),
+        )
+    return list(range(start, len(model.constraints)))
 
 
 def emit_lv_aggregation(
@@ -99,16 +90,12 @@ def emit_lv_aggregation(
 ) -> list[int]:
     """LV bus balance: MV->LV supply plus building exports equal building
     imports plus LV->MV return, per timestep."""
-    ids = []
-    for t in range(len(grid.mv_to_lv)):
-        expr = LinExpr()
-        expr.add(grid.mv_to_lv[t], 1.0)
-        expr.add(grid.lv_to_mv[t], -1.0)
-        for flows in building_flows.values():
-            expr.add(flows.e_out[t], 1.0)
-            expr.add(flows.e_in[t], -1.0)
-        ids.append(model.add_constraint(expr, Sense.EQ, 0.0, f"lvagg_{tag}_t{t}"))
-    return ids
+    terms = [(grid.mv_to_lv, 1.0), (grid.lv_to_mv, -1.0)]
+    for flows in building_flows.values():
+        terms += [(flows.e_out, 1.0), (flows.e_in, -1.0)]
+    horizon = len(grid.mv_to_lv)
+    start = model.add_constraints((f"lvagg_{tag}",), horizon, [terms], (Sense.EQ,))
+    return list(range(start, start + horizon))
 
 
 def emit_lv_aggregation_distributed(
@@ -131,14 +118,8 @@ def emit_lv_aggregation_distributed(
         raise ValueError(
             f"others_net length {net.size} cannot cover horizon {horizon}"
         )
-    ids = []
-    for t in range(horizon):
-        expr = LinExpr()
-        expr.add(grid.mv_to_lv[t], 1.0)
-        expr.add(grid.lv_to_mv[t], -1.0)
-        expr.add(own_flows.e_out[t], 1.0)
-        expr.add(own_flows.e_in[t], -1.0)
-        ids.append(
-            model.add_constraint(expr, Sense.EQ, float(net[t]), f"lvagg_{tag}_t{t}")
-        )
-    return ids
+    terms = [(grid.mv_to_lv, 1.0), (grid.lv_to_mv, -1.0), (own_flows.e_out, 1.0),
+             (own_flows.e_in, -1.0)]
+    start = model.add_constraints((f"lvagg_{tag}",), horizon, [terms], (Sense.EQ,),
+                                  [net[:horizon]])
+    return list(range(start, start + horizon))

@@ -80,12 +80,9 @@ def emit_operational_cost(
     horizon = len(hv_import)
     el = _price_array(p_el, horizon, "p_el")
     gas = _price_array(p_gas, horizon, "p_gas")
-    expr = LinExpr()
-    for t, var in enumerate(hv_import):
-        expr.add(var, el[t] * step_hours)
+    expr = LinExpr().add_terms(hv_import, el * step_hours)
     for flows in gas_flows.values():
-        for t, var in enumerate(flows):
-            expr.add(var, gas[t] * step_hours)
+        expr.add_terms(flows, gas[: len(flows)] * step_hours)
     return expr
 
 
@@ -99,8 +96,7 @@ def emit_carbon_cost(
     expr = LinExpr()
     for flows in gas_flows.values():
         co2 = _price_array(p_co2, len(flows), "p_co2")
-        for t, var in enumerate(flows):
-            expr.add(var, co2[t] * step_hours)
+        expr.add_terms(flows, co2 * step_hours)
     return expr
 
 

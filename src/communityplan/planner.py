@@ -53,8 +53,19 @@ from .devices import (
     emit_roof_coupling,
     emit_stc,
     emit_tes,
+    roof_capped,
 )
-from .milp import LinExpr, Model, Sense, SolveResult, Status, VarRef, evaluate
+from .milp import (
+    LinExpr,
+    Model,
+    Sense,
+    SolveResult,
+    Status,
+    VarBlock,
+    VarRef,
+    evaluate,
+    read_values,
+)
 from .network import (
     GridBlockRefs,
     create_grid_refs,
@@ -151,20 +162,7 @@ def _building_entity(bid: int) -> str:
 def _effective_spec(spec: DeviceSpec, building: BuildingConfig) -> DeviceSpec:
     """Roof-constrained design bounds for area-based devices."""
     if spec.kind in (DeviceKind.PV, DeviceKind.STC):
-        return DeviceSpec(
-            kind=spec.kind,
-            cap_min=min(spec.cap_min, building.roof_area),
-            cap_max=min(spec.cap_max, building.roof_area),
-            eta_ch=spec.eta_ch,
-            eta_dch=spec.eta_dch,
-            sigma=spec.sigma,
-            gamma_ch=spec.gamma_ch,
-            gamma_dch=spec.gamma_dch,
-            size_price=spec.size_price,
-            base_price=spec.base_price,
-            lifetime_years=spec.lifetime_years,
-            extra=spec.extra,
-        )
+        return roof_capped(spec, building.roof_area)
     return spec
 
 
@@ -207,7 +205,7 @@ class _BuildingScenarioRefs:
     thermal: object
     blocks: dict[DeviceKind, DeviceBlockRefs]
     flows: BuildingEnergyRefs
-    gas: tuple[VarRef, ...]
+    gas: VarBlock | tuple
 
 
 def _emit_building_scenario(
@@ -280,7 +278,7 @@ def _emit_building_scenario(
 class _CommunityScenarioRefs:
     blocks: dict[DeviceKind, DeviceBlockRefs]
     grid: GridBlockRefs
-    hv: tuple[VarRef, ...]
+    hv: VarBlock
 
 
 def _emit_community_scenario(
@@ -322,8 +320,8 @@ def _emit_community_scenario(
 def _scenario_cost_terms(
     model: Model,
     scenario: Scenario,
-    hv: Sequence[VarRef],
-    gas_by_building: Mapping[int, Sequence[VarRef]],
+    hv: VarBlock,
+    gas_by_building: Mapping[int, Sequence],
     grid: GridBlockRefs,
     cfg: CommunityConfig,
     horizon: int,
@@ -337,6 +335,49 @@ def _scenario_cost_terms(
         ),
         "o_co2": emit_carbon_cost(model, gas_by_building, p_co2, cfg.step_hours),
         "o_slk": emit_slack_cost(model, grid, cfg.slack_price),
+    }
+
+
+# -- reading solutions ----------------------------------------------------------
+
+
+def _solution(result: SolveResult, what: str) -> np.ndarray:
+    """Solution vector of a result that has one; SolverError otherwise."""
+    if result.status not in (Status.OPTIMAL, Status.LIMIT):
+        raise SolverError(f"{what} ended {result.status.value}")
+    if result.x is None:
+        raise SolverError(f"{what} ended {result.status.value} without a solution")
+    return result.x
+
+
+def _design_decisions(
+    x: np.ndarray, entity: str, designs: Mapping[DeviceKind, DesignRefs]
+) -> dict[tuple[str, str], DesignDecision]:
+    out = {}
+    for refs in designs.values():
+        chi = int(round(float(x[refs.chi.id])))
+        for spec, var in refs.entries:
+            out[(entity, spec.kind.value)] = DesignDecision(chi=chi, value=float(x[var.id]))
+    return out
+
+
+def _building_traces(x: np.ndarray, refs: _BuildingScenarioRefs, horizon: int) -> BuildingTraces:
+    gas = read_values(x, refs.gas) if len(refs.gas) else np.zeros(horizon)
+    return BuildingTraces(
+        indoor_celsius=tuple(refs.thermal.indoor_celsius(x).tolist()),
+        heat=tuple(read_values(x, refs.thermal.q_sp).tolist()),
+        e_in=tuple(read_values(x, refs.flows.e_in).tolist()),
+        e_out=tuple(read_values(x, refs.flows.e_out).tolist()),
+        gas=tuple(gas.tolist()),
+    )
+
+
+def _community_flows(x: np.ndarray, com: _CommunityScenarioRefs) -> dict[str, object]:
+    return {
+        "hv": tuple(read_values(x, com.hv).tolist()),
+        "mv_to_lv": tuple(read_values(x, com.grid.mv_to_lv).tolist()),
+        "lv_to_mv": tuple(read_values(x, com.grid.lv_to_mv).tolist()),
+        "slack_mv": float(x[com.grid.s_mv.id]),
     }
 
 
@@ -373,45 +414,35 @@ class BuiltModel:
         return out
 
     def extract(self, result: SolveResult) -> PlanResult:
-        values = result.values
-        designs = {
-            key: DesignDecision(
-                chi=int(round(values[chi.name])), value=values[var.name]
-            )
-            for key, (spec, var, chi) in self.design_entries().items()
-        }
+        x = _solution(result, f"solve of model {self.model.name!r}")
+        designs: dict[tuple[str, str], DesignDecision] = {}
+        for bid, bdesigns in self.building_designs.items():
+            designs.update(_design_decisions(x, _building_entity(bid), bdesigns))
+        designs.update(_design_decisions(x, COMMUNITY_ENTITY, self.community_designs))
         per_scenario: dict[str, dict[str, float]] = {}
         for sid, terms in self.scenario_terms.items():
             per_scenario[sid] = {
-                name: evaluate(expr, self.model, values) for name, expr in terms.items()
+                name: evaluate(expr, self.model, x) for name, expr in terms.items()
             }
         breakdown = ObjectiveBreakdown.from_terms(
-            evaluate(self.inv_expr, self.model, values), per_scenario, self.probs()
+            evaluate(self.inv_expr, self.model, x), per_scenario, self.probs()
         )
         operations: dict[str, ScenarioOperations] = {}
         probs = self.probs()
         for sid in self.scenario_terms:
             com = self.community_refs[sid]
-            buildings = {}
-            for bid, refs in self.building_refs[sid].items():
-                buildings[bid] = BuildingTraces(
-                    indoor_celsius=tuple(refs.thermal.indoor_celsius(values)),
-                    heat=tuple(values[v.name] for v in refs.thermal.q_sp),
-                    e_in=tuple(values[v.name] for v in refs.flows.e_in),
-                    e_out=tuple(values[v.name] for v in refs.flows.e_out),
-                    gas=tuple(values[v.name] for v in refs.gas)
-                    or (0.0,) * self.horizon,
-                )
+            flows = _community_flows(x, com)
             operations[sid] = ScenarioOperations(
                 probability=probs[sid],
-                hv_import=tuple(values[v.name] for v in com.hv),
-                mv_to_lv=tuple(values[v.name] for v in com.grid.mv_to_lv),
-                lv_to_mv=tuple(values[v.name] for v in com.grid.lv_to_mv),
-                slack_mv=values[com.grid.s_mv.name],
-                slack_lv={
-                    bid: values[var.name] for bid, var in com.grid.s_lv.items()
+                hv_import=flows["hv"],
+                mv_to_lv=flows["mv_to_lv"],
+                lv_to_mv=flows["lv_to_mv"],
+                slack_mv=flows["slack_mv"],
+                slack_lv={bid: float(x[var.id]) for bid, var in com.grid.s_lv.items()},
+                buildings={
+                    bid: _building_traces(x, refs, self.horizon)
+                    for bid, refs in self.building_refs[sid].items()
                 },
-                buildings=buildings,
             )
         meta = dict(result.solver_meta)
         meta.update(self.model.stats())
@@ -520,8 +551,6 @@ def solve_centralized(
     built = build_centralized(cfg, scenarios)
     t0 = time.perf_counter()
     result = solve(built.model, backend, options)
-    if result.status not in (Status.OPTIMAL, Status.LIMIT):
-        raise SolverError(f"centralized solve ended {result.status.value}")
     plan = built.extract(result)
     plan.solve_meta["iterations"] = 1
     plan.solve_meta["wall_time_s"] = time.perf_counter() - t0
@@ -616,7 +645,8 @@ def solve_distributed(
     coupling balance as the fixed ``others_net`` parameter.  Sweeps
     repeat in ascending building id order until the global objective
     changes by at most ``epsilon`` or ``max_iters`` is hit, in which
-    case the best iterate is returned flagged unconverged.
+    case the last iterate is returned with ``solve_meta["converged"]``
+    False.
     """
     violations = validate_config(cfg)
     if violations:
@@ -753,25 +783,11 @@ def _solve_subproblem(
     )
     model.minimize(objective)
     result = solve(model, backend, options)
-    if result.status not in (Status.OPTIMAL, Status.LIMIT):
-        raise SolverError(
-            f"sub-problem for building {building.id} ended {result.status.value}"
-        )
-    values = result.values
+    x = _solution(result, f"sub-problem for building {building.id}")
 
     entity = _building_entity(building.id)
-    bdesign_out: dict[tuple[str, str], DesignDecision] = {}
-    for refs in bdesigns.values():
-        for spec, var in refs.entries:
-            bdesign_out[(entity, spec.kind.value)] = DesignDecision(
-                chi=int(round(values[refs.chi.name])), value=values[var.name]
-            )
-    cdesign_out: dict[tuple[str, str], DesignDecision] = {}
-    for refs in cdesigns.values():
-        for spec, var in refs.entries:
-            cdesign_out[(COMMUNITY_ENTITY, spec.kind.value)] = DesignDecision(
-                chi=int(round(values[refs.chi.name])), value=values[var.name]
-            )
+    bdesign_out = _design_decisions(x, entity, bdesigns)
+    cdesign_out = _design_decisions(x, COMMUNITY_ENTITY, cdesigns)
 
     net: dict[str, np.ndarray] = {}
     traces: dict[str, BuildingTraces] = {}
@@ -786,29 +802,21 @@ def _solve_subproblem(
     for scenario in scenarios:
         sid = scenario.id
         bref, cref = brefs[sid], crefs[sid]
-        e_in = np.array([values[v.name] for v in bref.flows.e_in])
-        e_out = np.array([values[v.name] for v in bref.flows.e_out])
-        net[sid] = e_in - e_out
-        gas = np.array([values[v.name] for v in bref.gas]) if bref.gas else np.zeros(horizon)
-        traces[sid] = BuildingTraces(
-            indoor_celsius=tuple(bref.thermal.indoor_celsius(values)),
-            heat=tuple(values[v.name] for v in bref.thermal.q_sp),
-            e_in=tuple(e_in),
-            e_out=tuple(e_out),
-            gas=tuple(gas),
-        )
+        traces[sid] = trace = _building_traces(x, bref, horizon)
+        net[sid] = np.array(trace.e_in) - np.array(trace.e_out)
+        gas = np.array(trace.gas)
         p_gas = scenario.economic.p_gas.values[:horizon]
         p_co2 = scenario.economic.p_co2.values[:horizon]
         p_el = scenario.economic.p_el.values[:horizon]
         gas_cost[sid] = float(np.dot(gas, p_gas) * cfg.step_hours)
         co2_cost[sid] = float(np.dot(gas, p_co2) * cfg.step_hours)
-        slack_lv[sid] = values[cref.grid.s_lv[building.id].name]
-        hv = np.array([values[v.name] for v in cref.hv])
-        hv_out[sid] = tuple(hv)
-        mvlv_out[sid] = tuple(values[v.name] for v in cref.grid.mv_to_lv)
-        lvmv_out[sid] = tuple(values[v.name] for v in cref.grid.lv_to_mv)
-        smv_out[sid] = values[cref.grid.s_mv.name]
-        hv_cost[sid] = float(np.dot(hv, p_el) * cfg.step_hours)
+        slack_lv[sid] = float(x[cref.grid.s_lv[building.id].id])
+        flows = _community_flows(x, cref)
+        hv_out[sid] = flows["hv"]
+        mvlv_out[sid] = flows["mv_to_lv"]
+        lvmv_out[sid] = flows["lv_to_mv"]
+        smv_out[sid] = flows["slack_mv"]
+        hv_cost[sid] = float(np.dot(np.array(flows["hv"]), p_el) * cfg.step_hours)
 
     return {
         "building": _SubSolution(
@@ -1007,6 +1015,4 @@ def evaluate_design(
             f"fix_val_{key[0]}_{key[1]}",
         )
     result = solve(built.model, backend, options)
-    if result.status not in (Status.OPTIMAL, Status.LIMIT):
-        raise SolverError(f"design evaluation ended {result.status.value}")
     return built.extract(result)

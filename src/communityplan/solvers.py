@@ -25,14 +25,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .lpformat import export_lp, export_mps, format_solution_table, parse_solution_table
+from .lpformat import export_lp, export_mps, parse_solution_table
 from .milp import (
-    Domain,
     Model,
     Sense,
+    SolutionValues,
     SolveResult,
     Status,
     constraint_violation,
@@ -65,12 +64,15 @@ class SolverError(RuntimeError):
     """Backend could not be launched or produced unusable output."""
 
 
-def _finalize(model: Model, status: Status, objective: float, values: dict,
+def _finalize(model: Model, status: Status, objective: float, x: np.ndarray | None,
               meta: dict) -> SolveResult:
-    if status in (Status.OPTIMAL, Status.LIMIT) and values:
-        meta["max_violation"] = constraint_violation(model, values)
-        meta["objective_recomputed"] = evaluate(model.objective, model, values)
-    return SolveResult(status=status, objective=objective, values=values, solver_meta=meta)
+    if x is None:
+        return SolveResult(status=status, objective=objective, values={}, solver_meta=meta)
+    if status in (Status.OPTIMAL, Status.LIMIT):
+        meta["max_violation"] = constraint_violation(model, x)
+        meta["objective_recomputed"] = evaluate(model.objective, model, x)
+    return SolveResult(status=status, objective=objective,
+                       values=SolutionValues(model, x), solver_meta=meta)
 
 
 class ScipyBackend:
@@ -86,63 +88,37 @@ class ScipyBackend:
 
         # vacuous rows never reach the solver; an unsatisfiable one decides
         # the model outright
-        for con in model.constraints:
-            if not con.expr.terms:
-                lhs = con.expr.constant
-                ok = (
-                    lhs <= con.rhs + FEASIBILITY_TOL
-                    if con.sense == Sense.LE
-                    else lhs >= con.rhs - FEASIBILITY_TOL
-                    if con.sense == Sense.GE
-                    else abs(lhs - con.rhs) <= FEASIBILITY_TOL
-                )
-                if not ok:
-                    return SolveResult(Status.INFEASIBLE, math.nan, {}, meta)
+        for con in model.vacuous_rows():
+            lhs = con.expr.constant
+            ok = (
+                lhs <= con.rhs + FEASIBILITY_TOL
+                if con.sense == Sense.LE
+                else lhs >= con.rhs - FEASIBILITY_TOL
+                if con.sense == Sense.GE
+                else abs(lhs - con.rhs) <= FEASIBILITY_TOL
+            )
+            if not ok:
+                return SolveResult(Status.INFEASIBLE, math.nan, {}, meta)
 
         if n == 0:
             meta["wall_time_s"] = time.perf_counter() - t0
-            return _finalize(model, Status.OPTIMAL, model.objective.constant, {}, meta)
+            return _finalize(model, Status.OPTIMAL, model.objective.constant,
+                             np.zeros(0), meta)
 
         c = np.zeros(n)
         for vid, coef in model.objective.terms.items():
             c[vid] = coef
-        integrality = np.array(
-            [1 if v.domain == Domain.BINARY else 0 for v in model.variables]
-        )
-        lo = np.array([v.lo for v in model.variables])
-        hi = np.array([v.hi for v in model.variables])
-
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        con_lo: list[float] = []
-        con_hi: list[float] = []
-        r = 0
-        for con in model.constraints:
-            if not con.expr.terms:
-                continue
-            for vid, coef in con.expr.terms.items():
-                rows.append(r)
-                cols.append(vid)
-                vals.append(coef)
-            rhs = con.rhs - con.expr.constant
-            if con.sense == Sense.LE:
-                con_lo.append(-np.inf)
-                con_hi.append(rhs)
-            elif con.sense == Sense.GE:
-                con_lo.append(rhs)
-                con_hi.append(np.inf)
-            else:
-                con_lo.append(rhs)
-                con_hi.append(rhs)
-            r += 1
+        integrality = model.binary_mask().astype(np.int64)
+        lo, hi = (np.array(b) for b in model.bounds())
 
         constraints = ()
-        if r:
-            mat = sparse.csc_matrix(
-                (np.asarray(vals), (np.asarray(rows), np.asarray(cols))), shape=(r, n)
-            )
-            constraints = LinearConstraint(mat, np.asarray(con_lo), np.asarray(con_hi))
+        mat = model.matrix()
+        real = mat.indptr[1:] > mat.indptr[:-1]  # vacuous rows stay out
+        if real.any():
+            con_lo, con_hi = model.row_bounds()
+            if not real.all():
+                mat, con_lo, con_hi = mat[real], con_lo[real], con_hi[real]
+            constraints = LinearConstraint(mat.tocsc(), con_lo, con_hi)
 
         milp_options: dict[str, object] = {"mip_rel_gap": options.mip_gap}
         if options.time_limit_s is not None:
@@ -160,11 +136,10 @@ class ScipyBackend:
         meta["wall_time_s"] = time.perf_counter() - t0
         if res.x is None:
             return SolveResult(status, math.nan, {}, meta)
-        values = {v.name: float(res.x[v.id]) for v in model.variables}
         objective = float(res.fun) + model.objective.constant
         if getattr(res, "mip_gap", None) is not None:
             meta["mip_gap"] = float(res.mip_gap)
-        return _finalize(model, status, objective, values, meta)
+        return _finalize(model, status, objective, np.asarray(res.x, float), meta)
 
 
 class CommandBackend:
@@ -222,11 +197,17 @@ class CommandBackend:
                 )
             status, objective, values = parse_solution_table(sol_path.read_text())
         meta["wall_time_s"] = time.perf_counter() - t0
-        if status in (Status.INFEASIBLE, Status.UNBOUNDED):
+        if status in (Status.INFEASIBLE, Status.UNBOUNDED) or (
+            not values and len(model.variables)
+        ):
             return SolveResult(status, math.nan, {}, meta)
+        try:
+            x = np.array([values[name] for name in model.var_names()], float)
+        except KeyError as exc:
+            raise SolverError(f"solution table lacks variable {exc.args[0]!r}") from None
         if objective is None:
-            objective = evaluate(model.objective, model, values)
-        return _finalize(model, status, float(objective), values, meta)
+            objective = evaluate(model.objective, model, x)
+        return _finalize(model, status, float(objective), x, meta)
 
 
 def solve(
@@ -249,6 +230,3 @@ def solve(
             raise SolverError(f"unknown backend '{backend}'")
     return backend.solve(model, options)
 
-
-# shared helper for writing mock/external solutions, re-exported for CLI use
-solution_table = format_solution_table

@@ -23,8 +23,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import BuildingConfig, ClimateProfile, RC_CAPACITY_KEY, TimeSeries
-from .milp import LinExpr, Model, Sense, VarRef
+from .core import BuildingConfig, ClimateProfile, RC_CAPACITY_KEY, series_head
+from .milp import LinExpr, Model, Sense, VarBlock, read_values
 
 __all__ = [
     "KELVIN_OFFSET",
@@ -54,29 +54,23 @@ _COUPLINGS: tuple[tuple[str, str, str], ...] = (
 class ThermalBlockRefs:
     """Handles to one building's thermal block inside a model."""
 
-    states: Mapping[str, tuple[VarRef, ...]]  # Kelvin-valued state vectors
-    q_sp: tuple[VarRef, ...]  # space-heat decision, kW
+    states: Mapping[str, VarBlock]  # Kelvin-valued state vectors
+    q_sp: VarBlock  # space-heat decision, kW
     horizon: int
 
     @property
-    def t_i(self) -> tuple[VarRef, ...]:
+    def t_i(self) -> VarBlock:
         return self.states["i"]
 
-    def indoor_celsius(self, values: Mapping[str, float]) -> np.ndarray:
-        return np.array([values[v.name] for v in self.t_i]) - KELVIN_OFFSET
+    def indoor_celsius(self, values) -> np.ndarray:
+        """Interior temperature, from a solution vector or name-keyed values."""
+        return read_values(values, self.t_i) - KELVIN_OFFSET
 
-    def state_celsius(self, node: str, values: Mapping[str, float]) -> np.ndarray:
-        return np.array([values[v.name] for v in self.states[node]]) - KELVIN_OFFSET
+    def state_celsius(self, node: str, values) -> np.ndarray:
+        return read_values(values, self.states[node]) - KELVIN_OFFSET
 
-    def heat_profile(self, values: Mapping[str, float]) -> np.ndarray:
-        return np.array([values[v.name] for v in self.q_sp])
-
-
-def _as_array(series, horizon: int, name: str) -> np.ndarray:
-    values = series.values if isinstance(series, TimeSeries) else np.asarray(series, float)
-    if values.size < horizon:
-        raise ValueError(f"{name}: series of length {values.size} cannot cover horizon {horizon}")
-    return values[:horizon]
+    def heat_profile(self, values) -> np.ndarray:
+        return read_values(values, self.q_sp)
 
 
 def _active_couplings(states: Sequence[str], resistances: Mapping[str, float]):
@@ -129,17 +123,14 @@ def emit_thermal_constraints(
         if not value > 0:
             raise ValueError(f"building {bcfg.id}: non-positive RC parameter {key}")
     check_euler_stability(bcfg, step_hours)
-    t_amb = _as_array(climate.t_amb, horizon, "T_amb") + KELVIN_OFFSET
-    i_sol = _as_array(climate.i_sol, horizon, "I_sol")
+    t_amb = series_head(climate.t_amb, horizon, "T_amb") + KELVIN_OFFSET
+    i_sol = series_head(climate.i_sol, horizon, "I_sol")
     step_s = step_hours * SECONDS_PER_HOUR
     label = tag or f"b{bcfg.id}"
     nodes = rc.states()
 
-    states: dict[str, list[VarRef]] = {
-        node: [model.add_var(f"T{node}_{label}_t{t}") for t in range(horizon)]
-        for node in nodes
-    }
-    q_sp = [model.add_var(f"Qsp_{label}_t{t}") for t in range(horizon)]
+    states = {node: model.add_vars(f"T{node}_{label}", horizon) for node in nodes}
+    q_sp = model.add_vars(f"Qsp_{label}", horizon)
     heat_node = "h" if "h" in nodes else "i"
 
     # every state starts at the initial set point; leaving non-interior
@@ -153,40 +144,41 @@ def emit_thermal_constraints(
             f"tinit_{node}_{label}",
         )
 
-    for t in range(1, horizon):
-        for node in nodes:
-            cap = rc.capacities[RC_CAPACITY_KEY[node]]
-            expr = LinExpr()
-            expr.add(states[node][t], 1.0)
-            diag = 1.0
-            rhs = 0.0
-            for n_from, n_to, key in _active_couplings(nodes, rc.resistances):
-                gain = step_s / (rc.resistances[key] * cap)
-                if n_from == node:
-                    other = n_to
-                elif n_to == node:
-                    other = n_from
-                else:
-                    continue
-                diag -= gain
-                if other == "a":
-                    rhs += gain * t_amb[t - 1]
-                else:
-                    expr.add(states[other][t - 1], -gain)
-            expr.add(states[node][t - 1], -diag)
-            if node == "i":
-                rhs += rc.window_area * i_sol[t - 1] * step_s / cap
-            elif node == "e":
-                rhs += rc.envelope_area * i_sol[t - 1] * step_s / cap
-            if node == heat_node:
-                expr.add(q_sp[t - 1], -W_PER_KW * step_s / cap)
-            model.add_constraint(expr, Sense.EQ, rhs, f"rc_{node}_{label}_t{t}")
-
-    return ThermalBlockRefs(
-        states={n: tuple(v) for n, v in states.items()},
-        q_sp=tuple(q_sp),
-        horizon=horizon,
+    # the update into step t (t = 1 .. horizon - 1) reads inputs at t - 1
+    steps = horizon - 1
+    rows, rhs_rows = [], []
+    for node in nodes:
+        cap = rc.capacities[RC_CAPACITY_KEY[node]]
+        terms = [(states[node][1:], 1.0)]
+        diag = 1.0
+        rhs = np.zeros(steps)
+        for n_from, n_to, key in _active_couplings(nodes, rc.resistances):
+            gain = step_s / (rc.resistances[key] * cap)
+            if n_from == node:
+                other = n_to
+            elif n_to == node:
+                other = n_from
+            else:
+                continue
+            diag -= gain
+            if other == "a":
+                rhs = rhs + gain * t_amb[:steps]
+            else:
+                terms.append((states[other][:-1], -gain))
+        terms.append((states[node][:-1], -diag))
+        if node == "i":
+            rhs = rhs + rc.window_area * i_sol[:steps] * step_s / cap
+        elif node == "e":
+            rhs = rhs + rc.envelope_area * i_sol[:steps] * step_s / cap
+        if node == heat_node:
+            terms.append((q_sp[:-1], -W_PER_KW * step_s / cap))
+        rows.append(terms)
+        rhs_rows.append(rhs)
+    model.add_constraints(
+        [f"rc_{node}_{label}" for node in nodes], max(steps, 0), rows,
+        [Sense.EQ] * len(nodes), rhs_rows, first=1,
     )
+    return ThermalBlockRefs(states=states, q_sp=q_sp, horizon=horizon)
 
 
 def emit_comfort_constraints(
@@ -201,19 +193,13 @@ def emit_comfort_constraints(
     One sided on purpose: no cooling devices exist, the interior is free
     to float above the set point.
     """
-    setpoints = _as_array(t_set, refs.horizon, "T_set")
+    setpoints = series_head(t_set, refs.horizon, "T_set")
     label = tag or "comfort"
-    ids = []
-    for t, var in enumerate(refs.t_i):
-        ids.append(
-            model.add_constraint(
-                LinExpr({var.id: 1.0}, 0.0, var.model_id),
-                Sense.GE,
-                setpoints[t] - buffer + KELVIN_OFFSET,
-                f"comf_{label}_t{t}",
-            )
-        )
-    return ids
+    start = model.add_constraints(
+        (f"comf_{label}",), len(refs.t_i), [[(refs.t_i, 1.0)]], (Sense.GE,),
+        [setpoints[: len(refs.t_i)] - buffer + KELVIN_OFFSET],
+    )
+    return list(range(start, start + len(refs.t_i)))
 
 
 def simulate_thermal(
@@ -231,9 +217,9 @@ def simulate_thermal(
     """
     rc = bcfg.rc
     nodes = rc.states()
-    t_amb = _as_array(climate.t_amb, horizon, "T_amb")
-    i_sol = _as_array(climate.i_sol, horizon, "I_sol")
-    heat = _as_array(q_sp, horizon, "q_sp")
+    t_amb = series_head(climate.t_amb, horizon, "T_amb")
+    i_sol = series_head(climate.i_sol, horizon, "I_sol")
+    heat = series_head(q_sp, horizon, "q_sp")
     step_s = step_hours * SECONDS_PER_HOUR
     heat_node = "h" if "h" in nodes else "i"
     traj = {node: np.empty(horizon) for node in nodes}

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -298,5 +299,24 @@ class TestCli:
         code = self.run(
             "plan", "centralized", "--dir", str(fx), "--scenarios", str(bundle),
             "--out", str(tmp_path / "out"), "--horizon", "24",
+        )
+        assert code == 2
+
+    def test_limit_without_solution_is_solver_failure(self, tmp_path):
+        # an external solver that stops at its limit before any incumbent
+        script = tmp_path / "limit_solver.py"
+        script.write_text(
+            "import sys\n"
+            "open(sys.argv[2], 'w').write('=status= limit\\n')\n"
+        )
+        fx = generate_fixture(tmp_path / "fx", 1, seed=10)
+        bundle = tmp_path / "scn"
+        history = ingest_community(fx).history
+        save_scenarios(bundle, [Scenario("h", 1.0, history.occupant,
+                                         history.economic, history.climate)])
+        code = self.run(
+            "plan", "centralized", "--dir", str(fx), "--scenarios", str(bundle),
+            "--out", str(tmp_path / "out"), "--horizon", "24", "--time-limit", "0.01",
+            "--solver", f"{sys.executable} {script} {{model}} {{sol}}",
         )
         assert code == 2

@@ -89,6 +89,40 @@ class TestModelBuilding:
         assert set(m.constraints[0].expr.terms) == {x.id}
 
 
+class TestConstraintFamilies:
+    def test_family_matches_scalar_rows(self):
+        # a family with a repeated variable, a zero coefficient and a sum
+        # that cancels must store what add_constraint stores row by row
+        coef = np.array([2.0, 0.0, -1.5])
+        fam, ref = Model("m"), Model("m")
+        z, y = fam.add_vars("z", 3), fam.add_var("y")
+        fam.add_constraints(
+            ("a", "b"), 3,
+            [[(z, 1.0), (y, coef), (z, 0.5)], [(y, 1.0), (z, -1.0), (y, -1.0)]],
+            (Sense.LE, Sense.GE), (1.0, np.arange(3.0)), first=4,
+        )
+        z, y = ref.add_vars("z", 3), ref.add_var("y")
+        for t in range(3):
+            ref.add_constraint(LinExpr().add(z[t], 1.0).add(y, coef[t]).add(z[t], 0.5),
+                               Sense.LE, 1.0, f"a_t{t + 4}")
+            ref.add_constraint(LinExpr().add(y, 1.0).add(z[t], -1.0).add(y, -1.0),
+                               Sense.GE, float(t), f"b_t{t + 4}")
+        for a, b in zip(fam.constraints, ref.constraints, strict=True):
+            assert (a.name, a.sense, a.rhs) == (b.name, b.sense, b.rhs)
+            assert list(a.expr.terms.items()) == list(b.expr.terms.items())
+        assert export_lp(fam) == export_lp(ref)
+
+    def test_family_name_clashes_rejected(self):
+        m = Model()
+        m.add_var("x_t1")
+        with pytest.raises(ValueError, match="duplicate"):
+            m.add_vars("x", 3)
+        v = m.add_vars("v", 2)
+        with pytest.raises(ValueError, match="duplicate"):
+            m.add_var("v_t1")
+        assert m.var_by_name("v_t1").id == v[1].id
+
+
 class TestExport:
     def test_export_deterministic(self):
         assert export_lp(toy_model()) == export_lp(toy_model())

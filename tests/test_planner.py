@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from communityplan.core import DeviceSpec, Scenario
-from communityplan.milp import Status
+from communityplan.milp import SolveResult, Status
 from communityplan.planner import (
     CoordinationState,
     build_centralized,
@@ -14,7 +14,7 @@ from communityplan.planner import (
     solve_distributed,
     wait_and_see_value,
 )
-from communityplan.solvers import solve
+from communityplan.solvers import SolveOptions, SolverError, solve
 
 from conftest import (
     battery_spec,
@@ -284,3 +284,32 @@ class TestSensitivity:
         spread = report.spreads["clim"][("b1", "BOL")]
         assert spread.std == 0.0
         assert spread.mean == spread.minimum == spread.maximum
+
+
+class _NoIncumbentBackend:
+    """A solver that hits its limit before finding any solution."""
+
+    name = "no-incumbent"
+
+    def solve(self, model, options=None):
+        return SolveResult(Status.LIMIT, float("nan"), {}, {"backend": self.name})
+
+
+class TestLimitWithoutIncumbent:
+    def test_centralized_time_limit_raises_solver_error(self):
+        from test_acceptance import five_building_instance
+
+        cfg, scenarios = five_building_instance(interactive=True)
+        with pytest.raises(SolverError, match="limit without a solution"):
+            solve_centralized(cfg, scenarios[:2], options=SolveOptions(time_limit_s=0.01))
+
+    def test_every_entry_point_raises_solver_error(self, boiler_community):
+        cfg, scenario = boiler_community
+        backend = _NoIncumbentBackend()
+        with pytest.raises(SolverError):
+            solve_centralized(cfg, [scenario], backend)
+        with pytest.raises(SolverError):
+            solve_distributed(cfg, [scenario], backend=backend)
+        designs = solve_centralized(cfg, [scenario]).designs
+        with pytest.raises(SolverError):
+            evaluate_design(cfg, [scenario], designs, backend)
