@@ -104,24 +104,23 @@ class VarRef:
 
 
 class VarBlock(Sequence):
-    """Contiguous columns ``start, start + 1, ...`` named ``{stem}_t{i}``.
+    """Contiguous continuous columns ``start, start + 1, ...`` named
+    ``{stem}_t{i}``, bounded below by ``lo`` and unbounded above.
 
     Indexing hands out :class:`VarRef` handles; slicing with step 1 gives
     a sub-block that keeps the original names.
     """
 
-    __slots__ = ("model_id", "stem", "start", "first", "size", "domain", "lo", "hi")
+    __slots__ = ("model_id", "stem", "start", "first", "size", "lo")
 
     def __init__(self, model_id: int, stem: str, start: int, first: int, size: int,
-                 domain: Domain, lo: float, hi: float) -> None:
+                 lo: float) -> None:
         self.model_id = model_id
         self.stem = stem
         self.start = start  # column index of element 0
         self.first = first  # name index of element 0
         self.size = size
-        self.domain = domain
         self.lo = lo
-        self.hi = hi
 
     def __len__(self) -> int:
         return self.size
@@ -132,12 +131,12 @@ class VarBlock(Sequence):
             if step != 1:
                 return tuple(self[i] for i in range(a, b, step))
             return VarBlock(self.model_id, self.stem, self.start + a, self.first + a,
-                            max(b - a, 0), self.domain, self.lo, self.hi)
+                            max(b - a, 0), self.lo)
         i = key + self.size if key < 0 else key
         if not 0 <= i < self.size:
             raise IndexError(f"block {self.stem} has {self.size} elements")
-        return VarRef(self.start + i, f"{self.stem}_t{self.first + i}", self.domain,
-                      self.lo, self.hi, self.model_id)
+        return VarRef(self.start + i, f"{self.stem}_t{self.first + i}",
+                      Domain.CONTINUOUS_NONNEG, self.lo, math.inf, self.model_id)
 
     @property
     def ids(self) -> np.ndarray:
@@ -447,11 +446,7 @@ class Model:
 
     # -- variables --------------------------------------------------------
 
-    def _new_columns(self, size: int, domain: Domain, lo: float, hi: float,
-                     what: str) -> tuple[Domain, float, float]:
-        domain = Domain(domain)
-        if domain == Domain.BINARY:
-            lo, hi = 0.0, 1.0
+    def _new_columns(self, size: int, lo: float, hi: float, what: str) -> None:
         if lo < 0:
             raise ValueError(f"variable '{what}': lower bound must be >= 0")
         if lo > hi:
@@ -459,7 +454,6 @@ class Model:
         if self._cols.size + size >= 2**31:
             raise ValueError("model exceeds 2**31 columns")
         self._matrix = None
-        return domain, float(lo), float(hi)
 
     def add_var(
         self,
@@ -468,7 +462,11 @@ class Model:
         lo: float = 0.0,
         hi: float = math.inf,
     ) -> VarRef:
-        domain, lo, hi = self._new_columns(1, domain, lo, hi, name)
+        domain = Domain(domain)
+        if domain == Domain.BINARY:
+            lo, hi = 0.0, 1.0
+        lo, hi = float(lo), float(hi)
+        self._new_columns(1, lo, hi, name)
         vid = self._cols.add_explicit(name, "variable")
         self._lo.append(lo)
         self._hi.append(hi)
@@ -478,21 +476,16 @@ class Model:
     def add_binary(self, name: str) -> VarRef:
         return self.add_var(name, Domain.BINARY)
 
-    def add_vars(
-        self,
-        stem: str,
-        size: int,
-        domain: Domain = Domain.CONTINUOUS_NONNEG,
-        lo: float = 0.0,
-        hi: float = math.inf,
-    ) -> VarBlock:
-        """Block of ``size`` variables named ``{stem}_t0 .. {stem}_t{size-1}``."""
-        domain, lo, hi = self._new_columns(size, domain, lo, hi, f"{stem}_t*")
+    def add_vars(self, stem: str, size: int, lo: float = 0.0) -> VarBlock:
+        """Block of ``size`` continuous variables named
+        ``{stem}_t0 .. {stem}_t{size-1}``, each in ``[lo, inf)``."""
+        lo = float(lo)
+        self._new_columns(size, lo, math.inf, f"{stem}_t*")
         start = self._cols.add_family((stem,), 0, size, "variable")
         self._lo.extend(np.full(size, lo))
-        self._hi.extend(np.full(size, hi))
-        self._binary.extend(np.full(size, domain == Domain.BINARY))
-        return VarBlock(self._model_id, stem, start, 0, size, domain, lo, hi)
+        self._hi.extend(np.full(size, math.inf))
+        self._binary.extend(np.zeros(size, bool))
+        return VarBlock(self._model_id, stem, start, 0, size, lo)
 
     def _var(self, vid: int) -> VarRef:
         binary = bool(self._binary.view[vid])
@@ -800,52 +793,57 @@ class SolveResult:
         return self.values.get(var.name, default)
 
 
-def _solution_vector(model: Model, values) -> np.ndarray:
-    if isinstance(values, SolutionValues):
-        return values.x
-    if isinstance(values, np.ndarray):
-        return values
-    return np.array([values[name] for name in model.var_names()], float)
+def _solution_vector(values) -> np.ndarray:
+    return values.x if isinstance(values, SolutionValues) else values
 
 
 def read_values(values, vars) -> np.ndarray:
     """Values of a block or sequence of variables, from a solution vector
-    or a name-keyed mapping."""
-    x = values.x if isinstance(values, SolutionValues) else values
-    if isinstance(x, np.ndarray):
-        if isinstance(vars, VarBlock):
-            return x[vars.start: vars.start + vars.size].copy()
-        return x[_column_ids(vars)[1]]
-    return np.array([values[v.name] for v in vars], float)
+    or :class:`SolutionValues`."""
+    x = _solution_vector(values)
+    if isinstance(vars, VarBlock):
+        return x[vars.start: vars.start + vars.size].copy()
+    return x[_column_ids(vars)[1]]
+
+
+def _dot(constant: float, coefs: Iterable[float], xs: Iterable[float]) -> float:
+    """``constant + sum(coef * x)``, accumulated left to right."""
+    total = constant
+    for coef, value in zip(coefs, xs):
+        total += coef * value
+    return total
 
 
 def evaluate(expr: LinExpr, model: Model, values) -> float:
     """Dot-product evaluation of an expression at a value assignment
     (a solution vector, or values keyed by variable name)."""
     if isinstance(values, (SolutionValues, np.ndarray)):
-        value = _solution_vector(model, values).tolist().__getitem__
+        ids = np.fromiter(expr.terms, np.int64, len(expr.terms))
+        xs = _solution_vector(values)[ids].tolist()
     else:
-        def value(vid: int) -> float:
-            return values[model._cols.name(vid)]
-    total = expr.constant
-    for vid, coef in expr.terms.items():
-        total += coef * value(vid)
-    return total
+        xs = [values[model._cols.name(vid)] for vid in expr.terms]
+    return _dot(expr.constant, expr.terms.values(), xs)
 
 
 def constraint_violation(model: Model, values) -> float:
-    """Largest absolute constraint violation at a value assignment.
+    """Largest absolute constraint violation at a value assignment (a
+    solution vector, or values keyed by variable name).
 
     ``A @ x`` sums the terms of each row in the order they were added, as
     :func:`evaluate` does; the few rows whose expression has a constant
     are evaluated as that constant plus the terms.
     """
-    x = _solution_vector(model, values)
-    lhs = model.matrix() @ x
+    if isinstance(values, (SolutionValues, np.ndarray)):
+        x = _solution_vector(values)
+    else:
+        x = np.array([values[name] for name in model.var_names()], float)
+    mat = model.matrix()
+    lhs = mat @ x
     rhs = model.row_rhs().copy()
-    for row in model._row_offsets:
-        con = model.constraints[row]
-        lhs[row], rhs[row] = evaluate(con.expr, model, x), con.rhs
+    for row, (row_rhs, constant) in model._row_offsets.items():
+        a, b = mat.indptr[row], mat.indptr[row + 1]
+        lhs[row] = _dot(constant, mat.data[a:b].tolist(), x[mat.indices[a:b]].tolist())
+        rhs[row] = row_rhs
     if not len(lhs):
         return 0.0
     sense = model.row_sense()

@@ -21,7 +21,7 @@ import math
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +62,14 @@ class SolveOptions:
 
 class SolverError(RuntimeError):
     """Backend could not be launched or produced unusable output."""
+
+
+def _vector(model: Model, values) -> np.ndarray:
+    """Solution vector in column order from values keyed by name."""
+    try:
+        return np.array([values[name] for name in model.var_names()], float)
+    except KeyError as exc:
+        raise SolverError(f"solution lacks variable {exc.args[0]!r}") from None
 
 
 def _finalize(model: Model, status: Status, objective: float, x: np.ndarray | None,
@@ -201,10 +209,7 @@ class CommandBackend:
             not values and len(model.variables)
         ):
             return SolveResult(status, math.nan, {}, meta)
-        try:
-            x = np.array([values[name] for name in model.var_names()], float)
-        except KeyError as exc:
-            raise SolverError(f"solution table lacks variable {exc.args[0]!r}") from None
+        x = _vector(model, values)
         if objective is None:
             objective = evaluate(model.objective, model, x)
         return _finalize(model, status, float(objective), x, meta)
@@ -219,7 +224,8 @@ def solve(
 
     ``backend`` may be the string ``"scipy"``, a command template string
     containing ``{model}``/``{sol}`` placeholders, or any object with a
-    ``solve(model, options)`` method.
+    ``solve(model, options)`` method.  Values a backend returns keyed by
+    name come back as a solution vector over the model's columns.
     """
     if isinstance(backend, str):
         if backend == "scipy":
@@ -228,5 +234,8 @@ def solve(
             backend = CommandBackend(backend)
         else:
             raise SolverError(f"unknown backend '{backend}'")
-    return backend.solve(model, options)
+    result = backend.solve(model, options)
+    if result.x is None and result.values:
+        result = replace(result, values=SolutionValues(model, _vector(model, result.values)))
+    return result
 

@@ -14,7 +14,7 @@ from communityplan.planner import (
     solve_distributed,
     wait_and_see_value,
 )
-from communityplan.solvers import SolveOptions, SolverError, solve
+from communityplan.solvers import ScipyBackend, SolveOptions, SolverError, solve
 
 from conftest import (
     battery_spec,
@@ -295,13 +295,38 @@ class _NoIncumbentBackend:
         return SolveResult(Status.LIMIT, float("nan"), {}, {"backend": self.name})
 
 
+class _NameKeyedBackend:
+    """A solver that reports its values keyed by variable name."""
+
+    name = "name-keyed"
+
+    def solve(self, model, options=None):
+        result = ScipyBackend().solve(model, options)
+        return SolveResult(result.status, result.objective, dict(result.values),
+                           {"backend": self.name})
+
+
+class TestCustomBackend:
+    def test_name_keyed_values_plan_like_scipy(self, boiler_community):
+        cfg, scenario = boiler_community
+        expected = solve_centralized(cfg, [scenario])
+        plan = solve_centralized(cfg, [scenario], _NameKeyedBackend())
+        assert plan.designs == expected.designs
+        assert plan.objective == expected.objective
+        distributed = solve_distributed(cfg, [scenario], backend=_NameKeyedBackend())
+        assert distributed.designs == solve_distributed(cfg, [scenario]).designs
+        evaluated = evaluate_design(cfg, [scenario], expected.designs, _NameKeyedBackend())
+        assert evaluated.objective == evaluate_design(cfg, [scenario], expected.designs).objective
+
+
 class TestLimitWithoutIncumbent:
     def test_centralized_time_limit_raises_solver_error(self):
         from test_acceptance import five_building_instance
 
         cfg, scenarios = five_building_instance(interactive=True)
         with pytest.raises(SolverError, match="limit without a solution"):
-            solve_centralized(cfg, scenarios[:2], options=SolveOptions(time_limit_s=0.01))
+            solve_centralized(cfg, scenarios[:2], _NoIncumbentBackend(),
+                              SolveOptions(time_limit_s=0.01))
 
     def test_every_entry_point_raises_solver_error(self, boiler_community):
         cfg, scenario = boiler_community
