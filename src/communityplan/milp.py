@@ -786,12 +786,6 @@ class SolveResult:
         """Solution vector in column order, or None without a solution."""
         return self.values.x if isinstance(self.values, SolutionValues) else None
 
-    def __getitem__(self, var: VarRef) -> float:
-        return self.values[var.name]
-
-    def value(self, var: VarRef, default: float = 0.0) -> float:
-        return self.values.get(var.name, default)
-
 
 def _solution_vector(values) -> np.ndarray:
     return values.x if isinstance(values, SolutionValues) else values

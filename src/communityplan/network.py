@@ -4,8 +4,8 @@ slacks, and the low-voltage aggregation balance.
 Slacks are scalars per entity (one shared MV slack covering both flow
 directions, one LV slack per building covering import and export): the
 capacity constraint reads as a uniform relaxation across the horizon and
-each slack is priced once in the objective.  The distributed variant of
-the aggregation balance replaces the other buildings' flows by a fixed
+each slack is priced once in the objective.  In a distributed sub-problem
+the aggregation balance takes the other buildings' flows as a fixed
 net-consumption parameter series.
 """
 
@@ -24,7 +24,6 @@ __all__ = [
     "create_grid_refs",
     "emit_grid_limits",
     "emit_lv_aggregation",
-    "emit_lv_aggregation_distributed",
 ]
 
 
@@ -86,40 +85,29 @@ def emit_lv_aggregation(
     model: Model,
     building_flows: Mapping[int, BuildingEnergyRefs],
     grid: GridBlockRefs,
+    others_net=0.0,
     tag: str = "COM",
 ) -> list[int]:
     """LV bus balance: MV->LV supply plus building exports equal building
-    imports plus LV->MV return, per timestep."""
+    imports plus LV->MV return, per timestep.
+
+    ``others_net[t]`` is the fixed net consumption (imports minus exports)
+    of the buildings outside the model, a scalar or a series; it is zero
+    when every building is in the model.
+    """
+    horizon = len(grid.mv_to_lv)
+    if not isinstance(others_net, (int, float)):
+        net = np.asarray(
+            others_net.values if hasattr(others_net, "values") else others_net, float
+        )
+        if net.size < horizon:
+            raise ValueError(
+                f"others_net length {net.size} cannot cover horizon {horizon}"
+            )
+        others_net = net[:horizon]
     terms = [(grid.mv_to_lv, 1.0), (grid.lv_to_mv, -1.0)]
     for flows in building_flows.values():
         terms += [(flows.e_out, 1.0), (flows.e_in, -1.0)]
-    horizon = len(grid.mv_to_lv)
-    start = model.add_constraints((f"lvagg_{tag}",), horizon, [terms], (Sense.EQ,))
-    return list(range(start, start + horizon))
-
-
-def emit_lv_aggregation_distributed(
-    model: Model,
-    own_flows: BuildingEnergyRefs,
-    others_net,
-    grid: GridBlockRefs,
-    tag: str = "COM",
-) -> list[int]:
-    """LV bus balance with every other building folded into a parameter.
-
-    ``others_net[t]`` is the fixed net consumption (imports minus
-    exports) of all buildings except the one being optimized.
-    """
-    horizon = len(grid.mv_to_lv)
-    net = np.asarray(
-        others_net.values if hasattr(others_net, "values") else others_net, float
-    )
-    if net.size < horizon:
-        raise ValueError(
-            f"others_net length {net.size} cannot cover horizon {horizon}"
-        )
-    terms = [(grid.mv_to_lv, 1.0), (grid.lv_to_mv, -1.0), (own_flows.e_out, 1.0),
-             (own_flows.e_in, -1.0)]
     start = model.add_constraints((f"lvagg_{tag}",), horizon, [terms], (Sense.EQ,),
-                                  [net[:horizon]])
+                                  [others_net])
     return list(range(start, start + horizon))

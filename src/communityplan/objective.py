@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .devices import DeviceBlockRefs
-from .milp import LinExpr, Model, VarRef
+from .milp import LinExpr, Model, VarRef, _accumulate
 from .network import GridBlockRefs
 
 __all__ = [
@@ -115,10 +115,20 @@ def assemble_two_stage_objective(
     per_scenario: Mapping[str, LinExpr],
     probs: Mapping[str, float],
 ) -> LinExpr:
-    """First-stage cost plus probability-weighted second-stage costs."""
+    """First-stage cost plus probability-weighted second-stage costs.
+
+    Accumulates into one copy of ``inv``: each scaled coefficient that is
+    not zero is added in turn, and a sum of exactly zero drops the term.
+    """
     total = LinExpr(dict(inv.terms), inv.constant, inv.model_id)
     for sid, expr in per_scenario.items():
-        total = total + probs[sid] * expr
+        if total.model_id is None:
+            total.model_id = expr.model_id
+        elif expr.model_id is not None and total.model_id != expr.model_id:
+            raise ValueError("cannot combine expressions from different models")
+        prob = probs[sid]
+        _accumulate(total.terms, expr.terms, [coef * prob for coef in expr.terms.values()])
+        total.constant += expr.constant * prob
     return total
 
 

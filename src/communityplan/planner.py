@@ -21,7 +21,7 @@ classic EVPI / VSS orderings for validation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -63,7 +63,6 @@ from .milp import (
     Status,
     VarBlock,
     VarRef,
-    evaluate,
     read_values,
 )
 from .network import (
@@ -71,7 +70,6 @@ from .network import (
     create_grid_refs,
     emit_grid_limits,
     emit_lv_aggregation,
-    emit_lv_aggregation_distributed,
 )
 from .objective import (
     ObjectiveBreakdown,
@@ -317,28 +315,7 @@ def _emit_community_scenario(
     return _CommunityScenarioRefs(blocks=blocks, grid=grid, hv=hv)
 
 
-def _scenario_cost_terms(
-    model: Model,
-    scenario: Scenario,
-    hv: VarBlock,
-    gas_by_building: Mapping[int, Sequence],
-    grid: GridBlockRefs,
-    cfg: CommunityConfig,
-    horizon: int,
-) -> dict[str, LinExpr]:
-    p_el = scenario.economic.p_el.values[:horizon]
-    p_gas = scenario.economic.p_gas.values[:horizon]
-    p_co2 = scenario.economic.p_co2.values[:horizon]
-    return {
-        "o_opr": emit_operational_cost(
-            model, hv, gas_by_building, p_el, p_gas, cfg.step_hours
-        ),
-        "o_co2": emit_carbon_cost(model, gas_by_building, p_co2, cfg.step_hours),
-        "o_slk": emit_slack_cost(model, grid, cfg.slack_price),
-    }
-
-
-# -- reading solutions ----------------------------------------------------------
+# -- reading and pricing plans ------------------------------------------------
 
 
 def _solution(result: SolveResult, what: str) -> np.ndarray:
@@ -372,21 +349,58 @@ def _building_traces(x: np.ndarray, refs: _BuildingScenarioRefs, horizon: int) -
     )
 
 
-def _community_flows(x: np.ndarray, com: _CommunityScenarioRefs) -> dict[str, object]:
-    return {
-        "hv": tuple(read_values(x, com.hv).tolist()),
-        "mv_to_lv": tuple(read_values(x, com.grid.mv_to_lv).tolist()),
-        "lv_to_mv": tuple(read_values(x, com.grid.lv_to_mv).tolist()),
-        "slack_mv": float(x[com.grid.s_mv.id]),
+def _plan_breakdown(
+    cfg: CommunityConfig,
+    scenarios: Sequence[Scenario],
+    designs: Mapping[tuple[str, str], DesignDecision],
+    operations: Mapping[str, ScenarioOperations],
+) -> ObjectiveBreakdown:
+    """The four cost terms of a plan, priced from its designs and operations.
+
+    Investment is summed per entity in design order, then the community's
+    sum plus the buildings' sums.  Per scenario, electricity bought from
+    HV and the buildings' gas are priced at the scenario's prices, carbon
+    on that gas, and every grid slack at the slack price.
+    """
+    specs = {
+        (_building_entity(b.id), spec.kind.value): spec
+        for b in cfg.buildings
+        for spec in b.devices
     }
+    specs.update({(COMMUNITY_ENTITY, s.kind.value): s for s in cfg.community_devices})
+    inv: dict[str, float] = {}
+    for (entity, kind), decision in designs.items():
+        spec = specs[(entity, kind)]
+        factor = annuity_factor(cfg.discount_rate, spec.lifetime_years)
+        inv[entity] = inv.get(entity, 0.0) + (
+            spec.size_price * decision.value + spec.base_price * decision.chi
+        ) * factor
+    o_inv = inv.pop(COMMUNITY_ENTITY, 0.0) + sum(inv.values())
+
+    per_scenario: dict[str, dict[str, float]] = {}
+    for scenario in scenarios:
+        ops = operations[scenario.id]
+        horizon = len(ops.hv_import)
+        eco = scenario.economic
+        p_el, p_gas, p_co2 = (p.values[:horizon] for p in (eco.p_el, eco.p_gas, eco.p_co2))
+        step = cfg.step_hours
+        gas = [np.array(trace.gas) for trace in ops.buildings.values()]
+        per_scenario[scenario.id] = {
+            "o_opr": float(np.dot(np.array(ops.hv_import), p_el) * step)
+            + sum(float(np.dot(g, p_gas) * step) for g in gas),
+            "o_co2": sum(float(np.dot(g, p_co2) * step) for g in gas),
+            "o_slk": cfg.slack_price * (ops.slack_mv + sum(ops.slack_lv.values())),
+        }
+    probs = {s.id: s.probability for s in scenarios}
+    return ObjectiveBreakdown.from_terms(o_inv, per_scenario, probs)
 
 
-# -- centralized --------------------------------------------------------------
+# -- the community model ------------------------------------------------------
 
 
 @dataclass
 class BuiltModel:
-    """A centralized model plus the handles needed to read results back."""
+    """A community model plus the handles needed to read results back."""
 
     model: Model
     cfg: CommunityConfig
@@ -394,13 +408,8 @@ class BuiltModel:
     horizon: int
     building_designs: dict[int, dict[DeviceKind, DesignRefs]]
     community_designs: dict[DeviceKind, DesignRefs]
-    inv_expr: LinExpr
-    scenario_terms: dict[str, dict[str, LinExpr]]
     building_refs: dict[str, dict[int, _BuildingScenarioRefs]]
     community_refs: dict[str, _CommunityScenarioRefs]
-
-    def probs(self) -> dict[str, float]:
-        return {s.id: s.probability for s in self.scenarios}
 
     def design_entries(self) -> dict[tuple[str, str], tuple[DeviceSpec, VarRef, VarRef]]:
         out: dict[tuple[str, str], tuple[DeviceSpec, VarRef, VarRef]] = {}
@@ -419,29 +428,19 @@ class BuiltModel:
         for bid, bdesigns in self.building_designs.items():
             designs.update(_design_decisions(x, _building_entity(bid), bdesigns))
         designs.update(_design_decisions(x, COMMUNITY_ENTITY, self.community_designs))
-        per_scenario: dict[str, dict[str, float]] = {}
-        for sid, terms in self.scenario_terms.items():
-            per_scenario[sid] = {
-                name: evaluate(expr, self.model, x) for name, expr in terms.items()
-            }
-        breakdown = ObjectiveBreakdown.from_terms(
-            evaluate(self.inv_expr, self.model, x), per_scenario, self.probs()
-        )
         operations: dict[str, ScenarioOperations] = {}
-        probs = self.probs()
-        for sid in self.scenario_terms:
-            com = self.community_refs[sid]
-            flows = _community_flows(x, com)
-            operations[sid] = ScenarioOperations(
-                probability=probs[sid],
-                hv_import=flows["hv"],
-                mv_to_lv=flows["mv_to_lv"],
-                lv_to_mv=flows["lv_to_mv"],
-                slack_mv=flows["slack_mv"],
+        for scenario in self.scenarios:
+            com = self.community_refs[scenario.id]
+            operations[scenario.id] = ScenarioOperations(
+                probability=scenario.probability,
+                hv_import=tuple(read_values(x, com.hv).tolist()),
+                mv_to_lv=tuple(read_values(x, com.grid.mv_to_lv).tolist()),
+                lv_to_mv=tuple(read_values(x, com.grid.lv_to_mv).tolist()),
+                slack_mv=float(x[com.grid.s_mv.id]),
                 slack_lv={bid: float(x[var.id]) for bid, var in com.grid.s_lv.items()},
                 buildings={
                     bid: _building_traces(x, refs, self.horizon)
-                    for bid, refs in self.building_refs[sid].items()
+                    for bid, refs in self.building_refs[scenario.id].items()
                 },
             )
         meta = dict(result.solver_meta)
@@ -450,84 +449,91 @@ class BuiltModel:
         meta["solver_objective"] = result.objective
         return PlanResult(
             designs=designs,
-            breakdown=breakdown,
+            breakdown=_plan_breakdown(self.cfg, self.scenarios, designs, operations),
             operations=operations,
             solve_meta=meta,
         )
 
 
-def build_centralized(
-    cfg: CommunityConfig, scenarios: Sequence[Scenario], name: str = "community"
-) -> BuiltModel:
-    """One model: shared first-stage designs, per-scenario second stage."""
+def _checked(
+    cfg: CommunityConfig, scenarios: Sequence[Scenario]
+) -> tuple[list[Scenario], int]:
+    """Aligned scenarios and the planning horizon of a valid configuration;
+    ValueError listing the violations otherwise."""
     violations = validate_config(cfg)
     if violations:
         raise ValueError("invalid configuration:\n" + "\n".join(violations))
     scenarios = align_scenarios(list(scenarios))
-    horizon = min(cfg.horizon_steps, scenario_length(scenarios[0]))
+    return scenarios, min(cfg.horizon_steps, scenario_length(scenarios[0]))
+
+
+def _build(
+    cfg: CommunityConfig,
+    scenarios: list[Scenario],
+    horizon: int,
+    buildings: Sequence[BuildingConfig],
+    others_net: Mapping[str, np.ndarray] | None,
+    name: str,
+) -> BuiltModel:
+    """The community model over ``buildings``: first-stage designs shared
+    across scenarios, the second stage replicated per scenario.
+
+    ``others_net[sid]`` is the fixed net consumption of the buildings left
+    out of the model; None when the model holds every building.
+    """
     model = Model(name)
-    building_designs = {
-        b.id: _emit_building_designs(model, b) for b in cfg.buildings
-    }
+    building_designs = {b.id: _emit_building_designs(model, b) for b in buildings}
     community_designs = _emit_community_designs(model, cfg)
+    inv_expr = emit_investment_cost(
+        model,
+        [
+            DeviceBlockRefs(kind=kind, design=refs, flows={})
+            for designs in (*building_designs.values(), community_designs)
+            for kind, refs in designs.items()
+        ],
+        cfg.discount_rate,
+    )
 
-    all_design_blocks: list[DeviceBlockRefs] = []
-    for bid, designs in building_designs.items():
-        for kind, refs in designs.items():
-            all_design_blocks.append(DeviceBlockRefs(kind=kind, design=refs, flows={}))
-    for kind, refs in community_designs.items():
-        all_design_blocks.append(DeviceBlockRefs(kind=kind, design=refs, flows={}))
-    inv_expr = emit_investment_cost(model, all_design_blocks, cfg.discount_rate)
-
-    scenario_terms: dict[str, dict[str, LinExpr]] = {}
+    second_stage: dict[str, LinExpr] = {}
     building_refs: dict[str, dict[int, _BuildingScenarioRefs]] = {}
     community_refs: dict[str, _CommunityScenarioRefs] = {}
     for w, scenario in enumerate(scenarios):
         stag = f"s{w}"
-        per_building: dict[int, _BuildingScenarioRefs] = {}
-        for building in cfg.buildings:
-            tag = f"{_building_entity(building.id)}_{stag}"
-            per_building[building.id] = _emit_building_scenario(
-                model, cfg, building, scenario, building_designs[building.id],
-                horizon, tag,
+        per_building = {
+            b.id: _emit_building_scenario(
+                model, cfg, b, scenario, building_designs[b.id], horizon,
+                f"{_building_entity(b.id)}_{stag}",
             )
+            for b in buildings
+        }
         com = _emit_community_scenario(
             model, cfg, scenario, community_designs, horizon, f"COM_{stag}",
-            [b.id for b in cfg.buildings],
+            list(per_building),
         )
-        emit_grid_limits(
-            model,
-            com.grid,
-            {bid: refs.flows for bid, refs in per_building.items()},
-            cfg.lv_limit,
-            cfg.mv_limit,
-            f"COM_{stag}",
-        )
+        flows = {bid: refs.flows for bid, refs in per_building.items()}
+        emit_grid_limits(model, com.grid, flows, cfg.lv_limit, cfg.mv_limit, f"COM_{stag}")
         emit_lv_aggregation(
-            model,
-            {bid: refs.flows for bid, refs in per_building.items()},
-            com.grid,
-            f"COM_{stag}",
+            model, flows, com.grid,
+            0.0 if others_net is None else others_net[scenario.id], f"COM_{stag}",
         )
-        scenario_terms[scenario.id] = _scenario_cost_terms(
-            model,
-            scenario,
-            com.hv,
-            {bid: refs.gas for bid, refs in per_building.items()},
-            com.grid,
-            cfg,
-            horizon,
+        gas = {bid: refs.gas for bid, refs in per_building.items()}
+        eco = scenario.economic
+        second_stage[scenario.id] = (
+            emit_operational_cost(
+                model, com.hv, gas, eco.p_el.values[:horizon], eco.p_gas.values[:horizon],
+                cfg.step_hours,
+            )
+            + emit_carbon_cost(model, gas, eco.p_co2.values[:horizon], cfg.step_hours)
+            + emit_slack_cost(model, com.grid, cfg.slack_price)
         )
         building_refs[scenario.id] = per_building
         community_refs[scenario.id] = com
 
-    objective = assemble_two_stage_objective(
-        inv_expr,
-        {sid: terms["o_opr"] + terms["o_co2"] + terms["o_slk"]
-         for sid, terms in scenario_terms.items()},
-        {s.id: s.probability for s in scenarios},
+    model.minimize(
+        assemble_two_stage_objective(
+            inv_expr, second_stage, {s.id: s.probability for s in scenarios}
+        )
     )
-    model.minimize(objective)
     return BuiltModel(
         model=model,
         cfg=cfg,
@@ -535,11 +541,20 @@ def build_centralized(
         horizon=horizon,
         building_designs=building_designs,
         community_designs=community_designs,
-        inv_expr=inv_expr,
-        scenario_terms=scenario_terms,
         building_refs=building_refs,
         community_refs=community_refs,
     )
+
+
+# -- centralized --------------------------------------------------------------
+
+
+def build_centralized(
+    cfg: CommunityConfig, scenarios: Sequence[Scenario], name: str = "community"
+) -> BuiltModel:
+    """One model: shared first-stage designs, per-scenario second stage."""
+    scenarios, horizon = _checked(cfg, scenarios)
+    return _build(cfg, scenarios, horizon, cfg.buildings, None, name)
 
 
 def solve_centralized(
@@ -565,8 +580,8 @@ class CoordinationState:
     """Exchange state of the sequential scheme.
 
     ``others_net[bid][sid][t]`` is the fixed net consumption (import
-    minus export) of every building except ``bid``; updated after each
-    sub-solve from the solving building's fresh flows.
+    minus export) of every building except ``bid``; set just before
+    ``bid``'s sub-solve from the other buildings' latest flows.
     """
 
     others_net: dict[int, dict[str, np.ndarray]]
@@ -609,27 +624,6 @@ def initialize_coordination(
     )
 
 
-@dataclass
-class _SubSolution:
-    designs: dict[tuple[str, str], DesignDecision]
-    net: dict[str, np.ndarray]  # per scenario: e_in - e_out
-    traces: dict[str, BuildingTraces]
-    gas_cost: dict[str, float]  # per scenario, opr gas EUR
-    co2_cost: dict[str, float]
-    slack_lv: dict[str, float]
-    inv_cost: float
-
-
-def _investment_value(entries, designs: Mapping[tuple[str, str], DesignDecision],
-                      entity: str, r: float) -> float:
-    total = 0.0
-    for spec, _ in entries:
-        decision = designs[(entity, spec.kind.value)]
-        factor = annuity_factor(r, spec.lifetime_years)
-        total += (spec.size_price * decision.value + spec.base_price * decision.chi) * factor
-    return total
-
-
 def solve_distributed(
     cfg: CommunityConfig,
     scenarios: Sequence[Scenario],
@@ -640,75 +634,42 @@ def solve_distributed(
 ) -> PlanResult:
     """Sequential building-by-building coordination.
 
-    Every sub-problem owns one building's blocks plus all community
-    utilities and grid terms; the remaining buildings enter through the
-    coupling balance as the fixed ``others_net`` parameter.  Sweeps
-    repeat in ascending building id order until the global objective
-    changes by at most ``epsilon`` or ``max_iters`` is hit, in which
-    case the last iterate is returned with ``solve_meta["converged"]``
-    False.
+    Every sub-problem is the community model of one building, with all
+    community utilities and grid terms; the remaining buildings enter
+    through the coupling balance as the fixed ``others_net`` parameter.
+    Sweeps repeat in ascending building id order until the global
+    objective changes by at most ``epsilon`` or ``max_iters`` is hit, in
+    which case the last iterate is returned with
+    ``solve_meta["converged"]`` False.
     """
-    violations = validate_config(cfg)
-    if violations:
-        raise ValueError("invalid configuration:\n" + "\n".join(violations))
-    scenarios = align_scenarios(list(scenarios))
-    horizon = min(cfg.horizon_steps, scenario_length(scenarios[0]))
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    scenarios, horizon = _checked(cfg, scenarios)
     state = initialize_coordination(cfg, scenarios, epsilon)
-    probs = {s.id: s.probability for s in scenarios}
     t0 = time.perf_counter()
 
-    building_solutions: dict[int, _SubSolution] = {}
-    community_piece: dict[str, object] = {}
+    plans: dict[int, PlanResult] = {}
     converged = False
-    sweeps = 0
-
     for sweep in range(1, max_iters + 1):
-        sweeps = sweep
         for building in sorted(cfg.buildings, key=lambda b: b.id):
-            sub = _solve_subproblem(
+            for scenario in scenarios:
+                state.others_net[building.id][scenario.id] = _others_net(
+                    plans, building.id, scenario.id, horizon
+                )
+            plans[building.id] = last = _solve_subproblem(
                 cfg, building, scenarios, state, horizon, backend, options
             )
-            building_solutions[building.id] = sub["building"]
-            community_piece = sub["community"]
-            # refresh every other building's view of the world
-            for other in cfg.buildings:
-                if other.id == building.id:
-                    continue
-                for sid in probs:
-                    state.others_net[other.id][sid] = _sum_others_net(
-                        building_solutions, other.id, sid, horizon
-                    )
-        o_tot, breakdown = _merge_objective(
-            cfg, scenarios, building_solutions, community_piece, probs
-        )
-        state.o_tot_history.append(o_tot)
+        designs, operations = _merge_plans(plans, last)
+        breakdown = _plan_breakdown(cfg, scenarios, designs, operations)
+        state.o_tot_history.append(breakdown.o_tot)
         if len(state.o_tot_history) >= 2 and abs(
             state.o_tot_history[-1] - state.o_tot_history[-2]
         ) <= epsilon:
             converged = True
             break
 
-    designs: dict[tuple[str, str], DesignDecision] = {}
-    for sub in building_solutions.values():
-        designs.update(sub.designs)
-    designs.update(community_piece["designs"])
-    operations = {}
-    for sid in probs:
-        operations[sid] = ScenarioOperations(
-            probability=probs[sid],
-            hv_import=community_piece["hv"][sid],
-            mv_to_lv=community_piece["mv_to_lv"][sid],
-            lv_to_mv=community_piece["lv_to_mv"][sid],
-            slack_mv=community_piece["slack_mv"][sid],
-            slack_lv={
-                bid: sub.slack_lv[sid] for bid, sub in building_solutions.items()
-            },
-            buildings={
-                bid: sub.traces[sid] for bid, sub in building_solutions.items()
-            },
-        )
     meta = {
-        "iterations": sweeps,
+        "iterations": sweep,
         "converged": converged,
         "epsilon": epsilon,
         "o_tot_history": list(state.o_tot_history),
@@ -720,13 +681,16 @@ def solve_distributed(
     )
 
 
-def _sum_others_net(
-    building_solutions: Mapping[int, _SubSolution], bid: int, sid: str, horizon: int
+def _others_net(
+    plans: Mapping[int, PlanResult], bid: int, sid: str, horizon: int
 ) -> np.ndarray:
+    """Net consumption in scenario ``sid`` of every building but ``bid``,
+    from the buildings' latest sub-plans."""
     total = np.zeros(horizon)
-    for other_id, sub in building_solutions.items():
-        if other_id != bid and sid in sub.net:
-            total += sub.net[sid]
+    for other_id, plan in plans.items():
+        if other_id != bid:
+            trace = plan.operations[sid].buildings[other_id]
+            total += np.array(trace.e_in) - np.array(trace.e_out)
     return total
 
 
@@ -738,137 +702,35 @@ def _solve_subproblem(
     horizon: int,
     backend: object,
     options: SolveOptions | None,
-) -> dict:
-    model = Model(f"sub_{_building_entity(building.id)}")
-    bdesigns = _emit_building_designs(model, building)
-    cdesigns = _emit_community_designs(model, cfg)
-    design_blocks = [
-        DeviceBlockRefs(kind=kind, design=refs, flows={})
-        for kind, refs in list(bdesigns.items()) + list(cdesigns.items())
-    ]
-    inv_expr = emit_investment_cost(model, design_blocks, cfg.discount_rate)
-
-    terms: dict[str, dict[str, LinExpr]] = {}
-    brefs: dict[str, _BuildingScenarioRefs] = {}
-    crefs: dict[str, _CommunityScenarioRefs] = {}
-    for w, scenario in enumerate(scenarios):
-        tag = f"{_building_entity(building.id)}_s{w}"
-        bref = _emit_building_scenario(
-            model, cfg, building, scenario, bdesigns, horizon, tag
-        )
-        cref = _emit_community_scenario(
-            model, cfg, scenario, cdesigns, horizon, f"COM_s{w}", [building.id]
-        )
-        emit_grid_limits(
-            model, cref.grid, {building.id: bref.flows}, cfg.lv_limit, cfg.mv_limit,
-            f"COM_s{w}",
-        )
-        emit_lv_aggregation_distributed(
-            model,
-            bref.flows,
-            state.others_net[building.id][scenario.id],
-            cref.grid,
-            f"COM_s{w}",
-        )
-        terms[scenario.id] = _scenario_cost_terms(
-            model, scenario, cref.hv, {building.id: bref.gas}, cref.grid, cfg, horizon
-        )
-        brefs[scenario.id] = bref
-        crefs[scenario.id] = cref
-
-    objective = assemble_two_stage_objective(
-        inv_expr,
-        {sid: t["o_opr"] + t["o_co2"] + t["o_slk"] for sid, t in terms.items()},
-        {s.id: s.probability for s in scenarios},
+) -> PlanResult:
+    """Plan of the community model of ``building`` alone, the other
+    buildings held at ``state.others_net``."""
+    built = _build(
+        cfg, scenarios, horizon, [building], state.others_net[building.id],
+        f"sub_{_building_entity(building.id)}",
     )
-    model.minimize(objective)
-    result = solve(model, backend, options)
-    x = _solution(result, f"sub-problem for building {building.id}")
+    return built.extract(solve(built.model, backend, options))
 
-    entity = _building_entity(building.id)
-    bdesign_out = _design_decisions(x, entity, bdesigns)
-    cdesign_out = _design_decisions(x, COMMUNITY_ENTITY, cdesigns)
 
-    net: dict[str, np.ndarray] = {}
-    traces: dict[str, BuildingTraces] = {}
-    gas_cost: dict[str, float] = {}
-    co2_cost: dict[str, float] = {}
-    slack_lv: dict[str, float] = {}
-    hv_out: dict[str, tuple[float, ...]] = {}
-    mvlv_out: dict[str, tuple[float, ...]] = {}
-    lvmv_out: dict[str, tuple[float, ...]] = {}
-    smv_out: dict[str, float] = {}
-    hv_cost: dict[str, float] = {}
-    for scenario in scenarios:
-        sid = scenario.id
-        bref, cref = brefs[sid], crefs[sid]
-        traces[sid] = trace = _building_traces(x, bref, horizon)
-        net[sid] = np.array(trace.e_in) - np.array(trace.e_out)
-        gas = np.array(trace.gas)
-        p_gas = scenario.economic.p_gas.values[:horizon]
-        p_co2 = scenario.economic.p_co2.values[:horizon]
-        p_el = scenario.economic.p_el.values[:horizon]
-        gas_cost[sid] = float(np.dot(gas, p_gas) * cfg.step_hours)
-        co2_cost[sid] = float(np.dot(gas, p_co2) * cfg.step_hours)
-        slack_lv[sid] = float(x[cref.grid.s_lv[building.id].id])
-        flows = _community_flows(x, cref)
-        hv_out[sid] = flows["hv"]
-        mvlv_out[sid] = flows["mv_to_lv"]
-        lvmv_out[sid] = flows["lv_to_mv"]
-        smv_out[sid] = flows["slack_mv"]
-        hv_cost[sid] = float(np.dot(np.array(flows["hv"]), p_el) * cfg.step_hours)
-
-    return {
-        "building": _SubSolution(
-            designs=bdesign_out,
-            net=net,
-            traces=traces,
-            gas_cost=gas_cost,
-            co2_cost=co2_cost,
-            slack_lv=slack_lv,
-            inv_cost=_investment_value(
-                [(s, v) for refs in bdesigns.values() for s, v in refs.entries],
-                bdesign_out, entity, cfg.discount_rate,
-            ),
-        ),
-        "community": {
-            "designs": cdesign_out,
-            "hv": hv_out,
-            "mv_to_lv": mvlv_out,
-            "lv_to_mv": lvmv_out,
-            "slack_mv": smv_out,
-            "hv_cost": hv_cost,
-            "inv_cost": _investment_value(
-                [(s, v) for refs in cdesigns.values() for s, v in refs.entries],
-                cdesign_out, COMMUNITY_ENTITY, cfg.discount_rate,
-            ),
-        },
+def _merge_plans(
+    plans: Mapping[int, PlanResult], last: PlanResult
+) -> tuple[dict[tuple[str, str], DesignDecision], dict[str, ScenarioOperations]]:
+    """Each building's designs and traces from its latest sub-plan; the
+    community's designs, flows and MV slack from the last sub-plan."""
+    designs: dict[tuple[str, str], DesignDecision] = {}
+    for bid, plan in plans.items():
+        entity = _building_entity(bid)
+        designs.update((k, d) for k, d in plan.designs.items() if k[0] == entity)
+    designs.update((k, d) for k, d in last.designs.items() if k[0] == COMMUNITY_ENTITY)
+    operations = {
+        sid: replace(
+            ops,
+            slack_lv={bid: p.operations[sid].slack_lv[bid] for bid, p in plans.items()},
+            buildings={bid: p.operations[sid].buildings[bid] for bid, p in plans.items()},
+        )
+        for sid, ops in last.operations.items()
     }
-
-
-def _merge_objective(
-    cfg: CommunityConfig,
-    scenarios: Sequence[Scenario],
-    building_solutions: Mapping[int, _SubSolution],
-    community_piece: Mapping[str, object],
-    probs: Mapping[str, float],
-) -> tuple[float, ObjectiveBreakdown]:
-    o_inv = community_piece["inv_cost"] + sum(
-        sub.inv_cost for sub in building_solutions.values()
-    )
-    per_scenario: dict[str, dict[str, float]] = {}
-    for sid in probs:
-        o_opr = community_piece["hv_cost"][sid] + sum(
-            sub.gas_cost[sid] for sub in building_solutions.values()
-        )
-        o_co2 = sum(sub.co2_cost[sid] for sub in building_solutions.values())
-        o_slk = cfg.slack_price * (
-            community_piece["slack_mv"][sid]
-            + sum(sub.slack_lv[sid] for sub in building_solutions.values())
-        )
-        per_scenario[sid] = {"o_opr": o_opr, "o_co2": o_co2, "o_slk": o_slk}
-    breakdown = ObjectiveBreakdown.from_terms(o_inv, per_scenario, dict(probs))
-    return breakdown.o_tot, breakdown
+    return designs, operations
 
 
 # -- sensitivity and stochastic benchmarks ------------------------------------

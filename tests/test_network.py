@@ -7,7 +7,6 @@ from communityplan.network import (
     create_grid_refs,
     emit_grid_limits,
     emit_lv_aggregation,
-    emit_lv_aggregation_distributed,
 )
 from communityplan.objective import emit_slack_cost
 from communityplan.solvers import solve
@@ -141,7 +140,7 @@ class TestDistributedAggregation:
         m = Model()
         flows = free_flows(m, 1, 2)
         grid = create_grid_refs(m, [1], 2)
-        emit_lv_aggregation_distributed(m, flows, np.zeros(2), grid)
+        emit_lv_aggregation(m, {1: flows}, grid, np.zeros(2))
         for t in range(2):
             pin(m, flows.e_in[t], 1.5)
             pin(m, flows.e_out[t], 0.0)
@@ -154,7 +153,7 @@ class TestDistributedAggregation:
         m = Model()
         flows = free_flows(m, 1, 1)
         grid = create_grid_refs(m, [1], 1)
-        emit_lv_aggregation_distributed(m, flows, np.array([-2.0]), grid)
+        emit_lv_aggregation(m, {1: flows}, grid, np.array([-2.0]))
         pin(m, flows.e_in[0], 2.0)
         pin(m, flows.e_out[0], 0.0)
         m.minimize(
@@ -169,7 +168,7 @@ class TestDistributedAggregation:
         flows = free_flows(m, 1, 2)
         grid = create_grid_refs(m, [1], 2)
         others = np.array([3.0, -4.0])  # others import 3, then export 4
-        emit_lv_aggregation_distributed(m, flows, others, grid)
+        emit_lv_aggregation(m, {1: flows}, grid, others)
         for t in range(2):
             pin(m, flows.e_in[t], 0.0)
             pin(m, flows.e_out[t], 0.0)
@@ -190,7 +189,7 @@ class TestDistributedAggregation:
         flows = free_flows(m, 1, 4)
         grid = create_grid_refs(m, [1], 4)
         with pytest.raises(ValueError, match="others_net"):
-            emit_lv_aggregation_distributed(m, flows, np.zeros(2), grid)
+            emit_lv_aggregation(m, {1: flows}, grid, np.zeros(2))
 
     def test_summed_distributed_balances_match_centralized(self):
         # two buildings with fixed flows: the distributed residuals summed
@@ -206,7 +205,7 @@ class TestDistributedAggregation:
             flows = free_flows(m, b, horizon)
             grid = create_grid_refs(m, [b], horizon)
             others = net[2 if b == 1 else 1]
-            emit_lv_aggregation_distributed(m, flows, others, grid)
+            emit_lv_aggregation(m, {1: flows}, grid, others)
             for t in range(horizon):
                 pin(m, flows.e_in[t], e_in[b][t])
                 pin(m, flows.e_out[t], e_out[b][t])

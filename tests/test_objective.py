@@ -165,6 +165,26 @@ class TestTwoStageAssembly:
         total = assemble_two_stage_objective(inv, per, {"a": 0.3, "b": 0.7})
         assert evaluate(total, m, {}) == pytest.approx(22.0)
 
+    def test_accumulates_like_expression_sum_and_keeps_inv(self):
+        m = Model()
+        x = m.add_var("x")
+        y = m.add_var("y")
+        inv = x * 2.0
+        per = {"a": x * 1.0 + y * 3.0, "b": x * -5.0 + 1.0}
+        probs = {"a": 0.5, "b": 0.5}
+        total = assemble_two_stage_objective(inv, per, probs)
+        expected = inv + probs["a"] * per["a"] + probs["b"] * per["b"]
+        assert total.terms == expected.terms == {y.id: 1.5}  # x cancels exactly
+        assert total.constant == expected.constant == 0.5
+        assert inv.terms == {x.id: 2.0} and inv.constant == 0.0
+
+    def test_foreign_model_rejected(self):
+        m, other = Model(), Model()
+        x = m.add_var("x")
+        z = other.add_var("z")
+        with pytest.raises(ValueError, match="different models"):
+            assemble_two_stage_objective(x * 1.0, {"a": z * 1.0}, {"a": 1.0})
+
 
 class TestBreakdown:
     def test_identity_holds_by_construction(self):

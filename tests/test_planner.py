@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from communityplan.core import DeviceSpec, Scenario
+from communityplan.io import plan_result_to_dict
+from communityplan.lpformat import export_lp
 from communityplan.milp import SolveResult, Status
 from communityplan.planner import (
     CoordinationState,
@@ -151,6 +153,11 @@ class TestDistributed:
         gap = abs(dist.objective - central.objective) / abs(central.objective)
         assert gap <= 0.01
 
+    def test_no_sweep_rejected(self, boiler_community):
+        cfg, scenario = boiler_community
+        with pytest.raises(ValueError, match="max_iters"):
+            solve_distributed(cfg, [scenario], max_iters=0)
+
     def test_initialize_coordination_round_trip(self, boiler_community):
         cfg, scenario = boiler_community
         state = initialize_coordination(cfg, [scenario])
@@ -167,6 +174,62 @@ class TestDistributed:
         for bid, per in state.others_net.items():
             for sid, arr in per.items():
                 assert np.array_equal(restored.others_net[bid][sid], arr)
+
+
+class _LpSpyBackend:
+    """ScipyBackend that keeps the LP text of every model it solves."""
+
+    name = "lp-spy"
+
+    def __init__(self):
+        self.lp_texts = []
+
+    def solve(self, model, options=None):
+        self.lp_texts.append(export_lp(model))
+        return ScipyBackend().solve(model, options)
+
+
+def without_name_line(lp_text):
+    head, rest = lp_text.split("\n", 1)
+    assert head.startswith("\\ ")
+    return rest
+
+
+class TestSharedPath:
+    """A one-building community is its own distributed sub-problem."""
+
+    @pytest.fixture
+    def one_building_two_scenarios(self):
+        com_bat = DeviceSpec(
+            kind="BAT_COM", cap_min=1.0, cap_max=30.0, eta_ch=0.95,
+            eta_dch=0.95, sigma=0.999, gamma_ch=1.0, gamma_dch=1.0,
+            size_price=5.0, base_price=10.0, lifetime_years=20.0,
+        )
+        building = simple_building(1, devices=(boiler_spec(), battery_spec()))
+        cfg = simple_config([building], horizon=24, community_devices=(com_bat,))
+        scenarios = [
+            simple_scenario("s0", 0.6, horizon=24),
+            simple_scenario("s1", 0.4, horizon=24, el_price=0.45, gas_price=0.13,
+                            t_amb_level=8.0),
+        ]
+        return cfg, scenarios
+
+    def test_sub_model_lp_equals_centralized_lp(self, one_building_two_scenarios):
+        cfg, scenarios = one_building_two_scenarios
+        spy = _LpSpyBackend()
+        solve_distributed(cfg, scenarios, backend=spy)
+        assert spy.lp_texts
+        central = without_name_line(export_lp(build_centralized(cfg, scenarios).model))
+        for lp_text in spy.lp_texts:
+            assert lp_text.startswith("\\ sub_b1\n")
+            assert without_name_line(lp_text) == central
+
+    def test_distributed_plan_equals_centralized_plan(self, one_building_two_scenarios):
+        cfg, scenarios = one_building_two_scenarios
+        central = plan_result_to_dict(solve_centralized(cfg, scenarios))
+        dist = plan_result_to_dict(solve_distributed(cfg, scenarios))
+        del central["solve_meta"], dist["solve_meta"]
+        assert dist == central
 
 
 class TestStochasticOrderings:
