@@ -134,23 +134,6 @@ def _device_from_dict(name: str, data: Mapping) -> DeviceSpec:
     )
 
 
-def device_to_dict(spec: DeviceSpec) -> dict:
-    return {
-        "kind": spec.kind.value,
-        "cap_min": spec.cap_min,
-        "cap_max": spec.cap_max,
-        "eta_ch": spec.eta_ch,
-        "eta_dch": spec.eta_dch,
-        "sigma": spec.sigma,
-        "gamma_ch": spec.gamma_ch,
-        "gamma_dch": spec.gamma_dch,
-        "size_price": spec.size_price,
-        "base_price": spec.base_price,
-        "lifetime_years": spec.lifetime_years,
-        "extra": dict(spec.extra),
-    }
-
-
 def _rc_from_dict(data: Mapping) -> RCParameters:
     return RCParameters(
         order=int(data["order"]),
@@ -159,16 +142,6 @@ def _rc_from_dict(data: Mapping) -> RCParameters:
         window_area=float(data["window_area"]),
         envelope_area=float(data.get("envelope_area", 0.0)),
     )
-
-
-def rc_to_dict(rc: RCParameters) -> dict:
-    return {
-        "order": rc.order,
-        "resistances": dict(rc.resistances),
-        "capacities": dict(rc.capacities),
-        "window_area": rc.window_area,
-        "envelope_area": rc.envelope_area,
-    }
 
 
 def load_config_tree(directory: Path | str) -> CommunityConfig:
@@ -584,6 +557,7 @@ class RunManifest:
     seeds: Mapping[str, int]
     tool_version: str = _tool_version
     created_utc: str = ""
+    scenario_manifest_path: str | None = None  # None without a bundle
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "solver_options", dict(self.solver_options))
@@ -594,6 +568,7 @@ class RunManifest:
             "config_path": self.config_path,
             "config_sha256": self.config_sha256,
             "scenario_manifest_sha256": self.scenario_manifest_sha256,
+            "scenario_manifest_path": self.scenario_manifest_path,
             "solver": self.solver,
             "solver_options": dict(self.solver_options),
             "seeds": dict(self.seeds),
@@ -612,6 +587,7 @@ class RunManifest:
             seeds={k: int(v) for k, v in data["seeds"].items()},
             tool_version=data.get("tool_version", _tool_version),
             created_utc=data.get("created_utc", ""),
+            scenario_manifest_path=data.get("scenario_manifest_path"),
         )
 
 
@@ -625,11 +601,12 @@ def make_run_manifest(
 ) -> RunManifest:
     """Hash the inputs into a manifest; ``clock`` injects a fixed
     timestamp for reproducible output (defaults to now, UTC)."""
-    scenario_hash = None
+    scenario_hash = scenario_path = None
     if scenario_dir is not None:
         manifest_path = Path(scenario_dir) / "manifest.json"
         if manifest_path.exists():
             scenario_hash = sha256_of(manifest_path)
+            scenario_path = str(manifest_path)
     created = clock if clock is not None else (
         datetime.now(timezone.utc).replace(tzinfo=None).isoformat() + "Z"
     )
@@ -637,6 +614,7 @@ def make_run_manifest(
         config_path=str(config_path),
         config_sha256=sha256_of(config_path),
         scenario_manifest_sha256=scenario_hash,
+        scenario_manifest_path=scenario_path,
         solver=solver,
         solver_options=solver_options,
         seeds=seeds,
@@ -645,11 +623,16 @@ def make_run_manifest(
 
 
 def verify_run_manifest(manifest: RunManifest) -> list[str]:
-    """Recompute the stored hashes; non-empty return means drift."""
+    """Recompute the stored hashes of the config and, when recorded, the
+    scenario manifest; non-empty return means drift."""
+    checks = [(manifest.config_path, manifest.config_sha256)]
+    if manifest.scenario_manifest_path is not None:
+        checks.append((manifest.scenario_manifest_path, manifest.scenario_manifest_sha256))
     problems = []
-    config = Path(manifest.config_path)
-    if not config.exists():
-        problems.append(f"{config}: missing")
-    elif sha256_of(config) != manifest.config_sha256:
-        problems.append(f"{config}: sha256 differs from manifest")
+    for path, digest in checks:
+        path = Path(path)
+        if not path.exists():
+            problems.append(f"{path}: missing")
+        elif sha256_of(path) != digest:
+            problems.append(f"{path}: sha256 differs from manifest")
     return problems

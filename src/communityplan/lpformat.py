@@ -47,7 +47,7 @@ def _num_all(values: np.ndarray) -> list[str]:
     return [text[i] for i in inverse.ravel().tolist()]
 
 
-def _expr_tokens(expr: LinExpr, names: list[str], with_constant: bool) -> list[str]:
+def _expr_tokens(expr: LinExpr, names: list[str]) -> list[str]:
     tokens: list[str] = []
     for vid in sorted(expr.terms):
         coef = expr.terms[vid]
@@ -58,7 +58,7 @@ def _expr_tokens(expr: LinExpr, names: list[str], with_constant: bool) -> list[s
             tokens.extend([sign, name])
         else:
             tokens.extend([sign, _num(mag), name])
-    if with_constant and expr.constant != 0.0:
+    if expr.constant != 0.0:
         sign = "-" if expr.constant < 0 else "+"
         tokens.extend([sign, _num(abs(expr.constant))])
     if not tokens:
@@ -69,21 +69,21 @@ def _expr_tokens(expr: LinExpr, names: list[str], with_constant: bool) -> list[s
 
 
 def _real_rows(model: Model) -> np.ndarray:
-    """Indices of the rows with at least one term; vacuous rows are checked
-    for satisfiability on the way."""
-    for con in model.vacuous_rows():
-        _check_vacuous(con.name, con.expr.constant, con.sense, con.rhs)
-    indptr = model.matrix().indptr
-    return np.flatnonzero(indptr[1:] > indptr[:-1])
+    """The rows of :meth:`Model.rows_with_terms`; a row without terms that
+    does not hold makes the model unwritable."""
+    rows, broken = model.rows_with_terms()
+    if broken is not None:
+        raise ValueError(f"constraint '{broken}' is vacuous and unsatisfiable")
+    return rows
 
 
 def export_lp(model: Model) -> str:
-    """Serialize to LP text.  Vacuous (empty-expression) constraints are
-    checked for satisfiability and then omitted, since LP rows need at
-    least one variable."""
+    """Serialize to LP text.  Rows without terms are left out, since LP
+    rows need at least one variable; one that misses its right-hand side
+    by more than ``FEASIBILITY_TOL`` raises a ``ValueError`` naming it."""
     names = model.var_names()
     head = [f"\\ {model.name}", "Minimize"]
-    head.append(" obj: " + " ".join(_expr_tokens(model.objective, names, True)))
+    head.append(" obj: " + " ".join(_expr_tokens(model.objective, names)))
     head.append("Subject To")
     lines = ["Bounds"]
     lo, hi = model.bounds()
@@ -134,17 +134,8 @@ def _constraint_section(model: Model, names: list[str]) -> str:
     ])
 
 
-def _check_vacuous(name: str, lhs: float, sense: Sense, rhs: float) -> None:
-    ok = (
-        lhs <= rhs
-        if sense == Sense.LE
-        else lhs >= rhs if sense == Sense.GE else lhs == rhs
-    )
-    if not ok:
-        raise ValueError(f"constraint '{name}' is vacuous and unsatisfiable")
-
-
 def export_mps(model: Model) -> str:
+    """Serialize to MPS text, with the rows :func:`export_lp` writes."""
     rows = [f"NAME          {model.name}", "ROWS", " N  OBJ"]
     sense_tag = {Sense.LE: "L", Sense.GE: "G", Sense.EQ: "E"}
     real = _real_rows(model)

@@ -46,9 +46,14 @@ __all__ = [
     "evaluate",
     "constraint_violation",
     "read_values",
+    "FEASIBILITY_TOL",
 ]
 
 _model_counter = itertools.count()
+
+# absolute feasibility tolerance: how far a row without terms may miss its
+# right-hand side before the model counts as infeasible
+FEASIBILITY_TOL = 1e-6
 
 
 class Domain(str, enum.Enum):
@@ -436,12 +441,10 @@ class Model:
         self._hi = _Grow(float)
         self._binary = _Grow(bool)
         self._row_nnz = _Grow(np.int64)
-        self._row_rhs = _Grow(float)  # rhs minus the expression constant
+        self._row_rhs = _Grow(float)
         self._row_sense = _Grow(np.int8)
         self._term_col = _Grow(np.int32)
         self._term_val = _Grow(float)
-        # rows whose expression carried a constant: row -> (rhs, constant)
-        self._row_offsets: dict[int, tuple[float, float]] = {}
         self._matrix: sparse.csr_matrix | None = None
 
     # -- variables --------------------------------------------------------
@@ -524,6 +527,11 @@ class Model:
             )
 
     def add_constraint(self, expr: LinExpr, sense: Sense, rhs: float, name: str) -> int:
+        """Add the row ``expr sense rhs``; returns its index.
+
+        The expression's constant is moved to the right-hand side, so
+        ``x + 2 <= 5`` is stored, exported and solved as ``x <= 3``.
+        """
         if isinstance(expr, VarRef):
             expr = LinExpr({expr.id: 1.0}, 0.0, expr.model_id)
         if not math.isfinite(rhs):
@@ -533,11 +541,8 @@ class Model:
         sense = Sense(sense)
         row = self._rows.add_explicit(name, "constraint")
         self._append_row_terms(expr.normalized().terms)
-        rhs = float(rhs)
-        self._row_rhs.append(rhs - expr.constant)
+        self._row_rhs.append(float(rhs) - expr.constant)
         self._row_sense.append(_SENSE_CODE[sense])
-        if expr.constant != 0.0:
-            self._row_offsets[row] = (rhs, expr.constant)
         self._matrix = None
         return row
 
@@ -632,7 +637,7 @@ class Model:
         return self._rows.names()
 
     def matrix(self) -> sparse.csr_matrix:
-        """Constraint coefficients, one row per constraint (vacuous rows
+        """Constraint coefficients, one row per constraint (possibly
         empty), terms of a row in the order they were added."""
         if self._matrix is None:
             nnz = self._row_nnz.view
@@ -649,21 +654,32 @@ class Model:
         return self._row_sense.view
 
     def row_rhs(self) -> np.ndarray:
-        """Right-hand side minus the expression constant, per row."""
+        """Right-hand side per row, the expression constant folded in."""
         return self._row_rhs.view
 
     def row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Activity bounds per row: (-inf, rhs) for <=, (rhs, rhs) for =,
-        (rhs, inf) for >=, with rhs net of the expression constant."""
+        (rhs, inf) for >=."""
         rhs, sense = self.row_rhs(), self.row_sense()
         return (np.where(sense == _SENSE_CODE[Sense.LE], -np.inf, rhs),
                 np.where(sense == _SENSE_CODE[Sense.GE], np.inf, rhs))
 
-    def vacuous_rows(self) -> list[Constraint]:
-        """The constraints without terms: a constant held against the rhs."""
+    def rows_with_terms(self) -> tuple[np.ndarray, str | None]:
+        """Indices of the rows that have terms, and the name of the first
+        row without terms whose ``0 sense rhs`` misses by more than
+        :data:`FEASIBILITY_TOL` (None when there is no such row).
+
+        Rows without terms never reach a solver or an export: solvers and
+        LP/MPS files take exactly the returned rows.  A named row makes
+        the model infeasible.
+        """
         indptr = self.matrix().indptr
-        return [self.constraints[row]
-                for row in np.flatnonzero(indptr[1:] == indptr[:-1]).tolist()]
+        has_terms = indptr[1:] > indptr[:-1]
+        empty = np.flatnonzero(~has_terms)
+        lo, hi = (bound[empty] for bound in self.row_bounds())
+        off = empty[(lo > FEASIBILITY_TOL) | (hi < -FEASIBILITY_TOL)]
+        return (np.flatnonzero(has_terms),
+                self._rows.name(int(off[0])) if len(off) else None)
 
     def minimize(self, expr: LinExpr) -> None:
         expr.validate_finite()
@@ -715,11 +731,7 @@ class _ConstraintView(Sequence):
         return self._model._rows.size
 
     def _make(self, row: int, name: str, cols, vals, sense: int, rhs: float) -> Constraint:
-        model = self._model
-        constant = 0.0
-        if row in model._row_offsets:
-            rhs, constant = model._row_offsets[row]
-        expr = LinExpr(dict(zip(cols, vals)), constant, model._model_id)
+        expr = LinExpr(dict(zip(cols, vals)), 0.0, self._model._model_id)
         return Constraint(row, name, expr, SENSES[sense], rhs)
 
     def __getitem__(self, key):
@@ -800,14 +812,6 @@ def read_values(values, vars) -> np.ndarray:
     return x[_column_ids(vars)[1]]
 
 
-def _dot(constant: float, coefs: Iterable[float], xs: Iterable[float]) -> float:
-    """``constant + sum(coef * x)``, accumulated left to right."""
-    total = constant
-    for coef, value in zip(coefs, xs):
-        total += coef * value
-    return total
-
-
 def evaluate(expr: LinExpr, model: Model, values) -> float:
     """Dot-product evaluation of an expression at a value assignment
     (a solution vector, or values keyed by variable name)."""
@@ -816,7 +820,10 @@ def evaluate(expr: LinExpr, model: Model, values) -> float:
         xs = _solution_vector(values)[ids].tolist()
     else:
         xs = [values[model._cols.name(vid)] for vid in expr.terms]
-    return _dot(expr.constant, expr.terms.values(), xs)
+    total = expr.constant  # accumulated left to right
+    for coef, value in zip(expr.terms.values(), xs):
+        total += coef * value
+    return total
 
 
 def constraint_violation(model: Model, values) -> float:
@@ -824,20 +831,14 @@ def constraint_violation(model: Model, values) -> float:
     solution vector, or values keyed by variable name).
 
     ``A @ x`` sums the terms of each row in the order they were added, as
-    :func:`evaluate` does; the few rows whose expression has a constant
-    are evaluated as that constant plus the terms.
+    :func:`evaluate` does, and is held against :meth:`Model.row_rhs`.
     """
     if isinstance(values, (SolutionValues, np.ndarray)):
         x = _solution_vector(values)
     else:
         x = np.array([values[name] for name in model.var_names()], float)
-    mat = model.matrix()
-    lhs = mat @ x
-    rhs = model.row_rhs().copy()
-    for row, (row_rhs, constant) in model._row_offsets.items():
-        a, b = mat.indptr[row], mat.indptr[row + 1]
-        lhs[row] = _dot(constant, mat.data[a:b].tolist(), x[mat.indices[a:b]].tolist())
-        rhs[row] = row_rhs
+    lhs = model.matrix() @ x
+    rhs = model.row_rhs()
     if not len(lhs):
         return 0.0
     sense = model.row_sense()

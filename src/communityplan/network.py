@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
+from .core import series_head
 from .devices import BuildingEnergyRefs
 from .milp import Model, Sense, VarBlock, VarRef
 
@@ -97,14 +96,7 @@ def emit_lv_aggregation(
     """
     horizon = len(grid.mv_to_lv)
     if not isinstance(others_net, (int, float)):
-        net = np.asarray(
-            others_net.values if hasattr(others_net, "values") else others_net, float
-        )
-        if net.size < horizon:
-            raise ValueError(
-                f"others_net length {net.size} cannot cover horizon {horizon}"
-            )
-        others_net = net[:horizon]
+        others_net = series_head(others_net, horizon, "others_net")
     terms = [(grid.mv_to_lv, 1.0), (grid.lv_to_mv, -1.0)]
     for flows in building_flows.values():
         terms += [(flows.e_out, 1.0), (flows.e_in, -1.0)]

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
+from .core import series_head
 from .devices import DeviceBlockRefs
 from .milp import LinExpr, Model, VarRef, _accumulate
 from .network import GridBlockRefs
@@ -59,14 +58,6 @@ def emit_investment_cost(
     return expr
 
 
-def _price_array(price, horizon: int, name: str) -> np.ndarray:
-    values = np.asarray(price.values if hasattr(price, "values") else price, float)
-    if values.size < horizon:
-        raise ValueError(f"{name}: price series of length {values.size} "
-                         f"cannot cover horizon {horizon}")
-    return values[:horizon]
-
-
 def emit_operational_cost(
     model: Model,
     hv_import: Sequence[VarRef],
@@ -78,8 +69,8 @@ def emit_operational_cost(
     """Electricity bought from the HV grid plus gas burnt in the
     buildings; LV exports earn nothing."""
     horizon = len(hv_import)
-    el = _price_array(p_el, horizon, "p_el")
-    gas = _price_array(p_gas, horizon, "p_gas")
+    el = series_head(p_el, horizon, "p_el")
+    gas = series_head(p_gas, horizon, "p_gas")
     expr = LinExpr().add_terms(hv_import, el * step_hours)
     for flows in gas_flows.values():
         expr.add_terms(flows, gas[: len(flows)] * step_hours)
@@ -95,7 +86,7 @@ def emit_carbon_cost(
     """Carbon penalty on building gas use (electricity carries none)."""
     expr = LinExpr()
     for flows in gas_flows.values():
-        co2 = _price_array(p_co2, len(flows), "p_co2")
+        co2 = series_head(p_co2, len(flows), "p_co2")
         expr.add_terms(flows, co2 * step_hours)
     return expr
 

@@ -862,19 +862,11 @@ def evaluate_design(
 ) -> PlanResult:
     """Second-stage evaluation of a fixed first-stage design."""
     built = build_centralized(cfg, scenarios, name="evaluation")
-    for key, (spec, var, chi) in built.design_entries().items():
+    for key, (_, var, chi) in built.design_entries().items():
         decision = designs[key]
-        built.model.add_constraint(
-            LinExpr({chi.id: 1.0}, 0.0, built.model._model_id),
-            Sense.EQ,
-            float(decision.chi),
-            f"fix_chi_{key[0]}_{key[1]}",
-        )
-        built.model.add_constraint(
-            LinExpr({var.id: 1.0}, 0.0, built.model._model_id),
-            Sense.EQ,
-            decision.value,
-            f"fix_val_{key[0]}_{key[1]}",
-        )
+        built.model.add_constraint(chi, Sense.EQ, float(decision.chi),
+                                   f"fix_chi_{key[0]}_{key[1]}")
+        built.model.add_constraint(var, Sense.EQ, decision.value,
+                                   f"fix_val_{key[0]}_{key[1]}")
     result = solve(built.model, backend, options)
     return built.extract(result)

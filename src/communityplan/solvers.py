@@ -11,8 +11,11 @@ Two contracts are provided:
 
 Both return a :class:`~communityplan.milp.SolveResult` whose objective is
 the solver-reported optimum plus the model's objective constant;
-feasibility of optimal results is re-checked to 1e-6 and recorded in
-``solver_meta['max_violation']``.
+feasibility of optimal results is re-checked and recorded in
+``solver_meta['max_violation']``.  Both pass a solver only the rows of
+:meth:`~communityplan.milp.Model.rows_with_terms`, and both return
+``Status.INFEASIBLE`` without running one when a row without terms does
+not hold.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .lpformat import export_lp, export_mps, parse_solution_table
 from .milp import (
+    FEASIBILITY_TOL,
     Model,
-    Sense,
     SolutionValues,
     SolveResult,
     Status,
@@ -47,9 +50,8 @@ __all__ = [
     "FEASIBILITY_TOL",
 ]
 
-# absolute feasibility tolerance; design variables are compared across
-# sensitivity runs and must be stable, hence the tight default gap
-FEASIBILITY_TOL = 1e-6
+# design variables are compared across sensitivity runs and must be
+# stable, hence the tight default gap
 DEFAULT_MIP_GAP = 1e-6
 
 
@@ -93,21 +95,10 @@ class ScipyBackend:
         t0 = time.perf_counter()
         n = len(model.variables)
         meta: dict[str, object] = {"backend": self.name, "seed": options.seed}
-
-        # vacuous rows never reach the solver; an unsatisfiable one decides
-        # the model outright
-        for con in model.vacuous_rows():
-            lhs = con.expr.constant
-            ok = (
-                lhs <= con.rhs + FEASIBILITY_TOL
-                if con.sense == Sense.LE
-                else lhs >= con.rhs - FEASIBILITY_TOL
-                if con.sense == Sense.GE
-                else abs(lhs - con.rhs) <= FEASIBILITY_TOL
-            )
-            if not ok:
-                return SolveResult(Status.INFEASIBLE, math.nan, {}, meta)
-
+        rows, broken = model.rows_with_terms()
+        if broken is not None:
+            meta["infeasible_row"] = broken
+            return SolveResult(Status.INFEASIBLE, math.nan, {}, meta)
         if n == 0:
             meta["wall_time_s"] = time.perf_counter() - t0
             return _finalize(model, Status.OPTIMAL, model.objective.constant,
@@ -121,11 +112,10 @@ class ScipyBackend:
 
         constraints = ()
         mat = model.matrix()
-        real = mat.indptr[1:] > mat.indptr[:-1]  # vacuous rows stay out
-        if real.any():
+        if len(rows):
             con_lo, con_hi = model.row_bounds()
-            if not real.all():
-                mat, con_lo, con_hi = mat[real], con_lo[real], con_hi[real]
+            if len(rows) < mat.shape[0]:
+                mat, con_lo, con_hi = mat[rows], con_lo[rows], con_hi[rows]
             constraints = LinearConstraint(mat.tocsc(), con_lo, con_hi)
 
         milp_options: dict[str, object] = {"mip_rel_gap": options.mip_gap}
@@ -175,6 +165,10 @@ class CommandBackend:
             "command": self.cmd_template,
             "seed": options.seed,
         }
+        broken = model.rows_with_terms()[1]
+        if broken is not None:
+            meta["infeasible_row"] = broken
+            return SolveResult(Status.INFEASIBLE, math.nan, {}, meta)
         with tempfile.TemporaryDirectory(prefix="communityplan_") as tmp:
             model_path = Path(tmp) / f"model.{self.file_format}"
             sol_path = Path(tmp) / "model.sol"

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import BuildingConfig, ClimateProfile, RC_CAPACITY_KEY, series_head
-from .milp import LinExpr, Model, Sense, VarBlock, read_values
+from .milp import Model, Sense, VarBlock, read_values
 
 __all__ = [
     "KELVIN_OFFSET",
@@ -63,7 +63,8 @@ class ThermalBlockRefs:
         return self.states["i"]
 
     def indoor_celsius(self, values) -> np.ndarray:
-        """Interior temperature, from a solution vector or name-keyed values."""
+        """Interior temperature, from a solution vector or a solve's
+        ``SolutionValues``; a plain name-keyed mapping is not accepted."""
         return read_values(values, self.t_i) - KELVIN_OFFSET
 
     def state_celsius(self, node: str, values) -> np.ndarray:
@@ -137,12 +138,8 @@ def emit_thermal_constraints(
     # nodes free would let the optimizer seed warm masses at zero cost and
     # makes trajectories non-unique under fixed heating
     for node in nodes:
-        model.add_constraint(
-            LinExpr({states[node][0].id: 1.0}, 0.0, model._model_id),
-            Sense.EQ,
-            t_init + KELVIN_OFFSET,
-            f"tinit_{node}_{label}",
-        )
+        model.add_constraint(states[node][0], Sense.EQ, t_init + KELVIN_OFFSET,
+                             f"tinit_{node}_{label}")
 
     # the update into step t (t = 1 .. horizon - 1) reads inputs at t - 1
     steps = horizon - 1

@@ -216,6 +216,29 @@ class TestRunManifest:
         (directory / "config.json").write_text("{}")
         assert verify_run_manifest(manifest) != []
 
+    def test_detects_scenario_manifest_drift(self, tmp_path):
+        directory = generate_fixture(tmp_path / "fx3", 1, seed=4)
+        bundle = tmp_path / "bundle"
+        bundle.mkdir()
+        scenario_manifest = bundle / "manifest.json"
+        scenario_manifest.write_text('{"scenarios": []}\n')
+        manifest = make_run_manifest(
+            directory / "config.json", bundle, "scipy", {}, {}, clock="t0",
+        )
+        assert manifest.scenario_manifest_path == str(scenario_manifest)
+        assert RunManifest.from_dict(manifest.as_dict()) == manifest
+        assert verify_run_manifest(manifest) == []
+        scenario_manifest.write_text('{"scenarios": [], "rng_seed": 1}\n')
+        assert verify_run_manifest(manifest) == [
+            f"{scenario_manifest}: sha256 differs from manifest"
+        ]
+        scenario_manifest.unlink()
+        assert verify_run_manifest(manifest) == [f"{scenario_manifest}: missing"]
+        # manifests written before the path was recorded still load
+        old = manifest.as_dict()
+        del old["scenario_manifest_path"]
+        assert RunManifest.from_dict(old).scenario_manifest_path is None
+
     def test_round_trip(self, tmp_path):
         directory = generate_fixture(tmp_path / "fx2", 1, seed=4)
         manifest = make_run_manifest(

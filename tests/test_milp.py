@@ -20,7 +20,13 @@ from communityplan.milp import (
     constraint_violation,
     evaluate,
 )
-from communityplan.solvers import CommandBackend, SolveOptions, SolverError, solve
+from communityplan.solvers import (
+    CommandBackend,
+    ScipyBackend,
+    SolveOptions,
+    SolverError,
+    solve,
+)
 
 from oracles import enumerate_lp_minimum
 
@@ -301,3 +307,46 @@ class TestSolutionTable:
         status, _, values = parse_solution_table("=status= infeasible\n")
         assert status == Status.INFEASIBLE
         assert values == {}
+
+
+def empty_row_model(rhs):
+    """``min x`` over ``x <= 1`` plus the row without terms ``0 <= rhs``."""
+    m = Model("m")
+    x = m.add_var("x", hi=1.0)
+    m.add_constraint(LinExpr(), Sense.LE, rhs, "vac")
+    m.minimize(x * 1.0)
+    return m
+
+
+class TestRowContract:
+    def test_broken_empty_row_is_infeasible_for_both_backends(self):
+        m = empty_row_model(-1.0)
+        missing = CommandBackend("/nonexistent/solver {model} {sol}")
+        for backend in (missing, ScipyBackend()):
+            res = backend.solve(m, SolveOptions())
+            assert res.status == Status.INFEASIBLE
+            assert res.solver_meta["infeasible_row"] == "vac"
+        for export in (export_lp, export_mps):
+            with pytest.raises(ValueError, match="'vac'"):
+                export(m)
+
+    def test_empty_row_within_tolerance_exports_and_solves(self):
+        m = empty_row_model(-1e-9)
+        lp, mps = export_lp(m), export_mps(m)
+        assert "vac" not in lp and "vac" not in mps
+        assert len(parse_lp(lp).constraints) == len(parse_mps(mps).constraints) == 0
+        res = solve(m)
+        assert res.status == Status.OPTIMAL
+        assert res.solver_meta["max_violation"] == pytest.approx(1e-9)
+
+    def test_row_constant_folds_into_rhs(self):
+        m = Model("fold")
+        x = m.add_var("x")
+        m.add_constraint(x + 2, Sense.LE, 5.0, "cap")
+        m.minimize(-1.0 * x)
+        con = m.constraint_by_name("cap")
+        assert (con.expr.constant, con.rhs) == (0.0, 3.0)
+        assert " cap: x <= 3\n" in export_lp(m)
+        assert constraint_violation(m, np.array([4.0])) == 1.0
+        assert constraint_violation(m, np.array([3.0])) == 0.0
+        assert solve(m).objective == pytest.approx(-3.0)
