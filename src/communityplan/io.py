@@ -11,8 +11,11 @@ source and input hash lands in the :class:`RunManifest`.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
+import itertools
 import json
+import operator
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
@@ -67,23 +70,55 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+@functools.lru_cache(maxsize=4)
+def _timestamp_fields(
+    start: datetime, tzinfo, fold: int, step_hours: float, length: int
+) -> tuple[str, ...]:
+    """``"\\r\\n<isoformat>,"`` of each sample time, shared by every series
+    with this anchor.  ``tzinfo`` and ``fold`` are part of the key because
+    equal instants in different zones print differently."""
+    step = timedelta(hours=step_hours)
+    return tuple([f"\r\n{(start + i * step).isoformat()}," for i in range(length)])
+
+
 def write_series_csv(path: Path | str, series: TimeSeries) -> None:
-    path = Path(path)
+    """Write ``timestamp,value`` rows with ``\\r\\n`` line ends: ISO-8601
+    timestamps and the shortest decimal (``repr``) of each value."""
     start = series.start
-    step = timedelta(hours=series.step_hours)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["timestamp", "value"])
-        for i, value in enumerate(series.values):
-            writer.writerow([(start + i * step).isoformat(), _fmt(value)])
+    fields = _timestamp_fields(
+        start, start.tzinfo, start.fold, series.step_hours, len(series)
+    )
+    with Path(path).open("w", newline="") as handle:
+        handle.write("timestamp,value")
+        handle.writelines(map(operator.add, fields, map(repr, series.values.tolist())))
+        handle.write("\r\n")
+
+
+# Rows parsed per block while a series file is read: bounds the row lists
+# held at once, which the allocator keeps after a long file is read.
+_READ_BLOCK = 1024
+
+
+def _parse_rows(path: Path, rows: Iterable[list[str]]) -> tuple[list[datetime], list[float]]:
+    """Row by row, skipping blank lines; a bad row raises a ``ValueError``
+    naming its line."""
+    timestamps: list[datetime] = []
+    values: list[float] = []
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        try:
+            timestamps.append(datetime.fromisoformat(row[0]))
+            values.append(float(row[1]))
+        except (ValueError, IndexError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad row {row}: {exc}") from exc
+    return timestamps, values
 
 
 def read_series_csv(path: Path | str, unit: Unit) -> tuple[TimeSeries, list[str]]:
     """Parse one series file; returns the series plus non-fatal warnings."""
     path = Path(path)
     warnings: list[str] = []
-    timestamps: list[datetime] = []
-    values: list[float] = []
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -91,23 +126,24 @@ def read_series_csv(path: Path | str, unit: Unit) -> tuple[TimeSeries, list[str]
             raise ValueError(f"{path}:1: expected header 'timestamp,value', got {header}")
         if len(header) > 2:
             warnings.append(f"{path}:1: ignoring extra columns {header[2:]}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                timestamps.append(datetime.fromisoformat(row[0]))
-                values.append(float(row[1]))
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad row {row}: {exc}") from exc
+        timestamps: list[datetime] = []
+        values: list[float] = []
+        try:
+            for rows in iter(lambda: list(itertools.islice(reader, _READ_BLOCK)), []):
+                timestamps += map(datetime.fromisoformat, map(operator.itemgetter(0), rows))
+                values += map(float, map(operator.itemgetter(1), rows))
+        except (ValueError, IndexError):
+            # a blank line, or a bad row to name
+            handle.seek(0)
+            rescan = csv.reader(handle)
+            next(rescan)
+            timestamps, values = _parse_rows(path, rescan)
     if len(values) < 2:
         raise ValueError(f"{path}: needs at least two samples")
-    deltas = {
-        (timestamps[i + 1] - timestamps[i]).total_seconds()
-        for i in range(len(timestamps) - 1)
-    }
+    deltas = set(map(operator.sub, timestamps[1:], timestamps[:-1]))
     if len(deltas) != 1:
         raise ValueError(f"{path}: timestamps are not uniformly spaced")
-    step_s = deltas.pop()
+    step_s = deltas.pop().total_seconds()
     if step_s <= 0:
         raise ValueError(f"{path}: timestamps must be strictly increasing")
     series = TimeSeries(timestamps[0], step_s / 3600.0, np.asarray(values), unit)
@@ -291,12 +327,16 @@ def load_scenarios(directory: Path | str) -> tuple[list[Scenario], dict]:
     for entry in manifest["scenarios"]:
         sub = directory / entry["dir"]
         channels: dict[str, np.ndarray] = {}
-        start = step = None
+        anchor = None
         for path in sorted(sub.glob("*.csv")):
-            name = path.stem
-            series, _ = read_series_csv(path, channel_unit(name))
-            channels[name] = np.asarray(series.values)
-            start, step = series.start, series.step_hours
+            series, _ = read_series_csv(path, channel_unit(path.stem))
+            key = (series.start, series.step_hours, len(series))
+            if anchor is None:
+                anchor, anchor_name = key, path.name
+            elif key != anchor:
+                raise ValueError(f"{path}: start, step or length differs from {anchor_name}")
+            channels[path.stem] = np.asarray(series.values)
+        start, step, _ = anchor or (None, None, None)
         scenarios.append(
             channels_to_scenario(
                 entry["id"], float(entry["probability"]), channels, start, step

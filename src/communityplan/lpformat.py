@@ -100,38 +100,60 @@ def export_lp(model: Model) -> str:
         for vid in binaries:
             lines.append(f" {names[vid]}")
     lines.append("End")
-    return "\n".join(head) + "\n" + _constraint_section(model, names) + "\n".join(lines) + "\n"
+    return "".join(["\n".join(head) + "\n", *_constraint_section(model, names),
+                    "\n".join(lines) + "\n"])
 
 
-def _constraint_section(model: Model, names: list[str]) -> str:
+# Rows per block of ``Subject To`` text; bounds the temporaries of a large export.
+_ROW_CHUNK = 4096
+
+
+def _constraint_section(model: Model, names: list[str]) -> list[str]:
     """``Subject To`` rows, one line each: terms in column order, each
-    distinct coefficient magnitude formatted once."""
+    distinct coefficient magnitude and each distinct (sense, rhs) formatted
+    once.  Returns the text in blocks of ``_ROW_CHUNK`` rows; a block is
+    joined once from the pieces of its lines, gathered in line order."""
     rows = _real_rows(model)
     if not len(rows):
-        return ""
+        return []
     mat = model.matrix()[rows] if len(rows) < model.matrix().shape[0] else model.matrix().copy()
     mat.sort_indices()
     indptr, cols, data = mat.indptr, mat.indices, mat.data
-    # prefix of each term by (magnitude, sign, first in row): "+ 2.5 ", "- ", "2.5 ", ...
+    # prefix of each term by (magnitude, sign, first in row): " + 2.5 ", " - ", "2.5 ", ...
     unique, inverse = np.unique(np.abs(data), return_inverse=True)
-    prefixes = []
+    prefix_text = []
     for mag in unique.tolist():
         text = "" if mag == 1.0 else _num(mag) + " "
-        prefixes.extend(["+ " + text, "- " + text, text, "- " + text])
+        prefix_text.extend([" + " + text, " - " + text, text, "- " + text])
+    prefixes = np.array(prefix_text, dtype=object)
     first = np.zeros(len(data), bool)
     first[indptr[:-1]] = True
     code = 4 * inverse.ravel() + (data < 0) + 2 * first
-    terms = [prefixes[c] + names[j] for c, j in zip(code.tolist(), cols.tolist())]
-    row_names = model.row_names()
+    # tail of each row by (sense, rhs): " <= 2.5\n", " = 0\n", ...
+    rhs, rhs_inverse = np.unique(model.row_rhs()[rows], return_inverse=True)
+    rhs_text = [_num(v) for v in rhs.tolist()]
     sense_text = [s.value for s in SENSES]
-    sense = model.row_sense()[rows].tolist()
-    rhs = _num_all(model.row_rhs()[rows])
-    bounds = indptr.tolist()
-    return "".join([
-        f" {row_names[row]}: {' '.join(terms[bounds[i]:bounds[i + 1]])} "
-        f"{sense_text[sense[i]]} {rhs[i]}\n"
-        for i, row in enumerate(rows.tolist())
-    ])
+    tails = np.array([f" {s} {v}\n" for s in sense_text for v in rhs_text], dtype=object)
+    tail = model.row_sense()[rows].astype(np.intp) * len(rhs) + rhs_inverse.ravel()
+    col_names = np.array(names, dtype=object)
+    row_names = np.array(model.row_names(), dtype=object)[rows]
+    counts = np.diff(indptr)
+    blocks = []
+    for a in range(0, len(rows), _ROW_CHUNK):
+        b = min(a + _ROW_CHUNK, len(rows))
+        lo, hi = indptr[a], indptr[b]
+        # row i: " ", its name, ": ", prefix and name of each term, its tail
+        head_at = 4 * np.arange(b - a) + 2 * (indptr[a:b] - lo)
+        term_at = 2 * np.arange(hi - lo) + 4 * np.repeat(np.arange(b - a), counts[a:b]) + 3
+        pieces = np.empty(4 * (b - a) + 2 * (hi - lo), dtype=object)
+        pieces[head_at] = " "
+        pieces[head_at + 1] = row_names[a:b]
+        pieces[head_at + 2] = ": "
+        pieces[term_at] = prefixes[code[lo:hi]]
+        pieces[term_at + 1] = col_names[cols[lo:hi]]
+        pieces[head_at + 3 + 2 * counts[a:b]] = tails[tail[a:b]]
+        blocks.append("".join(pieces.tolist()))
+    return blocks
 
 
 def export_mps(model: Model) -> str:

@@ -18,6 +18,7 @@ from scipy import sparse
 from communityplan.core import DeviceSpec, scenario_channels
 from communityplan.fixtures import generate_fixture
 from communityplan.io import ingest_community
+from communityplan import lpformat
 from communityplan.lpformat import export_lp, export_mps, parse_lp
 from communityplan.milp import Domain, Sense
 from communityplan.planner import build_centralized
@@ -162,3 +163,13 @@ def test_lp_round_trip_gives_same_arrays(request, which):
     assert np.array_equal(binary, p_binary[perm])
     assert senses == p_senses and all(isinstance(s, Sense) for s in senses)
     assert np.array_equal(rhs, p_rhs)
+
+
+@pytest.mark.parametrize("which", ["catalogue", "criterion1"])
+def test_export_digests_hold_across_row_blocks(request, monkeypatch, which):
+    # the LP rows are written in blocks; three-row blocks put block edges
+    # inside every constraint family
+    model = request.getfixturevalue(f"{which}_model")
+    monkeypatch.setattr(lpformat, "_ROW_CHUNK", 3)
+    assert _sha(export_lp(model)) == GOLDEN[which]["lp"]
+    assert _sha(export_mps(model)) == GOLDEN[which]["mps"]

@@ -1,13 +1,16 @@
 import hashlib
 import json
 import sys
+from datetime import datetime, timedelta, timezone
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import communityplan.io
 from communityplan.cli import main
-from communityplan.core import Scenario, Unit, scenario_channels
+from communityplan.core import Scenario, TimeSeries, Unit, scenario_channels
 from communityplan.fixtures import generate_fixture
 from communityplan.io import (
     RunManifest,
@@ -23,9 +26,11 @@ from communityplan.io import (
     write_series_csv,
 )
 from communityplan.planner import solve_centralized
-from communityplan.scenarios import BootstrapSpec, bootstrap_years
+from communityplan.scenarios import BootstrapSpec, bootstrap_years, channels_to_scenario
 
-from conftest import battery_spec, boiler_spec, simple_building, simple_config, simple_scenario, ts
+from conftest import (
+    START, battery_spec, boiler_spec, simple_building, simple_config, simple_scenario, ts,
+)
 
 
 def tree_digest(root: Path) -> dict[str, str]:
@@ -36,6 +41,63 @@ def tree_digest(root: Path) -> dict[str, str]:
                 path.read_bytes()
             ).hexdigest()
     return out
+
+
+def seeded_bundle() -> list[Scenario]:
+    """Two 36 h scenarios of two buildings with seeded values, plus values
+    whose shortest round-trip text is unusual."""
+    rng = np.random.default_rng(20240)
+    names = ["T_amb", "I_sol", "p_el", "p_gas", "p_co2",
+             "E_base_b1", "T_set_b1", "E_base_b2", "T_set_b2"]
+    scenarios = []
+    for sid, probability in (("m3", 1 / 3), ("m7", 2 / 3)):
+        channels = {name: rng.normal(10.0, 5.0, 36) for name in names}
+        channels["p_co2"][:7] = [0.0, -0.0, 1e-18, 1e16, 123456789.0, 5e-324, -2.5]
+        scenarios.append(channels_to_scenario(sid, probability, channels, START, 1.0))
+    return scenarios
+
+
+# SHA-256 of every file save_scenarios writes for seeded_bundle()
+BUNDLE_GOLDEN = {
+    "manifest.json":
+        "b6b94f03a076af2f3a5fbbd623577a1a507ea43e4b6221eed153a7a2152b0001",
+    "s000/E_base_b1.csv":
+        "3654d330a4806cb45f54f03931f6606e01401600a8ddce141309d54b68491b33",
+    "s000/E_base_b2.csv":
+        "ffaaf35410b82c7e76746cff950ec2c7c518dd089efb77a57ca443e026b95139",
+    "s000/I_sol.csv":
+        "552e16c55f83498e43e3743ee6c934ef6ccbe096e07267c714d40cc06633bf82",
+    "s000/T_amb.csv":
+        "12e76a62b3fad9f543734a34745ddfd2d26dd73886a2af4c9978fd7e0ed1b8fa",
+    "s000/T_set_b1.csv":
+        "4fcd67241faf6d26d70e39bbabeaea63e4953cfbf9770a7b874b6ac554711ee5",
+    "s000/T_set_b2.csv":
+        "d72496219085513a06383a31abfb75d743e2e90a9f06601a38005c6ecf851159",
+    "s000/p_co2.csv":
+        "99bf1d78d5929bb6cb96fb25c38689d8afa63c21ee67b8962d4ac5f92d07d8c8",
+    "s000/p_el.csv":
+        "2ec2a667459a4fad30d6ff7e824d32dd168971f8808fc5910d59b204b4c44684",
+    "s000/p_gas.csv":
+        "ca1d68043e5838e4d9bd9aecc04ff262b4bd85c4f897fe854314e4534262cfa9",
+    "s001/E_base_b1.csv":
+        "7485961a04b621344d6eaf2ab051beda2c113fb19e073f7e615560fc811703cb",
+    "s001/E_base_b2.csv":
+        "100b1c656c71f15dfdb54a7be14b3cd6635e0a64c5725e63572b7a2d48f02278",
+    "s001/I_sol.csv":
+        "9943215b7d52105eed8a3abae5c533c206eff950e890f743c62c0d64b094ccc3",
+    "s001/T_amb.csv":
+        "4c99d7bc5f684839e25cc353c79822dcf517475f68fad72ec767b6bcb7c64fc7",
+    "s001/T_set_b1.csv":
+        "381e20d993503f3ef2e8e6e5a186ab27e184ffe2620ac5bcc565713b4c1443a0",
+    "s001/T_set_b2.csv":
+        "acaa79a722d748055a2a7bfc8d75bb4a9b550974f7715840d7e2812ec029122e",
+    "s001/p_co2.csv":
+        "538268c31fccca0b65e43c638283e96b9b8c7542d57f11d27def493697c775e5",
+    "s001/p_el.csv":
+        "08dab267123ccbbb0fdce3fb14e21de45e91f872a38119a1d142d2e3765ff0a3",
+    "s001/p_gas.csv":
+        "505f48c349592fe51b57ff7e264473e48a5e31a66d758c3b9475c9f6d4593ef6",
+}
 
 
 class TestSeriesCsv:
@@ -74,6 +136,66 @@ class TestSeriesCsv:
         )
         with pytest.raises(ValueError, match="uniform"):
             read_series_csv(path, Unit.KILOWATT)
+
+    @pytest.mark.parametrize("block", [1, 3, 1024])
+    def test_bad_value_after_blank_line_names_its_line(self, tmp_path, monkeypatch, block):
+        # rows are parsed in blocks; the failing block may follow good ones
+        monkeypatch.setattr(communityplan.io, "_READ_BLOCK", block)
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "timestamp,value\n"
+            "2019-01-01T00:00:00,1.0\n"
+            "\n"
+            "2019-01-01T01:00:00,2.0\n"
+            "2019-01-01T02:00:00,oops\n"
+        )
+        with pytest.raises(ValueError, match=r"bad\.csv:5: bad row .*oops"):
+            read_series_csv(path, Unit.KILOWATT)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text(
+            "timestamp,value\n"
+            "2019-01-01T00:00:00,1.0\n"
+            "\n"
+            "2019-01-01T01:00:00,2.0\n"
+            "\n"
+        )
+        series, warnings = read_series_csv(path, Unit.KILOWATT)
+        assert warnings == []
+        assert series == ts([1.0, 2.0], Unit.KILOWATT, start=datetime(2019, 1, 1))
+
+    def test_decreasing_timestamps_rejected(self, tmp_path):
+        path = tmp_path / "down.csv"
+        path.write_text(
+            "timestamp,value\n"
+            "2019-01-01T02:00:00,1.0\n"
+            "2019-01-01T01:00:00,2.0\n"
+            "2019-01-01T00:00:00,3.0\n"
+        )
+        with pytest.raises(ValueError, match="strictly increasing"):
+            read_series_csv(path, Unit.KILOWATT)
+
+    def test_single_sample_rejected(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("timestamp,value\n2019-01-01T00:00:00,1.0\n")
+        with pytest.raises(ValueError, match="at least two samples"):
+            read_series_csv(path, Unit.KILOWATT)
+
+    def test_fixed_offset_quarter_hour_round_trip(self, tmp_path):
+        start = datetime(2019, 3, 31, 1, 45, tzinfo=timezone(timedelta(hours=1)))
+        series = ts(np.linspace(-2.0, 3.0, 200), Unit.KILOWATT, start=start, step=0.25)
+        path = tmp_path / "quarter.csv"
+        write_series_csv(path, series)
+        lines = path.read_bytes().split(b"\r\n")
+        assert lines[0] == b"timestamp,value" and lines[-1] == b""
+        assert [line.split(b",")[0].decode() for line in lines[1:-1]] == [
+            (start + i * timedelta(minutes=15)).isoformat() for i in range(200)
+        ]
+        back, warnings = read_series_csv(path, Unit.KILOWATT)
+        assert warnings == []
+        assert back == series
+        assert back.start.utcoffset() == timedelta(hours=1)
 
 
 class TestFixture:
@@ -136,6 +258,29 @@ class TestScenarioBundles:
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="manifest"):
             load_scenarios(tmp_path / "nothing")
+
+    def test_bundle_bytes_are_pinned(self, tmp_path):
+        save_scenarios(
+            tmp_path / "bundle", seeded_bundle(), rng_seed=17,
+            source_days=[[3, 1, 4], [1, 5, 9]],
+            probabilities_exact=[Fraction(1, 3), Fraction(2, 3)],
+        )
+        assert tree_digest(tmp_path / "bundle") == BUNDLE_GOLDEN
+
+    @pytest.mark.parametrize("change", ["start", "step", "length"])
+    def test_misaligned_channel_file_rejected(self, tmp_path, change):
+        bundle = tmp_path / "bundle"
+        save_scenarios(bundle, seeded_bundle())
+        path = bundle / "s001" / "p_el.csv"
+        series, _ = read_series_csv(path, Unit.EUR_PER_KWH)
+        start, step, values = series.start, series.step_hours, series.values
+        write_series_csv(path, {
+            "start": TimeSeries(start + timedelta(days=31), step, values, series.unit),
+            "step": TimeSeries(start, 2 * step, values, series.unit),
+            "length": TimeSeries(start, step, values[:25], series.unit),
+        }[change])
+        with pytest.raises(ValueError, match=r"s001.p_el\.csv"):
+            load_scenarios(bundle)
 
 
 class TestPlanResultRoundTrip:
