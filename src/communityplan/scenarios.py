@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -174,38 +174,40 @@ def bootstrap_years(history: Scenario, spec: BootstrapSpec) -> BootstrapResult:
         raise ValueError("history must span at least one full year")
     if spec.block_hours != HOURS_PER_DAY:
         raise ValueError("bootstrap blocks are whole days (block_hours = 24)")
+    if spec.n_years < 1:
+        raise ValueError(f"n_years must be at least 1, got {spec.n_years}")
     n_days_hist = n_hours // HOURS_PER_DAY
     start = history.climate.t_amb.start
     hist_doy = _day_of_year(start, n_days_hist)
     hist_weekday = _day_classes(start, n_days_hist)
     window_days = round(7 * spec.window_weeks)
 
-    target_doy = hist_doy[:DAYS_PER_YEAR]
-    target_weekday = hist_weekday[:DAYS_PER_YEAR]
-    pools: list[np.ndarray] = []
-    for d in range(DAYS_PER_YEAR):
-        dist = np.abs(hist_doy - target_doy[d])
-        dist = np.minimum(dist, DAYS_PER_YEAR - dist)
-        mask = dist <= window_days
-        if spec.weekday_partition:
-            mask &= hist_weekday == target_weekday[d]
-        pool = np.flatnonzero(mask)
-        if pool.size == 0:
-            raise ValueError(
-                f"empty candidate pool for day {d} "
-                f"(window {window_days} d, weekday_partition={spec.weekday_partition})"
-            )
-        pools.append(pool)
+    # candidate pools of the target days, as rows of one (365, days) mask;
+    # nonzero walks it row by row, so each pool lists its days in order
+    dist = np.abs(hist_doy[None, :] - hist_doy[:DAYS_PER_YEAR, None])
+    mask = np.minimum(dist, DAYS_PER_YEAR - dist) <= window_days
+    if spec.weekday_partition:
+        mask &= hist_weekday[None, :] == hist_weekday[:DAYS_PER_YEAR, None]
+    pool_sizes = mask.sum(axis=1)
+    if not pool_sizes.all():
+        raise ValueError(
+            f"empty candidate pool for day {int(np.argmin(pool_sizes))} "
+            f"(window {window_days} d, weekday_partition={spec.weekday_partition})"
+        )
+    pool_days = np.nonzero(mask)[1]
+    pool_starts = np.cumsum(pool_sizes) - pool_sizes
 
+    # one call draws every (year, day) slot, in the order of one scalar
+    # draw per slot: the same stream as rng.integers(size) slot by slot
     rng = np.random.default_rng(spec.rng_seed)
+    draws = rng.integers(np.tile(pool_sizes, spec.n_years))
+    picks = pool_days[np.tile(pool_starts, spec.n_years) + draws]
+    hours = np.arange(HOURS_PER_DAY)
     years: list[Scenario] = []
     provenance: list[tuple[int, ...]] = []
-    for y in range(spec.n_years):
-        picks = tuple(int(pools[d][rng.integers(pools[d].size)]) for d in range(DAYS_PER_YEAR))
-        provenance.append(picks)
-        hour_index = np.concatenate(
-            [np.arange(p * HOURS_PER_DAY, (p + 1) * HOURS_PER_DAY) for p in picks]
-        )
+    for y, year_picks in enumerate(picks.reshape(spec.n_years, DAYS_PER_YEAR)):
+        provenance.append(tuple(year_picks.tolist()))
+        hour_index = (year_picks[:, None] * HOURS_PER_DAY + hours).ravel()
         sampled = {name: arr[hour_index] for name, arr in channels.items()}
         years.append(
             channels_to_scenario(
@@ -247,15 +249,33 @@ def _assign(dist: np.ndarray, medoids: Sequence[int]) -> tuple[np.ndarray, float
     return assignment, objective
 
 
+def _euclidean_distances(pts: np.ndarray) -> np.ndarray:
+    """``cdist(pts, pts)`` bit for bit, from the upper triangle alone.
+
+    Row ``i`` measures ``pts[i]`` against ``pts[i:]``; the lower triangle
+    is its mirror.  For Euclidean distance ``(x - y)**2 == (y - x)**2``
+    exactly and the sum runs in the same order, so both halves carry the
+    bits the full matrix would.
+    """
+    n = pts.shape[0]
+    dist = np.empty((n, n))
+    for i in range(n):
+        dist[i, i:] = cdist(pts[i : i + 1], pts[i:])[0]
+    lower = np.tril_indices(n, -1)
+    dist[lower] = dist.T[lower]
+    return dist
+
+
 def kmedoids(
     points,
     k: int,
-    metric: str | Callable = "euclidean",
     rng_seed: int = 0,
     exact_limit: int = 1000,
 ) -> ClusterResult:
     """Partition around medoids; exact for tiny instances.
 
+    The distance between two points is Euclidean (``points`` are rows;
+    :func:`reduce_scenarios` passes z-normalized year vectors).
     When the number of candidate medoid sets C(n, k) is at most
     ``exact_limit`` the global optimum is found by enumeration (lowest
     index set wins ties); larger instances run PAM seeded with
@@ -270,7 +290,7 @@ def kmedoids(
         raise ValueError("k must be positive")
     if k > n:
         raise ValueError(f"k={k} exceeds the {n} available points")
-    dist = cdist(pts, pts, metric)
+    dist = _euclidean_distances(pts)
 
     if math.comb(n, k) <= exact_limit:
         best: tuple[float, tuple[int, ...]] | None = None
@@ -341,13 +361,21 @@ def scenario_feature_matrix(
     ]
     if not names:
         raise ValueError(f"no channels left for factors {sorted(wanted)}")
-    columns = []
-    for name in names:
+    first = scenario_channels(scenarios[0])
+    edges = np.cumsum([0] + [len(first[name]) for name in names])
+    # each channel is normalized in place: the matrix is the largest array
+    # of the scenario stage, and a second copy of it would set its peak memory
+    features = np.empty((len(scenarios), int(edges[-1])))
+    for name, lo, hi in zip(names, edges[:-1], edges[1:]):
         stack = np.stack([np.asarray(scenario_channels(s)[name].values) for s in scenarios])
         mean = stack.mean()
         std = stack.std()
-        columns.append((stack - mean) / std if std > 0 else np.zeros_like(stack))
-    return np.concatenate(columns, axis=1)
+        column = features[:, lo:hi]
+        if std > 0:
+            np.divide(np.subtract(stack, mean, out=column), std, out=column)
+        else:
+            column[...] = 0.0
+    return features
 
 
 def reduce_scenarios(

@@ -104,9 +104,9 @@ class ScipyBackend:
             return _finalize(model, Status.OPTIMAL, model.objective.constant,
                              np.zeros(0), meta)
 
+        terms = model.objective.terms
         c = np.zeros(n)
-        for vid, coef in model.objective.terms.items():
-            c[vid] = coef
+        c[np.fromiter(terms, np.int64, len(terms))] = np.fromiter(terms.values(), float, len(terms))
         integrality = model.binary_mask().astype(np.int64)
         lo, hi = (np.array(b) for b in model.bounds())
 

@@ -198,6 +198,111 @@ class TestSeriesCsv:
         assert back.start.utcoffset() == timedelta(hours=1)
 
 
+    # Rows in shapes other than the writer's: each case pins the series
+    # (start, step, values) and warnings, or the error, that csv.reader
+    # row parsing gives.
+    HOURS = ("2019-01-01T00:00:00", "2019-01-01T01:00:00", "2019-01-01T02:00:00")
+    SHAPES = {
+        "lf": "timestamp,value\n{0},1\n{1},2.5\n{2},-3\n",
+        "crlf": "timestamp,value\r\n{0},1\r\n{1},2.5\r\n{2},-3\r\n",
+        "cr": "timestamp,value\r{0},1\r{1},2.5\r{2},-3\r",
+        "mixed_ends": "timestamp,value\n{0},1\r\n{1},2.5\r{2},-3\n",
+        "quoted": '"timestamp","value"\n"{0}","1"\n"{1}","2.5"\n"{2}","-3"\n',
+        "some_quoted": 'timestamp,value\n{0},"1"\n"{1}",2.5\n{2},-3\n',
+        "extra_column": "timestamp,value,note\n{0},1,a\n{1},2.5,b\n{2},-3,c\n",
+        "extra_timestamp_column": "timestamp,value\n{0},1,{2}\n{1},2.5,{2}\n{2},-3,{2}\n",
+        "blank_lines": "timestamp,value\n\n{0},1\n\n{1},2.5\n{2},-3\n\n",
+        "no_final_newline": "timestamp,value\r\n{0},1\r\n{1},2.5\r\n{2},-3",
+        "space_separated_iso": "timestamp,value\n{3},1\n{4},2.5\n{5},-3\n",
+        "padded_values": "timestamp,value\n{0}, 1\n{1},2.5 \n{2},-3\n",
+        "padded_header": " timestamp , value \n{0},1\n{1},2.5\n{2},-3\n",
+        # a row of three cells then a row of one: as many cells as three
+        # rows of two, but the second row has no value
+        "three_cells_then_one": "timestamp,value\n{0},1,{1}\n2.5\n{2},-3\n",
+        "short_row": "timestamp,value\n{0},1\n{1}\n{2},-3\n",
+        "empty_value": "timestamp,value\n{0},1\n{1},\n{2},-3\n",
+        "header_only": "timestamp,value\n",
+    }
+    WARNINGS = {"extra_column": ["{path}:1: ignoring extra columns ['note']"]}
+    ERRORS = {
+        "three_cells_then_one": "{path}:3: bad row ['2.5']: Invalid isoformat string: '2.5'",
+        "short_row": "{path}:3: bad row ['2019-01-01T01:00:00']: list index out of range",
+        "empty_value": "{path}:3: bad row ['2019-01-01T01:00:00', '']: "
+                       "could not convert string to float: ''",
+        "header_only": "{path}: needs at least two samples",
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_row_shapes(self, tmp_path, shape):
+        path = tmp_path / f"{shape}.csv"
+        spaced = tuple(h.replace("T", " ") for h in self.HOURS)
+        path.write_bytes(self.SHAPES[shape].format(*self.HOURS, *spaced).encode())
+        if shape in self.ERRORS:
+            with pytest.raises(ValueError) as info:
+                read_series_csv(path, Unit.KILOWATT)
+            assert str(info.value) == self.ERRORS[shape].format(path=path)
+            return
+        series, warnings = read_series_csv(path, Unit.KILOWATT)
+        assert warnings == [w.format(path=path) for w in self.WARNINGS.get(shape, [])]
+        values = [1.0, 2.5, -3.0]
+        assert series == ts(values, Unit.KILOWATT, start=datetime(2019, 1, 1))
+
+    @pytest.mark.parametrize("edit", [
+        "none", "lf", "value_padded", "extra_column", "blank_line", "appended_rows",
+        "bad_value", "gap", "three_cells_then_one", "quoted_value", "lone_lf_line",
+    ])
+    def test_edited_written_file(self, tmp_path, edit):
+        # a file this process wrote, edited by hand afterwards: the reader
+        # must not trust the writer's timestamp column for the edited rows
+        n = 3000  # spans several read blocks
+        series = ts(np.arange(n) * 0.5 - 7.0, Unit.KILOWATT)
+        path = tmp_path / "edited.csv"
+        write_series_csv(path, series)
+        lines = path.read_bytes().decode().split("\r\n")
+        row = 1500 + 1  # sample 1500, file line 1502, in the second read block
+        expected, error = series.values.tolist(), None
+        if edit == "lf":
+            lines = [line + "\n" for line in lines]
+            path.write_text("".join(lines).removesuffix("\n"), newline="")
+        else:
+            if edit == "value_padded":
+                lines[row] += " "
+            elif edit == "extra_column":
+                lines[row] += ",note"
+            elif edit == "blank_line":
+                lines.insert(row, "")
+            elif edit == "appended_rows":
+                extra = [START + (n + i) * timedelta(hours=1) for i in range(5)]
+                lines[-1:] = [f"{t.isoformat()},{i}" for i, t in enumerate(extra)] + [""]
+                expected += [0.0, 1.0, 2.0, 3.0, 4.0]
+            elif edit == "bad_value":
+                lines[row] = lines[row].split(",")[0] + ",oops"
+                error = rf"edited\.csv:{row + 1}: bad row .*oops"
+            elif edit == "gap":
+                del lines[row]
+                error = "uniformly spaced"
+            elif edit == "three_cells_then_one":
+                stamp, value = lines[row + 1].split(",")
+                lines[row] += "," + stamp
+                lines[row + 1] = value
+                error = rf"edited\.csv:{row + 2}: bad row"
+            elif edit == "lone_lf_line":
+                # "\n" ends a line too: the row after it holds one blank cell
+                lines[row] += "\n "
+                error = rf"edited\.csv:{row + 2}: bad row \[' '\]"
+            elif edit == "quoted_value":
+                stamp, value = lines[row].split(",")
+                lines[row] = f'{stamp},"{value}"'
+            path.write_text("\r\n".join(lines), newline="")
+        if error is not None:
+            with pytest.raises(ValueError, match=error):
+                read_series_csv(path, Unit.KILOWATT)
+            return
+        back, warnings = read_series_csv(path, Unit.KILOWATT)
+        assert warnings == []
+        assert back == ts(expected, Unit.KILOWATT)
+
+
 class TestFixture:
     def test_deterministic_in_n_and_seed(self, tmp_path):
         a = generate_fixture(tmp_path / "a", 3, seed=11)
@@ -281,6 +386,24 @@ class TestScenarioBundles:
         }[change])
         with pytest.raises(ValueError, match=r"s001.p_el\.csv"):
             load_scenarios(bundle)
+
+
+    @pytest.mark.parametrize("removed, missing", [
+        (["p_gas"], "p_gas.csv"),
+        (["E_base_b2"], "E_base_b2.csv"),
+        (["p_el", "T_set_b1"], "p_el.csv, T_set_b1.csv"),
+        ("all", "T_amb.csv, I_sol.csv, p_el.csv, p_gas.csv, p_co2.csv"),
+    ])
+    def test_missing_channel_file_named(self, tmp_path, removed, missing):
+        bundle = tmp_path / "bundle"
+        save_scenarios(bundle, seeded_bundle())
+        folder = bundle / "s001"
+        for path in folder.glob("*.csv"):
+            if removed == "all" or path.stem in removed:
+                path.unlink()
+        with pytest.raises(ValueError) as info:
+            load_scenarios(bundle)
+        assert str(info.value) == f"{folder}: missing channel files {missing}"
 
 
 class TestPlanResultRoundTrip:

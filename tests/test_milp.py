@@ -1,8 +1,11 @@
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import communityplan
 
 from communityplan.lpformat import (
     export_lp,
@@ -127,6 +130,33 @@ class TestConstraintFamilies:
         with pytest.raises(ValueError, match="duplicate"):
             m.add_var("v_t1")
         assert m.var_by_name("v_t1").id == v[1].id
+
+
+    def test_names_list_matches_name_lookup(self):
+        # explicit runs, one- and many-stem families, shared and distinct
+        # step ranges, an empty family between them and a stem with a
+        # line break
+        m = Model()
+        m.add_var("a")
+        x = m.add_vars("x", 3)
+        m.add_vars("odd\nstem", 2)
+        m.add_var("b_t7")
+        m.add_var("c")
+        w = m.add_vars("w", 3)
+        m.add_constraint(x[0] + w[0], Sense.GE, 1.0, "first")
+        m.add_constraints(("p", "q", "r"), 3, [[(x, 1.0)], [(w, 2.0)], [(x, -1.0)]],
+                          (Sense.LE,) * 3, 4.0, first=2)
+        m.add_constraints(("e",), 0, [[(x, 1.0)]], (Sense.LE,), 0.0)
+        m.add_constraint(x[1] + w[2], Sense.LE, 9.0, "mid")
+        m.add_constraints(("s",), 3, [[(w, 1.0)]], (Sense.GE,), 0.0, first=2)
+        m.add_constraints(("u", "v"), 2, [[(x[:2], 1.0)], [(w[1:], 1.0)]],
+                          (Sense.EQ,) * 2, 0.0, first=11)
+        for axis in (m._cols, m._rows):
+            assert axis.names() == [axis.name(p) for p in range(axis.size)]
+        assert m.row_names()[:8] == ["first", "p_t2", "q_t2", "r_t2", "p_t3", "q_t3",
+                                     "r_t3", "p_t4"]
+        assert m.var_names() == ["a", "x_t0", "x_t1", "x_t2", "odd\nstem_t0", "odd\nstem_t1",
+                                 "b_t7", "c", "w_t0", "w_t1", "w_t2"]
 
 
 class TestExport:
@@ -256,9 +286,12 @@ class TestRandomLPsAgainstVertexEnumeration:
                 assert res.objective == pytest.approx(oracle, abs=1e-6)
 
 
+# The solver process imports the package the tests import, whatever the
+# caller's PYTHONPATH.
 MOCK_SOLVER = textwrap.dedent(
-    """
+    f"""
     import sys
+    sys.path.insert(0, {str(Path(communityplan.__file__).parents[1])!r})
     from communityplan.lpformat import parse_lp, format_solution_table
     from communityplan.solvers import solve
 

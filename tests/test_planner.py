@@ -1,6 +1,10 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import communityplan.solvers
 from communityplan.core import DeviceSpec, Scenario
 from communityplan.io import plan_result_to_dict
 from communityplan.lpformat import export_lp
@@ -25,6 +29,12 @@ from conftest import (
     simple_config,
     simple_scenario,
 )
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.append(str(PERFBENCH))
+
+import instances  # noqa: E402
 
 
 def rescale_e_base(scenario, factor):
@@ -230,6 +240,34 @@ class TestSharedPath:
         dist = plan_result_to_dict(solve_distributed(cfg, scenarios))
         del central["solve_meta"], dist["solve_meta"]
         assert dist == central
+
+
+def test_highs_receives_the_per_term_cost_vector(monkeypatch):
+    # the cost vector handed to HiGHS is the objective's terms, one entry
+    # per column, on the centralized model and every distributed sub-model
+    models, costs = [], []
+    real_solve, real_milp = ScipyBackend.solve, communityplan.solvers.milp
+
+    def solve_spy(self, model, options=None):
+        models.append(model)
+        return real_solve(self, model, options)
+
+    def milp_spy(c, **kwargs):
+        costs.append(np.array(c))
+        return real_milp(c=c, **kwargs)
+
+    monkeypatch.setattr(ScipyBackend, "solve", solve_spy)
+    monkeypatch.setattr(communityplan.solvers, "milp", milp_spy)
+    for index in range(1, 5):
+        cfg, scenarios = instances.criterion1_instance(300, index, horizon=24)
+        solve_centralized(cfg, scenarios)
+        solve_distributed(cfg, scenarios, epsilon=2.0, max_iters=8)
+    assert len(costs) == len(models) > 8
+    for model, c in zip(models, costs):
+        expected = np.zeros(len(model.variables))
+        for vid, coef in model.objective.terms.items():
+            expected[vid] = coef
+        assert c.dtype == expected.dtype and c.tobytes() == expected.tobytes()
 
 
 class TestStochasticOrderings:

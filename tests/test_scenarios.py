@@ -1,12 +1,18 @@
+import hashlib
+import sys
 from datetime import datetime
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from communityplan.core import scenario_channels
+from communityplan.io import ingest_community
 from communityplan.scenarios import (
     BootstrapSpec,
+    _euclidean_distances,
     bootstrap_years,
     channels_to_scenario,
     compose_factor_scenarios,
@@ -18,6 +24,12 @@ from communityplan.scenarios import (
 )
 
 from oracles import brute_force_kmedoids
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.append(str(PERFBENCH))
+
+import instances  # noqa: E402
 
 YEAR_HOURS = 8760
 HISTORY_START = datetime(2019, 1, 1)  # a Tuesday
@@ -126,8 +138,64 @@ class TestBootstrap:
         with pytest.raises(ValueError, match="block"):
             bootstrap_years(make_history(), BootstrapSpec(block_hours=12, n_years=1))
 
+    @pytest.mark.parametrize("n_years", [0, -3])
+    def test_no_years_rejected(self, n_years):
+        with pytest.raises(ValueError, match="n_years"):
+            bootstrap_years(make_history(), BootstrapSpec(n_years=n_years))
+
+
+# SHA-256 of bootstrap_years(24 years) + reduce_scenarios(k=3) on the
+# one-building benchmark fixture history of each (fixture seed, rng seed):
+# source days, every channel of every year, medoids, assignment and the
+# repr of the objective.  Recorded with the scalar-draw bootstrap and the
+# full cdist matrix; any change in draws, slicing or distances shows here.
+SCENARIO_GOLDEN = {
+    (0, 11): "b907180b59043ba710386f7b23bf79d926ed5ff94d9a054b02ce250004cb22b6",
+    (3, 7): "95a06c136bf861527d10b43354b32478b56ed4bb2b1974191f2603a9d516b1d3",
+    (5, 2024): "3a3c7c58a35e97fcb81e67775a674f84bc18c9f6b78b4e1db4838eadec036f49",
+}
+
+
+@pytest.mark.parametrize("seed, rng_seed", sorted(SCENARIO_GOLDEN))
+def test_bootstrap_and_reduction_are_pinned(tmp_path, seed, rng_seed):
+    history = ingest_community(instances.data_directory(tmp_path, 1, seed)).history
+    boot = bootstrap_years(history, BootstrapSpec(n_years=24, rng_seed=rng_seed))
+    _, cluster = reduce_scenarios(list(boot.years), k=3, rng_seed=rng_seed)
+    digest = hashlib.sha256(repr(boot.source_days).encode())
+    for year in boot.years:
+        for name, series in scenario_channels(year).items():
+            digest.update(name.encode())
+            digest.update(np.asarray(series.values).tobytes())
+    digest.update(
+        repr((cluster.medoid_ids, cluster.assignment, repr(cluster.objective))).encode()
+    )
+    assert digest.hexdigest() == SCENARIO_GOLDEN[(seed, rng_seed)]
+
 
 class TestKmedoids:
+    @pytest.mark.parametrize("k, exact_limit", [(1, 1000), (2, 1000), (4, 1000), (3, 1)])
+    def test_clusters_on_the_full_cdist_bits(self, k, exact_limit):
+        # kmedoids may compute fewer pairs, but the assignment and the
+        # objective must be those of the full cdist(pts, pts) matrix, bit
+        # for bit, duplicates included (exact and PAM paths)
+        rng = np.random.default_rng(8)
+        points = rng.normal(0.0, 1.0, (40, 7))
+        points[[5, 17, 33]] = points[2]
+        points[21] = points[20]
+        result = kmedoids(points, k=k, rng_seed=3, exact_limit=exact_limit)
+        sub = cdist(points, points)[:, list(result.medoid_ids)]
+        assignment = np.argmin(sub, axis=1)
+        assignment[list(result.medoid_ids)] = np.arange(k)
+        assert result.assignment == tuple(assignment.tolist())
+        objective = float(sub[np.arange(len(points)), assignment].sum())
+        assert repr(result.objective) == repr(objective)
+
+    def test_distance_matrix_is_cdist_bitwise(self):
+        rng = np.random.default_rng(21)
+        points = rng.normal(0.0, 3.0, (33, 50))
+        points[[4, 9]] = points[30]
+        assert _euclidean_distances(points).tobytes() == cdist(points, points).tobytes()
+
     def test_saturation_every_point_its_own_medoid(self):
         points = np.array([[0.0], [1.0], [5.0]])
         result = kmedoids(points, k=3)
@@ -154,8 +222,6 @@ class TestKmedoids:
             k = int(rng.integers(1, min(4, n + 1)))
             points = rng.normal(0, 1, (n, 3))
             result = kmedoids(points, k)
-            from scipy.spatial.distance import cdist
-
             dist = cdist(points, points)
             best_obj, _ = brute_force_kmedoids(dist, k)
             assert result.objective == pytest.approx(best_obj, abs=1e-9)
@@ -170,8 +236,6 @@ class TestKmedoids:
         blob_b = rng.normal(50.0, 0.3, (12, 2))
         points = np.vstack([blob_a, blob_b])
         result = kmedoids(points, k=2, rng_seed=7, exact_limit=1)
-        from scipy.spatial.distance import cdist
-
         best_obj, _ = brute_force_kmedoids(cdist(points, points), 2)
         assert result.objective == pytest.approx(best_obj, rel=1e-12)
         sizes = sorted(result.cluster_sizes)
