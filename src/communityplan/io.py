@@ -11,6 +11,7 @@ source and input hash lands in the :class:`RunManifest`.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -44,7 +45,12 @@ from .planner import (
     SensitivityReport,
 )
 from .objective import ObjectiveBreakdown
-from .scenarios import channel_unit, channels_to_scenario
+from .scenarios import (
+    channel_names,
+    channel_unit,
+    channels_to_scenario,
+    check_channel_names,
+)
 
 __all__ = [
     "read_series_csv",
@@ -69,37 +75,24 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-# ``"\r\n<isoformat>,"`` of each sample time, per anchor ``(start, tzinfo,
-# fold, step_hours)``: every series of an anchor shares one column, and the
-# reader compares a file's rows against it.  ``tzinfo`` and ``fold`` are part
-# of the key because equal instants in different zones print differently.
-# The columns of the last four anchors used are kept.  Only speed depends on
-# what is kept: the reader checks every string it relies on.
-_TIMESTAMP_COLUMNS: dict[tuple, tuple[str, ...]] = {}
-_TIMESTAMP_ANCHORS = 4
-
-
-def _anchor(start: datetime, step_hours: float) -> tuple:
-    return (start, start.tzinfo, start.fold, step_hours)
-
-
-def _timestamp_fields(start: datetime, step_hours: float, length: int) -> tuple[str, ...]:
-    """At least ``length`` fields of the column of this anchor."""
-    key = _anchor(start, step_hours)
-    fields = _TIMESTAMP_COLUMNS.pop(key, ())
-    if len(fields) < length:
-        step = timedelta(hours=step_hours)
-        fields = tuple([f"\r\n{(start + i * step).isoformat()}," for i in range(length)])
-    _TIMESTAMP_COLUMNS[key] = fields
-    while len(_TIMESTAMP_COLUMNS) > _TIMESTAMP_ANCHORS:
-        del _TIMESTAMP_COLUMNS[next(iter(_TIMESTAMP_COLUMNS))]
-    return fields
+@functools.lru_cache(maxsize=4)
+def _timestamp_fields(
+    start: datetime, tzinfo, fold: int, step_hours: float, length: int
+) -> tuple[str, ...]:
+    """``"\\r\\n<isoformat>,"`` of each sample time, shared by every series
+    with this anchor.  ``tzinfo`` and ``fold`` are part of the key because
+    equal instants in different zones print differently."""
+    step = timedelta(hours=step_hours)
+    return tuple([f"\r\n{(start + i * step).isoformat()}," for i in range(length)])
 
 
 def write_series_csv(path: Path | str, series: TimeSeries) -> None:
     """Write ``timestamp,value`` rows with ``\\r\\n`` line ends: ISO-8601
     timestamps and the shortest decimal (``repr``) of each value."""
-    fields = _timestamp_fields(series.start, series.step_hours, len(series))
+    start = series.start
+    fields = _timestamp_fields(
+        start, start.tzinfo, start.fold, series.step_hours, len(series)
+    )
     with Path(path).open("w", newline="") as handle:
         handle.write("timestamp,value")
         handle.writelines(map(operator.add, fields, map(repr, series.values.tolist())))
@@ -124,55 +117,23 @@ def _split_rows(text: str) -> tuple[list[str], list[str]]:
     return stamps, values
 
 
-def _written_column(lines: list[str]) -> tuple[Sequence[str], timedelta | None]:
-    """The timestamp column of the anchor the first two lines give, when
-    one is kept (else empty), and their spacing."""
-    try:
-        first, second = (datetime.fromisoformat(line.partition(",")[0]) for line in lines[:2])
-    except ValueError:
-        return (), None
-    step = second - first
-    return _TIMESTAMP_COLUMNS.get(_anchor(first, step.total_seconds() / 3600.0), ()), step
-
-
 def _read_rows(handle) -> tuple[datetime, set[timedelta], list[float]]:
     """The fast path of :func:`read_series_csv`: the first sample time, the
-    set of spacings between sample times, and the values.
-
-    Each block of lines is split in one call.  While the rows equal the
-    writer's, ``timestamp`` text and all, their times are the column's and
-    nothing is parsed but the values; other rows parse each timestamp.
-    Raises ``ValueError`` at any row this path does not read.
-    """
-    start = last = step = None
+    set of spacings between sample times, and the values.  Each block of
+    lines is split in one call; raises ``ValueError`` at any row that does
+    not read ``timestamp,value``."""
+    start = last = None
     spacings: set[timedelta] = set()
     values: list[float] = []
-    column: Sequence[str] | None = None
     for lines in iter(lambda: list(itertools.islice(handle, _READ_BLOCK)), []):
-        text = "".join(lines)
-        if column is None:
-            column, step = _written_column(lines)
-        fields = column[len(values) : len(values) + len(lines)]
-        cells = text.replace("\r\n", ",").split(",") if len(fields) == len(lines) else []
-        block = cells[1::2]
-        # one value per line, and the lines spell the column's fields
-        if len(block) == len(lines) and "".join(map(operator.add, fields, block)) == (
-            "\r\n" + text.removesuffix("\r\n")
-        ):
-            stamps = (cells[0], cells[2 * len(lines) - 2])
-            if len(lines) > 1:
-                spacings.add(step)
-        else:
-            column = ()  # the column serves an unbroken run of rows from the first
-            stamps, block = _split_rows(text)
-            times = list(map(datetime.fromisoformat, stamps))
-            spacings.update(map(operator.sub, times[1:], times[:-1]))
-        first, final = datetime.fromisoformat(stamps[0]), datetime.fromisoformat(stamps[-1])
+        stamps, block = _split_rows("".join(lines))
+        times = list(map(datetime.fromisoformat, stamps))
         if last is None:
-            start = first
+            start = times[0]
         else:
-            spacings.add(first - last)
-        last = final
+            spacings.add(times[0] - last)
+        spacings.update(map(operator.sub, times[1:], times[:-1]))
+        last = times[-1]
         values += map(float, block)
     return start, spacings, values
 
@@ -200,9 +161,8 @@ def read_series_csv(path: Path | str, unit: Unit) -> tuple[TimeSeries, list[str]
     """Parse one series file; returns the series plus non-fatal warnings.
 
     Rows that each read exactly ``timestamp,value`` take a fast path:
-    blocks of lines split in one call, and no timestamp parsed where the
-    text equals the column :func:`write_series_csv` made for the same
-    anchor.  Any other file (quoted or extra cells, blank lines, a bad row)
+    blocks of lines split in one call, then each column parsed with
+    ``map``.  Any other file (quoted or extra cells, blank lines, a bad row)
     is read again from the top with ``csv.reader``, row by row, which
     skips blank lines, ignores extra cells and names a bad row's line.
     Both give the same series.
@@ -311,11 +271,6 @@ def load_config_tree(directory: Path | str) -> CommunityConfig:
     )
 
 
-# Climate and price channels, one file each in a history folder or a
-# scenario folder; occupant channels add one pair per building.
-_SHARED_CHANNELS = ("T_amb", "I_sol", "p_el", "p_gas", "p_co2")
-
-
 @dataclass(frozen=True)
 class IngestResult:
     config: CommunityConfig
@@ -342,10 +297,7 @@ def ingest_community(directory: Path | str) -> IngestResult:
     history_dir = directory / "history"
     warnings: list[str] = []
     channels: dict[str, np.ndarray] = {}
-    names = list(_SHARED_CHANNELS)
-    for building in config.buildings:
-        names.append(f"E_base_b{building.id}")
-        names.append(f"T_set_b{building.id}")
+    names = channel_names(building.id for building in config.buildings)
     start = None
     step = None
     for name in names:
@@ -406,21 +358,11 @@ def save_scenarios(
     return path
 
 
-def _missing_channels(names: Iterable[str]) -> list[str]:
-    """Channels a scenario that has ``names`` lacks: the climate and price
-    channels, and both occupant channels of every building it names."""
-    names = set(names)
-    buildings = {
-        name.rpartition("_b")[2] for name in names if name.startswith(("E_base_b", "T_set_b"))
-    }
-    occupant = {f"{kind}_b{b}" for b in buildings for kind in ("E_base", "T_set")}
-    return [n for n in _SHARED_CHANNELS if n not in names] + sorted(occupant - names)
-
-
 def load_scenarios(directory: Path | str) -> tuple[list[Scenario], dict]:
     """Read a bundle written by :func:`save_scenarios`; returns the
     scenarios and the manifest.  A scenario folder must hold every channel
-    file of its scenario, all with one start, step and length."""
+    file of its scenario and no other CSV, all with one start, step and
+    length."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -431,11 +373,14 @@ def load_scenarios(directory: Path | str) -> tuple[list[Scenario], dict]:
         sub = directory / entry["dir"]
         channels: dict[str, np.ndarray] = {}
         paths = sorted(sub.glob("*.csv"))
-        missing = _missing_channels(path.stem for path in paths)
-        if missing:
-            raise ValueError(
-                f"{sub}: missing channel files {', '.join(f'{n}.csv' for n in missing)}"
-            )
+        missing, unknown = check_channel_names(path.stem for path in paths)
+        problems = [
+            f"{kind} channel files {', '.join(f'{name}.csv' for name in names)}"
+            for kind, names in (("missing", missing), ("unknown", unknown))
+            if names
+        ]
+        if problems:
+            raise ValueError(f"{sub}: {'; '.join(problems)}")
         anchor = None
         for path in paths:
             series, _ = read_series_csv(path, channel_unit(path.stem))

@@ -373,34 +373,17 @@ class _Names:
 
     def names(self) -> list[str]:
         out: list[str] = []
-        # "\n"-joined step numbers, made once per step range within this
-        # call.  Each stem's names are split out of one string: no small
-        # temporary string per name is left to free beside the names, which
-        # would hold allocator pools and raise an export's peak memory.
-        numbers: dict[tuple[int, int], str] = {}
         for family in self._segments:
             if isinstance(family, list):
                 out.extend(family)
-                continue
-            key = (family.first, family.steps)
-            lines = numbers.get(key)
-            if lines is None:
-                lines = numbers[key] = "\n".join(
-                    map(str, range(family.first, family.first + family.steps))
-                )
-            columns = [_prefixed(f"{stem}_t", lines) for stem in family.stems]
-            if len(columns) == 1:
-                out.extend(columns[0])
-            else:  # step-major: every stem of step t before step t + 1
-                out.extend(itertools.chain.from_iterable(zip(*columns)))
+            elif len(family.stems) == 1:
+                stem = family.stems[0]
+                out.extend([f"{stem}_t{t}" for t in range(family.first, family.first + family.steps)])
+            else:
+                out.extend([f"{stem}_t{t}"
+                            for t in range(family.first, family.first + family.steps)
+                            for stem in family.stems])
         return out
-
-
-def _prefixed(prefix: str, lines: str) -> list[str]:
-    """``prefix + line`` for every line of ``lines``."""
-    if "\n" in prefix:  # the split below would cut the prefix too
-        return [prefix + line for line in lines.split("\n")]
-    return (prefix + lines.replace("\n", "\n" + prefix)).split("\n")
 
 
 class _Grow:

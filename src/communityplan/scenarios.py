@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -66,6 +66,37 @@ _CHANNEL_UNITS: dict[str, Unit] = {
     "E_base": Unit.KILOWATT,
     "T_set": Unit.DEGC,
 }
+
+
+# Channels of one building each, named ``<channel>_b<building id>``; every
+# other channel of _CHANNEL_UNITS is shared by the whole community.
+_OCCUPANT_CHANNELS = ("E_base", "T_set")
+
+
+def channel_names(building_ids: Iterable[int]) -> list[str]:
+    """Every channel of a scenario with these buildings: the shared climate
+    and price channels, then both occupant channels of each building."""
+    shared = [name for name in _CHANNEL_UNITS if name not in _OCCUPANT_CHANNELS]
+    return shared + [f"{kind}_b{b}" for b in building_ids for kind in _OCCUPANT_CHANNELS]
+
+
+def check_channel_names(names: Iterable[str]) -> tuple[list[str], list[str]]:
+    """Missing and unknown names among one scenario's channel names.
+
+    Missing are the shared channels and both occupant channels of every
+    building a name refers to; unknown are names that are no channel.
+    """
+    names = set(names)
+    buildings: set[int] = set()
+    unknown = []
+    for name in sorted(names):
+        kind, _, building = name.rpartition("_b")
+        if kind in _OCCUPANT_CHANNELS and building.isdecimal():
+            buildings.add(int(building))
+        elif name not in _CHANNEL_UNITS or name in _OCCUPANT_CHANNELS:
+            unknown.append(name)
+    missing = [name for name in channel_names(sorted(buildings)) if name not in names]
+    return missing, unknown
 
 
 def channel_unit(name: str) -> Unit:
@@ -182,10 +213,14 @@ def bootstrap_years(history: Scenario, spec: BootstrapSpec) -> BootstrapResult:
     hist_weekday = _day_classes(start, n_days_hist)
     window_days = round(7 * spec.window_weeks)
 
-    # candidate pools of the target days, as rows of one (365, days) mask;
-    # nonzero walks it row by row, so each pool lists its days in order
-    dist = np.abs(hist_doy[None, :] - hist_doy[:DAYS_PER_YEAR, None])
-    mask = np.minimum(dist, DAYS_PER_YEAR - dist) <= window_days
+    # candidate pools of the target days, as rows of one (365, days) mask
+    # picked from a (365, 365) table of days of year within the window, so
+    # no temporary is larger than the bool mask; flatnonzero walks the mask
+    # row by row, so each pool lists its days in order
+    doy = np.arange(DAYS_PER_YEAR, dtype=np.int16)
+    dist = np.abs(doy[:, None] - doy)
+    near = np.minimum(dist, DAYS_PER_YEAR - dist) <= window_days
+    mask = near[np.ix_(hist_doy[:DAYS_PER_YEAR], hist_doy)]
     if spec.weekday_partition:
         mask &= hist_weekday[None, :] == hist_weekday[:DAYS_PER_YEAR, None]
     pool_sizes = mask.sum(axis=1)
@@ -194,7 +229,8 @@ def bootstrap_years(history: Scenario, spec: BootstrapSpec) -> BootstrapResult:
             f"empty candidate pool for day {int(np.argmin(pool_sizes))} "
             f"(window {window_days} d, weekday_partition={spec.weekday_partition})"
         )
-    pool_days = np.nonzero(mask)[1]
+    pool_days = np.flatnonzero(mask)
+    pool_days %= n_days_hist
     pool_starts = np.cumsum(pool_sizes) - pool_sizes
 
     # one call draws every (year, day) slot, in the order of one scalar

@@ -252,8 +252,8 @@ class TestSeriesCsv:
         "bad_value", "gap", "three_cells_then_one", "quoted_value", "lone_lf_line",
     ])
     def test_edited_written_file(self, tmp_path, edit):
-        # a file this process wrote, edited by hand afterwards: the reader
-        # must not trust the writer's timestamp column for the edited rows
+        # a written file edited by hand afterwards: each edit sits in the
+        # second read block, after a block the fast path has read
         n = 3000  # spans several read blocks
         series = ts(np.arange(n) * 0.5 - 7.0, Unit.KILOWATT)
         path = tmp_path / "edited.csv"
@@ -404,6 +404,23 @@ class TestScenarioBundles:
         with pytest.raises(ValueError) as info:
             load_scenarios(bundle)
         assert str(info.value) == f"{folder}: missing channel files {missing}"
+
+    @pytest.mark.parametrize("added, message", [
+        (["notes"], "unknown channel files notes.csv"),
+        (["E_base", "T_set_bx"], "unknown channel files E_base.csv, T_set_bx.csv"),
+        (["E_base_b9"], "missing channel files T_set_b9.csv"),
+        (["E_base_b9", "p_el_b1"],
+         "missing channel files T_set_b9.csv; unknown channel files p_el_b1.csv"),
+    ])
+    def test_extra_channel_file_named(self, tmp_path, added, message):
+        bundle = tmp_path / "bundle"
+        save_scenarios(bundle, seeded_bundle())
+        folder = bundle / "s001"
+        for stem in added:
+            (folder / f"{stem}.csv").write_bytes((folder / "p_el.csv").read_bytes())
+        with pytest.raises(ValueError) as info:
+            load_scenarios(bundle)
+        assert str(info.value) == f"{folder}: {message}"
 
 
 class TestPlanResultRoundTrip:
