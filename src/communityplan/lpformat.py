@@ -47,10 +47,12 @@ def _num_all(values: np.ndarray) -> list[str]:
     return [text[i] for i in inverse.ravel().tolist()]
 
 
-def _expr_tokens(expr: LinExpr, names: list[str]) -> list[str]:
+def _objective_tokens(model: Model, names: list[str]) -> list[str]:
+    """The nonzero costs in column order, then the constant."""
     tokens: list[str] = []
-    for vid in sorted(expr.terms):
-        coef = expr.terms[vid]
+    cost = model.cost()
+    nonzero = np.flatnonzero(cost)
+    for vid, coef in zip(nonzero.tolist(), cost[nonzero].tolist()):
         sign = "-" if coef < 0 else "+"
         mag = abs(coef)
         name = names[vid]
@@ -58,9 +60,10 @@ def _expr_tokens(expr: LinExpr, names: list[str]) -> list[str]:
             tokens.extend([sign, name])
         else:
             tokens.extend([sign, _num(mag), name])
-    if expr.constant != 0.0:
-        sign = "-" if expr.constant < 0 else "+"
-        tokens.extend([sign, _num(abs(expr.constant))])
+    constant = model.objective_constant
+    if constant != 0.0:
+        sign = "-" if constant < 0 else "+"
+        tokens.extend([sign, _num(abs(constant))])
     if not tokens:
         tokens = ["0"]
     elif tokens[0] == "+":
@@ -83,7 +86,7 @@ def export_lp(model: Model) -> str:
     by more than ``FEASIBILITY_TOL`` raises a ``ValueError`` naming it."""
     names = model.var_names()
     head = [f"\\ {model.name}", "Minimize"]
-    head.append(" obj: " + " ".join(_expr_tokens(model.objective, names)))
+    head.append(" obj: " + " ".join(_objective_tokens(model, names)))
     head.append("Subject To")
     lines = ["Bounds"]
     lo, hi = model.bounds()
@@ -166,13 +169,14 @@ def export_mps(model: Model) -> str:
     for name, code in zip(row_names, model.row_sense()[real].tolist()):
         rows.append(f" {sense_tag[SENSES[code]]}  {name}")
     rows.append("COLUMNS")
-    # column-major: the objective entry, then the rows in order
+    # column-major: the nonzero cost, then the rows in order
     csc = model.matrix()[real].tocsc()
     csc.sort_indices()
     coef_text = _num_all(csc.data)
     indptr, row_idx = csc.indptr.tolist(), csc.indices.tolist()
     names = model.var_names()
     binary = model.binary_mask().tolist()
+    cost = model.cost().tolist()
     in_integer = False
     marker = 0
     for vid, name in enumerate(names):
@@ -186,8 +190,8 @@ def export_mps(model: Model) -> str:
             marker += 1
             in_integer = False
         a, b = indptr[vid], indptr[vid + 1]
-        if vid in model.objective.terms:
-            rows.append(f"    {name}  OBJ  {_num(model.objective.terms[vid])}")
+        if cost[vid]:
+            rows.append(f"    {name}  OBJ  {_num(cost[vid])}")
         elif a == b:
             rows.append(f"    {name}  OBJ  0")  # keep every declared column present
         for j in range(a, b):
@@ -195,8 +199,8 @@ def export_mps(model: Model) -> str:
     if in_integer:
         rows.append(f"    MARKER{marker}    'MARKER'    'INTEND'")
     rows.append("RHS")
-    if model.objective.constant != 0.0:
-        rows.append(f"    RHS  OBJ  {_num(-model.objective.constant)}")
+    if model.objective_constant != 0.0:
+        rows.append(f"    RHS  OBJ  {_num(-model.objective_constant)}")
     rhs = model.row_rhs()[real]
     nonzero = np.flatnonzero(rhs != 0.0)
     for i, text in zip(nonzero.tolist(), _num_all(rhs[nonzero])):

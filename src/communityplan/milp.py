@@ -14,8 +14,9 @@ side and sense arrays.  Emitters add whole families at once:
 :meth:`Model.add_vars` declares a block of columns named
 ``{stem}_t{index}`` and :meth:`Model.add_constraints` a family of
 interleaved rows named the same way; those names are derived from
-(stem, index) when asked for, not stored per column or row.  The scalar API
-(:class:`VarRef`, :class:`LinExpr`, :meth:`Model.add_var`,
+(stem, index) when asked for, not stored per column or row.  The objective
+is ``cost() @ x + objective_constant``, one cost entry per column.  The
+scalar API (:class:`VarRef`, :class:`LinExpr`, :meth:`Model.add_var`,
 :meth:`Model.add_constraint`, ``model.variables``, ``model.constraints``)
 reads and writes the same storage.
 """
@@ -43,7 +44,6 @@ __all__ = [
     "Model",
     "SolveResult",
     "SolutionValues",
-    "evaluate",
     "constraint_violation",
     "read_values",
     "FEASIBILITY_TOL",
@@ -207,17 +207,6 @@ class LinExpr:
     def add(self, var: VarRef, coef: float) -> "LinExpr":
         self._own(var.model_id, var.name)
         _accumulate(self.terms, (var.id,), (coef,))
-        return self
-
-    def add_terms(self, vars, coefs) -> "LinExpr":
-        """:meth:`add` for each variable of a block or sequence, in order,
-        with a scalar or per-variable coefficient."""
-        model_id, ids = _column_ids(vars, self.model_id)
-        if len(ids) == 0:
-            return self
-        self._own(model_id, "block")
-        coefs = np.broadcast_to(np.asarray(coefs, float), ids.shape)
-        _accumulate(self.terms, ids.tolist(), coefs.tolist())
         return self
 
     def _merge(self, other, sign: float) -> "LinExpr":
@@ -433,7 +422,8 @@ class Model:
 
     def __init__(self, name: str = "model") -> None:
         self.name = name
-        self.objective: LinExpr = LinExpr()
+        self.objective_constant = 0.0
+        self._cost = np.zeros(0)
         self._model_id = next(_model_counter)
         self._cols = _Names()
         self._rows = _Names()
@@ -681,10 +671,37 @@ class Model:
         return (np.flatnonzero(has_terms),
                 self._rows.name(int(off[0])) if len(off) else None)
 
-    def minimize(self, expr: LinExpr) -> None:
-        expr.validate_finite()
-        self._check_owned(expr)
-        self.objective = expr.normalized()
+    def minimize(self, objective: np.ndarray | LinExpr) -> None:
+        """Minimize ``cost() @ x + objective_constant``.
+
+        ``objective`` is a cost vector with one finite entry per column,
+        which leaves the constant at 0, or an expression, whose terms are
+        scattered into the vector and whose constant is kept.  A float
+        vector is kept, not copied, and made read-only.  A column added
+        later costs 0.
+        """
+        constant = 0.0
+        if isinstance(objective, LinExpr):
+            objective.validate_finite()
+            self._check_owned(objective)
+            constant, terms = objective.constant, objective.terms
+            objective = np.zeros(self._cols.size)
+            objective[list(terms)] = list(terms.values())
+        cost = np.asarray(objective, float)
+        if cost.shape != (self._cols.size,):
+            raise ValueError(f"cost vector has shape {cost.shape}, expected ({self._cols.size},)")
+        if not np.isfinite(cost).all():
+            raise ValueError("cost vector must be finite")
+        cost.flags.writeable = False
+        self._cost, self.objective_constant = cost, float(constant)
+
+    def cost(self) -> np.ndarray:
+        """Objective coefficient of every column (read-only)."""
+        missing = self._cols.size - len(self._cost)
+        if missing:
+            self._cost = np.concatenate([self._cost, np.zeros(missing)])
+            self._cost.flags.writeable = False
+        return self._cost
 
     def stats(self) -> dict[str, int]:
         return {
@@ -812,32 +829,14 @@ def read_values(values, vars) -> np.ndarray:
     return x[_column_ids(vars)[1]]
 
 
-def evaluate(expr: LinExpr, model: Model, values) -> float:
-    """Dot-product evaluation of an expression at a value assignment
-    (a solution vector, or values keyed by variable name)."""
-    if isinstance(values, (SolutionValues, np.ndarray)):
-        ids = np.fromiter(expr.terms, np.int64, len(expr.terms))
-        xs = _solution_vector(values)[ids].tolist()
-    else:
-        xs = [values[model._cols.name(vid)] for vid in expr.terms]
-    total = expr.constant  # accumulated left to right
-    for coef, value in zip(expr.terms.values(), xs):
-        total += coef * value
-    return total
-
-
 def constraint_violation(model: Model, values) -> float:
-    """Largest absolute constraint violation at a value assignment (a
-    solution vector, or values keyed by variable name).
+    """Largest absolute constraint violation at a solution vector or
+    :class:`SolutionValues`.
 
-    ``A @ x`` sums the terms of each row in the order they were added, as
-    :func:`evaluate` does, and is held against :meth:`Model.row_rhs`.
+    ``A @ x`` sums the terms of each row in the order they were added and
+    is held against :meth:`Model.row_rhs`.
     """
-    if isinstance(values, (SolutionValues, np.ndarray)):
-        x = _solution_vector(values)
-    else:
-        x = np.array([values[name] for name in model.var_names()], float)
-    lhs = model.matrix() @ x
+    lhs = model.matrix() @ _solution_vector(values)
     rhs = model.row_rhs()
     if not len(lhs):
         return 0.0

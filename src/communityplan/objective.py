@@ -1,8 +1,13 @@
-"""The four-term community objective and its two-stage assembly.
+"""The four-term community objective.
 
 Total cost = levelized investment (first stage, deterministic)
            + expected operation + carbon + slack penalties (second stage,
              probability weighted per scenario).
+
+Each ``emit_*_cost`` function prices one block and returns its column
+indices and coefficients as two arrays, in the order the terms are
+accumulated; a column may appear more than once.  The planner sums them
+into the model's one cost vector (:meth:`~communityplan.milp.Model.minimize`).
 
 Powers are multiplied by the step length wherever they meet a price, so
 every term is a EUR amount regardless of the time resolution.
@@ -13,9 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .core import series_head
-from .devices import DeviceBlockRefs
-from .milp import LinExpr, Model, VarRef, _accumulate
+from .devices import DesignRefs
+from .milp import VarRef, _column_ids
 from .network import GridBlockRefs
 
 __all__ = [
@@ -24,9 +31,10 @@ __all__ = [
     "emit_operational_cost",
     "emit_carbon_cost",
     "emit_slack_cost",
-    "assemble_two_stage_objective",
     "ObjectiveBreakdown",
 ]
+
+Terms = tuple[np.ndarray, np.ndarray]  # column indices, coefficients
 
 
 def annuity_factor(r: float, tau: float) -> float:
@@ -43,84 +51,58 @@ def annuity_factor(r: float, tau: float) -> float:
     return r / (1.0 - (1.0 + r) ** (-tau))
 
 
-def emit_investment_cost(
-    model: Model, device_blocks: Iterable[DeviceBlockRefs], r: float
-) -> LinExpr:
+def emit_investment_cost(designs: Iterable[DesignRefs], r: float) -> Terms:
     """Levelized investment: (size price * design + base price * chi)
     times the annuity factor of each unit's lifetime."""
-    expr = LinExpr()
-    for block in device_blocks:
-        chi = block.design.chi
-        for spec, design_var in block.design.entries:
+    ids: list[int] = []
+    coefs: list[float] = []
+    for design in designs:
+        for spec, design_var in design.entries:
             factor = annuity_factor(r, spec.lifetime_years)
-            expr.add(design_var, spec.size_price * factor)
-            expr.add(chi, spec.base_price * factor)
-    return expr
+            ids += [design_var.id, design.chi.id]
+            coefs += [spec.size_price * factor, spec.base_price * factor]
+    return np.array(ids, np.int64), np.array(coefs, float)
 
 
 def emit_operational_cost(
-    model: Model,
     hv_import: Sequence[VarRef],
     gas_flows: Mapping[int, Sequence[VarRef]],
     p_el,
     p_gas,
     step_hours: float = 1.0,
-) -> LinExpr:
+) -> Terms:
     """Electricity bought from the HV grid plus gas burnt in the
     buildings; LV exports earn nothing."""
     horizon = len(hv_import)
     el = series_head(p_el, horizon, "p_el")
     gas = series_head(p_gas, horizon, "p_gas")
-    expr = LinExpr().add_terms(hv_import, el * step_hours)
+    ids = [_column_ids(hv_import)[1]]
+    coefs = [el * step_hours]
     for flows in gas_flows.values():
-        expr.add_terms(flows, gas[: len(flows)] * step_hours)
-    return expr
+        ids.append(_column_ids(flows)[1])
+        coefs.append(gas[: len(flows)] * step_hours)
+    return np.concatenate(ids), np.concatenate(coefs)
 
 
 def emit_carbon_cost(
-    model: Model,
     gas_flows: Mapping[int, Sequence[VarRef]],
     p_co2,
     step_hours: float = 1.0,
-) -> LinExpr:
+) -> Terms:
     """Carbon penalty on building gas use (electricity carries none)."""
-    expr = LinExpr()
+    ids = [np.zeros(0, np.int64)]
+    coefs = [np.zeros(0)]
     for flows in gas_flows.values():
-        co2 = series_head(p_co2, len(flows), "p_co2")
-        expr.add_terms(flows, co2 * step_hours)
-    return expr
+        ids.append(_column_ids(flows)[1])
+        coefs.append(series_head(p_co2, len(flows), "p_co2") * step_hours)
+    return np.concatenate(ids), np.concatenate(coefs)
 
 
-def emit_slack_cost(model: Model, grid: GridBlockRefs, slack_price: float) -> LinExpr:
+def emit_slack_cost(grid: GridBlockRefs, slack_price: float) -> Terms:
     """Uniform penalty on every declared grid slack; priced high enough
     that slacks only activate when the problem is otherwise infeasible."""
-    expr = LinExpr()
-    expr.add(grid.s_mv, slack_price)
-    for var in grid.s_lv.values():
-        expr.add(var, slack_price)
-    return expr
-
-
-def assemble_two_stage_objective(
-    inv: LinExpr,
-    per_scenario: Mapping[str, LinExpr],
-    probs: Mapping[str, float],
-) -> LinExpr:
-    """First-stage cost plus probability-weighted second-stage costs.
-
-    Accumulates into one copy of ``inv``: each scaled coefficient that is
-    not zero is added in turn, and a sum of exactly zero drops the term.
-    """
-    total = LinExpr(dict(inv.terms), inv.constant, inv.model_id)
-    for sid, expr in per_scenario.items():
-        if total.model_id is None:
-            total.model_id = expr.model_id
-        elif expr.model_id is not None and total.model_id != expr.model_id:
-            raise ValueError("cannot combine expressions from different models")
-        prob = probs[sid]
-        _accumulate(total.terms, expr.terms, [coef * prob for coef in expr.terms.values()])
-        total.constant += expr.constant * prob
-    return total
+    ids = np.array([grid.s_mv.id, *(var.id for var in grid.s_lv.values())], np.int64)
+    return ids, np.full(len(ids), float(slack_price))
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,6 @@ from .devices import (
     roof_capped,
 )
 from .milp import (
-    LinExpr,
     Model,
     Sense,
     SolveResult,
@@ -74,7 +73,6 @@ from .network import (
 from .objective import (
     ObjectiveBreakdown,
     annuity_factor,
-    assemble_two_stage_objective,
     emit_carbon_cost,
     emit_investment_cost,
     emit_operational_cost,
@@ -480,25 +478,26 @@ def _build(
 
     ``others_net[sid]`` is the fixed net consumption of the buildings left
     out of the model; None when the model holds every building.
+
+    The model is priced once all columns exist: the investment terms, then
+    per scenario its operation, carbon and slack terms summed over the
+    scenario's own columns and scaled by its probability.
     """
     model = Model(name)
     building_designs = {b.id: _emit_building_designs(model, b) for b in buildings}
     community_designs = _emit_community_designs(model, cfg)
-    inv_expr = emit_investment_cost(
-        model,
-        [
-            DeviceBlockRefs(kind=kind, design=refs, flows={})
-            for designs in (*building_designs.values(), community_designs)
-            for kind, refs in designs.items()
-        ],
+    investment = emit_investment_cost(
+        [refs for designs in (*building_designs.values(), community_designs)
+         for refs in designs.values()],
         cfg.discount_rate,
     )
 
-    second_stage: dict[str, LinExpr] = {}
+    stages: list[tuple[int, np.ndarray]] = []  # (first column, weighted cost)
     building_refs: dict[str, dict[int, _BuildingScenarioRefs]] = {}
     community_refs: dict[str, _CommunityScenarioRefs] = {}
     for w, scenario in enumerate(scenarios):
         stag = f"s{w}"
+        first = len(model.variables)
         per_building = {
             b.id: _emit_building_scenario(
                 model, cfg, b, scenario, building_designs[b.id], horizon,
@@ -518,22 +517,25 @@ def _build(
         )
         gas = {bid: refs.gas for bid, refs in per_building.items()}
         eco = scenario.economic
-        second_stage[scenario.id] = (
-            emit_operational_cost(
-                model, com.hv, gas, eco.p_el.values[:horizon], eco.p_gas.values[:horizon],
-                cfg.step_hours,
-            )
-            + emit_carbon_cost(model, gas, eco.p_co2.values[:horizon], cfg.step_hours)
-            + emit_slack_cost(model, com.grid, cfg.slack_price)
-        )
+        # every column these terms price was added in this scenario's loop
+        stage = np.zeros(len(model.variables) - first)
+        for ids, coefs in (
+            emit_operational_cost(com.hv, gas, eco.p_el.values[:horizon],
+                                  eco.p_gas.values[:horizon], cfg.step_hours),
+            emit_carbon_cost(gas, eco.p_co2.values[:horizon], cfg.step_hours),
+            emit_slack_cost(com.grid, cfg.slack_price),
+        ):
+            np.add.at(stage, ids - first, coefs)
+        stage *= scenario.probability
+        stages.append((first, stage))
         building_refs[scenario.id] = per_building
         community_refs[scenario.id] = com
 
-    model.minimize(
-        assemble_two_stage_objective(
-            inv_expr, second_stage, {s.id: s.probability for s in scenarios}
-        )
-    )
+    cost = np.zeros(len(model.variables))
+    np.add.at(cost, *investment)
+    for first, stage in stages:
+        cost[first: first + len(stage)] += stage
+    model.minimize(cost)
     return BuiltModel(
         model=model,
         cfg=cfg,
@@ -640,7 +642,9 @@ def solve_distributed(
     Sweeps repeat in ascending building id order until the global
     objective changes by at most ``epsilon`` or ``max_iters`` is hit, in
     which case the last iterate is returned with
-    ``solve_meta["converged"]`` False.
+    ``solve_meta["converged"]`` False.  ``solve_meta["status"]`` is
+    ``"limit"`` when any merged sub-plan ended at a solver limit and
+    ``"optimal"`` otherwise.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
@@ -668,7 +672,9 @@ def solve_distributed(
             converged = True
             break
 
+    limited = any(p.solve_meta["status"] == Status.LIMIT.value for p in plans.values())
     meta = {
+        "status": (Status.LIMIT if limited else Status.OPTIMAL).value,
         "iterations": sweep,
         "converged": converged,
         "epsilon": epsilon,

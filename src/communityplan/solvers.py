@@ -9,11 +9,15 @@ Two contracts are provided:
   command template such as ``"mysolver {model} --out {sol}"`` and reads
   the solution back from a ``name value`` whitespace table.
 
-Both return a :class:`~communityplan.milp.SolveResult` whose objective is
-the solver-reported optimum plus the model's objective constant;
-feasibility of optimal results is re-checked and recorded in
-``solver_meta['max_violation']``.  Both pass a solver only the rows of
-:meth:`~communityplan.milp.Model.rows_with_terms`, and both return
+Both give the solver the model's cost vector
+(:meth:`~communityplan.milp.Model.cost`), as an array or as the LP/MPS
+objective, and return a :class:`~communityplan.milp.SolveResult` whose
+objective is the solver-reported optimum plus the model's objective
+constant.  A returned solution is re-checked:
+``solver_meta['max_violation']`` records the largest row violation and
+``solver_meta['objective_recomputed']`` the objective
+``cost @ x + constant`` at that point.  Both pass a solver only the rows
+of :meth:`~communityplan.milp.Model.rows_with_terms`, and both return
 ``Status.INFEASIBLE`` without running one when a row without terms does
 not hold.
 """
@@ -38,7 +42,6 @@ from .milp import (
     SolveResult,
     Status,
     constraint_violation,
-    evaluate,
 )
 
 __all__ = [
@@ -59,7 +62,6 @@ DEFAULT_MIP_GAP = 1e-6
 class SolveOptions:
     time_limit_s: float | None = None
     mip_gap: float = DEFAULT_MIP_GAP
-    seed: int | None = None
 
 
 class SolverError(RuntimeError):
@@ -74,13 +76,17 @@ def _vector(model: Model, values) -> np.ndarray:
         raise SolverError(f"solution lacks variable {exc.args[0]!r}") from None
 
 
+def _objective_at(model: Model, x: np.ndarray) -> float:
+    return float(model.cost() @ x + model.objective_constant)
+
+
 def _finalize(model: Model, status: Status, objective: float, x: np.ndarray | None,
               meta: dict) -> SolveResult:
     if x is None:
         return SolveResult(status=status, objective=objective, values={}, solver_meta=meta)
     if status in (Status.OPTIMAL, Status.LIMIT):
         meta["max_violation"] = constraint_violation(model, x)
-        meta["objective_recomputed"] = evaluate(model.objective, model, x)
+        meta["objective_recomputed"] = _objective_at(model, x)
     return SolveResult(status=status, objective=objective,
                        values=SolutionValues(model, x), solver_meta=meta)
 
@@ -93,20 +99,16 @@ class ScipyBackend:
     def solve(self, model: Model, options: SolveOptions | None = None) -> SolveResult:
         options = options or SolveOptions()
         t0 = time.perf_counter()
-        n = len(model.variables)
-        meta: dict[str, object] = {"backend": self.name, "seed": options.seed}
+        meta: dict[str, object] = {"backend": self.name}
         rows, broken = model.rows_with_terms()
         if broken is not None:
             meta["infeasible_row"] = broken
             return SolveResult(Status.INFEASIBLE, math.nan, {}, meta)
-        if n == 0:
+        if not len(model.variables):
             meta["wall_time_s"] = time.perf_counter() - t0
-            return _finalize(model, Status.OPTIMAL, model.objective.constant,
+            return _finalize(model, Status.OPTIMAL, model.objective_constant,
                              np.zeros(0), meta)
 
-        terms = model.objective.terms
-        c = np.zeros(n)
-        c[np.fromiter(terms, np.int64, len(terms))] = np.fromiter(terms.values(), float, len(terms))
         integrality = model.binary_mask().astype(np.int64)
         lo, hi = (np.array(b) for b in model.bounds())
 
@@ -122,7 +124,7 @@ class ScipyBackend:
         if options.time_limit_s is not None:
             milp_options["time_limit"] = options.time_limit_s
         res = milp(
-            c=c,
+            c=model.cost(),
             constraints=constraints,
             integrality=integrality,
             bounds=Bounds(lo, hi),
@@ -134,7 +136,7 @@ class ScipyBackend:
         meta["wall_time_s"] = time.perf_counter() - t0
         if res.x is None:
             return SolveResult(status, math.nan, {}, meta)
-        objective = float(res.fun) + model.objective.constant
+        objective = float(res.fun) + model.objective_constant
         if getattr(res, "mip_gap", None) is not None:
             meta["mip_gap"] = float(res.mip_gap)
         return _finalize(model, status, objective, np.asarray(res.x, float), meta)
@@ -160,11 +162,7 @@ class CommandBackend:
     def solve(self, model: Model, options: SolveOptions | None = None) -> SolveResult:
         options = options or SolveOptions()
         t0 = time.perf_counter()
-        meta: dict[str, object] = {
-            "backend": self.name,
-            "command": self.cmd_template,
-            "seed": options.seed,
-        }
+        meta: dict[str, object] = {"backend": self.name, "command": self.cmd_template}
         broken = model.rows_with_terms()[1]
         if broken is not None:
             meta["infeasible_row"] = broken
@@ -205,7 +203,7 @@ class CommandBackend:
             return SolveResult(status, math.nan, {}, meta)
         x = _vector(model, values)
         if objective is None:
-            objective = evaluate(model.objective, model, x)
+            objective = _objective_at(model, x)
         return _finalize(model, status, float(objective), x, meta)
 
 

@@ -1,8 +1,10 @@
 """Golden LP/MPS exports and the LP round trip of emitted models.
 
 The digests pin the exact bytes the emitters and exporters produce for
-two seeded instances; any change to row or column order, names, duplicate
-summing, zero dropping or coefficient arithmetic shows up here.  The round
+seeded instances; any change to row or column order, names, duplicate
+summing, zero dropping or coefficient arithmetic shows up here.  The
+three-scenario instances weight each scenario by 1/3, so a change in the
+order the objective's terms are accumulated shows up too.  The round
 trip re-reads an export through the scalar ``add_var`` /
 ``add_constraint`` path and requires the same matrix, bounds and
 integrality as the emitted model.
@@ -10,6 +12,8 @@ integrality as the emitted model.
 
 import dataclasses
 import hashlib
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +23,18 @@ from communityplan.core import DeviceSpec, scenario_channels
 from communityplan.fixtures import generate_fixture
 from communityplan.io import ingest_community
 from communityplan import lpformat
-from communityplan.lpformat import export_lp, export_mps, parse_lp
+from communityplan.lpformat import export_lp, export_mps, parse_lp, parse_mps
 from communityplan.milp import Domain, Sense
 from communityplan.planner import build_centralized
 from communityplan.scenarios import channels_to_scenario
 
 from conftest import battery_spec, boiler_spec, simple_building, simple_config, simple_scenario
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.append(str(PERFBENCH))
+
+import instances  # noqa: E402
 
 FIXTURE_SEED = 3  # RC orders 5 and 4: heater and sensor nodes are emitted
 HORIZON = 48
@@ -95,6 +105,28 @@ GOLDEN = {
 }
 
 
+# criterion-1 shape, 5 buildings x 3 scenarios (p = 1/3) x 24 h
+THREE_SCENARIO_GOLDEN = {
+    1: {
+        "lp": "a4ac085b5b9c7be8713866915656c7c0908307a34bd1d25dbacf83256c3666f0",
+        "mps": "972dab37069a67ad8fd90d9f43007f5b49e76e2d5022a9bac2378c93cc0784d1",
+    },
+    2: {
+        "lp": "6c6d351b1e05986e4dd778598fd67f27c7c3d91c4037c2389b359d57444bde32",
+        "mps": "6b7488b2a64567531b8fb96163bdfb9ca694cd8e0ac6cf7be82e9e708b2b8b50",
+    },
+}
+
+
+@pytest.mark.parametrize("index", sorted(THREE_SCENARIO_GOLDEN))
+def test_three_scenario_export_digest(index):
+    cfg, scenarios = instances.criterion1_instance(300, index, horizon=24)
+    assert [s.probability for s in scenarios] == [1 / 3] * 3
+    model = build_centralized(cfg, scenarios).model
+    assert _sha(export_lp(model)) == THREE_SCENARIO_GOLDEN[index]["lp"]
+    assert _sha(export_mps(model)) == THREE_SCENARIO_GOLDEN[index]["mps"]
+
+
 @pytest.mark.parametrize("fmt", ["lp", "mps"])
 def test_catalogue_export_digest(catalogue_model, fmt):
     text = export_lp(catalogue_model) if fmt == "lp" else export_mps(catalogue_model)
@@ -163,6 +195,13 @@ def test_lp_round_trip_gives_same_arrays(request, which):
     assert np.array_equal(binary, p_binary[perm])
     assert senses == p_senses and all(isinstance(s, Sense) for s in senses)
     assert np.array_equal(rhs, p_rhs)
+    # the objective reads back bit for bit, from LP text and from MPS text
+    from_mps = parse_mps(export_mps(model))
+    assert from_mps.var_names() == col_names
+    for cost, constant in ((parsed.cost()[perm], parsed.objective_constant),
+                           (from_mps.cost(), from_mps.objective_constant)):
+        assert cost.tobytes() == model.cost().tobytes()
+        assert constant == model.objective_constant
 
 
 @pytest.mark.parametrize("which", ["catalogue", "criterion1"])

@@ -21,7 +21,6 @@ from communityplan.milp import (
     Sense,
     Status,
     constraint_violation,
-    evaluate,
 )
 from communityplan.solvers import (
     CommandBackend,
@@ -98,6 +97,53 @@ class TestModelBuilding:
         assert set(m.constraints[0].expr.terms) == {x.id}
 
 
+class TestObjective:
+    def test_expression_is_scattered_and_keeps_its_constant(self):
+        m = toy_model()
+        assert m.cost().tolist() == [2.0, 1.0, 0.5]
+        assert m.objective_constant == 7.0
+        with pytest.raises(ValueError):
+            m.cost()[0] = 1.0
+
+    def test_vector_is_kept_read_only_and_clears_the_constant(self):
+        m = toy_model()
+        cost = np.array([1.0, -2.0, 0.0])
+        m.minimize(cost)
+        assert m.cost() is cost and not cost.flags.writeable
+        assert m.objective_constant == 0.0
+
+    def test_column_added_after_minimize_costs_zero(self):
+        m = toy_model()
+        z = m.add_var("z")
+        assert m.cost().tolist() == [2.0, 1.0, 0.5, 0.0]
+        m.add_constraint(z * 1.0, Sense.GE, 1.0, "z_floor")
+        assert solve(m).objective == pytest.approx(solve(toy_model()).objective)
+
+    @pytest.mark.parametrize("cost", [
+        [1.0, 2.0],
+        [1.0, 2.0, 3.0, 4.0],
+        [[1.0, 2.0, 3.0]],
+        [1.0, np.nan, 3.0],
+        [1.0, 2.0, np.inf],
+    ])
+    def test_bad_vector_rejected(self, cost):
+        m = toy_model()
+        with pytest.raises(ValueError):
+            m.minimize(np.array(cost))
+        assert m.cost().tolist() == [2.0, 1.0, 0.5]
+
+    def test_bad_expression_rejected(self):
+        m, other = toy_model(), Model()
+        x = m.var_by_name("x")
+        with pytest.raises(ValueError, match="foreign"):
+            m.minimize(other.add_var("z") * 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            m.minimize(x * float("inf"))
+        with pytest.raises(ValueError, match="unregistered"):
+            m.minimize(LinExpr({7: 1.0}))
+        assert m.cost().tolist() == [2.0, 1.0, 0.5]
+
+
 class TestConstraintFamilies:
     def test_family_matches_scalar_rows(self):
         # a family with a repeated variable, a zero coefficient and a sum
@@ -169,6 +215,11 @@ class TestExport:
         first = export_lp(toy_model())
         second = export_lp(parse_lp(first))
         assert first == second
+        model = toy_model()
+        for parsed in (parse_lp(first), parse_mps(export_mps(model))):
+            assert parsed.var_names() == model.var_names()
+            assert parsed.cost().tobytes() == model.cost().tobytes()
+            assert parsed.objective_constant == model.objective_constant == 7.0
 
     def test_minimal_model_lp_text(self):
         m = Model("mini")
@@ -238,8 +289,9 @@ class TestSolve:
     def test_objective_matches_dot_product(self):
         m = toy_model()
         res = solve(m)
-        recomputed = evaluate(m.objective, m, res.values)
+        recomputed = float(m.cost() @ res.x + m.objective_constant)
         assert res.objective == pytest.approx(recomputed, rel=1e-9)
+        assert res.solver_meta["objective_recomputed"] == recomputed
 
     def test_optimal_solution_feasible(self):
         m = toy_model()

@@ -1,19 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from communityplan.devices import DeviceBlockRefs, emit_design
-from communityplan.milp import LinExpr, Model, evaluate
+from communityplan.devices import emit_design
+from communityplan.milp import LinExpr, Model
 from communityplan.network import create_grid_refs
 from communityplan.objective import (
     ObjectiveBreakdown,
     annuity_factor,
-    assemble_two_stage_objective,
     emit_carbon_cost,
     emit_investment_cost,
     emit_operational_cost,
     emit_slack_cost,
 )
-from communityplan.planner import solve_centralized
+from communityplan.planner import build_centralized, solve_centralized
 
 from conftest import battery_spec, boiler_spec, simple_building, simple_config, simple_scenario
 from oracles import annuity_reference
@@ -47,42 +48,45 @@ class TestAnnuity:
             assert abs(mine - reference) <= 1e-12 * max(1.0, abs(reference))
 
 
-def design_block(model, spec, tag):
-    refs = emit_design(model, spec, tag)
-    return DeviceBlockRefs(kind=spec.kind, design=refs, flows={})
+def cost_at(model, terms, values):
+    """Emitted terms evaluated at values keyed by variable name; every
+    priced variable must have a value."""
+    ids, coefs = terms
+    names = model.var_names()
+    return sum(coef * values[names[vid]] for vid, coef in zip(ids.tolist(), coefs.tolist()))
 
 
 class TestInvestment:
     def test_single_device_value(self):
         m = Model()
         spec = battery_spec(size_price=100.0, base_price=1000.0)
-        block = design_block(m, spec, "b1")
-        expr = emit_investment_cost(m, [block], r=0.05)
-        values = {block.design.design.name: 10.0, block.design.chi.name: 1.0}
+        design = emit_design(m, spec, "b1")
+        terms = emit_investment_cost([design], r=0.05)
+        values = {design.design.name: 10.0, design.chi.name: 1.0}
         factor = annuity_factor(0.05, spec.lifetime_years)
-        assert evaluate(expr, m, values) == pytest.approx(
+        assert cost_at(m, terms, values) == pytest.approx(
             (100.0 * 10.0 + 1000.0) * factor, rel=1e-12
         )
 
     def test_absent_device_costs_nothing(self):
         m = Model()
-        block = design_block(m, battery_spec(size_price=100.0, base_price=1000.0), "b1")
-        expr = emit_investment_cost(m, [block], r=0.05)
-        values = {block.design.design.name: 0.0, block.design.chi.name: 0.0}
-        assert evaluate(expr, m, values) == 0.0
+        design = emit_design(m, battery_spec(size_price=100.0, base_price=1000.0), "b1")
+        terms = emit_investment_cost([design], r=0.05)
+        values = {design.design.name: 0.0, design.chi.name: 0.0}
+        assert cost_at(m, terms, values) == 0.0
 
     def test_two_identical_devices_double(self):
         m = Model()
         spec = boiler_spec()
-        blocks = [design_block(m, spec, "b1"), design_block(m, spec, "b2")]
-        expr = emit_investment_cost(m, blocks, r=0.05)
+        designs = [emit_design(m, spec, "b1"), emit_design(m, spec, "b2")]
+        terms = emit_investment_cost(designs, r=0.05)
         values = {}
-        for block in blocks:
-            values[block.design.design.name] = 5.0
-            values[block.design.chi.name] = 1.0
-        single = emit_investment_cost(m, blocks[:1], r=0.05)
-        assert evaluate(expr, m, values) == pytest.approx(
-            2 * evaluate(single, m, values), rel=1e-12
+        for design in designs:
+            values[design.design.name] = 5.0
+            values[design.chi.name] = 1.0
+        single = emit_investment_cost(designs[:1], r=0.05)
+        assert cost_at(m, terms, values) == pytest.approx(
+            2 * cost_at(m, single, values), rel=1e-12
         )
 
 
@@ -90,22 +94,22 @@ class TestOperationalAndCarbon:
     def test_zero_flows_zero_cost(self):
         m = Model()
         hv = [m.add_var(f"hv{t}") for t in range(3)]
-        expr = emit_operational_cost(m, hv, {}, np.full(3, 0.3), np.full(3, 0.1))
-        assert evaluate(expr, m, {v.name: 0.0 for v in hv}) == 0.0
+        terms = emit_operational_cost(hv, {}, np.full(3, 0.3), np.full(3, 0.1))
+        assert cost_at(m, terms, {v.name: 0.0 for v in hv}) == 0.0
 
     def test_import_for_two_hours(self):
         m = Model()
         hv = [m.add_var(f"hv{t}") for t in range(2)]
-        expr = emit_operational_cost(m, hv, {}, np.full(2, 0.30), np.full(2, 0.1))
-        assert evaluate(expr, m, {v.name: 1.0 for v in hv}) == pytest.approx(0.60)
+        terms = emit_operational_cost(hv, {}, np.full(2, 0.30), np.full(2, 0.1))
+        assert cost_at(m, terms, {v.name: 1.0 for v in hv}) == pytest.approx(0.60)
 
     def test_gas_and_electricity_sum(self):
         m = Model()
         hv = [m.add_var("hv0")]
         gas = {1: [m.add_var("g0")]}
-        expr = emit_operational_cost(m, hv, gas, np.array([0.30]), np.array([0.10]))
+        terms = emit_operational_cost(hv, gas, np.array([0.30]), np.array([0.10]))
         values = {"hv0": 1.0, "g0": 5.0}
-        assert evaluate(expr, m, values) == pytest.approx(0.30 + 0.50)
+        assert cost_at(m, terms, values) == pytest.approx(0.30 + 0.50)
 
     def test_carbon_dot_product_matches_numpy(self):
         m = Model()
@@ -113,77 +117,127 @@ class TestOperationalAndCarbon:
         gas_vars = [m.add_var(f"g{t}") for t in range(24)]
         p_co2 = rng.uniform(0.01, 0.05, 24)
         flows = rng.uniform(0, 8, 24)
-        expr = emit_carbon_cost(m, {1: gas_vars}, p_co2)
+        terms = emit_carbon_cost({1: gas_vars}, p_co2)
         values = {v.name: flows[t] for t, v in enumerate(gas_vars)}
-        assert evaluate(expr, m, values) == pytest.approx(float(np.dot(flows, p_co2)))
+        assert cost_at(m, terms, values) == pytest.approx(float(np.dot(flows, p_co2)))
 
     def test_no_gas_no_carbon(self):
-        m = Model()
-        expr = emit_carbon_cost(m, {}, np.array([0.02]))
-        assert expr.terms == {} and expr.constant == 0.0
+        ids, coefs = emit_carbon_cost({}, np.array([0.02]))
+        assert ids.size == coefs.size == 0
 
 
 class TestSlackCost:
     def test_values(self):
         m = Model()
         grid = create_grid_refs(m, [1, 2, 3], horizon=2)
-        expr = emit_slack_cost(m, grid, 1e5)
+        terms = emit_slack_cost(grid, 1e5)
         zeros = {grid.s_mv.name: 0.0, **{v.name: 0.0 for v in grid.s_lv.values()}}
-        assert evaluate(expr, m, zeros) == 0.0
+        assert cost_at(m, terms, zeros) == 0.0
         mv_one = dict(zeros)
         mv_one[grid.s_mv.name] = 1.0
-        assert evaluate(expr, m, mv_one) == pytest.approx(1e5)
+        assert cost_at(m, terms, mv_one) == pytest.approx(1e5)
         all_half = {grid.s_mv.name: 1.0, **{v.name: 0.5 for v in grid.s_lv.values()}}
-        assert evaluate(expr, m, all_half) == pytest.approx(1e5 + 3 * 0.5 * 1e5)
+        assert cost_at(m, terms, all_half) == pytest.approx(1e5 + 3 * 0.5 * 1e5)
+
+
+def two_stage_instance(probs, **levels):
+    """One building with a boiler and a battery, the community battery and
+    one scenario per probability, each at its own temperature and prices."""
+    building = simple_building(1, devices=(boiler_spec(), battery_spec()))
+    shared = dataclasses.replace(battery_spec(cap_max=40.0), kind="BAT_COM")
+    cfg = simple_config([building], horizon=24, community_devices=(shared,))
+    scenarios = [
+        simple_scenario(f"w{w}", p, horizon=24, t_amb_level=2.0 + 3 * w,
+                        el_price=0.2 + 0.07 * w, gas_price=0.09 + 0.013 * w, **levels)
+        for w, p in enumerate(probs)
+    ]
+    return cfg, scenarios
+
+
+def expression_sum(built):
+    """The two-stage objective summed as expressions: investment plus, per
+    scenario, probability times (operation + carbon + slack)."""
+    model, cfg = built.model, built.cfg
+    variables = model.variables
+
+    def expr(terms):
+        out = LinExpr()
+        for vid, coef in zip(*(a.tolist() for a in terms)):
+            out.add(variables[vid], coef)
+        return out
+
+    designs = [refs for per in (*built.building_designs.values(), built.community_designs)
+               for refs in per.values()]
+    inv = expr(emit_investment_cost(designs, cfg.discount_rate))
+    total = inv
+    for scenario in built.scenarios:
+        com = built.community_refs[scenario.id]
+        gas = {bid: refs.gas for bid, refs in built.building_refs[scenario.id].items()}
+        eco = scenario.economic
+        stage = (
+            expr(emit_operational_cost(com.hv, gas, eco.p_el, eco.p_gas, cfg.step_hours))
+            + expr(emit_carbon_cost(gas, eco.p_co2, cfg.step_hours))
+            + expr(emit_slack_cost(com.grid, cfg.slack_price))
+        )
+        total = total + scenario.probability * stage
+    return inv, total
+
+
+def design_columns(built):
+    """Count of first-stage columns: they come before every scenario's."""
+    return 1 + max(max(var.id, chi.id) for _, var, chi in built.design_entries().values())
+
+
+def dense(model, expr):
+    out = np.zeros(len(model.variables))
+    out[list(expr.terms)] = list(expr.terms.values())
+    return out
 
 
 class TestTwoStageAssembly:
     def test_single_scenario_is_deterministic_sum(self):
-        m = Model()
-        x = m.add_var("x")
-        y = m.add_var("y")
-        total = assemble_two_stage_objective(
-            x * 2.0, {"w": y * 3.0}, {"w": 1.0}
-        )
-        assert evaluate(total, m, {"x": 1.0, "y": 1.0}) == pytest.approx(5.0)
+        built = build_centralized(*two_stage_instance([1.0]))
+        _, total = expression_sum(built)
+        assert built.model.cost().tobytes() == dense(built.model, total).tobytes()
+        assert built.model.objective_constant == 0.0
 
     def test_duplicated_scenarios_collapse(self):
-        m = Model()
-        x = m.add_var("x")
-        y = m.add_var("y")
-        dup = assemble_two_stage_objective(
-            x * 2.0, {"a": y * 3.0, "b": y * 3.0}, {"a": 0.5, "b": 0.5}
-        )
-        single = assemble_two_stage_objective(x * 2.0, {"a": y * 3.0}, {"a": 1.0})
-        values = {"x": 2.0, "y": 5.0}
-        assert evaluate(dup, m, values) == pytest.approx(evaluate(single, m, values))
+        cfg, (scenario,) = two_stage_instance([1.0])
+        clones = [type(scenario)(f"c{i}", 0.5, scenario.occupant, scenario.economic,
+                                 scenario.climate) for i in range(2)]
+        built = build_centralized(cfg, [scenario])
+        single, first = built.model, design_columns(built)
+        dup = build_centralized(cfg, clones).model
+        x = np.random.default_rng(5).uniform(0.0, 3.0, len(single.variables))
+        x_dup = np.concatenate([x[:first], x[first:], x[first:]])
+        assert len(x_dup) == len(dup.variables)
+        assert dup.cost() @ x_dup == pytest.approx(single.cost() @ x, rel=1e-12)
 
     def test_weighted_sum_value(self):
-        m = Model()
-        inv = LinExpr(constant=5.0)
-        per = {"a": LinExpr(constant=10.0), "b": LinExpr(constant=20.0)}
-        total = assemble_two_stage_objective(inv, per, {"a": 0.3, "b": 0.7})
-        assert evaluate(total, m, {}) == pytest.approx(22.0)
+        built = build_centralized(*two_stage_instance([0.3, 0.7]))
+        pair, first = built.model, design_columns(built)
+        width = (len(pair.variables) - first) // 2
+        for w, p in enumerate((0.3, 0.7)):
+            cfg, scenarios = two_stage_instance([0.3, 0.7])
+            alone = build_centralized(cfg, [scenarios[w]]).model
+            a = first + w * width
+            assert np.array_equal(pair.cost()[a:a + width], alone.cost()[first:] * p)
+            assert np.array_equal(pair.cost()[:first], alone.cost()[:first])
 
     def test_accumulates_like_expression_sum_and_keeps_inv(self):
-        m = Model()
-        x = m.add_var("x")
-        y = m.add_var("y")
-        inv = x * 2.0
-        per = {"a": x * 1.0 + y * 3.0, "b": x * -5.0 + 1.0}
-        probs = {"a": 0.5, "b": 0.5}
-        total = assemble_two_stage_objective(inv, per, probs)
-        expected = inv + probs["a"] * per["a"] + probs["b"] * per["b"]
-        assert total.terms == expected.terms == {y.id: 1.5}  # x cancels exactly
-        assert total.constant == expected.constant == 0.5
-        assert inv.terms == {x.id: 2.0} and inv.constant == 0.0
+        built = build_centralized(*two_stage_instance([1 / 3] * 3))
+        inv, total = expression_sum(built)
+        cost = built.model.cost()
+        assert cost.tobytes() == dense(built.model, total).tobytes()
+        designs = sorted(inv.terms)
+        assert cost[designs].tolist() == [inv.terms[vid] for vid in designs]
 
     def test_foreign_model_rejected(self):
         m, other = Model(), Model()
-        x = m.add_var("x")
+        m.add_var("x")
         z = other.add_var("z")
-        with pytest.raises(ValueError, match="different models"):
-            assemble_two_stage_objective(x * 1.0, {"a": z * 1.0}, {"a": 1.0})
+        with pytest.raises(ValueError, match="foreign"):
+            m.minimize(z * 1.0)
 
 
 class TestBreakdown:

@@ -243,8 +243,8 @@ class TestSharedPath:
 
 
 def test_highs_receives_the_per_term_cost_vector(monkeypatch):
-    # the cost vector handed to HiGHS is the objective's terms, one entry
-    # per column, on the centralized model and every distributed sub-model
+    # the cost vector handed to HiGHS is the model's, one entry per column,
+    # on the centralized model and every distributed sub-model
     models, costs = [], []
     real_solve, real_milp = ScipyBackend.solve, communityplan.solvers.milp
 
@@ -264,9 +264,8 @@ def test_highs_receives_the_per_term_cost_vector(monkeypatch):
         solve_distributed(cfg, scenarios, epsilon=2.0, max_iters=8)
     assert len(costs) == len(models) > 8
     for model, c in zip(models, costs):
-        expected = np.zeros(len(model.variables))
-        for vid, coef in model.objective.terms.items():
-            expected[vid] = coef
+        expected = model.cost()
+        assert len(expected) == len(model.variables)
         assert c.dtype == expected.dtype and c.tobytes() == expected.tobytes()
 
 
@@ -407,6 +406,22 @@ class _NameKeyedBackend:
                            {"backend": self.name})
 
 
+class _LimitOnceBackend:
+    """A solver whose first result is relabelled as stopped at a limit,
+    its solution kept."""
+
+    name = "limit-once"
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def solve(self, model, options=None):
+        result = ScipyBackend().solve(model, options)
+        self.calls += 1
+        status = Status.LIMIT if self.calls == 1 else result.status
+        return SolveResult(status, result.objective, result.values, result.solver_meta)
+
+
 class TestCustomBackend:
     def test_name_keyed_values_plan_like_scipy(self, boiler_community):
         cfg, scenario = boiler_community
@@ -418,6 +433,18 @@ class TestCustomBackend:
         assert distributed.designs == solve_distributed(cfg, [scenario]).designs
         evaluated = evaluate_design(cfg, [scenario], expected.designs, _NameKeyedBackend())
         assert evaluated.objective == evaluate_design(cfg, [scenario], expected.designs).objective
+
+
+class TestDistributedStatus:
+    def test_merged_limit_sub_plan_marks_the_plan_limit(self):
+        cfg = simple_config([simple_building(i, devices=(boiler_spec(),)) for i in (1, 2)],
+                            horizon=24)
+        scenarios = [simple_scenario(horizon=24, building_ids=(1, 2))]
+        optimal = solve_distributed(cfg, scenarios, max_iters=1)
+        limited = solve_distributed(cfg, scenarios, max_iters=1, backend=_LimitOnceBackend())
+        assert optimal.solve_meta["status"] == "optimal"
+        assert limited.solve_meta["status"] == "limit"
+        assert limited.designs == optimal.designs
 
 
 class TestLimitWithoutIncumbent:
