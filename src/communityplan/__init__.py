@@ -22,14 +22,12 @@ from .core import (
 from .milp import Domain, LinExpr, Model, Sense, SolveResult, Status, VarRef
 from .objective import ObjectiveBreakdown, annuity_factor
 from .planner import (
-    CoordinationState,
     DesignDecision,
     PlanResult,
     SensitivityReport,
     build_centralized,
     evaluate_design,
     expected_value_scenario,
-    initialize_coordination,
     run_sensitivity,
     solve_centralized,
     solve_distributed,
@@ -54,10 +52,10 @@ __all__ = [
     "Scenario", "TimeSeries", "Unit", "align_scenarios", "validate_config",
     "Domain", "LinExpr", "Model", "Sense", "SolveResult", "Status", "VarRef",
     "ObjectiveBreakdown", "annuity_factor",
-    "CoordinationState", "DesignDecision", "PlanResult", "SensitivityReport",
+    "DesignDecision", "PlanResult", "SensitivityReport",
     "build_centralized", "evaluate_design", "expected_value_scenario",
-    "initialize_coordination", "run_sensitivity", "solve_centralized",
-    "solve_distributed", "wait_and_see_value",
+    "run_sensitivity", "solve_centralized", "solve_distributed",
+    "wait_and_see_value",
     "BootstrapSpec", "ClusterResult", "bootstrap_years",
     "compose_factor_scenarios", "kmedoids", "nominal_scenario",
     "reduce_scenarios",

@@ -347,17 +347,16 @@ def emit_stc(
 
 def emit_roof_coupling(
     model: Model,
-    pv_refs: DeviceBlockRefs | None,
-    stc_refs: DeviceBlockRefs | None,
+    pv: DesignRefs | None,
+    stc: DesignRefs | None,
     roof_area: float,
     tag: str = "roof",
 ) -> int | None:
     """Shared roof budget: the PV and collector areas fit side by side."""
     expr = LinExpr()
-    if pv_refs is not None:
-        expr.add(pv_refs.design.design, 1.0)
-    if stc_refs is not None:
-        expr.add(stc_refs.design.design, 1.0)
+    for refs in (pv, stc):
+        if refs is not None:
+            expr.add(refs.design, 1.0)
     if not expr.terms:
         return None
     return model.add_constraint(expr, Sense.LE, roof_area, f"roof_{tag}")

@@ -21,7 +21,7 @@ classic EVPI / VSS orderings for validation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -84,11 +84,9 @@ from .solvers import SolveOptions, SolverError, solve
 __all__ = [
     "DesignDecision",
     "PlanResult",
-    "CoordinationState",
     "BuiltModel",
     "build_centralized",
     "solve_centralized",
-    "initialize_coordination",
     "solve_distributed",
     "run_sensitivity",
     "SensitivityReport",
@@ -169,16 +167,8 @@ def _emit_building_designs(
     entity = _building_entity(building.id)
     for spec in building.devices:
         refs[spec.kind] = emit_design(model, _effective_spec(spec, building), entity)
-    pv = refs.get(DeviceKind.PV)
-    stc = refs.get(DeviceKind.STC)
-    if pv is not None or stc is not None:
-        emit_roof_coupling(
-            model,
-            DeviceBlockRefs(kind=DeviceKind.PV, design=pv, flows={}) if pv else None,
-            DeviceBlockRefs(kind=DeviceKind.STC, design=stc, flows={}) if stc else None,
-            building.roof_area,
-            tag=entity,
-        )
+    emit_roof_coupling(model, refs.get(DeviceKind.PV), refs.get(DeviceKind.STC),
+                       building.roof_area, tag=entity)
     return refs
 
 
@@ -457,10 +447,18 @@ def _checked(
     cfg: CommunityConfig, scenarios: Sequence[Scenario]
 ) -> tuple[list[Scenario], int]:
     """Aligned scenarios and the planning horizon of a valid configuration;
-    ValueError listing the violations otherwise."""
+    ValueError listing the violations, or naming a scenario without the
+    occupant profile of a configured building, otherwise."""
     violations = validate_config(cfg)
     if violations:
         raise ValueError("invalid configuration:\n" + "\n".join(violations))
+    wanted = {b.id for b in cfg.buildings}
+    for scenario in scenarios:
+        missing = sorted(wanted - set(scenario.occupant))
+        if missing:
+            raise ValueError(
+                f"scenario {scenario.id!r} has no occupant profile for building(s) {missing}"
+            )
     scenarios = align_scenarios(list(scenarios))
     return scenarios, min(cfg.horizon_steps, scenario_length(scenarios[0]))
 
@@ -577,55 +575,6 @@ def solve_centralized(
 # -- distributed ---------------------------------------------------------------
 
 
-@dataclass
-class CoordinationState:
-    """Exchange state of the sequential scheme.
-
-    ``others_net[bid][sid][t]`` is the fixed net consumption (import
-    minus export) of every building except ``bid``; set just before
-    ``bid``'s sub-solve from the other buildings' latest flows.
-    """
-
-    others_net: dict[int, dict[str, np.ndarray]]
-    o_tot_history: list[float] = field(default_factory=list)
-    epsilon: float = 1.0
-
-    def as_dict(self) -> dict:
-        return {
-            "others_net": {
-                str(bid): {sid: list(map(float, arr)) for sid, arr in per.items()}
-                for bid, per in self.others_net.items()
-            },
-            "o_tot_history": list(self.o_tot_history),
-            "epsilon": self.epsilon,
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping) -> "CoordinationState":
-        return CoordinationState(
-            others_net={
-                int(bid): {sid: np.asarray(arr, float) for sid, arr in per.items()}
-                for bid, per in data["others_net"].items()
-            },
-            o_tot_history=list(data["o_tot_history"]),
-            epsilon=float(data["epsilon"]),
-        )
-
-
-def initialize_coordination(
-    cfg: CommunityConfig, scenarios: Sequence[Scenario], epsilon: float = 1.0
-) -> CoordinationState:
-    """All neighbours start silent: zero net flows everywhere."""
-    horizon = min(cfg.horizon_steps, min(scenario_length(s) for s in scenarios))
-    return CoordinationState(
-        others_net={
-            b.id: {s.id: np.zeros(horizon) for s in scenarios} for b in cfg.buildings
-        },
-        o_tot_history=[],
-        epsilon=epsilon,
-    )
-
-
 def solve_distributed(
     cfg: CommunityConfig,
     scenarios: Sequence[Scenario],
@@ -638,37 +587,44 @@ def solve_distributed(
 
     Every sub-problem is the community model of one building, with all
     community utilities and grid terms; the remaining buildings enter
-    through the coupling balance as the fixed ``others_net`` parameter.
-    Sweeps repeat in ascending building id order until the global
+    through the coupling balance as the fixed ``others_net`` parameter:
+    per scenario, the sum in ascending id order of the other buildings'
+    latest net loads (import minus export), over the buildings solved so
+    far.  Sweeps repeat in ascending building id order until the global
     objective changes by at most ``epsilon`` or ``max_iters`` is hit, in
     which case the last iterate is returned with
     ``solve_meta["converged"]`` False.  ``solve_meta["status"]`` is
     ``"limit"`` when any merged sub-plan ended at a solver limit and
-    ``"optimal"`` otherwise.
+    ``"optimal"`` otherwise; ``solve_meta["backend"]`` is the backend
+    name the sub-plans report.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     scenarios, horizon = _checked(cfg, scenarios)
-    state = initialize_coordination(cfg, scenarios, epsilon)
     t0 = time.perf_counter()
 
     plans: dict[int, PlanResult] = {}
+    net: dict[int, dict[str, np.ndarray]] = {}  # [bid][sid], ascending bid
+    history: list[float] = []
     converged = False
     for sweep in range(1, max_iters + 1):
         for building in sorted(cfg.buildings, key=lambda b: b.id):
-            for scenario in scenarios:
-                state.others_net[building.id][scenario.id] = _others_net(
-                    plans, building.id, scenario.id, horizon
-                )
-            plans[building.id] = last = _solve_subproblem(
-                cfg, building, scenarios, state, horizon, backend, options
-            )
+            bid = building.id
+            others_net = {
+                s.id: sum((net[o][s.id] for o in net if o != bid), np.zeros(horizon))
+                for s in scenarios
+            }
+            built = _build(cfg, scenarios, horizon, [building], others_net,
+                           f"sub_{_building_entity(bid)}")
+            plans[bid] = last = built.extract(solve(built.model, backend, options))
+            net[bid] = {
+                sid: np.array(ops.buildings[bid].e_in) - np.array(ops.buildings[bid].e_out)
+                for sid, ops in last.operations.items()
+            }
         designs, operations = _merge_plans(plans, last)
         breakdown = _plan_breakdown(cfg, scenarios, designs, operations)
-        state.o_tot_history.append(breakdown.o_tot)
-        if len(state.o_tot_history) >= 2 and abs(
-            state.o_tot_history[-1] - state.o_tot_history[-2]
-        ) <= epsilon:
+        history.append(breakdown.o_tot)
+        if len(history) >= 2 and abs(history[-1] - history[-2]) <= epsilon:
             converged = True
             break
 
@@ -678,44 +634,14 @@ def solve_distributed(
         "iterations": sweep,
         "converged": converged,
         "epsilon": epsilon,
-        "o_tot_history": list(state.o_tot_history),
+        "o_tot_history": history,
         "wall_time_s": time.perf_counter() - t0,
-        "backend": getattr(backend, "name", backend),
     }
+    if "backend" in last.solve_meta:
+        meta["backend"] = last.solve_meta["backend"]
     return PlanResult(
         designs=designs, breakdown=breakdown, operations=operations, solve_meta=meta
     )
-
-
-def _others_net(
-    plans: Mapping[int, PlanResult], bid: int, sid: str, horizon: int
-) -> np.ndarray:
-    """Net consumption in scenario ``sid`` of every building but ``bid``,
-    from the buildings' latest sub-plans."""
-    total = np.zeros(horizon)
-    for other_id, plan in plans.items():
-        if other_id != bid:
-            trace = plan.operations[sid].buildings[other_id]
-            total += np.array(trace.e_in) - np.array(trace.e_out)
-    return total
-
-
-def _solve_subproblem(
-    cfg: CommunityConfig,
-    building: BuildingConfig,
-    scenarios: Sequence[Scenario],
-    state: CoordinationState,
-    horizon: int,
-    backend: object,
-    options: SolveOptions | None,
-) -> PlanResult:
-    """Plan of the community model of ``building`` alone, the other
-    buildings held at ``state.others_net``."""
-    built = _build(
-        cfg, scenarios, horizon, [building], state.others_net[building.id],
-        f"sub_{_building_entity(building.id)}",
-    )
-    return built.extract(solve(built.model, backend, options))
 
 
 def _merge_plans(
@@ -835,11 +761,7 @@ def wait_and_see_value(
     scenarios = align_scenarios(list(scenarios))
     total = 0.0
     for scenario in scenarios:
-        singleton = Scenario(
-            id=scenario.id, probability=1.0, occupant=scenario.occupant,
-            economic=scenario.economic, climate=scenario.climate,
-        )
-        plan = solve_centralized(cfg, [singleton], backend, options)
+        plan = solve_centralized(cfg, [replace(scenario, probability=1.0)], backend, options)
         total += scenario.probability * plan.objective
     return total
 

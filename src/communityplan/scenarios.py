@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -424,18 +424,10 @@ def reduce_scenarios(
     """
     features = scenario_feature_matrix(years)
     result = kmedoids(features, k, rng_seed=rng_seed)
-    reduced = []
-    for pos, idx in enumerate(result.medoid_ids):
-        source = years[idx]
-        reduced.append(
-            Scenario(
-                id=source.id,
-                probability=float(result.probabilities[pos]),
-                occupant=source.occupant,
-                economic=source.economic,
-                climate=source.climate,
-            )
-        )
+    reduced = [
+        replace(years[idx], probability=float(result.probabilities[pos]))
+        for pos, idx in enumerate(result.medoid_ids)
+    ]
     return reduced, result
 
 
@@ -463,15 +455,8 @@ class FactorProblems:
     nominal_ids: Mapping[str, str]
 
 
-def _take_factor(target: Scenario, source: Scenario, factor: str) -> Scenario:
-    if factor == "occ":
-        return Scenario(target.id, target.probability, source.occupant,
-                        target.economic, target.climate)
-    if factor == "eco":
-        return Scenario(target.id, target.probability, target.occupant,
-                        source.economic, target.climate)
-    return Scenario(target.id, target.probability, target.occupant,
-                    target.economic, source.climate)
+# the Scenario field each uncertainty factor owns
+_FACTOR_FIELDS = {"occ": "occupant", "eco": "economic", "clim": "climate"}
 
 
 def compose_factor_scenarios(
@@ -503,17 +488,14 @@ def compose_factor_scenarios(
     for factor in FACTORS:
         singletons = []
         for member in pools[factor]:
-            composed = Scenario(
-                id=f"{factor}_{member.id}",
-                probability=1.0,
-                occupant=member.occupant,
-                economic=member.economic,
-                climate=member.climate,
+            pinned = {
+                _FACTOR_FIELDS[other]: getattr(nominal_scn[other], _FACTOR_FIELDS[other])
+                for other in FACTORS
+                if other != factor
+            }
+            singletons.append(
+                replace(member, id=f"{factor}_{member.id}", probability=1.0, **pinned)
             )
-            for other in FACTORS:
-                if other != factor:
-                    composed = _take_factor(composed, nominal_scn[other], other)
-            singletons.append(composed)
         problems.append(
             FactorProblems(
                 factor=factor,

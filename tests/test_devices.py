@@ -267,7 +267,7 @@ class TestRoofCoupling:
         pv = emit_pv(m, TestPv().pv_spec(), np.array([500.0]), 0.0, 1, tag="pv")
         stc = emit_stc(m, TestStc().stc_spec(), np.array([500.0]),
                        np.array([5.0]), 0.0, 1, tag="stc")
-        emit_roof_coupling(m, pv, stc, 0.0)
+        emit_roof_coupling(m, pv.design, stc.design, 0.0)
         m.minimize(LinExpr.of([(pv.design.design, -1.0), (stc.design.design, -1.0)]))
         result = solved(m)
         assert result.values[pv.design.design.name] == pytest.approx(0.0, abs=1e-9)
@@ -278,7 +278,7 @@ class TestRoofCoupling:
         pv = emit_pv(m, TestPv().pv_spec(), np.array([500.0]), 20.0, 1, tag="pv")
         stc = emit_stc(m, TestStc().stc_spec(),
                        np.array([500.0]), np.array([5.0]), 20.0, 1, tag="stc")
-        emit_roof_coupling(m, pv, stc, 20.0)
+        emit_roof_coupling(m, pv.design, stc.design, 20.0)
         pin(m, pv.design.design, 15.0)
         m.minimize(LinExpr.of([(stc.design.design, -1.0)]))
         result = solved(m)

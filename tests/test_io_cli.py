@@ -584,6 +584,23 @@ class TestCli:
     def test_bad_flag_is_user_error(self):
         assert self.run("validate", "--no-such-flag") == 1
 
+    @pytest.mark.parametrize("verb", ["centralized", "distributed"])
+    def test_scenario_without_a_building_is_user_error(self, tmp_path, capsys, verb):
+        fx = generate_fixture(tmp_path / "fx", 2, seed=10)
+        bundle = tmp_path / "scn"
+        history = ingest_community(fx).history
+        kept = min(history.occupant)
+        missing = sorted(set(history.occupant) - {kept})
+        save_scenarios(bundle, [Scenario("h", 1.0, {kept: history.occupant[kept]},
+                                         history.economic, history.climate)])
+        code = self.run(
+            "plan", verb, "--dir", str(fx), "--scenarios", str(bundle),
+            "--out", str(tmp_path / "out"), "--horizon", "24",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"scenario 'h' has no occupant profile for building(s) {missing}" in err
+
     def test_solver_failure_exit_code(self, tmp_path):
         fx = generate_fixture(tmp_path / "fx", 1, seed=10)
         bundle = tmp_path / "scn"

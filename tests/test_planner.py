@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -6,15 +7,13 @@ import pytest
 
 import communityplan.solvers
 from communityplan.core import DeviceSpec, Scenario
-from communityplan.io import plan_result_to_dict
+from communityplan.io import emit_reports, plan_result_to_dict
 from communityplan.lpformat import export_lp
 from communityplan.milp import SolveResult, Status
 from communityplan.planner import (
-    CoordinationState,
     build_centralized,
     evaluate_design,
     expected_value_scenario,
-    initialize_coordination,
     run_sensitivity,
     solve_centralized,
     solve_distributed,
@@ -168,22 +167,71 @@ class TestDistributed:
         with pytest.raises(ValueError, match="max_iters"):
             solve_distributed(cfg, [scenario], max_iters=0)
 
-    def test_initialize_coordination_round_trip(self, boiler_community):
-        cfg, scenario = boiler_community
-        state = initialize_coordination(cfg, [scenario])
-        assert state.epsilon == 1.0
-        assert set(state.others_net) == {1}
-        assert all(
-            np.array_equal(arr, np.zeros(48))
-            for per in state.others_net.values()
-            for arr in per.values()
-        )
-        restored = CoordinationState.from_dict(state.as_dict())
-        assert restored.epsilon == state.epsilon
-        assert restored.o_tot_history == state.o_tot_history
-        for bid, per in state.others_net.items():
-            for sid, arr in per.items():
-                assert np.array_equal(restored.others_net[bid][sid], arr)
+    def test_scenario_without_a_building_names_it(self):
+        cfg = simple_config([simple_building(i, devices=(boiler_spec(),)) for i in (1, 2, 3)],
+                            horizon=24)
+        scenarios = [simple_scenario("full", 0.5, horizon=24, building_ids=(1, 2, 3)),
+                     simple_scenario("short", 0.5, horizon=24, building_ids=(2,))]
+        message = r"scenario 'short' has no occupant profile for building\(s\) \[1, 3\]"
+        with pytest.raises(ValueError, match=message):
+            build_centralized(cfg, scenarios)
+        with pytest.raises(ValueError, match=message):
+            solve_distributed(cfg, scenarios)
+
+
+class _NetLoadSpyBackend:
+    """ScipyBackend that keeps, per sub-solve, the LV-aggregation rhs and
+    the solved net load (Ein - Eout) of the sub-model's building, both per
+    scenario index."""
+
+    name = "net-load-spy"
+
+    def __init__(self):
+        self.calls = []  # (building id, {w: rhs}, {w: net load})
+
+    def solve(self, model, options=None):
+        result = ScipyBackend().solve(model, options)
+        bid = int(model.name.removeprefix("sub_b"))
+        rows, cols = model.row_names(), model.var_names()
+        rhs, x = model.row_rhs(), result.x
+
+        def per_scenario(names, stem, values):
+            out = {}
+            for i, name in enumerate(names):
+                if name.startswith(stem):
+                    w = int(name[len(stem):].split("_")[0])
+                    out.setdefault(w, []).append(values[i])
+            return {w: np.array(v) for w, v in out.items()}
+
+        e_in = per_scenario(cols, f"Ein_b{bid}_s", x)
+        e_out = per_scenario(cols, f"Eout_b{bid}_s", x)
+        self.calls.append((
+            bid,
+            per_scenario(rows, "lvagg_COM_s", rhs),
+            {w: e_in[w] - e_out[w] for w in e_in},
+        ))
+        return result
+
+
+class TestCoordinationContract:
+    def test_lv_rhs_is_ascending_sum_of_latest_net_loads(self):
+        # every sub-model sees, per scenario, the other buildings' latest
+        # solved net loads summed in ascending id order; buildings not yet
+        # solved in the first sweep count as zero
+        cfg, scenarios = instances.criterion1_instance(300, 1, horizon=24)
+        spy = _NetLoadSpyBackend()
+        solve_distributed(cfg, scenarios, epsilon=2.0, max_iters=3, backend=spy)
+        n_buildings = len(cfg.buildings)
+        assert len(spy.calls) >= 2 * n_buildings
+        latest: dict[int, dict[int, np.ndarray]] = {}
+        for call, (bid, rhs, net) in enumerate(spy.calls):
+            assert bid == sorted(b.id for b in cfg.buildings)[call % n_buildings]
+            assert sorted(rhs) == list(range(len(scenarios)))
+            for w, row in rhs.items():
+                expected = sum((latest[o][w] for o in sorted(latest) if o != bid),
+                               np.zeros(len(row)))
+                assert row.tobytes() == expected.tobytes()
+            latest[bid] = net
 
 
 class _LpSpyBackend:
@@ -433,6 +481,27 @@ class TestCustomBackend:
         assert distributed.designs == solve_distributed(cfg, [scenario]).designs
         evaluated = evaluate_design(cfg, [scenario], expected.designs, _NameKeyedBackend())
         assert evaluated.objective == evaluate_design(cfg, [scenario], expected.designs).objective
+
+
+class _NamelessBackend:
+    """A solver object without a ``name`` attribute."""
+
+    def solve(self, model, options=None):
+        return ScipyBackend().solve(model, options)
+
+
+class TestDistributedMeta:
+    def test_backend_is_the_name_the_sub_plans_report(self, boiler_community, tmp_path):
+        cfg, scenario = boiler_community
+        default = solve_distributed(cfg, [scenario], max_iters=1)
+        assert default.solve_meta["backend"] == "scipy-highs"
+        assert default.solve_meta["backend"] == solve_centralized(
+            cfg, [scenario]).solve_meta["backend"]
+        plan = solve_distributed(cfg, [scenario], max_iters=1, backend=_NamelessBackend())
+        assert plan.solve_meta["backend"] == "scipy-highs"
+        emit_reports(plan, tmp_path)
+        stored = json.loads((tmp_path / "plan_result.json").read_text())
+        assert stored["solve_meta"]["backend"] == "scipy-highs"
 
 
 class TestDistributedStatus:
