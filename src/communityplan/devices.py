@@ -2,11 +2,13 @@
 building and community energy balances.
 
 Every device gets a binary existence variable gating its design variable
-into [cap_min, cap_max] or zero.  Design variables are first stage: for
-multi-scenario models they are created once per entity through
-:func:`emit_design` (or :func:`emit_hydrogen_design`) and handed to the
-per-scenario emitters, which add the operational variables and
-constraints; called without one, each emitter creates its own design.
+into [cap_min, cap_max] or zero.  Design variables are first stage: they
+are made once per entity by :func:`emit_design` (or
+:func:`emit_hydrogen_design` for the hydrogen chain), and every
+per-scenario emitter takes that design and adds only the operational
+variables and constraints that operate it.  Roof caps on PV and collector
+areas belong to the design bounds; the planner applies them (through
+:func:`roof_capped`) before it calls :func:`emit_design`.
 
 Storage bookkeeping: state vectors have ``horizon + 1`` entries, flows
 ``horizon``; per-step stored energy is power times step length, so
@@ -69,7 +71,6 @@ class DesignRefs:
 class DeviceBlockRefs:
     """One device's handles: design plus per-timestep operational vectors."""
 
-    kind: DeviceKind
     design: DesignRefs
     flows: Mapping[str, VarBlock]
     state: VarBlock | None = None
@@ -81,12 +82,10 @@ class DeviceBlockRefs:
 
 @dataclass(frozen=True)
 class BuildingEnergyRefs:
-    """Grid-exchange vectors of one building and its balance constraints."""
+    """Grid-exchange vectors of one building."""
 
     e_in: Sequence[VarRef]
     e_out: Sequence[VarRef]
-    heat_ids: Sequence[int]
-    elec_ids: Sequence[int]
 
 
 def roof_capped(spec: DeviceSpec, roof_cap: float) -> DeviceSpec:
@@ -96,22 +95,26 @@ def roof_capped(spec: DeviceSpec, roof_cap: float) -> DeviceSpec:
     )
 
 
-def emit_design(model: Model, spec: DeviceSpec, tag: str) -> DesignRefs:
-    """Existence binary plus gated design variable for one device.
-
-    The gating pair ``chi*cap_min <= design <= chi*cap_max`` forces the
-    design to zero unless the device exists.
-    """
+def _emit_gated(model: Model, chi: VarRef, spec: DeviceSpec, tag: str) -> VarRef:
+    """Design variable of ``spec`` gated by ``chi``: the pair
+    ``chi*cap_min <= design <= chi*cap_max`` forces it to zero unless the
+    device exists."""
+    kind = spec.kind.value
     prefix = "A" if spec.kind in (DeviceKind.PV, DeviceKind.PV_COM, DeviceKind.STC) else "C"
+    var = model.add_var(f"{prefix}_{kind}_{tag}", hi=spec.cap_max)
+    model.add_constraint(var - spec.cap_min * chi, Sense.GE, 0.0, f"gate_lo_{kind}_{tag}")
+    model.add_constraint(var - spec.cap_max * chi, Sense.LE, 0.0, f"gate_hi_{kind}_{tag}")
+    return var
+
+
+def emit_design(model: Model, spec: DeviceSpec, tag: str) -> DesignRefs:
+    """Existence binary plus gated design variable for one device."""
     chi = model.add_binary(f"chi_{spec.kind.value}_{tag}")
-    design = model.add_var(f"{prefix}_{spec.kind.value}_{tag}", hi=spec.cap_max)
-    model.add_constraint(
-        design - spec.cap_min * chi, Sense.GE, 0.0, f"gate_lo_{spec.kind.value}_{tag}"
-    )
-    model.add_constraint(
-        design - spec.cap_max * chi, Sense.LE, 0.0, f"gate_hi_{spec.kind.value}_{tag}"
-    )
+    design = _emit_gated(model, chi, spec, tag)
     return DesignRefs(chi=chi, design=design, entries=((spec, design),))
+
+
+_HYDROGEN_CHAIN = (DeviceKind.EL, DeviceKind.HYD, DeviceKind.FC)
 
 
 def emit_hydrogen_design(
@@ -119,33 +122,22 @@ def emit_hydrogen_design(
 ) -> DesignRefs:
     """Three design variables (electrolyzer, tank, fuel cell) under one
     existence binary."""
-    for kind in (DeviceKind.EL, DeviceKind.HYD, DeviceKind.FC):
+    for kind in _HYDROGEN_CHAIN:
         if kind not in specs:
             raise ValueError(f"hydrogen chain requires a {kind.value} spec")
     chi = model.add_binary(f"chi_HYD_{tag}")
-    entries = []
-    designs = {}
-    for kind in (DeviceKind.EL, DeviceKind.HYD, DeviceKind.FC):
-        spec = specs[kind]
-        var = model.add_var(f"C_{kind.value}_{tag}", hi=spec.cap_max)
-        model.add_constraint(
-            var - spec.cap_min * chi, Sense.GE, 0.0, f"gate_lo_{kind.value}_{tag}"
-        )
-        model.add_constraint(
-            var - spec.cap_max * chi, Sense.LE, 0.0, f"gate_hi_{kind.value}_{tag}"
-        )
-        entries.append((spec, var))
-        designs[kind] = var
-    return DesignRefs(chi=chi, design=designs[DeviceKind.HYD], entries=tuple(entries))
+    entries = tuple((specs[kind], _emit_gated(model, chi, specs[kind], tag))
+                    for kind in _HYDROGEN_CHAIN)
+    return DesignRefs(chi=chi, design=entries[1][1], entries=entries)
 
 
 def _emit_storage(
     model: Model,
     spec: DeviceSpec,
+    design: DesignRefs,
     horizon: int,
     step_hours: float,
     tag: str,
-    design: DesignRefs,
     flow_symbol: str,
 ) -> DeviceBlockRefs:
     if horizon < 2:
@@ -161,10 +153,7 @@ def _emit_storage(
          f"soc_{kind}_{tag}", f"cyc_{kind}_{tag}"),
     )
     return DeviceBlockRefs(
-        kind=spec.kind,
-        design=design,
-        flows={"charge": charge, "discharge": discharge},
-        state=state,
+        design=design, flows={"charge": charge, "discharge": discharge}, state=state
     )
 
 
@@ -197,41 +186,38 @@ def _emit_storage_rows(model, horizon, step_hours, cap_state, cap_ch, cap_dch,
 def emit_battery(
     model: Model,
     spec: DeviceSpec,
+    design: DesignRefs,
     horizon: int,
     step_hours: float = 1.0,
     tag: str = "bat",
-    design: DesignRefs | None = None,
 ) -> DeviceBlockRefs:
     if spec.kind not in (DeviceKind.BAT, DeviceKind.BAT_COM):
         raise ValueError(f"emit_battery got kind {spec.kind}")
-    design = design or emit_design(model, spec, tag)
-    return _emit_storage(model, spec, horizon, step_hours, tag, design, "E")
+    return _emit_storage(model, spec, design, horizon, step_hours, tag, "E")
 
 
 def emit_tes(
     model: Model,
     spec: DeviceSpec,
+    design: DesignRefs,
     horizon: int,
     step_hours: float = 1.0,
     tag: str = "tes",
-    design: DesignRefs | None = None,
 ) -> DeviceBlockRefs:
     if spec.kind != DeviceKind.TES:
         raise ValueError(f"emit_tes got kind {spec.kind}")
-    design = design or emit_design(model, spec, tag)
-    return _emit_storage(model, spec, horizon, step_hours, tag, design, "Q")
+    return _emit_storage(model, spec, design, horizon, step_hours, tag, "Q")
 
 
 def emit_boiler(
     model: Model,
     spec: DeviceSpec,
+    design: DesignRefs,
     horizon: int,
     tag: str = "bol",
-    design: DesignRefs | None = None,
 ) -> DeviceBlockRefs:
     if spec.kind != DeviceKind.BOL:
         raise ValueError(f"emit_boiler got kind {spec.kind}")
-    design = design or emit_design(model, spec, tag)
     eta = float(spec.extra["eta"])
     heat = model.add_vars(f"Q_BOL_{tag}", horizon)
     gas = model.add_vars(f"Vgas_{tag}", horizon)
@@ -241,7 +227,7 @@ def emit_boiler(
         [[(heat, 1.0), (gas, -eta)], [(heat, 1.0), (design.design, -1.0)]],
         (Sense.EQ, Sense.LE),
     )
-    return DeviceBlockRefs(kind=spec.kind, design=design, flows={"heat": heat, "gas": gas})
+    return DeviceBlockRefs(design=design, flows={"heat": heat, "gas": gas})
 
 
 def cop_profile(spec: DeviceSpec, t_amb) -> np.ndarray:
@@ -258,10 +244,10 @@ def cop_profile(spec: DeviceSpec, t_amb) -> np.ndarray:
 def emit_heat_pump(
     model: Model,
     spec: DeviceSpec,
+    design: DesignRefs,
     t_amb,
     horizon: int,
     tag: str = "hp",
-    design: DesignRefs | None = None,
 ) -> DeviceBlockRefs:
     if spec.kind != DeviceKind.HP:
         raise ValueError(f"emit_heat_pump got kind {spec.kind}")
@@ -269,7 +255,6 @@ def emit_heat_pump(
     if np.any(cop <= 0):
         bad = int(np.argmax(cop <= 0))
         raise ValueError(f"heat pump COP non-positive at step {bad}: {cop[bad]:.4f}")
-    design = design or emit_design(model, spec, tag)
     heat = model.add_vars(f"Q_HP_{tag}", horizon)
     power = model.add_vars(f"E_HP_{tag}", horizon)
     model.add_constraints(
@@ -278,21 +263,19 @@ def emit_heat_pump(
         [[(heat, 1.0), (power, -cop)], [(heat, 1.0), (design.design, -1.0)]],
         (Sense.EQ, Sense.LE),
     )
-    return DeviceBlockRefs(kind=spec.kind, design=design, flows={"heat": heat, "power": power})
+    return DeviceBlockRefs(design=design, flows={"heat": heat, "power": power})
 
 
 def emit_pv(
     model: Model,
     spec: DeviceSpec,
+    design: DesignRefs,
     i_sol,
-    roof_cap: float,
     horizon: int,
     tag: str = "pv",
-    design: DesignRefs | None = None,
 ) -> DeviceBlockRefs:
     if spec.kind not in (DeviceKind.PV, DeviceKind.PV_COM):
         raise ValueError(f"emit_pv got kind {spec.kind}")
-    design = design or emit_design(model, roof_capped(spec, roof_cap), tag)
     irr = series_head(i_sol, horizon, "I_sol")
     eta = float(spec.extra["eta"])
     out = model.add_vars(f"E_{spec.kind.value}_{tag}", horizon)
@@ -303,7 +286,7 @@ def emit_pv(
         [[(out, 1.0), (design.design, -coef)]],
         (Sense.EQ,),
     )
-    return DeviceBlockRefs(kind=spec.kind, design=design, flows={"power": out})
+    return DeviceBlockRefs(design=design, flows={"power": out})
 
 
 def stc_yield_profile(spec: DeviceSpec, i_sol, t_amb) -> np.ndarray:
@@ -325,16 +308,14 @@ def stc_yield_profile(spec: DeviceSpec, i_sol, t_amb) -> np.ndarray:
 def emit_stc(
     model: Model,
     spec: DeviceSpec,
+    design: DesignRefs,
     i_sol,
     t_amb,
-    roof_cap: float,
     horizon: int,
     tag: str = "stc",
-    design: DesignRefs | None = None,
 ) -> DeviceBlockRefs:
     if spec.kind != DeviceKind.STC:
         raise ValueError(f"emit_stc got kind {spec.kind}")
-    design = design or emit_design(model, roof_capped(spec, roof_cap), tag)
     coefs = stc_yield_profile(
         spec, series_head(i_sol, horizon, "I_sol"), series_head(t_amb, horizon, "T_amb")
     )
@@ -342,7 +323,7 @@ def emit_stc(
     model.add_constraints(
         (f"conv_STC_{tag}",), horizon, [[(heat, 1.0), (design.design, -coefs)]], (Sense.EQ,)
     )
-    return DeviceBlockRefs(kind=spec.kind, design=design, flows={"heat": heat})
+    return DeviceBlockRefs(design=design, flows={"heat": heat})
 
 
 def emit_roof_coupling(
@@ -351,43 +332,41 @@ def emit_roof_coupling(
     stc: DesignRefs | None,
     roof_area: float,
     tag: str = "roof",
-) -> int | None:
+) -> None:
     """Shared roof budget: the PV and collector areas fit side by side."""
     expr = LinExpr()
     for refs in (pv, stc):
         if refs is not None:
             expr.add(refs.design, 1.0)
-    if not expr.terms:
-        return None
-    return model.add_constraint(expr, Sense.LE, roof_area, f"roof_{tag}")
+    if expr.terms:
+        model.add_constraint(expr, Sense.LE, roof_area, f"roof_{tag}")
 
 
 def emit_hydrogen_chain(
     model: Model,
-    specs: Mapping[DeviceKind, DeviceSpec],
+    design: DesignRefs,
     horizon: int,
     step_hours: float = 1.0,
     tag: str = "COM",
-    design: DesignRefs | None = None,
 ) -> DeviceBlockRefs:
-    """Electrolyzer, pressurized tank and fuel cell in series.
+    """Electrolyzer, pressurized tank and fuel cell in series, operating
+    the design of :func:`emit_hydrogen_design`, whose entries carry the
+    three specs.
 
     The tank state is counted in electricity-equivalent kWh at the tank
     boundary (compressor losses folded into the electrolyzer charging
     efficiency); the electrolyzer capacity caps electrical input, the
     fuel cell capacity electrical output.
     """
+    kinds = tuple(spec.kind for spec, _ in design.entries)
+    if kinds != _HYDROGEN_CHAIN:
+        raise ValueError(
+            "hydrogen chain needs EL, HYD, FC designs, got "
+            + ", ".join(kind.value for kind in kinds)
+        )
     if horizon < 2:
         raise ValueError("storage blocks need a horizon of at least 2 steps")
-    design = design or emit_hydrogen_design(model, specs, tag)
-    spec_el, spec_hyd, spec_fc = (
-        specs[DeviceKind.EL],
-        specs[DeviceKind.HYD],
-        specs[DeviceKind.FC],
-    )
-    cap_el = design.entries[0][1]
-    cap_hyd = design.entries[1][1]
-    cap_fc = design.entries[2][1]
+    (spec_el, cap_el), (spec_hyd, cap_hyd), (spec_fc, cap_fc) = design.entries
     state = model.add_vars(f"E_HYD_{tag}", horizon + 1, lo=spec_hyd.state_min())
     charge = model.add_vars(f"Ech_EL_{tag}", horizon)
     discharge = model.add_vars(f"Edch_FC_{tag}", horizon)
@@ -398,10 +377,7 @@ def emit_hydrogen_chain(
          f"cyc_HYD_{tag}"),
     )
     return DeviceBlockRefs(
-        kind=DeviceKind.HYD,
-        design=design,
-        flows={"charge": charge, "discharge": discharge},
-        state=state,
+        design=design, flows={"charge": charge, "discharge": discharge}, state=state
     )
 
 
@@ -443,16 +419,11 @@ def emit_building_balances(
         elec.append((hp.flows["power"], 1.0))
     if pv is not None:
         elec.append((pv.flows["power"], -1.0))
-    start = model.add_constraints(
+    model.add_constraints(
         (f"heat_{tag}", f"elec_{tag}"), horizon, [heat, elec], (Sense.EQ, Sense.EQ),
         (0.0, -base),
     )
-    return BuildingEnergyRefs(
-        e_in=e_in,
-        e_out=e_out,
-        heat_ids=range(start, start + 2 * horizon, 2),
-        elec_ids=range(start + 1, start + 2 * horizon, 2),
-    )
+    return BuildingEnergyRefs(e_in=e_in, e_out=e_out)
 
 
 def emit_community_balance(
@@ -462,12 +433,12 @@ def emit_community_balance(
     lv_to_mv: Sequence[VarRef],
     horizon: int,
     tag: str = "COM",
-) -> tuple[VarBlock, Sequence[int]]:
+) -> VarBlock:
     """Medium-voltage bus balance linking community devices, the LV feeder
     exchange and the high-voltage import.
 
     Creates and returns the HV import vector (the community draws from
-    but never sells to the HV grid) together with the constraint ids.
+    but never sells to the HV grid).
     """
     hv_in = model.add_vars(f"Ehv_{tag}", horizon)
     battery = com_blocks.get(DeviceKind.BAT_COM)
@@ -480,8 +451,8 @@ def emit_community_balance(
         terms += [(hyd.flows["charge"], 1.0), (hyd.flows["discharge"], -1.0)]
     if pv is not None:
         terms.append((pv.flows["power"], -1.0))
-    start = model.add_constraints((f"combal_{tag}",), horizon, [terms], (Sense.EQ,))
-    return hv_in, range(start, start + horizon)
+    model.add_constraints((f"combal_{tag}",), horizon, [terms], (Sense.EQ,))
+    return hv_in
 
 
 def simulate_storage(

@@ -54,14 +54,14 @@ def emit_grid_limits(
     lv_limit: float,
     mv_limit: float,
     tag: str = "COM",
-) -> list[int]:
+) -> None:
     """Line capacity limits, relaxed by the entity slacks.
 
     Both MV flow directions share one slack; each building's import and
     export share that building's LV slack.
     """
     horizon = len(grid.mv_to_lv)
-    start = model.add_constraints(
+    model.add_constraints(
         (f"lim_mvlv_{tag}", f"lim_lvmv_{tag}"),
         horizon,
         [[(grid.mv_to_lv, 1.0), (grid.s_mv, -1.0)], [(grid.lv_to_mv, 1.0), (grid.s_mv, -1.0)]],
@@ -77,7 +77,6 @@ def emit_grid_limits(
             (Sense.LE, Sense.LE),
             float(lv_limit),
         )
-    return list(range(start, len(model.constraints)))
 
 
 def emit_lv_aggregation(
@@ -86,7 +85,7 @@ def emit_lv_aggregation(
     grid: GridBlockRefs,
     others_net=0.0,
     tag: str = "COM",
-) -> list[int]:
+) -> None:
     """LV bus balance: MV->LV supply plus building exports equal building
     imports plus LV->MV return, per timestep.
 
@@ -100,6 +99,4 @@ def emit_lv_aggregation(
     terms = [(grid.mv_to_lv, 1.0), (grid.lv_to_mv, -1.0)]
     for flows in building_flows.values():
         terms += [(flows.e_out, 1.0), (flows.e_in, -1.0)]
-    start = model.add_constraints((f"lvagg_{tag}",), horizon, [terms], (Sense.EQ,),
-                                  [others_net])
-    return list(range(start, start + horizon))
+    model.add_constraints((f"lvagg_{tag}",), horizon, [terms], (Sense.EQ,), [others_net])

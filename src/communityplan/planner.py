@@ -222,33 +222,23 @@ def _emit_building_scenario(
     for spec in building.devices:
         design = designs[spec.kind]
         if spec.kind == DeviceKind.BAT:
-            blocks[spec.kind] = emit_battery(
-                model, spec, horizon, cfg.step_hours, tag, design
-            )
+            blocks[spec.kind] = emit_battery(model, spec, design, horizon, cfg.step_hours, tag)
         elif spec.kind == DeviceKind.TES:
-            blocks[spec.kind] = emit_tes(
-                model, spec, horizon, cfg.step_hours, tag, design
-            )
+            blocks[spec.kind] = emit_tes(model, spec, design, horizon, cfg.step_hours, tag)
         elif spec.kind == DeviceKind.BOL:
-            blocks[spec.kind] = emit_boiler(model, spec, horizon, tag, design)
+            blocks[spec.kind] = emit_boiler(model, spec, design, horizon, tag)
         elif spec.kind == DeviceKind.HP:
             blocks[spec.kind] = emit_heat_pump(
-                model, spec, scenario.climate.t_amb, horizon, tag, design
+                model, spec, design, scenario.climate.t_amb, horizon, tag
             )
         elif spec.kind == DeviceKind.PV:
             blocks[spec.kind] = emit_pv(
-                model, spec, scenario.climate.i_sol, building.roof_area, horizon, tag, design
+                model, spec, design, scenario.climate.i_sol, horizon, tag
             )
         elif spec.kind == DeviceKind.STC:
             blocks[spec.kind] = emit_stc(
-                model,
-                spec,
-                scenario.climate.i_sol,
-                scenario.climate.t_amb,
-                building.roof_area,
-                horizon,
-                tag,
-                design,
+                model, spec, design, scenario.climate.i_sol, scenario.climate.t_amb,
+                horizon, tag,
             )
         else:
             raise ValueError(f"device kind {spec.kind} is not a building device")
@@ -277,27 +267,23 @@ def _emit_community_scenario(
     slack_building_ids: Sequence[int],
 ) -> _CommunityScenarioRefs:
     blocks: dict[DeviceKind, DeviceBlockRefs] = {}
-    hydrogen = {s.kind: s for s in cfg.community_devices if s.kind in _HYDROGEN_KINDS}
     for spec in cfg.community_devices:
         if spec.kind == DeviceKind.BAT_COM:
             blocks[spec.kind] = emit_battery(
-                model, spec, horizon, cfg.step_hours, tag, designs[spec.kind]
+                model, spec, designs[spec.kind], horizon, cfg.step_hours, tag
             )
         elif spec.kind == DeviceKind.PV_COM:
             blocks[spec.kind] = emit_pv(
-                model, spec, scenario.climate.i_sol, spec.cap_max, horizon, tag,
-                designs[spec.kind],
+                model, spec, designs[spec.kind], scenario.climate.i_sol, horizon, tag
             )
-        elif spec.kind in _HYDROGEN_KINDS:
-            continue
-        else:
+        elif spec.kind not in _HYDROGEN_KINDS:
             raise ValueError(f"device kind {spec.kind} is not a community device")
-    if hydrogen:
+    if DeviceKind.HYD in designs:
         blocks[DeviceKind.HYD] = emit_hydrogen_chain(
-            model, hydrogen, horizon, cfg.step_hours, tag, designs[DeviceKind.HYD]
+            model, designs[DeviceKind.HYD], horizon, cfg.step_hours, tag
         )
     grid = create_grid_refs(model, slack_building_ids, horizon, tag)
-    hv, _ = emit_community_balance(
+    hv = emit_community_balance(
         model, blocks, grid.mv_to_lv, grid.lv_to_mv, horizon, tag
     )
     return _CommunityScenarioRefs(blocks=blocks, grid=grid, hv=hv)
@@ -700,24 +686,22 @@ def run_sensitivity(
     clim: Sequence[Scenario],
     backend: object = "scipy",
     options: SolveOptions | None = None,
-    reference_scenarios: Sequence[Scenario] | None = None,
     factors: Sequence[str] = ("occ", "eco", "clim"),
 ) -> SensitivityReport:
     """One-at-a-time design sensitivity per uncertainty factor.
 
     Solves one deterministic problem per factor member (other factors
     pinned at their nominals), reports per-device design spread, and
-    includes the stochastic optimum over ``reference_scenarios``
-    (default: the occupant set, which usually is the joint ensemble).
+    includes the stochastic optimum over the occupant set ``occ``, which
+    usually is the joint ensemble.
     ``factors`` restricts which families are run.
     """
     problems = [
         p
-        for p in compose_factor_scenarios(occ, eco, clim, mode="one_at_a_time")
+        for p in compose_factor_scenarios(occ, eco, clim)
         if p.factor in factors
     ]
-    reference_pool = list(reference_scenarios if reference_scenarios is not None else occ)
-    reference = solve_centralized(cfg, reference_pool, backend, options)
+    reference = solve_centralized(cfg, list(occ), backend, options)
 
     spreads: dict[str, dict[tuple[str, str], DesignSpread]] = {}
     infeasible: list[tuple[str, str]] = []

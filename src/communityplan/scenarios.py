@@ -146,19 +146,14 @@ def channels_to_scenario(
 
 @dataclass(frozen=True)
 class BootstrapSpec:
-    block_hours: int = 24
     window_weeks: float = 8.0
     n_years: int = 1000
     rng_seed: int = 0
     weekday_partition: bool = True
 
 
-def validate_bootstrap_spec(spec: BootstrapSpec, horizon_hours: int = 8760) -> list[str]:
+def validate_bootstrap_spec(spec: BootstrapSpec) -> list[str]:
     violations = []
-    if spec.block_hours <= 0 or horizon_hours % spec.block_hours != 0:
-        violations.append(
-            f"block_hours: {spec.block_hours} must divide the {horizon_hours}-hour horizon"
-        )
     if spec.window_weeks < 1:
         violations.append("window_weeks: requires window_weeks >= 1")
     if spec.n_years < 1:
@@ -203,8 +198,6 @@ def bootstrap_years(history: Scenario, spec: BootstrapSpec) -> BootstrapResult:
     n_hours = min(arr.size for arr in channels.values())
     if n_hours < DAYS_PER_YEAR * HOURS_PER_DAY:
         raise ValueError("history must span at least one full year")
-    if spec.block_hours != HOURS_PER_DAY:
-        raise ValueError("bootstrap blocks are whole days (block_hours = 24)")
     if spec.n_years < 1:
         raise ValueError(f"n_years must be at least 1, got {spec.n_years}")
     n_days_hist = n_hours // HOURS_PER_DAY
@@ -463,19 +456,11 @@ def compose_factor_scenarios(
     occ: Sequence[Scenario],
     eco: Sequence[Scenario],
     clim: Sequence[Scenario],
-    mode: str = "one_at_a_time",
 ) -> list[FactorProblems]:
-    """Build the problem sets for the sensitivity analysis.
-
-    ``stochastic`` returns the joint set unchanged (one stochastic
-    problem).  ``one_at_a_time`` returns, per factor, one deterministic
-    singleton per member scenario with the other two factors pinned at
-    their nominal scenarios' channels.
+    """Build the one-at-a-time problem sets for the sensitivity analysis:
+    per factor, one deterministic singleton per member scenario with the
+    other two factors pinned at their nominal scenarios' channels.
     """
-    if mode == "stochastic":
-        return [FactorProblems("stochastic", tuple(occ), {})]
-    if mode != "one_at_a_time":
-        raise ValueError(f"unknown mode '{mode}'")
     pools: dict[str, Sequence[Scenario]] = {"occ": occ, "eco": eco, "clim": clim}
     nominals = {
         factor: nominal_scenario(pool, factor) for factor, pool in pools.items()

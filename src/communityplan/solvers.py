@@ -5,12 +5,12 @@ Two contracts are provided:
 * :class:`ScipyBackend` runs HiGHS in process through
   ``scipy.optimize.milp`` and is the default.
 * :class:`CommandBackend` is the portability guarantee: it writes the
-  model to an LP (or MPS) file, invokes an arbitrary solver through a
+  model to an LP file, invokes an arbitrary solver through a
   command template such as ``"mysolver {model} --out {sol}"`` and reads
   the solution back from a ``name value`` whitespace table.
 
 Both give the solver the model's cost vector
-(:meth:`~communityplan.milp.Model.cost`), as an array or as the LP/MPS
+(:meth:`~communityplan.milp.Model.cost`), as an array or as the LP
 objective, and return a :class:`~communityplan.milp.SolveResult` whose
 objective is the solver-reported optimum plus the model's objective
 constant.  A returned solution is re-checked:
@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .lpformat import export_lp, export_mps, parse_solution_table
+from .lpformat import export_lp, parse_solution_table
 from .milp import (
     FEASIBILITY_TOL,
     Model,
@@ -56,6 +56,11 @@ __all__ = [
 # design variables are compared across sensitivity runs and must be
 # stable, hence the tight default gap
 DEFAULT_MIP_GAP = 1e-6
+
+# scipy.optimize.milp status codes; 4 ("Other") is a HiGHS failure and
+# has no entry, so it raises instead of passing for a limit
+_MILP_STATUS = {0: Status.OPTIMAL, 1: Status.LIMIT, 2: Status.INFEASIBLE,
+                3: Status.UNBOUNDED}
 
 
 @dataclass(frozen=True)
@@ -130,8 +135,9 @@ class ScipyBackend:
             bounds=Bounds(lo, hi),
             options=milp_options,
         )
-        status = {0: Status.OPTIMAL, 1: Status.LIMIT, 2: Status.INFEASIBLE,
-                  3: Status.UNBOUNDED}.get(res.status, Status.LIMIT)
+        if res.status not in _MILP_STATUS:
+            raise SolverError(f"HiGHS failed (milp status {res.status}): {res.message}")
+        status = _MILP_STATUS[res.status]
         meta["message"] = res.message
         meta["wall_time_s"] = time.perf_counter() - t0
         if res.x is None:
@@ -146,18 +152,15 @@ class CommandBackend:
     """File-based backend around an external solver process.
 
     ``cmd_template`` is formatted with ``{model}`` (path of the exported
-    LP or MPS file) and ``{sol}`` (path the solver must write its
+    LP file) and ``{sol}`` (path the solver must write its
     ``name value`` solution table to); optional placeholders
     ``{time_limit}`` and ``{mip_gap}`` receive the solve options.
     """
 
     name = "command"
 
-    def __init__(self, cmd_template: str, file_format: str = "lp") -> None:
-        if file_format not in ("lp", "mps"):
-            raise ValueError("file_format must be 'lp' or 'mps'")
+    def __init__(self, cmd_template: str) -> None:
         self.cmd_template = cmd_template
-        self.file_format = file_format
 
     def solve(self, model: Model, options: SolveOptions | None = None) -> SolveResult:
         options = options or SolveOptions()
@@ -168,10 +171,9 @@ class CommandBackend:
             meta["infeasible_row"] = broken
             return SolveResult(Status.INFEASIBLE, math.nan, {}, meta)
         with tempfile.TemporaryDirectory(prefix="communityplan_") as tmp:
-            model_path = Path(tmp) / f"model.{self.file_format}"
+            model_path = Path(tmp) / "model.lp"
             sol_path = Path(tmp) / "model.sol"
-            text = export_lp(model) if self.file_format == "lp" else export_mps(model)
-            model_path.write_text(text)
+            model_path.write_text(export_lp(model))
             cmd = self.cmd_template.format(
                 model=model_path,
                 sol=sol_path,

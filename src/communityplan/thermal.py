@@ -184,7 +184,7 @@ def emit_comfort_constraints(
     t_set,
     buffer: float,
     tag: str = "",
-) -> list[int]:
+) -> None:
     """Lower comfort bound T_i(t) >= T_set(t) - buffer for every step.
 
     One sided on purpose: no cooling devices exist, the interior is free
@@ -192,11 +192,10 @@ def emit_comfort_constraints(
     """
     setpoints = series_head(t_set, refs.horizon, "T_set")
     label = tag or "comfort"
-    start = model.add_constraints(
+    model.add_constraints(
         (f"comf_{label}",), len(refs.t_i), [[(refs.t_i, 1.0)]], (Sense.GE,),
         [setpoints[: len(refs.t_i)] - buffer + KELVIN_OFFSET],
     )
-    return list(range(start, start + len(refs.t_i)))
 
 
 def simulate_thermal(

@@ -307,7 +307,7 @@ def test_criterion_4_storage():
     assert moved >= 2  # the instance genuinely cycles its storage
 
     # device-contract round trip at the stated efficiencies
-    from communityplan.devices import emit_hydrogen_chain
+    from communityplan.devices import emit_hydrogen_chain, emit_hydrogen_design
 
     model = Model("h2")
     specs = {
@@ -318,7 +318,7 @@ def test_criterion_4_storage():
         DeviceKind.FC: DeviceSpec(kind="FC", cap_min=0.0, cap_max=100.0,
                                   eta_dch=0.5, gamma_dch=1.0),
     }
-    refs = emit_hydrogen_chain(model, specs, horizon=3)
+    refs = emit_hydrogen_chain(model, emit_hydrogen_design(model, specs, "COM"), horizon=3)
     pins = {
         refs.state[0]: 0.0, refs.flows["charge"][0]: 10.0,
         refs.flows["discharge"][0]: 0.0, refs.flows["charge"][1]: 0.0,

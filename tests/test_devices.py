@@ -11,10 +11,12 @@ from communityplan.devices import (
     emit_design,
     emit_heat_pump,
     emit_hydrogen_chain,
+    emit_hydrogen_design,
     emit_pv,
     emit_roof_coupling,
     emit_stc,
     emit_tes,
+    roof_capped,
     simulate_storage,
     stc_yield_profile,
 )
@@ -37,6 +39,12 @@ def pin_all(model, refs_vars, values):
         pin(model, var, values[t])
 
 
+def _designed(model, spec, roof=None, tag=None):
+    """The design an emitter operates, roof-capped as the planner does."""
+    capped = spec if roof is None else roof_capped(spec, roof)
+    return emit_design(model, capped, tag or spec.kind.value.lower())
+
+
 def solved(model):
     result = solve(model)
     assert result.status == Status.OPTIMAL, result.solver_meta.get("message")
@@ -46,7 +54,8 @@ def solved(model):
 class TestBattery:
     def test_lossless_idle_keeps_state(self):
         m = Model()
-        refs = emit_battery(m, battery_spec(sigma=1.0), horizon=5)
+        spec = battery_spec(sigma=1.0)
+        refs = emit_battery(m, spec, _designed(m, spec), horizon=5)
         pin_all(m, refs.flows["charge"], np.zeros(5))
         pin_all(m, refs.flows["discharge"], np.zeros(5))
         m.minimize(LinExpr())
@@ -56,7 +65,8 @@ class TestBattery:
 
     def test_single_step_charge(self):
         m = Model()
-        refs = emit_battery(m, battery_spec(eta=0.95), horizon=2)
+        spec = battery_spec(eta=0.95)
+        refs = emit_battery(m, spec, _designed(m, spec), horizon=2)
         pin(m, refs.state[0], 0.0)
         pin(m, refs.flows["charge"][0], 1.0)
         pin(m, refs.flows["discharge"][0], 0.0)
@@ -71,7 +81,7 @@ class TestBattery:
         expected = 10.0 * 0.99**3  # 9.70299
         m = Model()
         spec = battery_spec(sigma=0.99, cap_max=20.0)
-        refs = emit_battery(m, spec, horizon=4)
+        refs = emit_battery(m, spec, _designed(m, spec), horizon=4)
         pin(m, refs.state[0], 10.0)
         for t in range(3):
             pin(m, refs.flows["charge"][t], 0.0)
@@ -83,16 +93,21 @@ class TestBattery:
         assert expected == pytest.approx(9.70299, abs=1e-5)
 
     def test_kind_check(self):
+        m = Model()
+        design = _designed(m, boiler_spec())
         with pytest.raises(ValueError, match="kind"):
-            emit_battery(Model(), boiler_spec(), horizon=4)
+            emit_battery(m, boiler_spec(), design, horizon=4)
 
     def test_horizon_too_short(self):
+        m = Model()
+        design = _designed(m, battery_spec())
         with pytest.raises(ValueError, match="horizon"):
-            emit_battery(Model(), battery_spec(), horizon=1)
+            emit_battery(m, battery_spec(), design, horizon=1)
 
     def test_state_capped_by_design(self):
         m = Model()
-        refs = emit_battery(m, battery_spec(cap_max=10.0), horizon=3)
+        spec = battery_spec(cap_max=10.0)
+        refs = emit_battery(m, spec, _designed(m, spec), horizon=3)
         pin(m, refs.design.design, 4.0)
         pin(m, refs.chi, 1.0)
         m.minimize(LinExpr.of([(refs.state[1], -1.0)]))  # push state up
@@ -105,7 +120,7 @@ class TestTes:
         spec = DeviceSpec(kind="TES", cap_min=0.0, cap_max=10.0, eta_ch=1.0,
                           eta_dch=1.0, sigma=1.0, gamma_ch=1.0, gamma_dch=1.0)
         m = Model()
-        refs = emit_tes(m, spec, horizon=2)
+        refs = emit_tes(m, spec, _designed(m, spec), horizon=2)
         pin(m, refs.state[0], 0.0)
         pin(m, refs.flows["charge"][0], 2.0)
         pin(m, refs.flows["discharge"][0], 0.0)
@@ -120,7 +135,7 @@ class TestTes:
         spec = DeviceSpec(kind="TES", cap_min=0.0, cap_max=10.0, gamma_ch=0.5,
                           gamma_dch=0.5, eta_ch=1.0, eta_dch=1.0, sigma=1.0)
         m = Model()
-        refs = emit_tes(m, spec, horizon=2)
+        refs = emit_tes(m, spec, _designed(m, spec), horizon=2)
         pin(m, refs.design.design, 10.0)
         pin(m, refs.chi, 1.0)
         m.minimize(LinExpr.of([(refs.flows["charge"][0], -1.0)]))
@@ -131,7 +146,7 @@ class TestTes:
         spec = DeviceSpec(kind="TES", cap_min=0.0, cap_max=20.0, eta_ch=0.9,
                           eta_dch=0.9, sigma=1.0, gamma_ch=1.0, gamma_dch=1.0)
         m = Model()
-        refs = emit_tes(m, spec, horizon=2)
+        refs = emit_tes(m, spec, _designed(m, spec), horizon=2)
         pin(m, refs.state[0], 0.0)
         pin(m, refs.flows["charge"][0], 10.0)  # 10 kWh in -> 9 stored
         pin(m, refs.flows["discharge"][0], 0.0)
@@ -147,7 +162,8 @@ class TestTes:
 class TestBoiler:
     def test_conversion(self):
         m = Model()
-        refs = emit_boiler(m, boiler_spec(eta=0.97), horizon=1)
+        spec = boiler_spec(eta=0.97)
+        refs = emit_boiler(m, spec, _designed(m, spec), horizon=1)
         pin(m, refs.flows["gas"][0], 1.0)
         pin(m, refs.chi, 1.0)
         m.minimize(LinExpr())
@@ -156,7 +172,7 @@ class TestBoiler:
 
     def test_existence_gating_forces_zero_output(self):
         m = Model()
-        refs = emit_boiler(m, boiler_spec(), horizon=2)
+        refs = emit_boiler(m, boiler_spec(), _designed(m, boiler_spec()), horizon=2)
         pin(m, refs.chi, 0.0)
         m.minimize(LinExpr.of((v, -1.0) for v in refs.flows["heat"]))
         result = solved(m)
@@ -165,7 +181,8 @@ class TestBoiler:
 
     def test_inverse_conversion_demand(self):
         m = Model()
-        refs = emit_boiler(m, boiler_spec(eta=0.9, cap_max=20.0), horizon=1)
+        spec = boiler_spec(eta=0.9, cap_max=20.0)
+        refs = emit_boiler(m, spec, _designed(m, spec), horizon=1)
         pin(m, refs.flows["heat"][0], 8.0)
         m.minimize(LinExpr())
         result = solved(m)
@@ -192,7 +209,7 @@ class TestHeatPump:
     def test_conversion_identity(self):
         spec = self.hp_spec([3.0, 0.0, 0.0, 0.0])
         m = Model()
-        refs = emit_heat_pump(m, spec, np.full(2, 5.0), horizon=2)
+        refs = emit_heat_pump(m, spec, _designed(m, spec), np.full(2, 5.0), horizon=2)
         pin(m, refs.flows["power"][0], 2.0)
         m.minimize(LinExpr())
         result = solved(m)
@@ -200,8 +217,10 @@ class TestHeatPump:
 
     def test_nonpositive_cop_rejected(self):
         spec = self.hp_spec([-1.0, 0.0, 0.0, 0.0])
+        m = Model()
+        design = _designed(m, spec)
         with pytest.raises(ValueError, match="COP"):
-            emit_heat_pump(Model(), spec, np.full(3, 5.0), horizon=3)
+            emit_heat_pump(m, spec, design, np.full(3, 5.0), horizon=3)
 
 
 class TestPv:
@@ -210,7 +229,8 @@ class TestPv:
 
     def test_night_zero(self):
         m = Model()
-        refs = emit_pv(m, self.pv_spec(), np.zeros(2), 30.0, horizon=2)
+        spec = self.pv_spec()
+        refs = emit_pv(m, spec, _designed(m, spec), np.zeros(2), horizon=2)
         pin(m, refs.design.design, 10.0)
         m.minimize(LinExpr())
         result = solved(m)
@@ -218,7 +238,8 @@ class TestPv:
 
     def test_conversion_value(self):
         m = Model()
-        refs = emit_pv(m, self.pv_spec(eta=0.2), np.array([500.0]), 30.0, horizon=1)
+        spec = self.pv_spec(eta=0.2)
+        refs = emit_pv(m, spec, _designed(m, spec), np.array([500.0]), horizon=1)
         pin(m, refs.design.design, 10.0)
         m.minimize(LinExpr())
         result = solved(m)
@@ -226,7 +247,8 @@ class TestPv:
 
     def test_existence_gating_zeroes_area(self):
         m = Model()
-        refs = emit_pv(m, self.pv_spec(), np.array([500.0]), 30.0, horizon=1)
+        spec = self.pv_spec()
+        refs = emit_pv(m, spec, _designed(m, spec), np.array([500.0]), horizon=1)
         pin(m, refs.chi, 0.0)
         m.minimize(LinExpr.of([(refs.design.design, -1.0)]))
         result = solved(m)
@@ -247,7 +269,8 @@ class TestStc:
     def test_yield_value(self):
         spec = self.stc_spec()
         m = Model()
-        refs = emit_stc(m, spec, np.array([600.0]), np.array([5.0]), 12.0, horizon=1)
+        refs = emit_stc(m, spec, _designed(m, spec), np.array([600.0]), np.array([5.0]),
+                        horizon=1)
         pin(m, refs.design.design, 4.0)
         m.minimize(LinExpr())
         result = solved(m)
@@ -264,9 +287,10 @@ class TestStc:
 class TestRoofCoupling:
     def test_zero_roof_forces_both_zero(self):
         m = Model()
-        pv = emit_pv(m, TestPv().pv_spec(), np.array([500.0]), 0.0, 1, tag="pv")
-        stc = emit_stc(m, TestStc().stc_spec(), np.array([500.0]),
-                       np.array([5.0]), 0.0, 1, tag="stc")
+        pv_spec, stc_spec = TestPv().pv_spec(), TestStc().stc_spec()
+        pv = emit_pv(m, pv_spec, _designed(m, pv_spec, roof=0.0), np.array([500.0]), 1)
+        stc = emit_stc(m, stc_spec, _designed(m, stc_spec, roof=0.0), np.array([500.0]),
+                       np.array([5.0]), 1)
         emit_roof_coupling(m, pv.design, stc.design, 0.0)
         m.minimize(LinExpr.of([(pv.design.design, -1.0), (stc.design.design, -1.0)]))
         result = solved(m)
@@ -275,9 +299,10 @@ class TestRoofCoupling:
 
     def test_pv_leaves_room_for_stc(self):
         m = Model()
-        pv = emit_pv(m, TestPv().pv_spec(), np.array([500.0]), 20.0, 1, tag="pv")
-        stc = emit_stc(m, TestStc().stc_spec(),
-                       np.array([500.0]), np.array([5.0]), 20.0, 1, tag="stc")
+        pv_spec, stc_spec = TestPv().pv_spec(), TestStc().stc_spec()
+        pv = emit_pv(m, pv_spec, _designed(m, pv_spec, roof=20.0), np.array([500.0]), 1)
+        stc = emit_stc(m, stc_spec, _designed(m, stc_spec, roof=20.0), np.array([500.0]),
+                       np.array([5.0]), 1)
         emit_roof_coupling(m, pv.design, stc.design, 20.0)
         pin(m, pv.design.design, 15.0)
         m.minimize(LinExpr.of([(stc.design.design, -1.0)]))
@@ -299,7 +324,8 @@ def hydrogen_specs(eta_el=0.7, eta_fc=0.5, sigma=1.0):
 class TestHydrogenChain:
     def test_shared_gating(self):
         m = Model()
-        refs = emit_hydrogen_chain(m, hydrogen_specs(), horizon=3)
+        refs = emit_hydrogen_chain(m, emit_hydrogen_design(m, hydrogen_specs(), "COM"),
+                                   horizon=3)
         pin(m, refs.chi, 0.0)
         m.minimize(
             LinExpr.of((var, -1.0) for _, var in refs.design.entries)
@@ -310,7 +336,8 @@ class TestHydrogenChain:
 
     def test_round_trip_efficiency_35_percent(self):
         m = Model()
-        refs = emit_hydrogen_chain(m, hydrogen_specs(0.7, 0.5), horizon=3)
+        design = emit_hydrogen_design(m, hydrogen_specs(0.7, 0.5), "COM")
+        refs = emit_hydrogen_chain(m, design, horizon=3)
         pin(m, refs.state[0], 0.0)
         pin(m, refs.flows["charge"][0], 10.0)
         pin(m, refs.flows["discharge"][0], 0.0)
@@ -325,7 +352,8 @@ class TestHydrogenChain:
 
     def test_idle_lossless_tank(self):
         m = Model()
-        refs = emit_hydrogen_chain(m, hydrogen_specs(sigma=1.0), horizon=4)
+        design = emit_hydrogen_design(m, hydrogen_specs(sigma=1.0), "COM")
+        refs = emit_hydrogen_chain(m, design, horizon=4)
         pin(m, refs.state[0], 5.0)
         pin_all(m, refs.flows["charge"], np.zeros(4))
         pin_all(m, refs.flows["discharge"], np.zeros(4))
@@ -338,7 +366,13 @@ class TestHydrogenChain:
         specs = hydrogen_specs()
         del specs[DeviceKind.FC]
         with pytest.raises(ValueError, match="FC"):
-            emit_hydrogen_chain(Model(), specs, horizon=3)
+            emit_hydrogen_design(Model(), specs, "COM")
+
+    def test_non_hydrogen_design_rejected(self):
+        m = Model()
+        design = _designed(m, battery_spec())
+        with pytest.raises(ValueError, match="EL, HYD, FC designs, got BAT"):
+            emit_hydrogen_chain(m, design, horizon=3)
 
 
 class TestBuildingBalances:
@@ -355,7 +389,8 @@ class TestBuildingBalances:
 
     def test_boiler_meets_heat_demand(self):
         m = Model()
-        blocks = {DeviceKind.BOL: emit_boiler(m, boiler_spec(eta=0.9), 2)}
+        spec = boiler_spec(eta=0.9)
+        blocks = {DeviceKind.BOL: emit_boiler(m, spec, _designed(m, spec), 2)}
         q_sp = [m.add_var(f"q{t}") for t in range(2)]
         for var in q_sp:
             pin(m, var, 4.5)
@@ -371,7 +406,8 @@ class TestBuildingBalances:
 
     def test_pv_surplus_exports(self):
         m = Model()
-        pv = emit_pv(m, TestPv().pv_spec(eta=0.2), np.array([500.0]), 30.0, 1)
+        spec = TestPv().pv_spec(eta=0.2)
+        pv = emit_pv(m, spec, _designed(m, spec), np.array([500.0]), 1)
         pin(m, pv.design.design, 10.0)  # 1 kW output
         q_sp = [m.add_var("q0")]
         pin(m, q_sp[0], 0.0)
@@ -389,7 +425,7 @@ class TestCommunityBalance:
         m = Model()
         mvlv = [m.add_var("mvlv0")]
         lvmv = [m.add_var("lvmv0")]
-        hv, _ = emit_community_balance(m, {}, mvlv, lvmv, horizon=1)
+        hv = emit_community_balance(m, {}, mvlv, lvmv, horizon=1)
         pin(m, mvlv[0], 2.0)
         pin(m, lvmv[0], 0.5)
         m.minimize(LinExpr())
@@ -405,14 +441,15 @@ class TestCommunityBalance:
         bat_spec = DeviceSpec(kind="BAT_COM", cap_min=0.0, cap_max=50.0,
                               eta_ch=0.9, eta_dch=0.9, sigma=1.0,
                               gamma_ch=1.0, gamma_dch=1.0)
-        pv = emit_pv(m, pv_spec, np.array([500.0, 0.0]), 100.0, 2, tag="COM")
-        bat = emit_battery(m, bat_spec, 2, tag="COM")
+        pv = emit_pv(m, pv_spec, _designed(m, pv_spec, tag="COM"), np.array([500.0, 0.0]),
+                     2, tag="COM")
+        bat = emit_battery(m, bat_spec, _designed(m, bat_spec, tag="COM"), 2, tag="COM")
         pin(m, pv.design.design, 50.0)  # 5 kW at t0
         pin(m, bat.design.design, 50.0)
         pin(m, bat.state[0], 0.0)
         mvlv = [m.add_var(f"mvlv{t}") for t in range(2)]
         lvmv = [m.add_var(f"lvmv{t}") for t in range(2)]
-        hv, _ = emit_community_balance(
+        hv = emit_community_balance(
             m, {DeviceKind.PV_COM: pv, DeviceKind.BAT_COM: bat}, mvlv, lvmv, 2
         )
         pin(m, mvlv[0], 3.0)  # LV side draws 3 kW
@@ -428,7 +465,7 @@ class TestCommunityBalance:
         m = Model()
         mvlv = [m.add_var("mvlv0")]
         lvmv = [m.add_var("lvmv0")]
-        hv, _ = emit_community_balance(m, {}, mvlv, lvmv, horizon=1)
+        hv = emit_community_balance(m, {}, mvlv, lvmv, horizon=1)
         pin(m, mvlv[0], 0.0)
         pin(m, lvmv[0], 0.0)
         m.minimize(LinExpr())
@@ -443,7 +480,7 @@ class TestStorageReplayProperty:
         price = np.array([0.05, 0.05, 0.05, 0.3, 0.3, 0.3, 0.3, 0.05])
         spec = battery_spec(cap_max=8.0, eta=0.9, sigma=0.999, gamma=1.0)
         m = Model()
-        refs = emit_battery(m, spec, horizon)
+        refs = emit_battery(m, spec, _designed(m, spec), horizon)
         pin(m, refs.chi, 1.0)
         pin(m, refs.design.design, 8.0)
         grid = [m.add_var(f"grid{t}") for t in range(horizon)]  # purchase only

@@ -309,6 +309,16 @@ class TestSolve:
         with pytest.raises(SolverError):
             solve(toy_model(), backend="no-such-solver")
 
+    @pytest.mark.parametrize("x", [None, np.zeros(3)])
+    def test_highs_failure_is_an_error_not_a_limit(self, monkeypatch, x):
+        from scipy.optimize import OptimizeResult
+
+        failed = OptimizeResult(status=4, message="HiGHS hit an internal error",
+                                x=x, fun=None if x is None else 7.0, success=False)
+        monkeypatch.setattr("communityplan.solvers.milp", lambda **kwargs: failed)
+        with pytest.raises(SolverError, match="internal error"):
+            solve(toy_model())
+
 
 class TestRandomLPsAgainstVertexEnumeration:
     def test_random_instances(self):

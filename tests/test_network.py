@@ -27,7 +27,7 @@ def minimize_slack(model, grid, price):
 def free_flows(model, bid, horizon) -> BuildingEnergyRefs:
     e_in = tuple(model.add_var(f"Ein_b{bid}_t{t}") for t in range(horizon))
     e_out = tuple(model.add_var(f"Eout_b{bid}_t{t}") for t in range(horizon))
-    return BuildingEnergyRefs(e_in=e_in, e_out=e_out, heat_ids=(), elec_ids=())
+    return BuildingEnergyRefs(e_in=e_in, e_out=e_out)
 
 
 def solved(model):

@@ -92,6 +92,24 @@ class TestCentralized:
             else:
                 assert spec.cap_min - 1e-6 <= decision.value <= spec.cap_max + 1e-6
 
+    def test_roof_caps_pv_and_collector_designs(self):
+        # a 10 m2 roof below both specs' bounds: the planner caps cap_min
+        # and cap_max of each area-based design before emitting it
+        pv = DeviceSpec(kind="PV", cap_min=12.0, cap_max=40.0, extra={"eta": 0.2})
+        stc = DeviceSpec(kind="STC", cap_min=0.0, cap_max=30.0,
+                         extra={"eta": 0.7, "u_loss": 4.0, "t_collector": 35.0})
+        building = simple_building(1, devices=(boiler_spec(), pv, stc), roof_area=10.0)
+        cfg = simple_config([building], horizon=24)
+        model = build_centralized(cfg, [simple_scenario(horizon=24)]).model
+        for kind, cap_min in (("PV", 10.0), ("STC", 0.0)):
+            area = model.var_by_name(f"A_{kind}_b1")
+            chi = model.var_by_name(f"chi_{kind}_b1")
+            assert area.hi == 10.0
+            gate_hi = model.constraint_by_name(f"gate_hi_{kind}_b1").expr.terms
+            gate_lo = model.constraint_by_name(f"gate_lo_{kind}_b1").expr.terms
+            assert gate_hi == {area.id: 1.0, chi.id: -10.0}
+            assert gate_lo.get(chi.id, 0.0) == -cap_min
+
     def test_invalid_config_raises(self, boiler_community):
         cfg, scenario = boiler_community
         broken = type(cfg)(

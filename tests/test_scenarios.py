@@ -76,9 +76,9 @@ def price_scenarios(levels, seed_channels=None):
 
 class TestBootstrap:
     def test_spec_validation(self):
-        bad = BootstrapSpec(block_hours=7, window_weeks=0.5, n_years=0)
+        bad = BootstrapSpec(window_weeks=0.5, n_years=0)
         problems = validate_bootstrap_spec(bad)
-        assert len(problems) == 3
+        assert len(problems) == 2
 
     def test_window_zero_reproduces_history(self):
         history = make_history()
@@ -133,10 +133,6 @@ class TestBootstrap:
     def test_short_history_rejected(self):
         with pytest.raises(ValueError, match="full year"):
             bootstrap_years(make_history(hours=5000), BootstrapSpec(n_years=1))
-
-    def test_non_daily_blocks_rejected(self):
-        with pytest.raises(ValueError, match="block"):
-            bootstrap_years(make_history(), BootstrapSpec(block_hours=12, n_years=1))
 
     @pytest.mark.parametrize("n_years", [0, -3])
     def test_no_years_rejected(self, n_years):
@@ -351,15 +347,6 @@ class TestCompose:
                 composed.occupant[1].e_base.values,
                 source.occupant[1].e_base.values,
             )
-
-    def test_stochastic_mode_passthrough(self):
-        scenarios = price_scenarios([0.1, 0.2])
-        problems = compose_factor_scenarios(
-            scenarios, scenarios, scenarios, mode="stochastic"
-        )
-        assert len(problems) == 1
-        assert problems[0].factor == "stochastic"
-        assert len(problems[0].scenarios) == 2
 
 
 class TestFeatureMatrix:
