@@ -47,6 +47,7 @@ __all__ = [
     "scenario_channels",
     "scenario_length",
     "series_head",
+    "distinct_bits",
 ]
 
 
@@ -328,6 +329,23 @@ def series_head(series, horizon: int, name: str) -> np.ndarray:
     if values.size < horizon:
         raise ValueError(f"{name}: series of length {values.size} cannot cover horizon {horizon}")
     return values[:horizon]
+
+
+def distinct_bits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct float64 bit patterns of ``values`` and the index of each
+    element into them, for text writers that format each distinct value
+    once.  Bit patterns, not values: ``-0.0`` and ``0.0`` stay apart, since
+    ``repr`` prints them differently.  Sorts the ``uint64`` view, which is
+    faster than ``np.unique``'s float sort."""
+    bits = np.ascontiguousarray(values, np.float64).ravel().view(np.uint64)
+    order = np.argsort(bits, kind="stable")
+    ordered = bits[order]
+    first = np.empty(len(bits), bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(len(bits), np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first].view(np.float64), inverse
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:

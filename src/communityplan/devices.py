@@ -30,6 +30,7 @@ from .core import DeviceKind, DeviceSpec, TimeSeries, series_head
 from .milp import LinExpr, Model, Sense, VarBlock, VarRef
 
 __all__ = [
+    "HYDROGEN_CHAIN",
     "DesignRefs",
     "DeviceBlockRefs",
     "BuildingEnergyRefs",
@@ -75,10 +76,6 @@ class DeviceBlockRefs:
     flows: Mapping[str, VarBlock]
     state: VarBlock | None = None
 
-    @property
-    def chi(self) -> VarRef:
-        return self.design.chi
-
 
 @dataclass(frozen=True)
 class BuildingEnergyRefs:
@@ -114,7 +111,8 @@ def emit_design(model: Model, spec: DeviceSpec, tag: str) -> DesignRefs:
     return DesignRefs(chi=chi, design=design, entries=((spec, design),))
 
 
-_HYDROGEN_CHAIN = (DeviceKind.EL, DeviceKind.HYD, DeviceKind.FC)
+# The hydrogen chain's kinds, in the order of its design entries.
+HYDROGEN_CHAIN = (DeviceKind.EL, DeviceKind.HYD, DeviceKind.FC)
 
 
 def emit_hydrogen_design(
@@ -122,12 +120,12 @@ def emit_hydrogen_design(
 ) -> DesignRefs:
     """Three design variables (electrolyzer, tank, fuel cell) under one
     existence binary."""
-    for kind in _HYDROGEN_CHAIN:
+    for kind in HYDROGEN_CHAIN:
         if kind not in specs:
             raise ValueError(f"hydrogen chain requires a {kind.value} spec")
     chi = model.add_binary(f"chi_HYD_{tag}")
     entries = tuple((specs[kind], _emit_gated(model, chi, specs[kind], tag))
-                    for kind in _HYDROGEN_CHAIN)
+                    for kind in HYDROGEN_CHAIN)
     return DesignRefs(chi=chi, design=entries[1][1], entries=entries)
 
 
@@ -359,7 +357,7 @@ def emit_hydrogen_chain(
     fuel cell capacity electrical output.
     """
     kinds = tuple(spec.kind for spec, _ in design.entries)
-    if kinds != _HYDROGEN_CHAIN:
+    if kinds != HYDROGEN_CHAIN:
         raise ValueError(
             "hydrogen chain needs EL, HYD, FC designs, got "
             + ", ".join(kind.value for kind in kinds)

@@ -34,6 +34,7 @@ from .core import (
     Scenario,
     TimeSeries,
     Unit,
+    distinct_bits,
     scenario_channels,
     validate_config,
 )
@@ -86,16 +87,23 @@ def _timestamp_fields(
     return tuple([f"\r\n{(start + i * step).isoformat()}," for i in range(length)])
 
 
+def _value_texts(values: np.ndarray) -> list[str]:
+    """``repr`` of every element, formatting each distinct bit pattern once."""
+    unique, inverse = distinct_bits(values)
+    return np.array(list(map(repr, unique.tolist())), dtype=object)[inverse].tolist()
+
+
 def write_series_csv(path: Path | str, series: TimeSeries) -> None:
     """Write ``timestamp,value`` rows with ``\\r\\n`` line ends: ISO-8601
-    timestamps and the shortest decimal (``repr``) of each value."""
+    timestamps and the shortest decimal (``repr``) of each value, each
+    distinct value formatted once."""
     start = series.start
     fields = _timestamp_fields(
         start, start.tzinfo, start.fold, series.step_hours, len(series)
     )
     with Path(path).open("w", newline="") as handle:
         handle.write("timestamp,value")
-        handle.writelines(map(operator.add, fields, map(repr, series.values.tolist())))
+        handle.writelines(map(operator.add, fields, _value_texts(series.values)))
         handle.write("\r\n")
 
 
@@ -117,24 +125,55 @@ def _split_rows(text: str) -> tuple[list[str], list[str]]:
     return stamps, values
 
 
+@functools.lru_cache(maxsize=16)
+def _stamp_text(
+    first: datetime, tzinfo, fold: int, step: timedelta, count: int
+) -> str:
+    """``isoformat()`` of ``count`` sample times from ``first`` at ``step``,
+    joined by ``"\\n"``: shared by every file whose block of stamps starts
+    there (the 9 blocks of an 8760 h series fit).  One string per block
+    keeps the cache small.  Keyed like :func:`_timestamp_fields`."""
+    return "\n".join([(first + i * step).isoformat() for i in range(count)])
+
+
+def _continues(stamps: list[str], last: datetime, step: timedelta) -> bool:
+    """Whether ``stamps`` read exactly as ``isoformat()`` of the times
+    ``last + step``, ``last + 2 * step``, ...: then they are those times,
+    unparsed.  No stamp holds a line end, so equal joined text means
+    equal stamps."""
+    try:
+        first = last + step
+        # the first stamp alone rules out other spellings before any are made
+        return stamps[0] == first.isoformat() and "\n".join(stamps) == _stamp_text(
+            first, first.tzinfo, first.fold, step, len(stamps))
+    except OverflowError:
+        return False
+
+
 def _read_rows(handle) -> tuple[datetime, set[timedelta], list[float]]:
     """The fast path of :func:`read_series_csv`: the first sample time, the
     set of spacings between sample times, and the values.  Each block of
     lines is split in one call; raises ``ValueError`` at any row that does
-    not read ``timestamp,value``."""
-    start = last = None
+    not read ``timestamp,value``.  The spacing of the first two stamps is
+    the step; a block that continues the series at that step in canonical
+    spelling is checked by comparison, any other block is parsed."""
+    start = last = step = None
     spacings: set[timedelta] = set()
     values: list[float] = []
     for lines in iter(lambda: list(itertools.islice(handle, _READ_BLOCK)), []):
         stamps, block = _split_rows("".join(lines))
-        times = list(map(datetime.fromisoformat, stamps))
-        if last is None:
+        values += map(float, block)
+        if step is not None and _continues(stamps, last, step):
+            last += len(stamps) * step  # ``spacings`` already holds ``step``
+            continue
+        times = [] if last is None else [last]
+        times += map(datetime.fromisoformat, stamps)
+        if start is None:
             start = times[0]
-        else:
-            spacings.add(times[0] - last)
+        if step is None and len(times) > 1:
+            step = times[1] - times[0]
         spacings.update(map(operator.sub, times[1:], times[:-1]))
         last = times[-1]
-        values += map(float, block)
     return start, spacings, values
 
 
@@ -161,11 +200,14 @@ def read_series_csv(path: Path | str, unit: Unit) -> tuple[TimeSeries, list[str]
     """Parse one series file; returns the series plus non-fatal warnings.
 
     Rows that each read exactly ``timestamp,value`` take a fast path:
-    blocks of lines split in one call, then each column parsed with
-    ``map``.  Any other file (quoted or extra cells, blank lines, a bad row)
-    is read again from the top with ``csv.reader``, row by row, which
-    skips blank lines, ignores extra cells and names a bad row's line.
-    Both give the same series.
+    blocks of lines split in one call, values parsed with ``map``.  The
+    first two stamps give the start and step; a block whose stamps equal
+    the canonical ``isoformat()`` of the times that continue the series
+    at that step is checked by comparison, and any other block is parsed
+    with ``datetime.fromisoformat``.  Any other file (quoted or extra
+    cells, blank lines, a bad row) is read again from the top with
+    ``csv.reader``, row by row, which skips blank lines, ignores extra
+    cells and names a bad row's line.  Both give the same series.
     """
     path = Path(path)
     warnings: list[str] = []

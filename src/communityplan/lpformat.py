@@ -19,6 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .core import distinct_bits
 from .milp import SENSES, Domain, LinExpr, Model, Sense, Status
 
 __all__ = [
@@ -38,13 +39,24 @@ def _num(x: float) -> str:
     return repr(float(x))
 
 
+def _num_each(values: np.ndarray) -> np.ndarray:
+    """:func:`_num` of each element as an object array, in two array
+    passes: integers below 1e16 through ``int``, the rest through
+    ``repr``.  A non-finite element has no text and raises ``ValueError``."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"cannot write non-finite number {float(values[~finite][0])}")
+    whole = (np.abs(values) < 1e16) & (values == np.trunc(values))
+    text = np.empty(len(values), object)
+    text[whole] = list(map(str, values[whole].astype(np.int64).tolist()))
+    text[~whole] = list(map(repr, values[~whole].tolist()))
+    return text
+
+
 def _num_all(values: np.ndarray) -> list[str]:
     """:func:`_num` of every element, formatting each distinct value once."""
-    if not len(values):
-        return []
-    unique, inverse = np.unique(values, return_inverse=True)
-    text = [_num(u) for u in unique.tolist()]
-    return [text[i] for i in inverse.ravel().tolist()]
+    unique, inverse = distinct_bits(values)
+    return _num_each(unique)[inverse].tolist()
 
 
 def _objective_tokens(model: Model, names: list[str]) -> list[str]:
@@ -52,14 +64,15 @@ def _objective_tokens(model: Model, names: list[str]) -> list[str]:
     tokens: list[str] = []
     cost = model.cost()
     nonzero = np.flatnonzero(cost)
-    for vid, coef in zip(nonzero.tolist(), cost[nonzero].tolist()):
-        sign = "-" if coef < 0 else "+"
-        mag = abs(coef)
-        name = names[vid]
-        if mag == 1.0:
-            tokens.extend([sign, name])
+    coefs = cost[nonzero]
+    mag = np.abs(coefs)
+    for vid, negative, unit, text in zip(nonzero.tolist(), (coefs < 0).tolist(),
+                                         (mag == 1.0).tolist(), _num_all(mag)):
+        sign = "-" if negative else "+"
+        if unit:
+            tokens.extend([sign, names[vid]])
         else:
-            tokens.extend([sign, _num(mag), name])
+            tokens.extend([sign, text, names[vid]])
     constant = model.objective_constant
     if constant != 0.0:
         sign = "-" if constant < 0 else "+"
@@ -83,7 +96,9 @@ def _real_rows(model: Model) -> np.ndarray:
 def export_lp(model: Model) -> str:
     """Serialize to LP text.  Rows without terms are left out, since LP
     rows need at least one variable; one that misses its right-hand side
-    by more than ``FEASIBILITY_TOL`` raises a ``ValueError`` naming it."""
+    by more than ``FEASIBILITY_TOL`` raises a ``ValueError`` naming it.
+    Each distinct cost, coefficient magnitude and right-hand side is
+    formatted once, to the text :func:`_num` gives it."""
     names = model.var_names()
     head = [f"\\ {model.name}", "Minimize"]
     head.append(" obj: " + " ".join(_objective_tokens(model, names)))
@@ -123,21 +138,21 @@ def _constraint_section(model: Model, names: list[str]) -> list[str]:
     mat.sort_indices()
     indptr, cols, data = mat.indptr, mat.indices, mat.data
     # prefix of each term by (magnitude, sign, first in row): " + 2.5 ", " - ", "2.5 ", ...
-    unique, inverse = np.unique(np.abs(data), return_inverse=True)
+    unique, inverse = distinct_bits(np.abs(data))
     prefix_text = []
-    for mag in unique.tolist():
-        text = "" if mag == 1.0 else _num(mag) + " "
+    for mag, text in zip(unique.tolist(), _num_each(unique).tolist()):
+        text = "" if mag == 1.0 else text + " "
         prefix_text.extend([" + " + text, " - " + text, text, "- " + text])
     prefixes = np.array(prefix_text, dtype=object)
     first = np.zeros(len(data), bool)
     first[indptr[:-1]] = True
-    code = 4 * inverse.ravel() + (data < 0) + 2 * first
+    code = 4 * inverse + (data < 0) + 2 * first
     # tail of each row by (sense, rhs): " <= 2.5\n", " = 0\n", ...
-    rhs, rhs_inverse = np.unique(model.row_rhs()[rows], return_inverse=True)
-    rhs_text = [_num(v) for v in rhs.tolist()]
+    rhs, rhs_inverse = distinct_bits(model.row_rhs()[rows])
+    rhs_text = _num_each(rhs).tolist()
     sense_text = [s.value for s in SENSES]
     tails = np.array([f" {s} {v}\n" for s in sense_text for v in rhs_text], dtype=object)
-    tail = model.row_sense()[rows].astype(np.intp) * len(rhs) + rhs_inverse.ravel()
+    tail = model.row_sense()[rows].astype(np.intp) * len(rhs) + rhs_inverse
     col_names = np.array(names, dtype=object)
     row_names = np.array(model.row_names(), dtype=object)[rows]
     counts = np.diff(indptr)
@@ -176,7 +191,9 @@ def export_mps(model: Model) -> str:
     indptr, row_idx = csc.indptr.tolist(), csc.indices.tolist()
     names = model.var_names()
     binary = model.binary_mask().tolist()
-    cost = model.cost().tolist()
+    cost = model.cost()
+    cost_text = _num_all(cost)
+    cost = cost.tolist()
     in_integer = False
     marker = 0
     for vid, name in enumerate(names):
@@ -191,7 +208,7 @@ def export_mps(model: Model) -> str:
             in_integer = False
         a, b = indptr[vid], indptr[vid + 1]
         if cost[vid]:
-            rows.append(f"    {name}  OBJ  {_num(cost[vid])}")
+            rows.append(f"    {name}  OBJ  {cost_text[vid]}")
         elif a == b:
             rows.append(f"    {name}  OBJ  0")  # keep every declared column present
         for j in range(a, b):

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -365,14 +366,21 @@ class _Names:
         for family in self._segments:
             if isinstance(family, list):
                 out.extend(family)
-            elif len(family.stems) == 1:
-                stem = family.stems[0]
-                out.extend([f"{stem}_t{t}" for t in range(family.first, family.first + family.steps)])
+                continue
+            steps = _step_texts(family.first, family.steps)
+            prefixes = [f"{stem}_t" for stem in family.stems]
+            if len(prefixes) == 1:
+                out.extend(map(prefixes[0].__add__, steps))
             else:
-                out.extend([f"{stem}_t{t}"
-                            for t in range(family.first, family.first + family.steps)
-                            for stem in family.stems])
+                out.extend([prefix + t for t in steps for prefix in prefixes])
         return out
+
+
+@functools.lru_cache(maxsize=8)
+def _step_texts(first: int, steps: int) -> tuple[str, ...]:
+    """``str(t)`` of each step of a family, shared by the families of one
+    horizon; the few ranges of a model keep the cache small."""
+    return tuple(map(str, range(first, first + steps)))
 
 
 class _Grow:

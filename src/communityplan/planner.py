@@ -38,6 +38,7 @@ from .core import (
     validate_config,
 )
 from .devices import (
+    HYDROGEN_CHAIN,
     BuildingEnergyRefs,
     DesignRefs,
     DeviceBlockRefs,
@@ -96,7 +97,6 @@ __all__ = [
 ]
 
 COMMUNITY_ENTITY = "COM"
-_HYDROGEN_KINDS = (DeviceKind.EL, DeviceKind.HYD, DeviceKind.FC)
 
 
 @dataclass(frozen=True)
@@ -176,9 +176,9 @@ def _emit_community_designs(
     model: Model, cfg: CommunityConfig
 ) -> dict[DeviceKind, DesignRefs]:
     refs: dict[DeviceKind, DesignRefs] = {}
-    hydrogen = {s.kind: s for s in cfg.community_devices if s.kind in _HYDROGEN_KINDS}
+    hydrogen = {s.kind: s for s in cfg.community_devices if s.kind in HYDROGEN_CHAIN}
     for spec in cfg.community_devices:
-        if spec.kind in _HYDROGEN_KINDS:
+        if spec.kind in HYDROGEN_CHAIN:
             continue
         refs[spec.kind] = emit_design(model, spec, COMMUNITY_ENTITY)
     if hydrogen:
@@ -276,7 +276,7 @@ def _emit_community_scenario(
             blocks[spec.kind] = emit_pv(
                 model, spec, designs[spec.kind], scenario.climate.i_sol, horizon, tag
             )
-        elif spec.kind not in _HYDROGEN_KINDS:
+        elif spec.kind not in HYDROGEN_CHAIN:
             raise ValueError(f"device kind {spec.kind} is not a community device")
     if DeviceKind.HYD in designs:
         blocks[DeviceKind.HYD] = emit_hydrogen_chain(
@@ -582,7 +582,8 @@ def solve_distributed(
     ``solve_meta["converged"]`` False.  ``solve_meta["status"]`` is
     ``"limit"`` when any merged sub-plan ended at a solver limit and
     ``"optimal"`` otherwise; ``solve_meta["backend"]`` is the backend
-    name the sub-plans report.
+    name the sub-plans report, and ``solve_meta["max_mip_gap"]`` the
+    largest ``mip_gap`` among the merged sub-plans that report one.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
@@ -625,6 +626,9 @@ def solve_distributed(
     }
     if "backend" in last.solve_meta:
         meta["backend"] = last.solve_meta["backend"]
+    gaps = [p.solve_meta["mip_gap"] for p in plans.values() if "mip_gap" in p.solve_meta]
+    if gaps:
+        meta["max_mip_gap"] = max(gaps)
     return PlanResult(
         designs=designs, breakdown=breakdown, operations=operations, solve_meta=meta
     )

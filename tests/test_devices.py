@@ -70,7 +70,7 @@ class TestBattery:
         pin(m, refs.state[0], 0.0)
         pin(m, refs.flows["charge"][0], 1.0)
         pin(m, refs.flows["discharge"][0], 0.0)
-        pin(m, refs.chi, 1.0)
+        pin(m, refs.design.chi, 1.0)
         m.minimize(LinExpr())
         result = solved(m)
         assert result.values[refs.state[1].name] == pytest.approx(0.95, abs=1e-9)
@@ -86,7 +86,7 @@ class TestBattery:
         for t in range(3):
             pin(m, refs.flows["charge"][t], 0.0)
         pin_all(m, refs.flows["discharge"], np.zeros(4))
-        pin(m, refs.chi, 1.0)
+        pin(m, refs.design.chi, 1.0)
         m.minimize(LinExpr())
         result = solved(m)
         assert result.values[refs.state[3].name] == pytest.approx(expected, abs=1e-9)
@@ -109,7 +109,7 @@ class TestBattery:
         spec = battery_spec(cap_max=10.0)
         refs = emit_battery(m, spec, _designed(m, spec), horizon=3)
         pin(m, refs.design.design, 4.0)
-        pin(m, refs.chi, 1.0)
+        pin(m, refs.design.chi, 1.0)
         m.minimize(LinExpr.of([(refs.state[1], -1.0)]))  # push state up
         result = solved(m)
         assert result.values[refs.state[1].name] <= 4.0 + 1e-8
@@ -126,7 +126,7 @@ class TestTes:
         pin(m, refs.flows["discharge"][0], 0.0)
         pin(m, refs.flows["charge"][1], 0.0)
         pin(m, refs.flows["discharge"][1], 2.0)
-        pin(m, refs.chi, 1.0)
+        pin(m, refs.design.chi, 1.0)
         m.minimize(LinExpr())
         result = solved(m)
         assert result.values[refs.state[2].name] == pytest.approx(0.0, abs=1e-9)
@@ -137,7 +137,7 @@ class TestTes:
         m = Model()
         refs = emit_tes(m, spec, _designed(m, spec), horizon=2)
         pin(m, refs.design.design, 10.0)
-        pin(m, refs.chi, 1.0)
+        pin(m, refs.design.chi, 1.0)
         m.minimize(LinExpr.of([(refs.flows["charge"][0], -1.0)]))
         result = solved(m)
         assert result.values[refs.flows["charge"][0].name] == pytest.approx(5.0, abs=1e-8)
@@ -152,7 +152,7 @@ class TestTes:
         pin(m, refs.flows["discharge"][0], 0.0)
         pin(m, refs.flows["charge"][1], 0.0)
         pin(m, refs.state[2], 0.0)  # drain fully
-        pin(m, refs.chi, 1.0)
+        pin(m, refs.design.chi, 1.0)
         m.minimize(LinExpr())
         result = solved(m)
         recovered = result.values[refs.flows["discharge"][1].name]
@@ -165,7 +165,7 @@ class TestBoiler:
         spec = boiler_spec(eta=0.97)
         refs = emit_boiler(m, spec, _designed(m, spec), horizon=1)
         pin(m, refs.flows["gas"][0], 1.0)
-        pin(m, refs.chi, 1.0)
+        pin(m, refs.design.chi, 1.0)
         m.minimize(LinExpr())
         result = solved(m)
         assert result.values[refs.flows["heat"][0].name] == pytest.approx(0.97, abs=1e-12)
@@ -173,7 +173,7 @@ class TestBoiler:
     def test_existence_gating_forces_zero_output(self):
         m = Model()
         refs = emit_boiler(m, boiler_spec(), _designed(m, boiler_spec()), horizon=2)
-        pin(m, refs.chi, 0.0)
+        pin(m, refs.design.chi, 0.0)
         m.minimize(LinExpr.of((v, -1.0) for v in refs.flows["heat"]))
         result = solved(m)
         assert all(result.values[v.name] <= 1e-9 for v in refs.flows["heat"])
@@ -249,7 +249,7 @@ class TestPv:
         m = Model()
         spec = self.pv_spec()
         refs = emit_pv(m, spec, _designed(m, spec), np.array([500.0]), horizon=1)
-        pin(m, refs.chi, 0.0)
+        pin(m, refs.design.chi, 0.0)
         m.minimize(LinExpr.of([(refs.design.design, -1.0)]))
         result = solved(m)
         assert result.values[refs.design.design.name] == pytest.approx(0.0, abs=1e-9)
@@ -326,7 +326,7 @@ class TestHydrogenChain:
         m = Model()
         refs = emit_hydrogen_chain(m, emit_hydrogen_design(m, hydrogen_specs(), "COM"),
                                    horizon=3)
-        pin(m, refs.chi, 0.0)
+        pin(m, refs.design.chi, 0.0)
         m.minimize(
             LinExpr.of((var, -1.0) for _, var in refs.design.entries)
         )
@@ -357,7 +357,7 @@ class TestHydrogenChain:
         pin(m, refs.state[0], 5.0)
         pin_all(m, refs.flows["charge"], np.zeros(4))
         pin_all(m, refs.flows["discharge"], np.zeros(4))
-        pin(m, refs.chi, 1.0)
+        pin(m, refs.design.chi, 1.0)
         m.minimize(LinExpr())
         result = solved(m)
         assert result.values[refs.state[4].name] == pytest.approx(5.0, abs=1e-9)
@@ -481,7 +481,7 @@ class TestStorageReplayProperty:
         spec = battery_spec(cap_max=8.0, eta=0.9, sigma=0.999, gamma=1.0)
         m = Model()
         refs = emit_battery(m, spec, _designed(m, spec), horizon)
-        pin(m, refs.chi, 1.0)
+        pin(m, refs.design.chi, 1.0)
         pin(m, refs.design.design, 8.0)
         grid = [m.add_var(f"grid{t}") for t in range(horizon)]  # purchase only
         for t in range(horizon):

@@ -100,6 +100,32 @@ BUNDLE_GOLDEN = {
 }
 
 
+# Stamps of 8 rows for the fast and row readers; the row reader's outcome
+# is the reference for each.
+_HOUR = timedelta(hours=1)
+_OFFSET = timezone(timedelta(hours=1))
+READER_STAMPS = {
+    "canonical": [(START + i * _HOUR).isoformat() for i in range(8)],
+    "space_separator": [str(START + i * _HOUR) for i in range(8)],
+    "z_suffix": [(START + i * _HOUR).isoformat() + "Z" for i in range(8)],
+    "zero_fraction": [(START + i * _HOUR).isoformat() + ".000" for i in range(8)],
+    "fractional_step": [(START + i * timedelta(seconds=1.5)).isoformat() for i in range(8)],
+    "utc_offset": [(START.replace(tzinfo=_OFFSET) + i * timedelta(minutes=15)).isoformat()
+                   for i in range(8)],
+    # rows 0-2, then a gap: the boundary of blocks of 1 and of 3
+    "gap_on_block_boundary": [(START + (i + (i >= 3)) * _HOUR).isoformat() for i in range(8)],
+    # a gap before the last row: inside the last block of 3, whose first
+    # stamp continues the series
+    "gap_inside_last_block": [(START + (i + (i >= 7)) * _HOUR).isoformat() for i in range(8)],
+    "decreasing": [(START - i * _HOUR).isoformat() for i in range(8)],
+    "repeated": [START.isoformat()] * 8,
+    "canonical_then_spaced": [(START + i * _HOUR).isoformat(sep=" " if i >= 4 else "T")
+                              for i in range(8)],
+}
+READER_SERIES_CASES = {"canonical", "space_separator", "z_suffix", "zero_fraction",
+                       "fractional_step", "utc_offset", "canonical_then_spaced"}
+
+
 class TestSeriesCsv:
     def test_round_trip(self, tmp_path):
         series = ts(np.linspace(0.0, 5.0, 30), Unit.KILOWATT)
@@ -301,6 +327,52 @@ class TestSeriesCsv:
         back, warnings = read_series_csv(path, Unit.KILOWATT)
         assert warnings == []
         assert back == ts(expected, Unit.KILOWATT)
+
+    @staticmethod
+    def _outcome(path):
+        try:
+            return read_series_csv(path, Unit.KILOWATT)
+        except ValueError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("block", [1, 3, 1024])
+    @pytest.mark.parametrize("case", sorted(READER_STAMPS))
+    def test_fast_reader_agrees_with_row_reader(self, tmp_path, monkeypatch, case, block):
+        monkeypatch.setattr(communityplan.io, "_READ_BLOCK", block)
+        path = tmp_path / f"{case}.csv"
+        rows = "".join(f"{stamp},{i * 0.5}\r\n" for i, stamp in enumerate(READER_STAMPS[case]))
+        path.write_text("timestamp,value\r\n" + rows, newline="")
+        fast = self._outcome(path)
+
+        def refuse(handle):
+            raise ValueError("use the row reader")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(communityplan.io, "_read_rows", refuse)
+            slow = self._outcome(path)
+        assert fast == slow
+        assert isinstance(fast, tuple) == (case in READER_SERIES_CASES)
+
+    @pytest.mark.parametrize("block", [1, 3, 1024])
+    def test_canonical_stamps_are_compared_not_parsed(self, tmp_path, monkeypatch, block):
+        # once the first two stamps give the step, whole blocks are checked
+        # against the expected spelling; only the first block is parsed
+        class CountingDatetime(datetime):
+            parsed = 0
+
+            @classmethod
+            def fromisoformat(cls, text):
+                CountingDatetime.parsed += 1
+                return datetime.fromisoformat(text)
+
+        monkeypatch.setattr(communityplan.io, "_READ_BLOCK", block)
+        monkeypatch.setattr(communityplan.io, "datetime", CountingDatetime)
+        series = ts(np.arange(8) * 0.5, Unit.KILOWATT)
+        path = tmp_path / "canonical.csv"
+        write_series_csv(path, series)
+        back, _ = read_series_csv(path, Unit.KILOWATT)
+        assert back == series
+        assert CountingDatetime.parsed == min(8, max(2, block))
 
 
 class TestFixture:

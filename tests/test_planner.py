@@ -522,6 +522,40 @@ class TestDistributedMeta:
         assert stored["solve_meta"]["backend"] == "scipy-highs"
 
 
+class _GapBackend:
+    """ScipyBackend whose results report the given MIP gaps, one per call."""
+
+    name = "gap"
+
+    def __init__(self, gaps) -> None:
+        self.gaps = list(gaps)
+
+    def solve(self, model, options=None):
+        result = ScipyBackend().solve(model, options)
+        meta = dict(result.solver_meta, mip_gap=self.gaps.pop(0))
+        return SolveResult(result.status, result.objective, result.values, meta)
+
+
+class TestDistributedGap:
+    def test_max_mip_gap_is_the_largest_among_merged_sub_plans(self):
+        cfg = simple_config([simple_building(i, devices=(boiler_spec(),)) for i in (1, 2)],
+                            horizon=24)
+        scenarios = [simple_scenario(horizon=24, building_ids=(1, 2))]
+        # two sweeps of two buildings; only the second sweep's plans are merged
+        plan = solve_distributed(cfg, scenarios, epsilon=-1.0, max_iters=2,
+                                 backend=_GapBackend([0.5, 0.0, 0.02, 0.01]))
+        assert plan.solve_meta["iterations"] == 2
+        assert plan.solve_meta["max_mip_gap"] == 0.02
+
+    def test_absent_when_no_sub_plan_reports_a_gap(self, boiler_community):
+        cfg, scenario = boiler_community
+        plan = solve_distributed(cfg, [scenario], max_iters=1, backend=_NameKeyedBackend())
+        assert "max_mip_gap" not in plan.solve_meta
+        default = solve_distributed(cfg, [scenario], max_iters=1)
+        assert default.solve_meta["max_mip_gap"] == solve_centralized(
+            cfg, [scenario]).solve_meta["mip_gap"]
+
+
 class TestDistributedStatus:
     def test_merged_limit_sub_plan_marks_the_plan_limit(self):
         cfg = simple_config([simple_building(i, devices=(boiler_spec(),)) for i in (1, 2)],
