@@ -336,15 +336,18 @@ def distinct_bits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     element into them, for text writers that format each distinct value
     once.  Bit patterns, not values: ``-0.0`` and ``0.0`` stay apart, since
     ``repr`` prints them differently.  Sorts the ``uint64`` view, which is
-    faster than ``np.unique``'s float sort."""
+    faster than ``np.unique``'s float sort.  The index is ``int32`` when
+    every position fits, which halves what a writer keeps per element."""
     bits = np.ascontiguousarray(values, np.float64).ravel().view(np.uint64)
     order = np.argsort(bits, kind="stable")
     ordered = bits[order]
     first = np.empty(len(bits), bool)
     first[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    inverse = np.empty(len(bits), np.intp)
-    inverse[order] = np.cumsum(first) - 1
+    inverse = np.empty(len(bits), np.int32 if len(bits) < 2**31 else np.intp)
+    position = np.cumsum(first, dtype=inverse.dtype)
+    position -= 1
+    inverse[order] = position
     return ordered[first].view(np.float64), inverse
 
 

@@ -110,19 +110,23 @@ def write_series_csv(path: Path | str, series: TimeSeries) -> None:
 # Lines read per block while a series file is read: bounds the strings held
 # at once, which the allocator keeps after a long file is read.
 _READ_BLOCK = 1024
+_COMMA, _LINE_END = ord(","), ord("\n")
 
 
 def _split_rows(text: str) -> tuple[list[str], list[str]]:
     """Timestamp and value cells of lines that each read ``timestamp,value``,
     with any line ends; ``ValueError`` for any other shape."""
     text = text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n")
-    cells = text.replace("\n", ",").split(",")
-    stamps, values = cells[0::2], cells[1::2]
-    # equal cell counts would also pass a row of three cells before a row
-    # of one; rebuilding the lines proves each holds exactly one comma
-    if "\n".join(map(",".join, zip(stamps, values))) != text:
+    # each line holds exactly one comma when the commas and line ends of
+    # the text alternate, starting and ending with a comma (neither byte
+    # occurs inside a multi-byte UTF-8 character)
+    raw = np.frombuffer(text.encode(), np.uint8)
+    marks = raw[(raw == _COMMA) | (raw == _LINE_END)]
+    if not (len(marks) % 2 and (marks[0::2] == _COMMA).all()
+            and (marks[1::2] == _LINE_END).all()):
         raise ValueError("not one timestamp,value pair per line")
-    return stamps, values
+    cells = text.replace("\n", ",").split(",")
+    return cells[0::2], cells[1::2]
 
 
 @functools.lru_cache(maxsize=16)

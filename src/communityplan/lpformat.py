@@ -15,7 +15,7 @@ starting with ``=`` carry directives (``=status= optimal``,
 from __future__ import annotations
 
 import re
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -53,44 +53,63 @@ def _num_each(values: np.ndarray) -> np.ndarray:
     return text
 
 
-def _num_all(values: np.ndarray) -> list[str]:
-    """:func:`_num` of every element, formatting each distinct value once."""
+def _distinct_texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_num` of each distinct value of ``values`` (an object array)
+    and the index of each element into it; each value is formatted once."""
     unique, inverse = distinct_bits(values)
-    return _num_each(unique)[inverse].tolist()
+    return _num_each(unique), inverse
 
 
-def _objective_tokens(model: Model, names: list[str]) -> list[str]:
-    """The nonzero costs in column order, then the constant."""
-    tokens: list[str] = []
+def _term_prefixes(magnitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The text before a term's column name and each term's distinct
+    magnitude ``k``.  Entry ``4 * k + negative + 2 * first`` of the table
+    reads " + 2.5 ", " - 2.5 ", "2.5 " or "- 2.5 "; a unit magnitude
+    prints no number."""
+    unique, inverse = distinct_bits(magnitudes)
+    table = []
+    for mag, text in zip(unique.tolist(), _num_each(unique).tolist()):
+        text = "" if mag == 1.0 else text + " "
+        table.extend([" + " + text, " - " + text, text, "- " + text])
+    return np.array(table, dtype=object), inverse
+
+
+def _joined(lines: int, *columns) -> str:
+    """``lines`` lines whose pieces are the given columns, each an array of
+    one piece per line or one string shared by every line."""
+    pieces = np.empty((lines, len(columns)), dtype=object)
+    for j, column in enumerate(columns):
+        pieces[:, j] = column
+    return "".join(pieces.ravel().tolist())
+
+
+def _blocks(start: int, stop: int) -> Iterator[tuple[int, int]]:
+    """``[a, b)`` ranges of at most ``_ROW_CHUNK`` rows or columns."""
+    for a in range(start, stop, _ROW_CHUNK):
+        yield a, min(a + _ROW_CHUNK, stop)
+
+
+def _objective_line(model: Model, heads: np.ndarray, tails: np.ndarray) -> str:
+    """The ``obj:`` line: the nonzero costs in column order, then the constant."""
     cost = model.cost()
-    nonzero = np.flatnonzero(cost)
-    coefs = cost[nonzero]
-    mag = np.abs(coefs)
-    for vid, negative, unit, text in zip(nonzero.tolist(), (coefs < 0).tolist(),
-                                         (mag == 1.0).tolist(), _num_all(mag)):
-        sign = "-" if negative else "+"
-        if unit:
-            tokens.extend([sign, names[vid]])
-        else:
-            tokens.extend([sign, text, names[vid]])
+    cols = np.flatnonzero(cost)
+    coefs = cost[cols]
+    prefixes, mag = _term_prefixes(np.abs(coefs))
+    code = 4 * mag + (coefs < 0)
+    code[:1] += 2
+    text = _joined(len(cols), prefixes[code], heads[cols], tails[cols])
     constant = model.objective_constant
     if constant != 0.0:
-        sign = "-" if constant < 0 else "+"
-        tokens.extend([sign, _num(abs(constant))])
-    if not tokens:
-        tokens = ["0"]
-    elif tokens[0] == "+":
-        tokens = tokens[1:]
-    return tokens
+        sign = (" + ", " - ", "", "- ")[(constant < 0) + 2 * (not text)]
+        text += sign + _num(abs(constant))
+    return f" obj: {text or '0'}\n"
 
 
-def _real_rows(model: Model) -> np.ndarray:
-    """The rows of :meth:`Model.rows_with_terms`; a row without terms that
-    does not hold makes the model unwritable."""
-    rows, broken = model.rows_with_terms()
+def _check_empty_rows(model: Model) -> None:
+    """A row without terms that does not hold makes the model unwritable;
+    the others are left out (see :meth:`Model.rows_with_terms`)."""
+    broken = model.rows_with_terms()[1]
     if broken is not None:
         raise ValueError(f"constraint '{broken}' is vacuous and unsatisfiable")
-    return rows
 
 
 def export_lp(model: Model) -> str:
@@ -98,142 +117,181 @@ def export_lp(model: Model) -> str:
     rows need at least one variable; one that misses its right-hand side
     by more than ``FEASIBILITY_TOL`` raises a ``ValueError`` naming it.
     Each distinct cost, coefficient magnitude and right-hand side is
-    formatted once, to the text :func:`_num` gives it."""
-    names = model.var_names()
-    head = [f"\\ {model.name}", "Minimize"]
-    head.append(" obj: " + " ".join(_objective_tokens(model, names)))
-    head.append("Subject To")
+    formatted once, to the text :func:`_num` gives it.
+
+    Names are never built: rows and terms gather the shared head and tail
+    strings of :meth:`Model.var_name_pieces` and
+    :meth:`Model.row_name_pieces`.  Besides the model, the export holds the
+    text it returns, the name pieces, one ``int32`` per coefficient and one
+    block of ``_ROW_CHUNK`` rows' pieces.  Each block is appended to the
+    text, which CPython grows in place while nothing else refers to it;
+    under a trace or profile hook every append copies the text instead."""
+    _check_empty_rows(model)
+    heads, tails = model.var_name_pieces()
+    text = f"\\ {model.name}\nMinimize\n" + _objective_line(model, heads, tails) + "Subject To\n"
+    for block in _constraint_section(model, heads, tails):
+        text += block
     lines = ["Bounds"]
     lo, hi = model.bounds()
     binary = model.binary_mask()
     bounded = np.flatnonzero(~binary & ((lo != 0.0) | (hi != np.inf)))
     for vid, low, high in zip(bounded.tolist(), lo[bounded].tolist(), hi[bounded].tolist()):
+        name = heads[vid] + tails[vid]
         if high == float("inf"):
-            lines.append(f" {names[vid]} >= {_num(low)}")
+            lines.append(f" {name} >= {_num(low)}")
         else:
-            lines.append(f" {_num(low)} <= {names[vid]} <= {_num(high)}")
+            lines.append(f" {_num(low)} <= {name} <= {_num(high)}")
     binaries = np.flatnonzero(binary).tolist()
     if binaries:
         lines.append("Binaries")
-        for vid in binaries:
-            lines.append(f" {names[vid]}")
+        lines.extend([f" {heads[vid]}{tails[vid]}" for vid in binaries])
     lines.append("End")
-    return "".join(["\n".join(head) + "\n", *_constraint_section(model, names),
-                    "\n".join(lines) + "\n"])
+    text += "\n".join(lines) + "\n"
+    return text
 
 
-# Rows per block of ``Subject To`` text; bounds the temporaries of a large export.
+# Rows (or MPS columns) per block of text; bounds the temporaries of a large export.
 _ROW_CHUNK = 4096
 
 
-def _constraint_section(model: Model, names: list[str]) -> list[str]:
-    """``Subject To`` rows, one line each: terms in column order, each
-    distinct coefficient magnitude and each distinct (sense, rhs) formatted
-    once.  Returns the text in blocks of ``_ROW_CHUNK`` rows; a block is
-    joined once from the pieces of its lines, gathered in line order."""
-    rows = _real_rows(model)
-    if not len(rows):
-        return []
-    mat = model.matrix()[rows] if len(rows) < model.matrix().shape[0] else model.matrix().copy()
-    mat.sort_indices()
+def _constraint_section(model: Model, heads: np.ndarray, tails: np.ndarray) -> Iterator[str]:
+    """``Subject To`` rows that have terms, one line each: terms in column
+    order, each distinct coefficient magnitude and each distinct rhs
+    formatted once.  Reads the model's CSR matrix a block of ``_ROW_CHUNK``
+    rows at a time and yields each block's text, joined once from the
+    pieces of its lines gathered in line order."""
+    mat = model.matrix()
     indptr, cols, data = mat.indptr, mat.indices, mat.data
-    # prefix of each term by (magnitude, sign, first in row): " + 2.5 ", " - ", "2.5 ", ...
-    unique, inverse = distinct_bits(np.abs(data))
-    prefix_text = []
-    for mag, text in zip(unique.tolist(), _num_each(unique).tolist()):
-        text = "" if mag == 1.0 else text + " "
-        prefix_text.extend([" + " + text, " - " + text, text, "- " + text])
-    prefixes = np.array(prefix_text, dtype=object)
-    first = np.zeros(len(data), bool)
-    first[indptr[:-1]] = True
-    code = 4 * inverse + (data < 0) + 2 * first
-    # tail of each row by (sense, rhs): " <= 2.5\n", " = 0\n", ...
-    rhs, rhs_inverse = distinct_bits(model.row_rhs()[rows])
-    rhs_text = _num_each(rhs).tolist()
-    sense_text = [s.value for s in SENSES]
-    tails = np.array([f" {s} {v}\n" for s in sense_text for v in rhs_text], dtype=object)
-    tail = model.row_sense()[rows].astype(np.intp) * len(rhs) + rhs_inverse
-    col_names = np.array(names, dtype=object)
-    row_names = np.array(model.row_names(), dtype=object)[rows]
-    counts = np.diff(indptr)
-    blocks = []
-    for a in range(0, len(rows), _ROW_CHUNK):
-        b = min(a + _ROW_CHUNK, len(rows))
+    width = np.int64(mat.shape[1])
+    prefixes, mag = _term_prefixes(np.abs(data))
+    rhs_text, rhs_index = _distinct_texts(model.row_rhs())
+    rhs_text += "\n"
+    senses = np.array([f" {s.value} " for s in SENSES], dtype=object)
+    sense = model.row_sense()
+    row_heads, row_tails = model.row_name_pieces()
+    for a, b in _blocks(0, mat.shape[0]):
+        counts = np.diff(indptr[a:b + 1])
+        rows = a + np.flatnonzero(counts)
+        if not len(rows):
+            continue
+        counts = counts[rows - a]
         lo, hi = indptr[a], indptr[b]
-        # row i: " ", its name, ": ", prefix and name of each term, its tail
-        head_at = 4 * np.arange(b - a) + 2 * (indptr[a:b] - lo)
-        term_at = 2 * np.arange(hi - lo) + 4 * np.repeat(np.arange(b - a), counts[a:b]) + 3
-        pieces = np.empty(4 * (b - a) + 2 * (hi - lo), dtype=object)
-        pieces[head_at] = " "
-        pieces[head_at + 1] = row_names[a:b]
-        pieces[head_at + 2] = ": "
-        pieces[term_at] = prefixes[code[lo:hi]]
-        pieces[term_at + 1] = col_names[cols[lo:hi]]
-        pieces[head_at + 3 + 2 * counts[a:b]] = tails[tail[a:b]]
-        blocks.append("".join(pieces.tolist()))
-    return blocks
+        # sort each row's terms by column
+        row_of = np.repeat(np.arange(len(rows)), counts)
+        order = np.argsort(row_of * width + cols[lo:hi], kind="stable")
+        term_cols = cols[lo:hi][order]
+        code = 4 * mag[lo:hi][order] + (data[lo:hi][order] < 0)
+        firsts = np.cumsum(counts) - counts
+        code[firsts] += 2
+        # row r: " ", its name, ": ", prefix and name of each term, sense, rhs
+        at = 6 * np.arange(len(rows)) + 3 * firsts
+        term_at = 3 * np.arange(hi - lo) + 6 * row_of + 4
+        pieces = np.empty(6 * len(rows) + 3 * (hi - lo), dtype=object)
+        pieces[at] = " "
+        pieces[at + 1] = row_heads[rows]
+        pieces[at + 2] = row_tails[rows]
+        pieces[at + 3] = ": "
+        pieces[term_at] = prefixes[code]
+        pieces[term_at + 1] = heads[term_cols]
+        pieces[term_at + 2] = tails[term_cols]
+        pieces[at + 4 + 3 * counts] = senses[sense[rows]]
+        pieces[at + 5 + 3 * counts] = rhs_text[rhs_index[rows]]
+        yield "".join(pieces.tolist())
 
 
 def export_mps(model: Model) -> str:
-    """Serialize to MPS text, with the rows :func:`export_lp` writes."""
-    rows = [f"NAME          {model.name}", "ROWS", " N  OBJ"]
-    sense_tag = {Sense.LE: "L", Sense.GE: "G", Sense.EQ: "E"}
-    real = _real_rows(model)
-    all_row_names = model.row_names()
-    row_names = [all_row_names[r] for r in real.tolist()]
-    for name, code in zip(row_names, model.row_sense()[real].tolist()):
-        rows.append(f" {sense_tag[SENSES[code]]}  {name}")
-    rows.append("COLUMNS")
-    # column-major: the nonzero cost, then the rows in order
-    csc = model.matrix()[real].tocsc()
-    csc.sort_indices()
-    coef_text = _num_all(csc.data)
-    indptr, row_idx = csc.indptr.tolist(), csc.indices.tolist()
-    names = model.var_names()
-    binary = model.binary_mask().tolist()
-    cost = model.cost()
-    cost_text = _num_all(cost)
-    cost = cost.tolist()
-    in_integer = False
-    marker = 0
-    for vid, name in enumerate(names):
-        want_integer = binary[vid]
-        if want_integer and not in_integer:
-            rows.append(f"    MARKER{marker}    'MARKER'    'INTORG'")
-            marker += 1
-            in_integer = True
-        elif not want_integer and in_integer:
-            rows.append(f"    MARKER{marker}    'MARKER'    'INTEND'")
-            marker += 1
-            in_integer = False
-        a, b = indptr[vid], indptr[vid + 1]
-        if cost[vid]:
-            rows.append(f"    {name}  OBJ  {cost_text[vid]}")
-        elif a == b:
-            rows.append(f"    {name}  OBJ  0")  # keep every declared column present
-        for j in range(a, b):
-            rows.append(f"    {name}  {row_names[row_idx[j]]}  {coef_text[j]}")
-    if in_integer:
-        rows.append(f"    MARKER{marker}    'MARKER'    'INTEND'")
-    rows.append("RHS")
+    """Serialize to MPS text, with the rows :func:`export_lp` writes.
+
+    Like :func:`export_lp`, names are never built and each distinct number
+    is formatted once.  Besides the model, the export holds the text it
+    returns (grown block by block as in :func:`export_lp`), the name
+    pieces, a CSC copy of the matrix with one ``int32`` per coefficient,
+    and one block of ``_ROW_CHUNK`` rows' or columns' pieces."""
+    _check_empty_rows(model)
+    heads, tails = model.var_name_pieces()
+    row_heads, row_tails = model.row_name_pieces()
+    indptr = model.matrix().indptr
+    has_terms = indptr[1:] > indptr[:-1]
+    sense, rhs = model.row_sense(), model.row_rhs()
+    tags = np.array([f" {tag}  " for tag in "LEG"], dtype=object)  # SENSES order
+    text = f"NAME          {model.name}\nROWS\n N  OBJ\n"
+    for a, b in _blocks(0, len(has_terms)):
+        rows = a + np.flatnonzero(has_terms[a:b])
+        text += _joined(len(rows), tags[sense[rows]], row_heads[rows], row_tails[rows], "\n")
+    text += "COLUMNS\n"
+    for part in _mps_columns(model, heads, tails, row_heads, row_tails):
+        text += part
+    text += "RHS\n"
     if model.objective_constant != 0.0:
-        rows.append(f"    RHS  OBJ  {_num(-model.objective_constant)}")
-    rhs = model.row_rhs()[real]
-    nonzero = np.flatnonzero(rhs != 0.0)
-    for i, text in zip(nonzero.tolist(), _num_all(rhs[nonzero])):
-        rows.append(f"    RHS  {row_names[i]}  {text}")
-    rows.append("BOUNDS")
+        text += f"    RHS  OBJ  {_num(-model.objective_constant)}\n"
+    rhs_text, rhs_index = _distinct_texts(rhs)
+    rhs_text = "  " + rhs_text + "\n"
+    for a, b in _blocks(0, len(has_terms)):
+        rows = a + np.flatnonzero(has_terms[a:b] & (rhs[a:b] != 0.0))
+        text += _joined(len(rows), "    RHS  ", row_heads[rows], row_tails[rows],
+                        rhs_text[rhs_index[rows]])
+    lines = ["BOUNDS"]
     lo, hi = model.bounds()
-    for name, is_binary, low, high in zip(names, binary, lo.tolist(), hi.tolist()):
+    binary = model.binary_mask()
+    listed = np.flatnonzero(binary | (lo != 0.0) | (hi != np.inf))
+    for vid, is_binary, low, high in zip(listed.tolist(), binary[listed].tolist(),
+                                         lo[listed].tolist(), hi[listed].tolist()):
+        name = heads[vid] + tails[vid]
         if is_binary:
-            rows.append(f" BV BND  {name}")
+            lines.append(f" BV BND  {name}")
             continue
         if low != 0.0:
-            rows.append(f" LO BND  {name}  {_num(low)}")
+            lines.append(f" LO BND  {name}  {_num(low)}")
         if high != float("inf"):
-            rows.append(f" UP BND  {name}  {_num(high)}")
-    rows.append("ENDATA")
-    return "\n".join(rows) + "\n"
+            lines.append(f" UP BND  {name}  {_num(high)}")
+    lines.append("ENDATA")
+    text += "\n".join(lines) + "\n"
+    return text
+
+
+def _mps_columns(model: Model, heads: np.ndarray, tails: np.ndarray,
+                 row_heads: np.ndarray, row_tails: np.ndarray) -> Iterator[str]:
+    """``COLUMNS`` lines, a block of ``_ROW_CHUNK`` columns at a time: each
+    column's cost (``0`` for a column without entries, so that every
+    declared column is present), then its entries in row order; integer
+    markers open and close each run of binaries."""
+    csc = model.matrix().tocsc()
+    csc.sort_indices()
+    indptr, entry_rows = csc.indptr, csc.indices
+    value_text, value_index = _distinct_texts(csc.data)
+    value_text = "  " + value_text + "\n"
+    counts = np.diff(indptr)
+    cost = model.cost()
+    cost_text, cost_index = _distinct_texts(cost)
+    cost_text = "  " + cost_text + "\n"
+    has_cost = (cost != 0.0) | (counts == 0)
+
+    def columns(start: int, stop: int) -> Iterator[str]:
+        for a, b in _blocks(start, stop):
+            lines = has_cost[a:b] + counts[a:b]
+            cost_at = (np.cumsum(lines) - lines)[has_cost[a:b]]
+            entry = np.ones(lines.sum(), bool)
+            entry[cost_at] = False
+            found = entry_rows[indptr[a]:indptr[b]]
+            row_head = np.empty(len(entry), dtype=object)
+            row_tail = np.empty(len(entry), dtype=object)
+            value = np.empty(len(entry), dtype=object)
+            row_head[cost_at], row_tail[cost_at] = "OBJ", ""
+            value[cost_at] = cost_text[cost_index[a:b][has_cost[a:b]]]
+            row_head[entry], row_tail[entry] = row_heads[found], row_tails[found]
+            value[entry] = value_text[value_index[indptr[a]:indptr[b]]]
+            col = np.repeat(np.arange(a, b), lines)
+            yield _joined(len(entry), "    ", heads[col], tails[col], "  ",
+                          row_head, row_tail, value)
+
+    # the status flips from continuous to binary and back at these columns
+    flips = np.flatnonzero(np.diff(model.binary_mask(), prepend=False, append=False))
+    start = 0
+    for marker, flip in enumerate(flips.tolist()):
+        yield from columns(start, flip)
+        yield f"    MARKER{marker}    'MARKER'    '{('INTORG', 'INTEND')[marker % 2]}'\n"
+        start = flip
+    yield from columns(start, len(cost))
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")

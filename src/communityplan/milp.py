@@ -28,6 +28,7 @@ import enum
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -362,18 +363,26 @@ class _Names:
         return f"{family.stems[k]}_t{family.first + t}"
 
     def names(self) -> list[str]:
-        out: list[str] = []
-        for family in self._segments:
+        return list(map(operator.add, *(part.tolist() for part in self.pieces())))
+
+    def pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each name as ``head + tail``, in two object arrays of shared
+        strings: a family member's head is its ``{stem}_t`` prefix and its
+        tail the cached text of its step; an explicit name is its own head,
+        with tail ``""``.  Writers gather these instead of building names."""
+        heads = np.empty(self.size, object)
+        tails = np.empty(self.size, object)
+        for start, family in zip(self._starts, self._segments):
             if isinstance(family, list):
-                out.extend(family)
+                heads[start:start + len(family)] = family
+                tails[start:start + len(family)] = ""
                 continue
-            steps = _step_texts(family.first, family.steps)
-            prefixes = [f"{stem}_t" for stem in family.stems]
-            if len(prefixes) == 1:
-                out.extend(map(prefixes[0].__add__, steps))
-            else:
-                out.extend([prefix + t for t in steps for prefix in prefixes])
-        return out
+            shape = (family.steps, len(family.stems))
+            end = start + family.steps * len(family.stems)
+            heads[start:end].reshape(shape)[:] = [f"{stem}_t" for stem in family.stems]
+            tails[start:end].reshape(shape)[:] = np.array(
+                _step_texts(family.first, family.steps), object)[:, None]
+        return heads, tails
 
 
 @functools.lru_cache(maxsize=8)
@@ -507,6 +516,13 @@ class Model:
     def var_names(self) -> list[str]:
         return self._cols.names()
 
+    def var_name_pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every column name as ``head + tail`` in two object arrays: the
+        ``{stem}_t`` prefix and the step's text for a block member, the name
+        and ``""`` for an ``add_var`` column.  The strings are shared, not
+        built per name."""
+        return self._cols.pieces()
+
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper bound of every column (read-only)."""
         return self._lo.view, self._hi.view
@@ -633,6 +649,11 @@ class Model:
 
     def row_names(self) -> list[str]:
         return self._rows.names()
+
+    def row_name_pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every row name as ``head + tail``, shared strings in two object
+        arrays, as in :meth:`var_name_pieces`."""
+        return self._rows.pieces()
 
     def matrix(self) -> sparse.csr_matrix:
         """Constraint coefficients, one row per constraint (possibly

@@ -12,7 +12,9 @@ integrality as the emitted model.
 
 import dataclasses
 import hashlib
+import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,7 @@ from communityplan.fixtures import generate_fixture
 from communityplan.io import ingest_community
 from communityplan import lpformat
 from communityplan.lpformat import export_lp, export_mps, parse_lp, parse_mps
-from communityplan.milp import Domain, Sense
+from communityplan.milp import Domain, LinExpr, Model, Sense
 from communityplan.planner import build_centralized
 from communityplan.scenarios import channels_to_scenario
 
@@ -212,3 +214,181 @@ def test_export_digests_hold_across_row_blocks(request, monkeypatch, which):
     monkeypatch.setattr(lpformat, "_ROW_CHUNK", 3)
     assert _sha(export_lp(model)) == GOLDEN[which]["lp"]
     assert _sha(export_mps(model)) == GOLDEN[which]["mps"]
+
+
+def layered_model():
+    """Explicit names between column families, a three-stem row family with
+    its own step range, rows whose terms were added out of column order,
+    and rows without terms on block edges: rows 2, 3 and 5 to 8 are empty,
+    so three-row blocks start and end on them and block [6, 9) has none."""
+    m = Model("layers")
+    a = m.add_var("a", hi=4.0)
+    x = m.add_vars("x", 4)
+    on = m.add_binary("on")
+    y = m.add_vars("y", 4, lo=1.5)
+    m.add_var("b_t9")
+    z = m.add_vars("z", 3)
+    last = m.add_binary("last")
+    m.add_constraint(z[2] + 2.5 * y[0] - x[3] + a, Sense.LE, 6.0, "first")
+    m.add_constraints(("p", "q", "r"), 2,
+                      [[(y[:2], 1.0), (x[:2], -3.0)], [(x[1:3], 0.0)], [(z[:2], 0.0)]],
+                      (Sense.GE, Sense.EQ, Sense.LE), [1.0, 0.0, 2.0], first=5)
+    m.add_constraint(LinExpr(), Sense.LE, 1.0, "gap")
+    m.add_constraint(LinExpr(constant=1.0), Sense.GE, 0.5, "gap_t2")
+    m.add_constraints(("s",), 3, [[(z, np.array([1.0, -0.25, 7.0])), (x[:3], 2.0)]],
+                      (Sense.GE,), [np.array([0.0, -1.5, 1e-7])])
+    m.add_constraints(("u", "v"), 2, [[(y[2:], 1.0), (x[:2], 1.0), (on, -4.0)],
+                                     [(z[:2], -1.0), (y[:2], 0.5)]],
+                      (Sense.LE, Sense.EQ), [np.array([3.0, 4.0]), 0.0], first=1)
+    m.add_constraint(4.0 * on - x[0] + 1e20 * z[1] - last, Sense.LE, 1.0, "tail")
+    m.minimize(-2.5 * a + x[0] - on + 0.1 * y[3] + 3.0)
+    return m
+
+
+# the text the exporters wrote when they still built every name and took
+# whole-matrix copies
+LAYERED_LP = """\
+\\ layers
+Minimize
+ obj: - 2.5 a + x_t0 - on + 0.1 y_t3 + 3
+Subject To
+ first: a - x_t3 + 2.5 y_t0 + z_t2 <= 6
+ p_t5: - 3 x_t0 + y_t0 >= 1
+ p_t6: - 3 x_t1 + y_t1 >= 1
+ s_t0: 2 x_t0 + z_t0 >= 0
+ s_t1: 2 x_t1 - 0.25 z_t1 >= -1.5
+ s_t2: 2 x_t2 + 7 z_t2 >= 1e-07
+ u_t1: x_t0 - 4 on + y_t2 <= 3
+ v_t1: 0.5 y_t0 - z_t0 = 0
+ u_t2: x_t1 - 4 on + y_t3 <= 4
+ v_t2: 0.5 y_t1 - z_t1 = 0
+ tail: - x_t0 + 4 on + 1e+20 z_t1 - last <= 1
+Bounds
+ 0 <= a <= 4
+ y_t0 >= 1.5
+ y_t1 >= 1.5
+ y_t2 >= 1.5
+ y_t3 >= 1.5
+Binaries
+ on
+ last
+End
+"""
+
+LAYERED_MPS = """\
+NAME          layers
+ROWS
+ N  OBJ
+ L  first
+ G  p_t5
+ G  p_t6
+ G  s_t0
+ G  s_t1
+ G  s_t2
+ L  u_t1
+ E  v_t1
+ L  u_t2
+ E  v_t2
+ L  tail
+COLUMNS
+    a  OBJ  -2.5
+    a  first  1
+    x_t0  OBJ  1
+    x_t0  p_t5  -3
+    x_t0  s_t0  2
+    x_t0  u_t1  1
+    x_t0  tail  -1
+    x_t1  p_t6  -3
+    x_t1  s_t1  2
+    x_t1  u_t2  1
+    x_t2  s_t2  2
+    x_t3  first  -1
+    MARKER0    'MARKER'    'INTORG'
+    on  OBJ  -1
+    on  u_t1  -4
+    on  u_t2  -4
+    on  tail  4
+    MARKER1    'MARKER'    'INTEND'
+    y_t0  first  2.5
+    y_t0  p_t5  1
+    y_t0  v_t1  0.5
+    y_t1  p_t6  1
+    y_t1  v_t2  0.5
+    y_t2  u_t1  1
+    y_t3  OBJ  0.1
+    y_t3  u_t2  1
+    b_t9  OBJ  0
+    z_t0  s_t0  1
+    z_t0  v_t1  -1
+    z_t1  s_t1  -0.25
+    z_t1  v_t2  -1
+    z_t1  tail  1e+20
+    z_t2  first  1
+    z_t2  s_t2  7
+    MARKER2    'MARKER'    'INTORG'
+    last  tail  -1
+    MARKER3    'MARKER'    'INTEND'
+RHS
+    RHS  OBJ  -3
+    RHS  first  6
+    RHS  p_t5  1
+    RHS  p_t6  1
+    RHS  s_t1  -1.5
+    RHS  s_t2  1e-07
+    RHS  u_t1  3
+    RHS  u_t2  4
+    RHS  tail  1
+BOUNDS
+ UP BND  a  4
+ BV BND  on
+ LO BND  y_t0  1.5
+ LO BND  y_t1  1.5
+ LO BND  y_t2  1.5
+ LO BND  y_t3  1.5
+ BV BND  last
+ENDATA
+"""
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4096])
+def test_layered_export_text(monkeypatch, chunk):
+    monkeypatch.setattr(lpformat, "_ROW_CHUNK", chunk)
+    model = layered_model()
+    assert export_lp(model) == LAYERED_LP
+    assert export_mps(model) == LAYERED_MPS
+
+
+@pytest.fixture(scope="module")
+def year_model(tmp_path_factory):
+    """The one-building 8760 h model of the benchmark's year pipeline, seed 0."""
+    data = instances.data_directory(tmp_path_factory.mktemp("year") / "data", 1, 0)
+    ingest = ingest_community(data)
+    return build_centralized(ingest.config, [ingest.history]).model
+
+
+# MPS text of the year model, pinned when the MPS export moved onto the
+# LP export's name pieces and per-distinct-value texts
+YEAR_MPS_SHA256 = "89f6d0951d2f99be3b539c574108cabaf3d97f42c3f017d41f701a66de7fba16"
+
+
+def test_year_export_matches_benchmark_record(year_model):
+    record = json.loads((PERFBENCH / "year_build_lp.json").read_text())
+    assert year_model.stats() == record["structure"]
+    assert _sha(export_lp(year_model)) == record["lp_sha256"]["0"]
+    assert _sha(export_mps(year_model)) == YEAR_MPS_SHA256
+
+
+def test_year_lp_export_holds_little_beside_its_text(year_model):
+    # names are gathered as shared pieces and rows are written a block at
+    # a time into the growing text, so the export's peak stays near the
+    # text itself (it was 4.3 times the text when it built every name and
+    # joined all blocks at the end).  The text grows in place only while
+    # no trace or profile hook is set: under one it reads 2.75 times.
+    export_lp(year_model)  # fills the step-text and formatting caches
+    tracemalloc.start()
+    try:
+        text = export_lp(year_model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)

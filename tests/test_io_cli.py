@@ -273,6 +273,24 @@ class TestSeriesCsv:
         values = [1.0, 2.5, -3.0]
         assert series == ts(values, Unit.KILOWATT, start=datetime(2019, 1, 1))
 
+    @pytest.mark.parametrize("text, stamps, values", [
+        ("a,1\nb,2", ["a", "b"], ["1", "2"]),
+        ("a,1\r\nb,2\r\n", ["a", "b"], ["1", "2"]),
+        ("a,1\rb,2\n", ["a", "b"], ["1", "2"]),
+        ("\u00e9,1\n\u20ac, 2 ", ["\u00e9", "\u20ac"], ["1", " 2 "]),
+        (",", [""], [""]),
+    ])
+    def test_split_rows_takes_one_comma_per_line(self, text, stamps, values):
+        assert communityplan.io._split_rows(text) == (stamps, values)
+
+    @pytest.mark.parametrize("text", [
+        "a,1,b\n2", "a\nb,1,2", "a,1,b,2", "a,1\n\nb,2", "a,1\nb", "a", "", "\n", "a,1\n,\n,,",
+        "\u00e9,1,\u20ac\n2",
+    ])
+    def test_split_rows_rejects_other_shapes(self, text):
+        with pytest.raises(ValueError, match="one timestamp,value pair per line"):
+            communityplan.io._split_rows(text)
+
     @pytest.mark.parametrize("edit", [
         "none", "lf", "value_padded", "extra_column", "blank_line", "appended_rows",
         "bad_value", "gap", "three_cells_then_one", "quoted_value", "lone_lf_line",

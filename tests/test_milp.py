@@ -199,6 +199,11 @@ class TestConstraintFamilies:
                           (Sense.EQ,) * 2, 0.0, first=11)
         for axis in (m._cols, m._rows):
             assert axis.names() == [axis.name(p) for p in range(axis.size)]
+        # names are pieces shared across members: one head per stem, one
+        # text per step of a range, explicit names whole
+        heads, tails = m._cols.pieces()
+        assert (heads[0], tails[0]) == ("a", "")
+        assert heads[1] is heads[2] and tails[1] is tails[8]
         assert m.row_names()[:8] == ["first", "p_t2", "q_t2", "r_t2", "p_t3", "q_t3",
                                      "r_t3", "p_t4"]
         assert m.var_names() == ["a", "x_t0", "x_t1", "x_t2", "odd\nstem_t0", "odd\nstem_t1",
