@@ -38,7 +38,7 @@ from .scenarios import (
     reduce_scenarios,
     validate_bootstrap_spec,
 )
-from .solvers import SolveOptions, SolverError
+from .solvers import HIGHS_OPTIONS, SolveOptions, SolverError
 
 ENV_SOLVER = "COMMUNITYPLAN_SOLVER"
 ENV_CLOCK = "COMMUNITYPLAN_CLOCK"
@@ -129,13 +129,15 @@ def _load_inputs(args):
 
 
 def _plan_manifest(args, backend, options: SolveOptions, manifest: dict):
+    # the in-process backend also records the HiGHS settings it adds
     return make_run_manifest(
         config_path=Path(args.dir) / "config.json",
         scenario_dir=args.scenarios,
-        solver=backend if isinstance(backend, str) else "scipy",
+        solver=backend,
         solver_options={
             "time_limit_s": options.time_limit_s,
             "mip_gap": options.mip_gap,
+            **(HIGHS_OPTIONS if backend == "scipy" else {}),
         },
         seeds={"scenario_rng": int(manifest.get("rng_seed") or 0)},
         clock=os.environ.get(ENV_CLOCK),

@@ -20,19 +20,45 @@ constant.  A returned solution is re-checked:
 of :meth:`~communityplan.milp.Model.rows_with_terms`, and both return
 ``Status.INFEASIBLE`` without running one when a row without terms does
 not hold.
+
+:class:`ScipyBackend` passes HiGHS two options beyond SciPy's own keys,
+fixed in :data:`HIGHS_OPTIONS`:
+
+* ``mip_heuristic_run_feasibility_jump=False``.  Feasibility jump is a
+  primal heuristic for integer programs whose first feasible point is
+  hard to find.  Every model here is feasible through its priced grid
+  slacks, and the heuristic was the largest share of a sub-model's MIP
+  time beyond its LP relaxation.
+* ``threads`` = the cores this process may run on.  HiGHS otherwise
+  starts one worker on a 2-core machine; the second one shortens the
+  central solve.
+
+HiGHS keeps one thread scheduler per process, sized by the first run
+that starts it.  A later run asking for another thread count fails
+("HiGHS Status 0: Not Set", ``milp`` status 4), so every solve resets
+the scheduler first (``_Highs.resetGlobalScheduler``, from SciPy's
+private ``scipy.optimize._highspy._core``; SciPy >= 1.15).  The reset
+takes microseconds, and it cannot race another solve because a HiGHS
+run holds the GIL.  Neither setting changes the plans: on the
+criterion-1 instances the solution vectors were bitwise equal to those
+at HiGHS's defaults.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import subprocess
 import tempfile
 import time
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy._core import _Highs
 
 from .lpformat import export_lp, parse_solution_table
 from .milp import (
@@ -51,11 +77,26 @@ __all__ = [
     "CommandBackend",
     "solve",
     "FEASIBILITY_TOL",
+    "HIGHS_OPTIONS",
 ]
 
 # design variables are compared across sensitivity runs and must be
 # stable, hence the tight default gap
 DEFAULT_MIP_GAP = 1e-6
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# raw HiGHS options of every ScipyBackend solve (see the module docstring)
+HIGHS_OPTIONS = MappingProxyType({
+    "mip_heuristic_run_feasibility_jump": False,
+    "threads": _usable_cores(),
+})
 
 # scipy.optimize.milp status codes; 4 ("Other") is a HiGHS failure and
 # has no entry, so it raises instead of passing for a limit
@@ -65,6 +106,13 @@ _MILP_STATUS = {0: Status.OPTIMAL, 1: Status.LIMIT, 2: Status.INFEASIBLE,
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """Per-solve limits that every backend honours.
+
+    The HiGHS settings of :class:`ScipyBackend` are not options: they
+    are fixed in :data:`HIGHS_OPTIONS` (feasibility jump off, one thread
+    per usable core) and leave the plans unchanged.
+    """
+
     time_limit_s: float | None = None
     mip_gap: float = DEFAULT_MIP_GAP
 
@@ -97,7 +145,15 @@ def _finalize(model: Model, status: Status, objective: float, x: np.ndarray | No
 
 
 class ScipyBackend:
-    """In-process HiGHS via scipy.optimize.milp."""
+    """In-process HiGHS via scipy.optimize.milp.
+
+    Each solve adds :data:`HIGHS_OPTIONS` (feasibility jump off, one
+    thread per usable core) to the gap and time limit, and resets HiGHS's
+    process-wide thread scheduler first, so that a process which ran
+    HiGHS with another thread count still solves.  SciPy's warning that
+    these keys are passed to HiGHS verbatim is silenced; no other warning
+    is.
+    """
 
     name = "scipy-highs"
 
@@ -125,16 +181,21 @@ class ScipyBackend:
                 mat, con_lo, con_hi = mat[rows], con_lo[rows], con_hi[rows]
             constraints = LinearConstraint(mat.tocsc(), con_lo, con_hi)
 
-        milp_options: dict[str, object] = {"mip_rel_gap": options.mip_gap}
+        milp_options: dict[str, object] = {"mip_rel_gap": options.mip_gap,
+                                           **HIGHS_OPTIONS}
         if options.time_limit_s is not None:
             milp_options["time_limit"] = options.time_limit_s
-        res = milp(
-            c=model.cost(),
-            constraints=constraints,
-            integrality=integrality,
-            bounds=Bounds(lo, hi),
-            options=milp_options,
-        )
+        _Highs.resetGlobalScheduler(True)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "Unrecognized options detected",
+                                    RuntimeWarning)
+            res = milp(
+                c=model.cost(),
+                constraints=constraints,
+                integrality=integrality,
+                bounds=Bounds(lo, hi),
+                options=milp_options,
+            )
         if res.status not in _MILP_STATUS:
             raise SolverError(f"HiGHS failed (milp status {res.status}): {res.message}")
         status = _MILP_STATUS[res.status]

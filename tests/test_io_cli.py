@@ -27,6 +27,7 @@ from communityplan.io import (
 )
 from communityplan.planner import solve_centralized
 from communityplan.scenarios import BootstrapSpec, bootstrap_years, channels_to_scenario
+from communityplan.solvers import HIGHS_OPTIONS
 
 from conftest import (
     START, battery_spec, boiler_spec, simple_building, simple_config, simple_scenario, ts,
@@ -653,7 +654,10 @@ class TestCli:
             "--out", str(out), "--horizon", "24",
         ) == 0
         assert (out / "plan_result.json").exists()
-        assert (out / "run_manifest.json").exists()
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["solver_options"] == {
+            "time_limit_s": None, "mip_gap": 1e-6, **HIGHS_OPTIONS,
+        }
 
         rep = tmp_path / "rep"
         assert self.run(

@@ -23,6 +23,7 @@ from communityplan.milp import (
     constraint_violation,
 )
 from communityplan.solvers import (
+    HIGHS_OPTIONS,
     CommandBackend,
     ScipyBackend,
     SolveOptions,
@@ -323,6 +324,21 @@ class TestSolve:
         monkeypatch.setattr("communityplan.solvers.milp", lambda **kwargs: failed)
         with pytest.raises(SolverError, match="internal error"):
             solve(toy_model())
+
+    def test_solves_after_highs_ran_with_another_thread_count(self):
+        # HiGHS sizes one thread scheduler per process at its first run; a
+        # later run asking for another count fails unless it is reset
+        from scipy.optimize import Bounds, milp
+        from scipy.optimize._highspy._core import _Highs
+
+        threads = 2 if HIGHS_OPTIONS["threads"] == 1 else 1
+        _Highs.resetGlobalScheduler(True)
+        with pytest.warns(RuntimeWarning, match="Unrecognized options detected"):
+            foreign = milp([-1.0], integrality=[1], bounds=Bounds(0, 1),
+                           options={"threads": threads})
+        assert foreign.status == 0
+        res = ScipyBackend().solve(toy_model())
+        assert res.status == Status.OPTIMAL
 
 
 class TestRandomLPsAgainstVertexEnumeration:

@@ -1,5 +1,6 @@
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,13 @@ from communityplan.planner import (
     solve_distributed,
     wait_and_see_value,
 )
-from communityplan.solvers import ScipyBackend, SolveOptions, SolverError, solve
+from communityplan.solvers import (
+    HIGHS_OPTIONS,
+    ScipyBackend,
+    SolveOptions,
+    SolverError,
+    solve,
+)
 
 from conftest import (
     battery_spec,
@@ -333,6 +340,40 @@ def test_highs_receives_the_per_term_cost_vector(monkeypatch):
         expected = model.cost()
         assert len(expected) == len(model.variables)
         assert c.dtype == expected.dtype and c.tobytes() == expected.tobytes()
+
+
+def test_highs_receives_the_fixed_options(monkeypatch):
+    # feasibility jump off and one thread per usable core reach HiGHS on
+    # the centralized model and every distributed sub-model, and SciPy's
+    # warning about those keys does not leave the backend
+    received = []
+    real_milp = communityplan.solvers.milp
+
+    def milp_spy(c, **kwargs):
+        received.append(dict(kwargs["options"]))
+        return real_milp(c=c, **kwargs)
+
+    monkeypatch.setattr(communityplan.solvers, "milp", milp_spy)
+    cfg, scenarios = instances.criterion1_instance(300, 1, horizon=24)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        solve_centralized(cfg, scenarios)
+        plan = solve_distributed(cfg, scenarios, epsilon=2.0, max_iters=8)
+    assert len(received) == 1 + len(cfg.buildings) * plan.solve_meta["iterations"]
+    for options in received:
+        assert options["mip_heuristic_run_feasibility_jump"] is False
+        assert options["threads"] == HIGHS_OPTIONS["threads"] >= 1
+
+
+@pytest.mark.parametrize("index", range(1, 5))
+def test_fixed_highs_options_keep_the_plan(monkeypatch, index):
+    # the same designs and objective as HiGHS at its defaults plus the gap
+    cfg, scenarios = instances.criterion1_instance(300, index, horizon=24)
+    plan = solve_centralized(cfg, scenarios)
+    monkeypatch.setattr(communityplan.solvers, "HIGHS_OPTIONS", {})
+    reference = solve_centralized(cfg, scenarios)
+    assert plan.designs == reference.designs
+    assert plan.objective == pytest.approx(reference.objective, rel=1e-9, abs=0)
 
 
 class TestStochasticOrderings:
