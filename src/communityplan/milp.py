@@ -351,6 +351,12 @@ class _Names:
             raise KeyError(name)
         return pos
 
+    def segment_end(self, pos: int) -> int:
+        """One past the last position of the family or the run of explicit
+        names that holds ``pos``."""
+        segment = bisect.bisect_right(self._starts, pos)
+        return self._starts[segment] if segment < len(self._starts) else self.size
+
     def name(self, pos: int) -> str:
         if not 0 <= pos < self.size:
             raise IndexError(pos)
@@ -422,6 +428,10 @@ class _Grow:
         out = self._buf[: self.size]
         out.flags.writeable = False
         return out
+
+    def write(self, at: int, values: np.ndarray) -> None:
+        """Overwrite entries ``at .. at + len(values) - 1`` in place."""
+        self._buf[at: at + len(values)] = values
 
 
 def _broadcast(value, steps: int, what: str) -> np.ndarray:
@@ -625,6 +635,32 @@ class Model:
         self._row_sense.extend(np.tile([_SENSE_CODE[Sense(s)] for s in senses], steps))
         self._matrix = None
         return start
+
+    def set_rhs(self, first: int, values) -> None:
+        """Rewrite the right-hand sides of rows ``first``, ``first + 1``, ...
+        in place, one per entry of ``values``.
+
+        The rows must exist and lie in one family of
+        :meth:`add_constraints` or one run of rows added by
+        :meth:`add_constraint`, so that a wrong length cannot reach the next
+        family's rows; the values must be finite.  Coefficients, senses and
+        the cached :meth:`matrix` are kept, and the next solve or export
+        reads the new values.
+        """
+        values = np.asarray(values, float)
+        if values.ndim != 1:
+            raise ValueError(f"rhs values have shape {values.shape}, expected one dimension")
+        if not 0 <= first < self._rows.size:
+            raise ValueError(f"row {first} is out of range for {self._rows.size} rows")
+        end = self._rows.segment_end(first)
+        if first + len(values) > end:
+            raise ValueError(
+                f"{len(values)} rhs values from row '{self._rows.name(first)}' run past "
+                f"its family, which ends {end - first} rows later"
+            )
+        if not np.isfinite(values).all():
+            raise ValueError("rhs values must be finite")
+        self._row_rhs.write(first, values)
 
     def _append_row_terms(self, terms: Mapping[int, float]) -> None:
         self._row_nnz.append(len(terms))

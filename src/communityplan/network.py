@@ -85,13 +85,15 @@ def emit_lv_aggregation(
     grid: GridBlockRefs,
     others_net=0.0,
     tag: str = "COM",
-) -> None:
+) -> int:
     """LV bus balance: MV->LV supply plus building exports equal building
-    imports plus LV->MV return, per timestep.
+    imports plus LV->MV return, per timestep; returns the index of the
+    first of its ``horizon`` consecutive rows.
 
     ``others_net[t]`` is the fixed net consumption (imports minus exports)
     of the buildings outside the model, a scalar or a series; it is zero
-    when every building is in the model.
+    when every building is in the model.  It is the rows' right-hand side,
+    so :meth:`~communityplan.milp.Model.set_rhs` on those rows changes it.
     """
     horizon = len(grid.mv_to_lv)
     if not isinstance(others_net, (int, float)):
@@ -99,4 +101,5 @@ def emit_lv_aggregation(
     terms = [(grid.mv_to_lv, 1.0), (grid.lv_to_mv, -1.0)]
     for flows in building_flows.values():
         terms += [(flows.e_out, 1.0), (flows.e_in, -1.0)]
-    model.add_constraints((f"lvagg_{tag}",), horizon, [terms], (Sense.EQ,), [others_net])
+    return model.add_constraints((f"lvagg_{tag}",), horizon, [terms], (Sense.EQ,),
+                                 [others_net])

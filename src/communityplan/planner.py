@@ -384,6 +384,14 @@ class BuiltModel:
     community_designs: dict[DeviceKind, DesignRefs]
     building_refs: dict[str, dict[int, _BuildingScenarioRefs]]
     community_refs: dict[str, _CommunityScenarioRefs]
+    lv_rows: dict[str, int]  # scenario id -> first row of its LV aggregation
+
+    def set_others_net(self, others_net: Mapping[str, np.ndarray]) -> None:
+        """Make ``others_net[sid]`` the fixed net load of the buildings
+        outside the model: the right-hand side of each scenario's LV
+        aggregation rows, rewritten in place."""
+        for scenario in self.scenarios:
+            self.model.set_rhs(self.lv_rows[scenario.id], others_net[scenario.id])
 
     def design_entries(self) -> dict[tuple[str, str], tuple[DeviceSpec, VarRef, VarRef]]:
         out: dict[tuple[str, str], tuple[DeviceSpec, VarRef, VarRef]] = {}
@@ -479,6 +487,7 @@ def _build(
     stages: list[tuple[int, np.ndarray]] = []  # (first column, weighted cost)
     building_refs: dict[str, dict[int, _BuildingScenarioRefs]] = {}
     community_refs: dict[str, _CommunityScenarioRefs] = {}
+    lv_rows: dict[str, int] = {}
     for w, scenario in enumerate(scenarios):
         stag = f"s{w}"
         first = len(model.variables)
@@ -495,7 +504,7 @@ def _build(
         )
         flows = {bid: refs.flows for bid, refs in per_building.items()}
         emit_grid_limits(model, com.grid, flows, cfg.lv_limit, cfg.mv_limit, f"COM_{stag}")
-        emit_lv_aggregation(
+        lv_rows[scenario.id] = emit_lv_aggregation(
             model, flows, com.grid,
             0.0 if others_net is None else others_net[scenario.id], f"COM_{stag}",
         )
@@ -529,6 +538,7 @@ def _build(
         community_designs=community_designs,
         building_refs=building_refs,
         community_refs=community_refs,
+        lv_rows=lv_rows,
     )
 
 
@@ -584,12 +594,19 @@ def solve_distributed(
     ``"optimal"`` otherwise; ``solve_meta["backend"]`` is the backend
     name the sub-plans report, and ``solve_meta["max_mip_gap"]`` the
     largest ``mip_gap`` among the merged sub-plans that report one.
+
+    Each building's sub-model is built once, in the first sweep, and kept:
+    a later sweep rewrites only its LV aggregation right-hand sides
+    (:meth:`BuiltModel.set_others_net`) and solves it again through
+    :func:`~communityplan.solvers.solve`, so every backend sees the model
+    a fresh build would give.  All sub-models are held at once.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     scenarios, horizon = _checked(cfg, scenarios)
     t0 = time.perf_counter()
 
+    subs: dict[int, BuiltModel] = {}
     plans: dict[int, PlanResult] = {}
     net: dict[int, dict[str, np.ndarray]] = {}  # [bid][sid], ascending bid
     history: list[float] = []
@@ -601,8 +618,12 @@ def solve_distributed(
                 s.id: sum((net[o][s.id] for o in net if o != bid), np.zeros(horizon))
                 for s in scenarios
             }
-            built = _build(cfg, scenarios, horizon, [building], others_net,
-                           f"sub_{_building_entity(bid)}")
+            built = subs.get(bid)
+            if built is None:
+                built = subs[bid] = _build(cfg, scenarios, horizon, [building], others_net,
+                                           f"sub_{_building_entity(bid)}")
+            else:
+                built.set_others_net(others_net)
             plans[bid] = last = built.extract(solve(built.model, backend, options))
             net[bid] = {
                 sid: np.array(ops.buildings[bid].e_in) - np.array(ops.buildings[bid].e_out)

@@ -2,8 +2,9 @@
 
 Two contracts are provided:
 
-* :class:`ScipyBackend` runs HiGHS in process through
-  ``scipy.optimize.milp`` and is the default.
+* :class:`ScipyBackend` runs HiGHS in process through the binding that
+  SciPy bundles (``scipy.optimize._highspy._core``, SciPy >= 1.15) and is
+  the default.
 * :class:`CommandBackend` is the portability guarantee: it writes the
   model to an LP file, invokes an arbitrary solver through a
   command template such as ``"mysolver {model} --out {sol}"`` and reads
@@ -21,8 +22,10 @@ of :meth:`~communityplan.milp.Model.rows_with_terms`, and both return
 ``Status.INFEASIBLE`` without running one when a row without terms does
 not hold.
 
-:class:`ScipyBackend` passes HiGHS two options beyond SciPy's own keys,
-fixed in :data:`HIGHS_OPTIONS`:
+:func:`milp` is the one place HiGHS runs: a fresh ``_Highs`` instance
+per call takes the options, the model as the arrays the backend
+assembles, and one ``run``.  Beyond the gap and the time limit it passes
+:data:`HIGHS_OPTIONS`:
 
 * ``mip_heuristic_run_feasibility_jump=False``.  Feasibility jump is a
   primal heuristic for integer programs whose first feasible point is
@@ -33,15 +36,14 @@ fixed in :data:`HIGHS_OPTIONS`:
   starts one worker on a 2-core machine; the second one shortens the
   central solve.
 
-HiGHS keeps one thread scheduler per process, sized by the first run
-that starts it.  A later run asking for another thread count fails
-("HiGHS Status 0: Not Set", ``milp`` status 4), so every solve resets
-the scheduler first (``_Highs.resetGlobalScheduler``, from SciPy's
-private ``scipy.optimize._highspy._core``; SciPy >= 1.15).  The reset
-takes microseconds, and it cannot race another solve because a HiGHS
-run holds the GIL.  Neither setting changes the plans: on the
-criterion-1 instances the solution vectors were bitwise equal to those
-at HiGHS's defaults.
+An option HiGHS does not accept, by name or by type, raises
+:class:`SolverError`.  HiGHS keeps one thread scheduler per process,
+sized by the first run that starts it, and a later run asking for another
+thread count fails; so every run resets the scheduler first
+(``_Highs.resetGlobalScheduler``).  The reset takes microseconds, and it
+cannot race another solve because a HiGHS run holds the GIL.  Neither
+setting changes the plans: on the criterion-1 instances the solution
+vectors were bitwise equal to those at HiGHS's defaults.
 """
 
 from __future__ import annotations
@@ -51,14 +53,26 @@ import os
 import subprocess
 import tempfile
 import time
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.optimize._highspy._core import _Highs
+
+try:
+    from scipy.optimize._highspy._core import (
+        HighsModelStatus,
+        HighsStatus,
+        MatrixFormat,
+        ObjSense,
+        _Highs,
+        kHighsInf,
+    )
+except ImportError as exc:
+    raise ImportError(
+        "communityplan runs HiGHS through scipy.optimize._highspy._core, "
+        "which needs scipy>=1.15"
+    ) from exc
 
 from .lpformat import export_lp, parse_solution_table
 from .milp import (
@@ -98,10 +112,16 @@ HIGHS_OPTIONS = MappingProxyType({
     "threads": _usable_cores(),
 })
 
-# scipy.optimize.milp status codes; 4 ("Other") is a HiGHS failure and
-# has no entry, so it raises instead of passing for a limit
-_MILP_STATUS = {0: Status.OPTIMAL, 1: Status.LIMIT, 2: Status.INFEASIBLE,
-                3: Status.UNBOUNDED}
+# the outcome of every HiGHS model status; a status without an entry is a
+# HiGHS failure and raises SolverError
+_STATUS = {
+    HighsModelStatus.kOptimal: Status.OPTIMAL,
+    HighsModelStatus.kTimeLimit: Status.LIMIT,
+    HighsModelStatus.kIterationLimit: Status.LIMIT,
+    HighsModelStatus.kInfeasible: Status.INFEASIBLE,
+    HighsModelStatus.kModelError: Status.INFEASIBLE,
+    HighsModelStatus.kUnbounded: Status.UNBOUNDED,
+}
 
 
 @dataclass(frozen=True)
@@ -119,6 +139,68 @@ class SolveOptions:
 
 class SolverError(RuntimeError):
     """Backend could not be launched or produced unusable output."""
+
+
+@dataclass(frozen=True)
+class HighsRun:
+    """What one HiGHS run reports.
+
+    ``x`` and ``fun`` (``c @ x``) are None without a solution;
+    ``mip_gap`` and ``mip_node_count`` are None for a model without
+    integer columns.
+    """
+
+    status: HighsModelStatus
+    message: str
+    x: np.ndarray | None = None
+    fun: float | None = None
+    mip_gap: float | None = None
+    mip_node_count: int | None = None
+
+
+def milp(c, *, integrality, bounds, constraints, options) -> HighsRun:
+    """Minimize ``c @ x`` subject to ``lo <= x <= hi`` and
+    ``row_lo <= A @ x <= row_hi`` in one HiGHS run.
+
+    ``bounds`` is ``(lo, hi)``; ``constraints`` is ``(A, row_lo, row_hi)``
+    with ``A`` a CSC matrix; ``integrality`` holds 1 for an integer column
+    and 0 for a continuous one; ``options`` maps HiGHS option names to
+    values, and one HiGHS rejects raises :class:`SolverError`.  HiGHS logs
+    nothing.  A solution comes back at an optimum, and for a model with
+    integer columns also at a time or iteration limit once an incumbent
+    exists (finite objective).
+    """
+    highs = _Highs()
+    for key, value in {"output_flag": False, **options}.items():
+        if highs.setOptionValue(key, value) != HighsStatus.kOk:
+            raise SolverError(f"HiGHS rejected option {key}={value!r}")
+    lo, hi = bounds
+    matrix, row_lo, row_hi = constraints
+    loaded = highs.passModel(
+        len(c), matrix.shape[0], matrix.nnz, MatrixFormat.kColwise, ObjSense.kMinimize,
+        0.0, c, lo, hi, row_lo, row_hi, matrix.indptr, matrix.indices, matrix.data,
+        integrality,
+    )
+    if loaded == HighsStatus.kError:
+        status = HighsModelStatus.kModelError
+        return HighsRun(status, highs.modelStatusToString(status))
+    _Highs.resetGlobalScheduler(True)
+    highs.run()
+    status = highs.getModelStatus()
+    info = highs.getInfo()
+    is_mip = bool(integrality.any())
+    solved = status == HighsModelStatus.kOptimal or (
+        is_mip and _STATUS.get(status) == Status.LIMIT
+        and info.objective_function_value < kHighsInf
+    )
+    return HighsRun(
+        status,
+        highs.modelStatusToString(status),
+        x=np.array(highs.getSolution().col_value, float) if solved else None,
+        fun=info.objective_function_value if solved else None,
+        mip_gap=info.mip_gap if is_mip else None,
+        mip_node_count=info.mip_node_count if is_mip else None,
+    )
 
 
 def _vector(model: Model, values) -> np.ndarray:
@@ -145,14 +227,14 @@ def _finalize(model: Model, status: Status, objective: float, x: np.ndarray | No
 
 
 class ScipyBackend:
-    """In-process HiGHS via scipy.optimize.milp.
+    """In-process HiGHS through SciPy's bundled binding (see :func:`milp`).
 
-    Each solve adds :data:`HIGHS_OPTIONS` (feasibility jump off, one
-    thread per usable core) to the gap and time limit, and resets HiGHS's
-    process-wide thread scheduler first, so that a process which ran
-    HiGHS with another thread count still solves.  SciPy's warning that
-    these keys are passed to HiGHS verbatim is silenced; no other warning
-    is.
+    Each solve hands HiGHS the model's cost vector, column bounds and
+    integrality, and the CSC matrix and activity bounds of the rows with
+    terms, with the gap, the time limit when given and
+    :data:`HIGHS_OPTIONS` (feasibility jump off, one thread per usable
+    core).  The HiGHS model status maps to one :class:`Status`; a status
+    outside that table (a HiGHS failure) raises :class:`SolverError`.
     """
 
     name = "scipy-highs"
@@ -170,43 +252,32 @@ class ScipyBackend:
             return _finalize(model, Status.OPTIMAL, model.objective_constant,
                              np.zeros(0), meta)
 
-        integrality = model.binary_mask().astype(np.int64)
-        lo, hi = (np.array(b) for b in model.bounds())
-
-        constraints = ()
         mat = model.matrix()
-        if len(rows):
-            con_lo, con_hi = model.row_bounds()
-            if len(rows) < mat.shape[0]:
-                mat, con_lo, con_hi = mat[rows], con_lo[rows], con_hi[rows]
-            constraints = LinearConstraint(mat.tocsc(), con_lo, con_hi)
-
-        milp_options: dict[str, object] = {"mip_rel_gap": options.mip_gap,
-                                           **HIGHS_OPTIONS}
+        con_lo, con_hi = model.row_bounds()
+        if len(rows) < mat.shape[0]:
+            mat, con_lo, con_hi = mat[rows], con_lo[rows], con_hi[rows]
+        highs_options: dict[str, object] = {"mip_rel_gap": options.mip_gap,
+                                            **HIGHS_OPTIONS}
         if options.time_limit_s is not None:
-            milp_options["time_limit"] = options.time_limit_s
-        _Highs.resetGlobalScheduler(True)
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "Unrecognized options detected",
-                                    RuntimeWarning)
-            res = milp(
-                c=model.cost(),
-                constraints=constraints,
-                integrality=integrality,
-                bounds=Bounds(lo, hi),
-                options=milp_options,
-            )
-        if res.status not in _MILP_STATUS:
-            raise SolverError(f"HiGHS failed (milp status {res.status}): {res.message}")
-        status = _MILP_STATUS[res.status]
+            highs_options["time_limit"] = options.time_limit_s
+        res = milp(
+            c=model.cost(),
+            integrality=model.binary_mask().astype(np.int32),
+            bounds=model.bounds(),
+            constraints=(mat.tocsc(), con_lo, con_hi),
+            options=highs_options,
+        )
+        if res.status not in _STATUS:
+            raise SolverError(f"HiGHS failed ({res.status.name}): {res.message}")
+        status = _STATUS[res.status]
         meta["message"] = res.message
         meta["wall_time_s"] = time.perf_counter() - t0
         if res.x is None:
             return SolveResult(status, math.nan, {}, meta)
         objective = float(res.fun) + model.objective_constant
-        if getattr(res, "mip_gap", None) is not None:
+        if res.mip_gap is not None:
             meta["mip_gap"] = float(res.mip_gap)
-        return _finalize(model, status, objective, np.asarray(res.x, float), meta)
+        return _finalize(model, status, objective, res.x, meta)
 
 
 class CommandBackend:

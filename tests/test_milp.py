@@ -25,13 +25,40 @@ from communityplan.milp import (
 from communityplan.solvers import (
     HIGHS_OPTIONS,
     CommandBackend,
+    HighsRun,
     ScipyBackend,
     SolveOptions,
     SolverError,
     solve,
 )
+from scipy.optimize._highspy._core import HighsModelStatus
 
 from oracles import enumerate_lp_minimum
+
+# the outcome of each HiGHS model status, as scipy.optimize.milp reported it
+# (status 4 there, "Other", raises SolverError here)
+HIGHS_STATUS_OUTCOMES = {
+    "kNotset": SolverError,
+    "kLoadError": SolverError,
+    "kModelError": Status.INFEASIBLE,
+    "kPresolveError": SolverError,
+    "kSolveError": SolverError,
+    "kPostsolveError": SolverError,
+    "kModelEmpty": SolverError,
+    "kOptimal": Status.OPTIMAL,
+    "kInfeasible": Status.INFEASIBLE,
+    "kUnboundedOrInfeasible": SolverError,
+    "kUnbounded": Status.UNBOUNDED,
+    "kObjectiveBound": SolverError,
+    "kObjectiveTarget": SolverError,
+    "kTimeLimit": Status.LIMIT,
+    "kIterationLimit": Status.LIMIT,
+    "kUnknown": SolverError,
+    "kSolutionLimit": SolverError,
+    "kInterrupt": SolverError,
+    "kMemoryLimit": SolverError,
+    "kHighsInterrupt": SolverError,
+}
 
 
 def toy_model():
@@ -211,6 +238,45 @@ class TestConstraintFamilies:
                                  "b_t7", "c", "w_t0", "w_t1", "w_t2"]
 
 
+class TestRhsRewrite:
+    @staticmethod
+    def two_families():
+        m = Model("m")
+        z = m.add_vars("z", 3)
+        first = m.add_constraints(("f",), 3, [[(z, 1.0)]], (Sense.EQ,), 1.0)
+        m.add_constraints(("g",), 3, [[(z, 2.0)]], (Sense.LE,), 20.0)
+        m.minimize(z[0] * 1.0)
+        return m, first
+
+    def test_rewrite_keeps_the_matrix_and_equals_a_fresh_build(self):
+        m, first = self.two_families()
+        matrix = m.matrix()
+        m.set_rhs(first + 1, [5.0, 6.0])
+        assert m.matrix() is matrix
+        assert m.row_rhs().tolist() == [1.0, 5.0, 6.0, 20.0, 20.0, 20.0]
+        fresh = Model("m")
+        z = fresh.add_vars("z", 3)
+        fresh.add_constraints(("f",), 3, [[(z, 1.0)]], (Sense.EQ,), [np.array([1.0, 5.0, 6.0])])
+        fresh.add_constraints(("g",), 3, [[(z, 2.0)]], (Sense.LE,), 20.0)
+        fresh.minimize(z[0] * 1.0)
+        assert export_lp(m) == export_lp(fresh)
+        assert solve(m).x.tolist() == solve(fresh).x.tolist()
+
+    @pytest.mark.parametrize("first, values, match", [
+        (0, [1.0, 2.0, 3.0, 4.0], "run past"),
+        (0, [1.0, np.nan], "finite"),
+        (0, [np.inf], "finite"),
+        (-1, [1.0], "out of range"),
+        (6, [1.0], "out of range"),
+        (0, [[1.0, 2.0]], "one dimension"),
+    ])
+    def test_bad_rewrite_rejected_and_nothing_written(self, first, values, match):
+        m, _ = self.two_families()
+        with pytest.raises(ValueError, match=match):
+            m.set_rhs(first, values)
+        assert m.row_rhs().tolist() == [1.0] * 3 + [20.0] * 3
+
+
 class TestExport:
     def test_export_deterministic(self):
         assert export_lp(toy_model()) == export_lp(toy_model())
@@ -317,13 +383,66 @@ class TestSolve:
 
     @pytest.mark.parametrize("x", [None, np.zeros(3)])
     def test_highs_failure_is_an_error_not_a_limit(self, monkeypatch, x):
-        from scipy.optimize import OptimizeResult
-
-        failed = OptimizeResult(status=4, message="HiGHS hit an internal error",
-                                x=x, fun=None if x is None else 7.0, success=False)
+        failed = HighsRun(HighsModelStatus.kSolveError, "HiGHS hit an internal error",
+                          x=x, fun=None if x is None else 7.0)
         monkeypatch.setattr("communityplan.solvers.milp", lambda **kwargs: failed)
         with pytest.raises(SolverError, match="internal error"):
             solve(toy_model())
+
+    @pytest.mark.parametrize("member", sorted(HighsModelStatus.__members__))
+    def test_every_highs_model_status_has_one_outcome(self, monkeypatch, member):
+        # a member HiGHS adds later has no entry here and fails the test
+        outcome = HIGHS_STATUS_OUTCOMES[member]
+        run = HighsRun(HighsModelStatus.__members__[member], f"status {member}")
+        monkeypatch.setattr("communityplan.solvers.milp", lambda **kwargs: run)
+        if outcome is SolverError:
+            with pytest.raises(SolverError, match=member):
+                solve(toy_model())
+            return
+        result = solve(toy_model())
+        assert result.status == outcome
+        assert result.x is None and result.solver_meta["message"] == f"status {member}"
+
+    def test_limit_without_a_solution_raises_solver_error_in_the_planner(
+            self, monkeypatch, boiler_community):
+        from communityplan.planner import solve_centralized
+
+        run = HighsRun(HighsModelStatus.kTimeLimit, "Time limit reached")
+        monkeypatch.setattr("communityplan.solvers.milp", lambda **kwargs: run)
+        cfg, scenario = boiler_community
+        with pytest.raises(SolverError, match="limit without a solution"):
+            solve_centralized(cfg, [scenario])
+
+    @pytest.mark.parametrize("option", [{"no_such_highs_option": 1}, {"threads": "two"}])
+    def test_rejected_highs_option_raises(self, monkeypatch, option):
+        # HiGHS refuses an unknown name and a value of the wrong type
+        monkeypatch.setattr("communityplan.solvers.HIGHS_OPTIONS",
+                            {**HIGHS_OPTIONS, **option})
+        with pytest.raises(SolverError, match=next(iter(option))):
+            solve(toy_model())
+
+    def test_import_without_the_highs_binding_names_the_scipy_floor(self, monkeypatch):
+        import importlib.util
+
+        import communityplan.solvers
+
+        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+        spec = importlib.util.spec_from_file_location(
+            "communityplan._solvers_without_highs", communityplan.solvers.__file__)
+        with pytest.raises(ImportError, match=r"scipy>=1\.15"):
+            spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+    def test_lp_stopped_at_a_limit_returns_no_solution(self, monkeypatch):
+        # as scipy.optimize.milp did: an LP iterate at a limit is not returned
+        m = Model("lp")
+        x, y = m.add_var("x"), m.add_var("y")
+        m.add_constraint(x + y, Sense.GE, 3.0, "need")
+        m.add_constraint(x - y, Sense.LE, 1.0, "cap")
+        m.minimize(2 * x + y)
+        monkeypatch.setattr("communityplan.solvers.HIGHS_OPTIONS", {
+            **HIGHS_OPTIONS, "simplex_iteration_limit": 0, "presolve": "off"})
+        result = solve(m)
+        assert result.status == Status.LIMIT and result.x is None
 
     def test_solves_after_highs_ran_with_another_thread_count(self):
         # HiGHS sizes one thread scheduler per process at its first run; a

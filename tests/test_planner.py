@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import communityplan.solvers
+from communityplan import planner
 from communityplan.core import DeviceSpec, Scenario
 from communityplan.io import emit_reports, plan_result_to_dict
-from communityplan.lpformat import export_lp
+from communityplan.lpformat import export_lp, export_mps
 from communityplan.milp import SolveResult, Status
 from communityplan.planner import (
     build_centralized,
@@ -259,6 +260,66 @@ class TestCoordinationContract:
             latest[bid] = net
 
 
+def _rebuilding_distributed(cfg, scenarios, epsilon):
+    """solve_distributed with every sub-model built afresh by planner._build
+    in every sweep: (objective history, designs, operations)."""
+    scenarios, horizon = planner._checked(cfg, scenarios)
+    plans, net, history = {}, {}, []
+    while True:
+        for building in sorted(cfg.buildings, key=lambda b: b.id):
+            bid = building.id
+            others_net = {
+                s.id: sum((net[o][s.id] for o in net if o != bid), np.zeros(horizon))
+                for s in scenarios
+            }
+            built = planner._build(cfg, scenarios, horizon, [building], others_net,
+                                   f"sub_b{bid}")
+            plans[bid] = last = built.extract(solve(built.model))
+            net[bid] = {
+                sid: np.array(ops.buildings[bid].e_in) - np.array(ops.buildings[bid].e_out)
+                for sid, ops in last.operations.items()
+            }
+        designs, operations = planner._merge_plans(plans, last)
+        history.append(planner._plan_breakdown(cfg, scenarios, designs, operations).o_tot)
+        if len(history) >= 2 and abs(history[-1] - history[-2]) <= epsilon:
+            return history, designs, operations
+
+
+class TestPersistentSubModels:
+    @pytest.mark.parametrize("index", range(1, 5))
+    def test_kept_sub_models_plan_like_rebuilt_ones(self, monkeypatch, index):
+        # each sub-model is built once per call and only its LV rhs is
+        # rewritten later, with bit-identical sweeps
+        cfg, scenarios = instances.criterion1_instance(300, index, horizon=24)
+        history, designs, operations = _rebuilding_distributed(cfg, scenarios, 1.0)
+        builds = []
+        real_build = planner._build
+
+        def build_spy(*args):
+            builds.append(args[3][0].id)
+            return real_build(*args)
+
+        monkeypatch.setattr(planner, "_build", build_spy)
+        plan = solve_distributed(cfg, scenarios)
+        assert plan.solve_meta["o_tot_history"] == history
+        assert plan.designs == designs and plan.operations == operations
+        assert sorted(builds) == sorted(b.id for b in cfg.buildings)
+
+    def test_rewritten_sub_model_exports_like_a_fresh_build(self):
+        cfg, scenarios = instances.criterion1_instance(300, 2, horizon=24)
+        scenarios, horizon = planner._checked(cfg, scenarios)
+        rng = np.random.default_rng(7)
+        first, second = ({s.id: rng.normal(0.0, 5.0, horizon) for s in scenarios}
+                         for _ in range(2))
+        building = cfg.buildings[1]
+        kept = planner._build(cfg, scenarios, horizon, [building], first, "sub_b2")
+        export_lp(kept.model)
+        kept.set_others_net(second)
+        fresh = planner._build(cfg, scenarios, horizon, [building], second, "sub_b2")
+        assert export_lp(kept.model) == export_lp(fresh.model)
+        assert export_mps(kept.model) == export_mps(fresh.model)
+
+
 class _LpSpyBackend:
     """ScipyBackend that keeps the LP text of every model it solves."""
 
@@ -344,8 +405,8 @@ def test_highs_receives_the_per_term_cost_vector(monkeypatch):
 
 def test_highs_receives_the_fixed_options(monkeypatch):
     # feasibility jump off and one thread per usable core reach HiGHS on
-    # the centralized model and every distributed sub-model, and SciPy's
-    # warning about those keys does not leave the backend
+    # the centralized model and every distributed sub-model, and no
+    # RuntimeWarning about those keys leaves the backend
     received = []
     real_milp = communityplan.solvers.milp
 
