@@ -16,6 +16,9 @@ Unit conventions used throughout the package:
 
 All types are plain frozen dataclasses: immutable after construction and
 safe to share between concurrent workers.
+
+:data:`CHANNELS` is the one place a scenario channel is defined; channel
+names, units, factors and the flat channel view of a scenario derive from it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -40,11 +43,20 @@ __all__ = [
     "EconomicProfile",
     "ClimateProfile",
     "Scenario",
-    "STORAGE_KINDS",
+    "BUILDING_KINDS",
+    "COMMUNITY_KINDS",
+    "HYDROGEN_CHAIN",
+    "Channel",
+    "CHANNELS",
+    "FACTOR_GROUPS",
+    "channel_names",
+    "check_channel_names",
+    "channel_unit",
+    "channel_factor",
     "validate_config",
-    "validate_scenario",
     "align_scenarios",
     "scenario_channels",
+    "scenario_from_channels",
     "scenario_length",
     "series_head",
     "distinct_bits",
@@ -178,9 +190,12 @@ class DeviceKind(str, enum.Enum):
     BAT_COM = "BAT_COM"
 
 
-STORAGE_KINDS = frozenset(
-    {DeviceKind.BAT, DeviceKind.BAT_COM, DeviceKind.TES, DeviceKind.HYD}
-)
+# where each kind may be installed: on a building or in the community
+BUILDING_KINDS = frozenset(map(DeviceKind, ("BAT", "TES", "BOL", "HP", "PV", "STC")))
+COMMUNITY_KINDS = frozenset(DeviceKind) - BUILDING_KINDS
+
+# the hydrogen chain's kinds, in the order of its design entries
+HYDROGEN_CHAIN = (DeviceKind.EL, DeviceKind.HYD, DeviceKind.FC)
 
 # extra-map keys each kind must provide
 _REQUIRED_EXTRA: dict[DeviceKind, tuple[str, ...]] = {
@@ -299,23 +314,116 @@ class Scenario:
         object.__setattr__(self, "occupant", dict(self.occupant))
 
 
-def scenario_channels(scenario: Scenario) -> dict[str, TimeSeries]:
-    """Flat channel-name -> series view, stable ordering.
+class Channel(NamedTuple):
+    """One scenario channel: name stem, unit, uncertainty factor, and the
+    :class:`Scenario` group and field that hold it.  The ``occupant`` group
+    has one profile per building: its channels are ``<stem>_b<building id>``."""
 
-    Climate and economic channels come first, then per-building occupant
-    channels sorted by building id.
+    stem: str
+    unit: Unit
+    factor: str
+    group: str
+    field: str
+
+
+# every scenario channel, in the order of scenario_channels: this order
+# fixes feature-matrix columns, bundle file order and history reads
+CHANNELS = (
+    Channel("T_amb", Unit.DEGC, "clim", "climate", "t_amb"),
+    Channel("I_sol", Unit.WATT_PER_M2, "clim", "climate", "i_sol"),
+    Channel("p_el", Unit.EUR_PER_KWH, "eco", "economic", "p_el"),
+    Channel("p_gas", Unit.EUR_PER_KWH, "eco", "economic", "p_gas"),
+    Channel("p_co2", Unit.EUR_PER_KWH, "eco", "economic", "p_co2"),
+    Channel("E_base", Unit.KILOWATT, "occ", "occupant", "e_base"),
+    Channel("T_set", Unit.DEGC, "occ", "occupant", "t_set"),
+)
+_BY_STEM = {channel.stem: channel for channel in CHANNELS}
+_SHARED = [channel for channel in CHANNELS if channel.group != "occupant"]
+_PER_BUILDING = [channel for channel in CHANNELS if channel.group == "occupant"]
+
+# the Scenario group each uncertainty factor owns
+FACTOR_GROUPS = {channel.factor: channel.group for channel in CHANNELS}
+
+
+def _channel_name(stem: str, building_id: int) -> str:
+    """Name of a building's own channel."""
+    return f"{stem}_b{building_id}"
+
+
+def _split_channel_name(name: str) -> tuple[Channel, int | None]:
+    """The channel a name refers to and its building id (``None`` for a
+    shared channel); ``ValueError`` when the name is no channel, which
+    includes a building id not written as :func:`_channel_name` writes it."""
+    stem, _, building = name.rpartition("_b")
+    if (_BY_STEM.get(stem) in _PER_BUILDING and building.removeprefix("-").isdecimal()
+            and _channel_name(stem, int(building)) == name):
+        return _BY_STEM[stem], int(building)
+    if _BY_STEM.get(name) in _SHARED:
+        return _BY_STEM[name], None
+    raise ValueError(f"{name!r} is no scenario channel")
+
+
+def channel_names(building_ids: Iterable[int]) -> list[str]:
+    """Every channel of a scenario with these buildings: the shared
+    channels, then the own channels of each building in the given order."""
+    return [channel.stem for channel in _SHARED] + [
+        _channel_name(channel.stem, bid) for bid in building_ids for channel in _PER_BUILDING
+    ]
+
+
+def check_channel_names(names: Iterable[str]) -> tuple[list[str], list[str]]:
+    """Missing and unknown names among one scenario's channel names.
+
+    Missing are the shared channels and the own channels of every
+    building a name refers to; unknown are names that are no channel.
     """
-    out: dict[str, TimeSeries] = {
-        "T_amb": scenario.climate.t_amb,
-        "I_sol": scenario.climate.i_sol,
-        "p_el": scenario.economic.p_el,
-        "p_gas": scenario.economic.p_gas,
-        "p_co2": scenario.economic.p_co2,
+    names = set(names)
+    buildings: set[int | None] = set()
+    unknown = []
+    for name in sorted(names):
+        try:
+            buildings.add(_split_channel_name(name)[1])
+        except ValueError:
+            unknown.append(name)
+    buildings.discard(None)
+    missing = [name for name in channel_names(sorted(buildings)) if name not in names]
+    return missing, unknown
+
+
+def channel_unit(name: str) -> Unit:
+    return _split_channel_name(name)[0].unit
+
+
+def channel_factor(name: str) -> str:
+    return _split_channel_name(name)[0].factor
+
+
+def scenario_channels(scenario: Scenario) -> dict[str, TimeSeries]:
+    """Flat channel-name -> series view in :data:`CHANNELS` order, the
+    shared channels first, then each building's channels by ascending
+    building id."""
+    out = {
+        channel.stem: getattr(getattr(scenario, channel.group), channel.field)
+        for channel in _SHARED
     }
     for bid in sorted(scenario.occupant):
-        out[f"E_base_b{bid}"] = scenario.occupant[bid].e_base
-        out[f"T_set_b{bid}"] = scenario.occupant[bid].t_set
+        for channel in _PER_BUILDING:
+            out[_channel_name(channel.stem, bid)] = getattr(scenario.occupant[bid], channel.field)
     return out
+
+
+def scenario_from_channels(sid: str, probability: float,
+                           channels: Mapping[str, TimeSeries]) -> Scenario:
+    """Inverse of :func:`scenario_channels`: the scenario holding these
+    channels, which must be complete."""
+    groups: dict[str, dict[int | None, dict[str, TimeSeries]]] = {}
+    for name, series in channels.items():
+        channel, bid = _split_channel_name(name)
+        groups.setdefault(channel.group, {}).setdefault(bid, {})[channel.field] = series
+    occupant = {bid: OccupantProfile(**fields)
+                for bid, fields in groups.get("occupant", {}).items()}
+    return Scenario(sid, probability, occupant, EconomicProfile(**groups["economic"][None]),
+                    ClimateProfile(**groups["climate"][None]))
 
 
 def scenario_length(scenario: Scenario) -> int:
@@ -351,28 +459,6 @@ def distinct_bits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[first].view(np.float64), inverse
 
 
-def validate_scenario(scenario: Scenario) -> list[str]:
-    """Internal consistency: all member series share length and step."""
-    violations: list[str] = []
-    channels = scenario_channels(scenario)
-    ref_name = next(iter(channels))
-    ref = channels[ref_name]
-    for name, series in channels.items():
-        if len(series) != len(ref):
-            violations.append(
-                f"scenario {scenario.id}: {name}: length {len(series)} != "
-                f"{ref_name} length {len(ref)}"
-            )
-        if series.step_hours != ref.step_hours:
-            violations.append(
-                f"scenario {scenario.id}: {name}: step {series.step_hours} != "
-                f"{ref_name} step {ref.step_hours}"
-            )
-    if scenario.probability < 0:
-        violations.append(f"scenario {scenario.id}: probability >= 0")
-    return violations
-
-
 def _validate_device(spec: DeviceSpec, path: str, violations: list[str]) -> None:
     if not 0 <= spec.sigma <= 1:
         violations.append(f"{path}.sigma: requires 0 <= sigma <= 1")
@@ -395,6 +481,24 @@ def _validate_device(spec: DeviceSpec, path: str, violations: list[str]) -> None
         coeffs = spec.extra["cop_coeffs"]
         if not (isinstance(coeffs, (list, tuple)) and len(coeffs) == 4):
             violations.append(f"{path}.extra.cop_coeffs: requires 4 coefficients")
+
+
+def _validate_devices(specs: Iterable[DeviceSpec], allowed: frozenset, entity: str,
+                      path: str, violations: list[str]) -> None:
+    """Each spec, its placement, one spec per kind, and a hydrogen chain
+    that is whole or absent."""
+    kinds: set[DeviceKind] = set()
+    for didx, spec in enumerate(specs):
+        where = f"{path}[{didx}]"
+        _validate_device(spec, where, violations)
+        if spec.kind not in allowed:
+            violations.append(f"{where}: {spec.kind.value} is not a {entity} device")
+        elif spec.kind in kinds:
+            violations.append(f"{where}: {spec.kind.value} listed twice")
+        kinds.add(spec.kind)
+    missing = [kind.value for kind in HYDROGEN_CHAIN if kind not in kinds]
+    if allowed.issuperset(HYDROGEN_CHAIN) and 0 < len(missing) < len(HYDROGEN_CHAIN):
+        violations.append(f"{path}: hydrogen chain EL, HYD, FC lacks {', '.join(missing)}")
 
 
 def _validate_rc(rc: RCParameters, path: str, violations: list[str]) -> None:
@@ -456,10 +560,10 @@ def validate_config(cfg: CommunityConfig) -> list[str]:
         if bld.comfort_buffer < 0:
             violations.append(f"{path}.comfort_buffer: requires comfort_buffer >= 0")
         _validate_rc(bld.rc, f"{path}.rc", violations)
-        for didx, spec in enumerate(bld.devices):
-            _validate_device(spec, f"{path}.devices[{didx}]", violations)
-    for didx, spec in enumerate(cfg.community_devices):
-        _validate_device(spec, f"community_devices[{didx}]", violations)
+        _validate_devices(bld.devices, BUILDING_KINDS, "building", f"{path}.devices",
+                          violations)
+    _validate_devices(cfg.community_devices, COMMUNITY_KINDS, "community",
+                      "community_devices", violations)
     return violations
 
 
@@ -467,42 +571,30 @@ def align_scenarios(scenarios: list[Scenario]) -> list[Scenario]:
     """Truncate all scenarios to the common length and renormalize pi.
 
     Scenario probabilities are rescaled so they sum to one (to 1e-12).
-    Raises ``ValueError`` on an empty input, mismatched step sizes, or an
+    Raises ``ValueError`` on an empty input, mismatched step sizes, a
+    negative or non-finite probability (naming the scenario), or an
     all-zero probability mass.
     """
     if not scenarios:
         raise ValueError("align_scenarios requires at least one scenario")
-    steps = {s.climate.t_amb.step_hours for s in scenarios}
-    for s in scenarios:
-        for series in scenario_channels(s).values():
-            steps.add(series.step_hours)
+    channels = [scenario_channels(s) for s in scenarios]
+    steps = {series.step_hours for named in channels for series in named.values()}
     if len(steps) != 1:
         raise ValueError(f"incompatible scenario step sizes: {sorted(steps)}")
-    common = min(
-        min(len(series) for series in scenario_channels(s).values())
-        for s in scenarios
-    )
+    common = min(len(series) for named in channels for series in named.values())
+    for s in scenarios:
+        if not (math.isfinite(s.probability) and s.probability >= 0):
+            raise ValueError(
+                f"scenario {s.id!r}: probability must be finite and >= 0, got {s.probability}"
+            )
     total = sum(s.probability for s in scenarios)
     if total <= 0:
         raise ValueError("scenario probabilities sum to zero")
-
-    def _trim(s: Scenario) -> Scenario:
-        return Scenario(
-            id=s.id,
-            probability=s.probability / total,
-            occupant={
-                bid: OccupantProfile(p.e_base.truncated(common), p.t_set.truncated(common))
-                for bid, p in s.occupant.items()
-            },
-            economic=EconomicProfile(
-                s.economic.p_el.truncated(common),
-                s.economic.p_gas.truncated(common),
-                s.economic.p_co2.truncated(common),
-            ),
-            climate=ClimateProfile(
-                s.climate.t_amb.truncated(common),
-                s.climate.i_sol.truncated(common),
-            ),
+    return [
+        scenario_from_channels(
+            s.id,
+            s.probability / total,
+            {name: series.truncated(common) for name, series in named.items()},
         )
-
-    return [_trim(s) for s in scenarios]
+        for s, named in zip(scenarios, channels)
+    ]

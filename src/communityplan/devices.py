@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import DeviceKind, DeviceSpec, TimeSeries, series_head
+from .core import HYDROGEN_CHAIN, DeviceKind, DeviceSpec, TimeSeries, series_head
 from .milp import LinExpr, Model, Sense, VarBlock, VarRef
 
 __all__ = [
@@ -109,10 +109,6 @@ def emit_design(model: Model, spec: DeviceSpec, tag: str) -> DesignRefs:
     chi = model.add_binary(f"chi_{spec.kind.value}_{tag}")
     design = _emit_gated(model, chi, spec, tag)
     return DesignRefs(chi=chi, design=design, entries=((spec, design),))
-
-
-# The hydrogen chain's kinds, in the order of its design entries.
-HYDROGEN_CHAIN = (DeviceKind.EL, DeviceKind.HYD, DeviceKind.FC)
 
 
 def emit_hydrogen_design(

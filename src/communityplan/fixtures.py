@@ -17,8 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import RC_CAPACITY_KEY, RC_RESISTANCES_BY_ORDER, RC_STATES_BY_ORDER, Unit
-from .core import TimeSeries
+from .core import RC_CAPACITY_KEY, RC_RESISTANCES_BY_ORDER, RC_STATES_BY_ORDER
+from .core import TimeSeries, channel_names, channel_unit
+from .io import write_series_csv
 
 __all__ = ["generate_fixture", "DEVICE_CATALOGUE"]
 
@@ -196,32 +197,16 @@ def generate_fixture(out_dir: Path | str, n_buildings: int, seed: int) -> Path:
     (out_dir / "history").mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
 
-    t_amb, i_sol = _climate(rng)
-    p_el, p_gas, p_co2 = _prices(rng)
+    # the generators return their series in the order of channel_names
+    history = [*_climate(rng), *_prices(rng)]
     weekday = (np.arange(HOURS) // 24 + START.weekday()) % 7 < 5
-
-    def _write(name: str, values: np.ndarray, unit: Unit) -> None:
-        from .io import write_series_csv
-
-        write_series_csv(
-            out_dir / "history" / f"{name}.csv",
-            TimeSeries(START, 1.0, values, unit),
-        )
-
-    _write("T_amb", t_amb, Unit.DEGC)
-    _write("I_sol", i_sol, Unit.WATT_PER_M2)
-    _write("p_el", p_el, Unit.EUR_PER_KWH)
-    _write("p_gas", p_gas, Unit.EUR_PER_KWH)
-    _write("p_co2", p_co2, Unit.EUR_PER_KWH)
 
     rc_catalogue = {}
     buildings = []
     for i in range(1, n_buildings + 1):
         order = int(rng.integers(1, 6))
         rc_catalogue[str(i)] = _rc_parameters(rng, order)
-        e_base, t_set = _occupant(rng, weekday)
-        _write(f"E_base_b{i}", e_base, Unit.KILOWATT)
-        _write(f"T_set_b{i}", t_set, Unit.DEGC)
+        history.extend(_occupant(rng, weekday))
         buildings.append(
             {
                 "id": i,
@@ -229,6 +214,13 @@ def generate_fixture(out_dir: Path | str, n_buildings: int, seed: int) -> Path:
                 "comfort_buffer": 0.5,
                 "devices": ["BOL", "HP", "PV", "STC", "BAT", "TES"],
             }
+        )
+
+    names = channel_names(building["id"] for building in buildings)
+    for name, values in zip(names, history, strict=True):
+        write_series_csv(
+            out_dir / "history" / f"{name}.csv",
+            TimeSeries(START, 1.0, values, channel_unit(name)),
         )
 
     config = {

@@ -34,8 +34,12 @@ from .core import (
     Scenario,
     TimeSeries,
     Unit,
+    channel_names,
+    channel_unit,
+    check_channel_names,
     distinct_bits,
     scenario_channels,
+    scenario_from_channels,
     validate_config,
 )
 from .planner import (
@@ -46,12 +50,6 @@ from .planner import (
     SensitivityReport,
 )
 from .objective import ObjectiveBreakdown
-from .scenarios import (
-    channel_names,
-    channel_unit,
-    channels_to_scenario,
-    check_channel_names,
-)
 
 __all__ = [
     "read_series_csv",
@@ -342,24 +340,22 @@ def ingest_community(directory: Path | str) -> IngestResult:
         )
     history_dir = directory / "history"
     warnings: list[str] = []
-    channels: dict[str, np.ndarray] = {}
+    channels: dict[str, TimeSeries] = {}
     names = channel_names(building.id for building in config.buildings)
-    start = None
-    step = None
     for name in names:
         path = history_dir / f"{name}.csv"
         if not path.exists():
             raise ValueError(f"{path}: missing history file")
         series, warns = read_series_csv(path, channel_unit(name))
         warnings.extend(warns)
-        channels[name] = np.asarray(series.values)
-        if start is None:
-            start, step = series.start, series.step_hours
-        elif series.start != start or series.step_hours != step:
+        first = channels.get(names[0], series)
+        if (series.start, series.step_hours) != (first.start, first.step_hours):
             raise ValueError(f"{path}: series not aligned with {names[0]}.csv")
-    length = min(arr.size for arr in channels.values())
-    channels = {name: arr[:length] for name, arr in channels.items()}
-    history = channels_to_scenario("history", 1.0, channels, start, step)
+        channels[name] = series
+    length = min(len(series) for series in channels.values())
+    history = scenario_from_channels(
+        "history", 1.0, {name: series.truncated(length) for name, series in channels.items()}
+    )
     return IngestResult(config=config, history=history, warnings=tuple(warnings))
 
 
@@ -417,7 +413,7 @@ def load_scenarios(directory: Path | str) -> tuple[list[Scenario], dict]:
     scenarios = []
     for entry in manifest["scenarios"]:
         sub = directory / entry["dir"]
-        channels: dict[str, np.ndarray] = {}
+        channels: dict[str, TimeSeries] = {}
         paths = sorted(sub.glob("*.csv"))
         missing, unknown = check_channel_names(path.stem for path in paths)
         problems = [
@@ -435,12 +431,9 @@ def load_scenarios(directory: Path | str) -> tuple[list[Scenario], dict]:
                 anchor, anchor_name = key, path.name
             elif key != anchor:
                 raise ValueError(f"{path}: start, step or length differs from {anchor_name}")
-            channels[path.stem] = np.asarray(series.values)
-        start, step, _ = anchor or (None, None, None)
+            channels[path.stem] = series
         scenarios.append(
-            channels_to_scenario(
-                entry["id"], float(entry["probability"]), channels, start, step
-            )
+            scenario_from_channels(entry["id"], float(entry["probability"]), channels)
         )
     return scenarios, manifest
 

@@ -31,6 +31,7 @@ from .core import (
     CommunityConfig,
     DeviceKind,
     DeviceSpec,
+    HYDROGEN_CHAIN,
     Scenario,
     align_scenarios,
     scenario_channels,
@@ -38,7 +39,6 @@ from .core import (
     validate_config,
 )
 from .devices import (
-    HYDROGEN_CHAIN,
     BuildingEnergyRefs,
     DesignRefs,
     DeviceBlockRefs,
@@ -240,8 +240,6 @@ def _emit_building_scenario(
                 model, spec, design, scenario.climate.i_sol, scenario.climate.t_amb,
                 horizon, tag,
             )
-        else:
-            raise ValueError(f"device kind {spec.kind} is not a building device")
     flows = emit_building_balances(
         model, blocks, thermal.q_sp, occupant.e_base, horizon, tag
     )
@@ -276,8 +274,6 @@ def _emit_community_scenario(
             blocks[spec.kind] = emit_pv(
                 model, spec, designs[spec.kind], scenario.climate.i_sol, horizon, tag
             )
-        elif spec.kind not in HYDROGEN_CHAIN:
-            raise ValueError(f"device kind {spec.kind} is not a community device")
     if DeviceKind.HYD in designs:
         blocks[DeviceKind.HYD] = emit_hydrogen_chain(
             model, designs[DeviceKind.HYD], horizon, cfg.step_hours, tag

@@ -13,6 +13,9 @@ channel z-normalized by its pooled mean/std, so kW loads and EUR prices
 weigh comparably.  For tiny instances (C(n, k) small) the medoid set is
 found by exhaustive enumeration, otherwise by PAM (k-medoids++ seeding,
 best-improvement swaps, lowest-index tie breaks).
+
+Channels, their units and their factors come from the one catalogue,
+:data:`communityplan.core.CHANNELS`.
 """
 
 from __future__ import annotations
@@ -21,19 +24,21 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .core import (
-    ClimateProfile,
-    EconomicProfile,
-    OccupantProfile,
+from .core import (  # channel_names and check_channel_names are kept importable here
+    FACTOR_GROUPS,
     Scenario,
     TimeSeries,
-    Unit,
+    channel_factor,
+    channel_names,
+    channel_unit,
+    check_channel_names,
     scenario_channels,
+    scenario_from_channels,
 )
 
 __all__ = [
@@ -57,60 +62,6 @@ DAYS_PER_YEAR = 365
 
 FACTORS = ("occ", "eco", "clim")
 
-_CHANNEL_UNITS: dict[str, Unit] = {
-    "T_amb": Unit.DEGC,
-    "I_sol": Unit.WATT_PER_M2,
-    "p_el": Unit.EUR_PER_KWH,
-    "p_gas": Unit.EUR_PER_KWH,
-    "p_co2": Unit.EUR_PER_KWH,
-    "E_base": Unit.KILOWATT,
-    "T_set": Unit.DEGC,
-}
-
-
-# Channels of one building each, named ``<channel>_b<building id>``; every
-# other channel of _CHANNEL_UNITS is shared by the whole community.
-_OCCUPANT_CHANNELS = ("E_base", "T_set")
-
-
-def channel_names(building_ids: Iterable[int]) -> list[str]:
-    """Every channel of a scenario with these buildings: the shared climate
-    and price channels, then both occupant channels of each building."""
-    shared = [name for name in _CHANNEL_UNITS if name not in _OCCUPANT_CHANNELS]
-    return shared + [f"{kind}_b{b}" for b in building_ids for kind in _OCCUPANT_CHANNELS]
-
-
-def check_channel_names(names: Iterable[str]) -> tuple[list[str], list[str]]:
-    """Missing and unknown names among one scenario's channel names.
-
-    Missing are the shared channels and both occupant channels of every
-    building a name refers to; unknown are names that are no channel.
-    """
-    names = set(names)
-    buildings: set[int] = set()
-    unknown = []
-    for name in sorted(names):
-        kind, _, building = name.rpartition("_b")
-        if kind in _OCCUPANT_CHANNELS and building.isdecimal():
-            buildings.add(int(building))
-        elif name not in _CHANNEL_UNITS or name in _OCCUPANT_CHANNELS:
-            unknown.append(name)
-    missing = [name for name in channel_names(sorted(buildings)) if name not in names]
-    return missing, unknown
-
-
-def channel_unit(name: str) -> Unit:
-    base = name.rsplit("_b", 1)[0] if name.startswith(("E_base_b", "T_set_b")) else name
-    return _CHANNEL_UNITS[base]
-
-
-def channel_factor(name: str) -> str:
-    if name.startswith(("E_base", "T_set")):
-        return "occ"
-    if name.startswith("p_"):
-        return "eco"
-    return "clim"
-
 
 def channels_to_scenario(
     sid: str,
@@ -119,26 +70,12 @@ def channels_to_scenario(
     start,
     step_hours: float,
 ) -> Scenario:
-    """Inverse of :func:`communityplan.core.scenario_channels`."""
-    occupant: dict[int, dict[str, TimeSeries]] = {}
-    series = {
+    """The scenario of these channel arrays, all starting at ``start`` with
+    steps of ``step_hours``, each in its catalogue unit."""
+    return scenario_from_channels(sid, probability, {
         name: TimeSeries(start, step_hours, values, channel_unit(name))
         for name, values in channels.items()
-    }
-    for name in series:
-        if name.startswith("E_base_b"):
-            occupant.setdefault(int(name[len("E_base_b"):]), {})["e_base"] = series[name]
-        elif name.startswith("T_set_b"):
-            occupant.setdefault(int(name[len("T_set_b"):]), {})["t_set"] = series[name]
-    return Scenario(
-        id=sid,
-        probability=probability,
-        occupant={
-            bid: OccupantProfile(**profiles) for bid, profiles in occupant.items()
-        },
-        economic=EconomicProfile(series["p_el"], series["p_gas"], series["p_co2"]),
-        climate=ClimateProfile(series["T_amb"], series["I_sol"]),
-    )
+    })
 
 
 # -- generation ------------------------------------------------------------
@@ -383,20 +320,16 @@ def scenario_feature_matrix(
     complement clustering of the occupant nominal); the default uses all.
     """
     wanted = set(factors) if factors is not None else set(FACTORS)
-    names = [
-        name
-        for name in scenario_channels(scenarios[0])
-        if channel_factor(name) in wanted
-    ]
+    flat = [scenario_channels(s) for s in scenarios]
+    names = [name for name in flat[0] if channel_factor(name) in wanted]
     if not names:
         raise ValueError(f"no channels left for factors {sorted(wanted)}")
-    first = scenario_channels(scenarios[0])
-    edges = np.cumsum([0] + [len(first[name]) for name in names])
+    edges = np.cumsum([0] + [len(flat[0][name]) for name in names])
     # each channel is normalized in place: the matrix is the largest array
     # of the scenario stage, and a second copy of it would set its peak memory
     features = np.empty((len(scenarios), int(edges[-1])))
     for name, lo, hi in zip(names, edges[:-1], edges[1:]):
-        stack = np.stack([np.asarray(scenario_channels(s)[name].values) for s in scenarios])
+        stack = np.stack([np.asarray(channels[name].values) for channels in flat])
         mean = stack.mean()
         std = stack.std()
         column = features[:, lo:hi]
@@ -448,10 +381,6 @@ class FactorProblems:
     nominal_ids: Mapping[str, str]
 
 
-# the Scenario field each uncertainty factor owns
-_FACTOR_FIELDS = {"occ": "occupant", "eco": "economic", "clim": "climate"}
-
-
 def compose_factor_scenarios(
     occ: Sequence[Scenario],
     eco: Sequence[Scenario],
@@ -474,7 +403,7 @@ def compose_factor_scenarios(
         singletons = []
         for member in pools[factor]:
             pinned = {
-                _FACTOR_FIELDS[other]: getattr(nominal_scn[other], _FACTOR_FIELDS[other])
+                FACTOR_GROUPS[other]: getattr(nominal_scn[other], FACTOR_GROUPS[other])
                 for other in FACTORS
                 if other != factor
             }

@@ -215,13 +215,12 @@ def _objective_at(model: Model, x: np.ndarray) -> float:
     return float(model.cost() @ x + model.objective_constant)
 
 
-def _finalize(model: Model, status: Status, objective: float, x: np.ndarray | None,
+def _finalize(model: Model, status: Status, objective: float, x: np.ndarray,
               meta: dict) -> SolveResult:
-    if x is None:
-        return SolveResult(status=status, objective=objective, values={}, solver_meta=meta)
-    if status in (Status.OPTIMAL, Status.LIMIT):
-        meta["max_violation"] = constraint_violation(model, x)
-        meta["objective_recomputed"] = _objective_at(model, x)
+    """The result of an optimal or limit solve with solution ``x``, its
+    feasibility re-checked."""
+    meta["max_violation"] = constraint_violation(model, x)
+    meta["objective_recomputed"] = _objective_at(model, x)
     return SolveResult(status=status, objective=objective,
                        values=SolutionValues(model, x), solver_meta=meta)
 

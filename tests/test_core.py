@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 
 from communityplan.core import (
+    CHANNELS,
     DeviceSpec,
     TimeSeries,
     Unit,
     align_scenarios,
+    channel_factor,
+    channel_names,
+    channel_unit,
+    check_channel_names,
+    scenario_channels,
+    scenario_from_channels,
     validate_config,
 )
 
@@ -108,6 +115,22 @@ class TestValidateConfig:
         )
         assert any("at least one building" in v for v in validate_config(empty))
 
+    # each configuration used to pass validation and then fail in planning
+    @pytest.mark.parametrize("devices, community_devices, violation", [
+        ((boiler_spec(), boiler_spec()), (),
+         "buildings[0].devices[1]: BOL listed twice"),
+        ((DeviceSpec(kind="PV_COM", cap_min=0, cap_max=5, extra={"eta": 0.2}),), (),
+         "buildings[0].devices[0]: PV_COM is not a building device"),
+        ((), (boiler_spec(),),
+         "community_devices[0]: BOL is not a community device"),
+        ((), (DeviceSpec(kind="EL", cap_min=0, cap_max=5),),
+         "community_devices: hydrogen chain EL, HYD, FC lacks HYD, FC"),
+    ])
+    def test_device_placement(self, devices, community_devices, violation):
+        cfg = simple_config([simple_building(1, devices=devices)], horizon=24,
+                            community_devices=community_devices)
+        assert validate_config(cfg) == [violation]
+
 
 class TestAlignScenarios:
     def test_equal_lengths_unchanged(self):
@@ -157,3 +180,65 @@ class TestAlignScenarios:
         scenarios = [simple_scenario("a", 0.0, horizon=24)]
         with pytest.raises(ValueError, match="zero"):
             align_scenarios(scenarios)
+
+    @pytest.mark.parametrize("probability", [-0.2, np.nan, np.inf])
+    def test_bad_probability_names_the_scenario(self, probability):
+        scenarios = [
+            simple_scenario("a", 0.7, horizon=24),
+            simple_scenario("b", probability, horizon=24),
+            simple_scenario("c", 0.5, horizon=24),
+        ]
+        with pytest.raises(ValueError, match="scenario 'b': probability"):
+            align_scenarios(scenarios)
+
+
+class TestChannelCatalogue:
+    # the catalogue spelled out: stem -> (unit, factor)
+    EXPECTED = {
+        "T_amb": (Unit.DEGC, "clim"), "I_sol": (Unit.WATT_PER_M2, "clim"),
+        "p_el": (Unit.EUR_PER_KWH, "eco"), "p_gas": (Unit.EUR_PER_KWH, "eco"),
+        "p_co2": (Unit.EUR_PER_KWH, "eco"),
+        "E_base": (Unit.KILOWATT, "occ"), "T_set": (Unit.DEGC, "occ"),
+    }
+
+    @staticmethod
+    def stem(name):
+        return name.rpartition("_b")[0] or name
+
+    def test_round_trip_in_order(self):
+        expected = ["T_amb", "I_sol", "p_el", "p_gas", "p_co2",
+                    "E_base_b2", "T_set_b2", "E_base_b3", "T_set_b3",
+                    "E_base_b12", "T_set_b12"]
+        rng = np.random.default_rng(5)
+        channels = {
+            name: ts(rng.normal(size=6), self.EXPECTED[self.stem(name)][0])
+            for name in reversed(expected)
+        }
+        scenario = scenario_from_channels("s", 0.25, channels)
+        assert (scenario.id, scenario.probability) == ("s", 0.25)
+        assert scenario.occupant[12].t_set == channels["T_set_b12"]
+        assert scenario.economic.p_gas == channels["p_gas"]
+        flat = scenario_channels(scenario)
+        assert list(flat) == expected
+        assert all(flat[name] == channels[name] for name in expected)
+        assert scenario_from_channels("s", 0.25, flat) == scenario
+
+    @pytest.mark.parametrize("name", channel_names([1, -3]) + [
+        "E_base_b01", "E_base_bx", "E_base", "notes", "p_el_b1", "T_amb_b1",
+        "T_set_b-0", "T_set_b--3",
+    ])
+    def test_name_functions_agree(self, name):
+        unknown = check_channel_names([name])[1]
+        known = name in channel_names([1, -3])
+        assert unknown == ([] if known else [name])
+        if known:
+            unit, factor = self.EXPECTED[self.stem(name)]
+            assert (channel_unit(name), channel_factor(name)) == (unit, factor)
+        else:
+            with pytest.raises(ValueError):
+                channel_unit(name)
+            with pytest.raises(ValueError):
+                channel_factor(name)
+
+    def test_catalogue_spelled_out(self):
+        assert {c.stem: (c.unit, c.factor) for c in CHANNELS} == self.EXPECTED

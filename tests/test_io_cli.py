@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +11,9 @@ import pytest
 
 import communityplan.io
 from communityplan.cli import main
-from communityplan.core import Scenario, TimeSeries, Unit, scenario_channels
+from communityplan.core import (
+    CHANNELS, Scenario, TimeSeries, Unit, channel_names, scenario_channels,
+)
 from communityplan.fixtures import generate_fixture
 from communityplan.io import (
     RunManifest,
@@ -409,6 +412,17 @@ class TestFixture:
         assert len(ingest.history.climate.t_amb) == 8760
         assert ingest.warnings == ()
 
+    def test_history_holds_the_catalogue_channels(self, tmp_path):
+        directory = generate_fixture(tmp_path / "h", 3, seed=5)
+        names = channel_names([1, 2, 3])
+        assert sorted(p.stem for p in (directory / "history").iterdir()) == sorted(names)
+        history = scenario_channels(ingest_community(directory).history)
+        assert list(history) == names
+        units = {channel.stem: channel.unit for channel in CHANNELS}
+        assert [series.unit for series in history.values()] == [
+            units[name.rpartition("_b")[0] or name] for name in names
+        ]
+
     def test_missing_price_file_named_error(self, tmp_path):
         directory = generate_fixture(tmp_path / "x", 2, seed=2)
         (directory / "history" / "p_el.csv").unlink()
@@ -671,6 +685,35 @@ class TestCli:
         config["lv_limit"] = 0.0
         (fx / "config.json").write_text(json.dumps(config))
         assert self.run("validate", "--dir", str(fx)) == 1
+
+    @pytest.mark.parametrize("change, violation", [
+        (lambda c: c["buildings"][0]["devices"].append("PV_COM"),
+         "buildings[0].devices[6]: PV_COM is not a building device"),
+        (lambda c: c["community_devices"].remove("HYD"),
+         "community_devices: hydrogen chain EL, HYD, FC lacks HYD"),
+    ])
+    def test_device_placement_is_user_error(self, tmp_path, capsys, change, violation):
+        fx = generate_fixture(tmp_path / "fx", 1, seed=9)
+        config = json.loads((fx / "config.json").read_text())
+        change(config)
+        (fx / "config.json").write_text(json.dumps(config))
+        assert self.run("validate", "--dir", str(fx)) == 1
+        assert violation in capsys.readouterr().err
+
+    def test_negative_probability_is_user_error(self, tmp_path, capsys):
+        fx = generate_fixture(tmp_path / "fx", 1, seed=10)
+        bundle = tmp_path / "scn"
+        history = ingest_community(fx).history
+        save_scenarios(bundle, [replace(history, id=sid) for sid in ("a", "b")])
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        manifest["scenarios"][1]["probability"] = -0.2
+        (bundle / "manifest.json").write_text(json.dumps(manifest))
+        code = self.run(
+            "plan", "centralized", "--dir", str(fx), "--scenarios", str(bundle),
+            "--out", str(tmp_path / "out"), "--horizon", "24",
+        )
+        assert code == 1
+        assert "scenario 'b': probability" in capsys.readouterr().err
 
     def test_missing_dir_is_user_error(self, tmp_path):
         assert self.run("validate", "--dir", str(tmp_path / "nope")) == 1
