@@ -19,6 +19,8 @@ safe to share between concurrent workers.
 
 :data:`CHANNELS` is the one place a scenario channel is defined; channel
 names, units, factors and the flat channel view of a scenario derive from it.
+:data:`KIND_CATALOGUE` is the one place a device kind's placement, design
+unit and required parameters are defined.
 """
 
 from __future__ import annotations
@@ -43,8 +45,11 @@ __all__ = [
     "EconomicProfile",
     "ClimateProfile",
     "Scenario",
+    "KindFacts",
+    "KIND_CATALOGUE",
     "BUILDING_KINDS",
     "COMMUNITY_KINDS",
+    "ROOF_KINDS",
     "HYDROGEN_CHAIN",
     "Channel",
     "CHANNELS",
@@ -190,21 +195,39 @@ class DeviceKind(str, enum.Enum):
     BAT_COM = "BAT_COM"
 
 
-# where each kind may be installed: on a building or in the community
-BUILDING_KINDS = frozenset(map(DeviceKind, ("BAT", "TES", "BOL", "HP", "PV", "STC")))
-COMMUNITY_KINDS = frozenset(DeviceKind) - BUILDING_KINDS
+class KindFacts(NamedTuple):
+    """What a device kind is: where it may be installed (``"building"`` or
+    ``"community"``), whether its design is an area (m2, named ``A_``
+    instead of ``C_``, and capped by the roof on a building), and the
+    ``extra`` keys its :class:`DeviceSpec` must carry."""
+
+    placement: str
+    area: bool
+    extra: tuple[str, ...] = ()
+
+
+KIND_CATALOGUE = {
+    DeviceKind.BAT: KindFacts("building", False),
+    DeviceKind.TES: KindFacts("building", False),
+    DeviceKind.BOL: KindFacts("building", False, ("eta",)),
+    DeviceKind.HP: KindFacts("building", False, ("cop_coeffs", "t_dist")),
+    DeviceKind.PV: KindFacts("building", True, ("eta",)),
+    DeviceKind.STC: KindFacts("building", True, ("eta", "u_loss", "t_collector")),
+    DeviceKind.EL: KindFacts("community", False),
+    DeviceKind.HYD: KindFacts("community", False),
+    DeviceKind.FC: KindFacts("community", False),
+    DeviceKind.PV_COM: KindFacts("community", True, ("eta",)),
+    DeviceKind.BAT_COM: KindFacts("community", False),
+}
+BUILDING_KINDS = frozenset(kind for kind, facts in KIND_CATALOGUE.items()
+                           if facts.placement == "building")
+COMMUNITY_KINDS = frozenset(KIND_CATALOGUE) - BUILDING_KINDS
+# the area kinds that share a building's roof, in catalogue order
+ROOF_KINDS = tuple(kind for kind, facts in KIND_CATALOGUE.items()
+                   if facts.placement == "building" and facts.area)
 
 # the hydrogen chain's kinds, in the order of its design entries
 HYDROGEN_CHAIN = (DeviceKind.EL, DeviceKind.HYD, DeviceKind.FC)
-
-# extra-map keys each kind must provide
-_REQUIRED_EXTRA: dict[DeviceKind, tuple[str, ...]] = {
-    DeviceKind.BOL: ("eta",),
-    DeviceKind.HP: ("cop_coeffs", "t_dist"),
-    DeviceKind.PV: ("eta",),
-    DeviceKind.PV_COM: ("eta",),
-    DeviceKind.STC: ("eta", "u_loss", "t_collector"),
-}
 
 
 @dataclass(frozen=True)
@@ -217,12 +240,13 @@ class DeviceSpec:
     existence, both levelized over ``lifetime_years`` in the objective.
     ``sigma`` is the per-step state retention of storage (1 = lossless),
     ``gamma_ch``/``gamma_dch`` the power-to-capacity rate coefficients in
-    1/h.  Kind-specific parameters live in ``extra``:
+    1/h.  Kind-specific parameters live in ``extra``; the keys each kind
+    requires are those of its :data:`KIND_CATALOGUE` row:
 
-    * BOL: ``eta`` conversion efficiency
-    * HP:  ``cop_coeffs`` [a1, a2, a3, a4], ``t_dist`` distribution degC
-    * PV / PV_COM: ``eta`` panel efficiency
-    * STC: ``eta``, ``u_loss`` W/m2K, ``t_collector`` degC
+    * ``eta``: conversion efficiency (BOL), panel efficiency (PV, PV_COM),
+      optical efficiency (STC)
+    * ``cop_coeffs`` [a1, a2, a3, a4], ``t_dist`` distribution degC (HP)
+    * ``u_loss`` W/m2K, ``t_collector`` degC (STC)
     * storage kinds: optional ``state_min`` kWh floor of the stored energy
     """
 
@@ -474,7 +498,7 @@ def _validate_device(spec: DeviceSpec, path: str, violations: list[str]) -> None
         violations.append(f"{path}.lifetime_years: requires tau >= 1")
     if spec.gamma_ch < 0 or spec.gamma_dch < 0:
         violations.append(f"{path}: requires gamma_* >= 0")
-    for key in _REQUIRED_EXTRA.get(spec.kind, ()):
+    for key in KIND_CATALOGUE[spec.kind].extra:
         if key not in spec.extra:
             violations.append(f"{path}.extra: missing required key '{key}'")
     if spec.kind == DeviceKind.HP and "cop_coeffs" in spec.extra:
@@ -483,21 +507,22 @@ def _validate_device(spec: DeviceSpec, path: str, violations: list[str]) -> None
             violations.append(f"{path}.extra.cop_coeffs: requires 4 coefficients")
 
 
-def _validate_devices(specs: Iterable[DeviceSpec], allowed: frozenset, entity: str,
-                      path: str, violations: list[str]) -> None:
-    """Each spec, its placement, one spec per kind, and a hydrogen chain
-    that is whole or absent."""
+def _validate_devices(specs: Iterable[DeviceSpec], placement: str, path: str,
+                      violations: list[str]) -> None:
+    """Each spec, its placement (``"building"`` or ``"community"``), one
+    spec per kind, and a hydrogen chain that is whole or absent."""
     kinds: set[DeviceKind] = set()
     for didx, spec in enumerate(specs):
         where = f"{path}[{didx}]"
         _validate_device(spec, where, violations)
-        if spec.kind not in allowed:
-            violations.append(f"{where}: {spec.kind.value} is not a {entity} device")
+        if KIND_CATALOGUE[spec.kind].placement != placement:
+            violations.append(f"{where}: {spec.kind.value} is not a {placement} device")
         elif spec.kind in kinds:
             violations.append(f"{where}: {spec.kind.value} listed twice")
         kinds.add(spec.kind)
     missing = [kind.value for kind in HYDROGEN_CHAIN if kind not in kinds]
-    if allowed.issuperset(HYDROGEN_CHAIN) and 0 < len(missing) < len(HYDROGEN_CHAIN):
+    chain_here = all(KIND_CATALOGUE[kind].placement == placement for kind in HYDROGEN_CHAIN)
+    if chain_here and 0 < len(missing) < len(HYDROGEN_CHAIN):
         violations.append(f"{path}: hydrogen chain EL, HYD, FC lacks {', '.join(missing)}")
 
 
@@ -552,6 +577,8 @@ def validate_config(cfg: CommunityConfig) -> list[str]:
     seen_ids: set[int] = set()
     for idx, bld in enumerate(cfg.buildings):
         path = f"buildings[{idx}]"
+        if bld.id < 0:  # model names carry the id, and LP text reads "-" as an operator
+            violations.append(f"{path}.id: requires id >= 0")
         if bld.id in seen_ids:
             violations.append(f"{path}.id: duplicate building id {bld.id}")
         seen_ids.add(bld.id)
@@ -560,10 +587,8 @@ def validate_config(cfg: CommunityConfig) -> list[str]:
         if bld.comfort_buffer < 0:
             violations.append(f"{path}.comfort_buffer: requires comfort_buffer >= 0")
         _validate_rc(bld.rc, f"{path}.rc", violations)
-        _validate_devices(bld.devices, BUILDING_KINDS, "building", f"{path}.devices",
-                          violations)
-    _validate_devices(cfg.community_devices, COMMUNITY_KINDS, "community",
-                      "community_devices", violations)
+        _validate_devices(bld.devices, "building", f"{path}.devices", violations)
+    _validate_devices(cfg.community_devices, "community", "community_devices", violations)
     return violations
 
 

@@ -3,12 +3,13 @@ building and community energy balances.
 
 Every device gets a binary existence variable gating its design variable
 into [cap_min, cap_max] or zero.  Design variables are first stage: they
-are made once per entity by :func:`emit_design` (or
-:func:`emit_hydrogen_design` for the hydrogen chain), and every
-per-scenario emitter takes that design and adds only the operational
-variables and constraints that operate it.  Roof caps on PV and collector
-areas belong to the design bounds; the planner applies them (through
-:func:`roof_capped`) before it calls :func:`emit_design`.
+are made once per entity by :func:`emit_designs`, and every per-scenario
+emitter takes that design and adds only the operational variables and
+constraints that operate it; :func:`emit_operations` dispatches each kind
+to its emitter.  Roof caps on PV and collector areas belong to the design
+bounds; the planner applies them (through :func:`roof_capped`) before it
+makes the designs.  :data:`BALANCE_TERMS` lists each kind's energy-hub
+balance flows, :data:`GAS_FLOW` the flow bought from the gas grid.
 
 Storage bookkeeping: state vectors have ``horizon + 1`` entries, flows
 ``horizon``; per-step stored energy is power times step length, so
@@ -22,11 +23,19 @@ free decision bounded only by the state limits and the cyclic inequality.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import HYDROGEN_CHAIN, DeviceKind, DeviceSpec, TimeSeries, series_head
+from .core import (
+    KIND_CATALOGUE,
+    HYDROGEN_CHAIN,
+    ClimateProfile,
+    DeviceKind,
+    DeviceSpec,
+    TimeSeries,
+    series_head,
+)
 from .milp import LinExpr, Model, Sense, VarBlock, VarRef
 
 __all__ = [
@@ -34,8 +43,12 @@ __all__ = [
     "DesignRefs",
     "DeviceBlockRefs",
     "BuildingEnergyRefs",
+    "BALANCE_TERMS",
+    "GAS_FLOW",
     "emit_design",
     "emit_hydrogen_design",
+    "emit_designs",
+    "emit_operations",
     "emit_battery",
     "emit_tes",
     "emit_boiler",
@@ -79,10 +92,42 @@ class DeviceBlockRefs:
 
 @dataclass(frozen=True)
 class BuildingEnergyRefs:
-    """Grid-exchange vectors of one building."""
+    """Grid-exchange vectors of one building: electricity import and
+    export, and the gas it buys (empty without a gas-burning device)."""
 
     e_in: Sequence[VarRef]
     e_out: Sequence[VarRef]
+    gas: Sequence[VarRef] = ()
+
+
+# Energy-hub terms of the device kinds in row order, (balance, kind, flow,
+# sign): a positive sign draws on the balance, a negative one feeds it.  The
+# rows start with the space heat (heat), export minus import (elec), and the
+# LV feeder exchange minus the HV import (mv).
+BALANCE_TERMS = (
+    ("heat", DeviceKind.TES, "charge", 1.0),
+    ("heat", DeviceKind.TES, "discharge", -1.0),
+    ("heat", DeviceKind.BOL, "heat", -1.0),
+    ("heat", DeviceKind.HP, "heat", -1.0),
+    ("elec", DeviceKind.BAT, "charge", 1.0),
+    ("elec", DeviceKind.BAT, "discharge", -1.0),
+    ("elec", DeviceKind.HP, "power", 1.0),
+    ("elec", DeviceKind.PV, "power", -1.0),
+    ("mv", DeviceKind.BAT_COM, "charge", 1.0),
+    ("mv", DeviceKind.BAT_COM, "discharge", -1.0),
+    ("mv", DeviceKind.HYD, "charge", 1.0),
+    ("mv", DeviceKind.HYD, "discharge", -1.0),
+    ("mv", DeviceKind.PV_COM, "power", -1.0),
+)
+
+# the building's flow bought from the gas grid, priced at p_gas and p_co2
+GAS_FLOW = (DeviceKind.BOL, "gas")
+
+
+def _balance_terms(balance: str, blocks: Mapping[DeviceKind, DeviceBlockRefs]) -> list:
+    """The (flow, sign) terms of ``balance`` that the present blocks add."""
+    return [(blocks[kind].flows[flow], sign) for row, kind, flow, sign in BALANCE_TERMS
+            if row == balance and kind in blocks]
 
 
 def roof_capped(spec: DeviceSpec, roof_cap: float) -> DeviceSpec:
@@ -97,7 +142,7 @@ def _emit_gated(model: Model, chi: VarRef, spec: DeviceSpec, tag: str) -> VarRef
     ``chi*cap_min <= design <= chi*cap_max`` forces it to zero unless the
     device exists."""
     kind = spec.kind.value
-    prefix = "A" if spec.kind in (DeviceKind.PV, DeviceKind.PV_COM, DeviceKind.STC) else "C"
+    prefix = "A" if KIND_CATALOGUE[spec.kind].area else "C"
     var = model.add_var(f"{prefix}_{kind}_{tag}", hi=spec.cap_max)
     model.add_constraint(var - spec.cap_min * chi, Sense.GE, 0.0, f"gate_lo_{kind}_{tag}")
     model.add_constraint(var - spec.cap_max * chi, Sense.LE, 0.0, f"gate_hi_{kind}_{tag}")
@@ -123,6 +168,19 @@ def emit_hydrogen_design(
     entries = tuple((specs[kind], _emit_gated(model, chi, specs[kind], tag))
                     for kind in HYDROGEN_CHAIN)
     return DesignRefs(chi=chi, design=entries[1][1], entries=entries)
+
+
+def emit_designs(
+    model: Model, specs: Sequence[DeviceSpec], tag: str
+) -> dict[DeviceKind, DesignRefs]:
+    """Designs of one entity's devices, by kind in the order of ``specs``;
+    the hydrogen chain's make one design, under the tank's kind, last."""
+    designs = {spec.kind: emit_design(model, spec, tag)
+               for spec in specs if spec.kind not in HYDROGEN_CHAIN}
+    chain = {spec.kind: spec for spec in specs if spec.kind in HYDROGEN_CHAIN}
+    if chain:
+        designs[DeviceKind.HYD] = emit_hydrogen_design(model, chain, tag)
+    return designs
 
 
 def _emit_storage(
@@ -328,12 +386,9 @@ def emit_roof_coupling(
     tag: str = "roof",
 ) -> None:
     """Shared roof budget: the PV and collector areas fit side by side."""
-    expr = LinExpr()
-    for refs in (pv, stc):
-        if refs is not None:
-            expr.add(refs.design, 1.0)
-    if expr.terms:
-        model.add_constraint(expr, Sense.LE, roof_area, f"roof_{tag}")
+    areas = [(refs.design, 1.0) for refs in (pv, stc) if refs is not None]
+    if areas:
+        model.add_constraint(LinExpr.of(areas), Sense.LE, roof_area, f"roof_{tag}")
 
 
 def emit_hydrogen_chain(
@@ -394,30 +449,15 @@ def emit_building_balances(
     base = series_head(e_base, horizon, "E_base")
     e_in = model.add_vars(f"Ein_{tag}", horizon)
     e_out = model.add_vars(f"Eout_{tag}", horizon)
-    tes = blocks.get(DeviceKind.TES)
-    boiler = blocks.get(DeviceKind.BOL)
-    hp = blocks.get(DeviceKind.HP)
-    battery = blocks.get(DeviceKind.BAT)
-    pv = blocks.get(DeviceKind.PV)
-    heat = [(q_sp, 1.0)]
-    if tes is not None:
-        heat += [(tes.flows["charge"], 1.0), (tes.flows["discharge"], -1.0)]
-    if boiler is not None:
-        heat.append((boiler.flows["heat"], -1.0))
-    if hp is not None:
-        heat.append((hp.flows["heat"], -1.0))
-    elec = [(e_out, 1.0), (e_in, -1.0)]
-    if battery is not None:
-        elec += [(battery.flows["charge"], 1.0), (battery.flows["discharge"], -1.0)]
-    if hp is not None:
-        elec.append((hp.flows["power"], 1.0))
-    if pv is not None:
-        elec.append((pv.flows["power"], -1.0))
+    heat = [(q_sp, 1.0), *_balance_terms("heat", blocks)]
+    elec = [(e_out, 1.0), (e_in, -1.0), *_balance_terms("elec", blocks)]
     model.add_constraints(
         (f"heat_{tag}", f"elec_{tag}"), horizon, [heat, elec], (Sense.EQ, Sense.EQ),
         (0.0, -base),
     )
-    return BuildingEnergyRefs(e_in=e_in, e_out=e_out)
+    kind, flow = GAS_FLOW
+    gas = blocks[kind].flows[flow] if kind in blocks else ()
+    return BuildingEnergyRefs(e_in=e_in, e_out=e_out, gas=gas)
 
 
 def emit_community_balance(
@@ -435,18 +475,35 @@ def emit_community_balance(
     but never sells to the HV grid).
     """
     hv_in = model.add_vars(f"Ehv_{tag}", horizon)
-    battery = com_blocks.get(DeviceKind.BAT_COM)
-    pv = com_blocks.get(DeviceKind.PV_COM)
-    hyd = com_blocks.get(DeviceKind.HYD)
-    terms = [(mv_to_lv, 1.0), (lv_to_mv, -1.0), (hv_in, -1.0)]
-    if battery is not None:
-        terms += [(battery.flows["charge"], 1.0), (battery.flows["discharge"], -1.0)]
-    if hyd is not None:
-        terms += [(hyd.flows["charge"], 1.0), (hyd.flows["discharge"], -1.0)]
-    if pv is not None:
-        terms.append((pv.flows["power"], -1.0))
+    terms = [(mv_to_lv, 1.0), (lv_to_mv, -1.0), (hv_in, -1.0),
+             *_balance_terms("mv", com_blocks)]
     model.add_constraints((f"combal_{tag}",), horizon, [terms], (Sense.EQ,))
     return hv_in
+
+
+# each kind's emitter, called as (model, spec, design, climate, horizon, step_hours, tag)
+_OPERATORS: dict[DeviceKind, Callable[..., DeviceBlockRefs]] = {
+    DeviceKind.BAT: lambda m, s, d, c, h, dt, t: emit_battery(m, s, d, h, dt, t),
+    DeviceKind.BAT_COM: lambda m, s, d, c, h, dt, t: emit_battery(m, s, d, h, dt, t),
+    DeviceKind.TES: lambda m, s, d, c, h, dt, t: emit_tes(m, s, d, h, dt, t),
+    DeviceKind.BOL: lambda m, s, d, c, h, dt, t: emit_boiler(m, s, d, h, t),
+    DeviceKind.HP: lambda m, s, d, c, h, dt, t: emit_heat_pump(m, s, d, c.t_amb, h, t),
+    DeviceKind.PV: lambda m, s, d, c, h, dt, t: emit_pv(m, s, d, c.i_sol, h, t),
+    DeviceKind.PV_COM: lambda m, s, d, c, h, dt, t: emit_pv(m, s, d, c.i_sol, h, t),
+    DeviceKind.STC: lambda m, s, d, c, h, dt, t: emit_stc(m, s, d, c.i_sol, c.t_amb, h, t),
+    DeviceKind.HYD: lambda m, s, d, c, h, dt, t: emit_hydrogen_chain(m, d, h, dt, t),
+}
+
+
+def emit_operations(model: Model, designs: Mapping[DeviceKind, DesignRefs],
+                    climate: ClimateProfile, horizon: int, step_hours: float,
+                    tag: str) -> dict[DeviceKind, DeviceBlockRefs]:
+    """The operational block of every design in one scenario, emitted in
+    the designs' order by each kind's emitter."""
+    return {
+        kind: _OPERATORS[kind](model, refs.entries[0][0], refs, climate, horizon, step_hours, tag)
+        for kind, refs in designs.items()
+    }
 
 
 def simulate_storage(

@@ -121,16 +121,17 @@ def export_lp(model: Model) -> str:
 
     Names are never built: rows and terms gather the shared head and tail
     strings of :meth:`Model.var_name_pieces` and
-    :meth:`Model.row_name_pieces`.  Besides the model, the export holds the
-    text it returns, the name pieces, one ``int32`` per coefficient and one
-    block of ``_ROW_CHUNK`` rows' pieces.  Each block is appended to the
-    text, which CPython grows in place while nothing else refers to it;
-    under a trace or profile hook every append copies the text instead."""
+    :meth:`Model.row_name_pieces`.  Each block of ``_ROW_CHUNK`` rows goes
+    into one growing byte buffer and is dropped; the text is decoded from
+    it once.  So besides the model and the name pieces, the export holds
+    one ``int32`` per coefficient, one block's pieces, the buffer and, at
+    the end, the text: with or without a trace or profile hook."""
     _check_empty_rows(model)
     heads, tails = model.var_name_pieces()
-    text = f"\\ {model.name}\nMinimize\n" + _objective_line(model, heads, tails) + "Subject To\n"
+    head = f"\\ {model.name}\nMinimize\n{_objective_line(model, heads, tails)}Subject To\n"
+    text = bytearray(head.encode())
     for block in _constraint_section(model, heads, tails):
-        text += block
+        text += block.encode()
     lines = ["Bounds"]
     lo, hi = model.bounds()
     binary = model.binary_mask()
@@ -146,8 +147,8 @@ def export_lp(model: Model) -> str:
         lines.append("Binaries")
         lines.extend([f" {heads[vid]}{tails[vid]}" for vid in binaries])
     lines.append("End")
-    text += "\n".join(lines) + "\n"
-    return text
+    text += ("\n".join(lines) + "\n").encode()
+    return text.decode()
 
 
 # Rows (or MPS columns) per block of text; bounds the temporaries of a large export.
@@ -203,10 +204,10 @@ def export_mps(model: Model) -> str:
     """Serialize to MPS text, with the rows :func:`export_lp` writes.
 
     Like :func:`export_lp`, names are never built and each distinct number
-    is formatted once.  Besides the model, the export holds the text it
-    returns (grown block by block as in :func:`export_lp`), the name
-    pieces, a CSC copy of the matrix with one ``int32`` per coefficient,
-    and one block of ``_ROW_CHUNK`` rows' or columns' pieces."""
+    is formatted once.  Besides the model, the export holds the byte buffer
+    (decoded once, as in :func:`export_lp`), the name pieces, a CSC copy of
+    the matrix with one ``int32`` per coefficient, and one block of
+    ``_ROW_CHUNK`` rows' or columns' pieces."""
     _check_empty_rows(model)
     heads, tails = model.var_name_pieces()
     row_heads, row_tails = model.row_name_pieces()
@@ -214,22 +215,23 @@ def export_mps(model: Model) -> str:
     has_terms = indptr[1:] > indptr[:-1]
     sense, rhs = model.row_sense(), model.row_rhs()
     tags = np.array([f" {tag}  " for tag in "LEG"], dtype=object)  # SENSES order
-    text = f"NAME          {model.name}\nROWS\n N  OBJ\n"
+    text = bytearray(f"NAME          {model.name}\nROWS\n N  OBJ\n".encode())
     for a, b in _blocks(0, len(has_terms)):
         rows = a + np.flatnonzero(has_terms[a:b])
-        text += _joined(len(rows), tags[sense[rows]], row_heads[rows], row_tails[rows], "\n")
-    text += "COLUMNS\n"
+        text += _joined(len(rows), tags[sense[rows]], row_heads[rows], row_tails[rows],
+                        "\n").encode()
+    text += b"COLUMNS\n"
     for part in _mps_columns(model, heads, tails, row_heads, row_tails):
-        text += part
-    text += "RHS\n"
+        text += part.encode()
+    text += b"RHS\n"
     if model.objective_constant != 0.0:
-        text += f"    RHS  OBJ  {_num(-model.objective_constant)}\n"
+        text += f"    RHS  OBJ  {_num(-model.objective_constant)}\n".encode()
     rhs_text, rhs_index = _distinct_texts(rhs)
     rhs_text = "  " + rhs_text + "\n"
     for a, b in _blocks(0, len(has_terms)):
         rows = a + np.flatnonzero(has_terms[a:b] & (rhs[a:b] != 0.0))
         text += _joined(len(rows), "    RHS  ", row_heads[rows], row_tails[rows],
-                        rhs_text[rhs_index[rows]])
+                        rhs_text[rhs_index[rows]]).encode()
     lines = ["BOUNDS"]
     lo, hi = model.bounds()
     binary = model.binary_mask()
@@ -245,8 +247,8 @@ def export_mps(model: Model) -> str:
         if high != float("inf"):
             lines.append(f" UP BND  {name}  {_num(high)}")
     lines.append("ENDATA")
-    text += "\n".join(lines) + "\n"
-    return text
+    text += ("\n".join(lines) + "\n").encode()
+    return text.decode()
 
 
 def _mps_columns(model: Model, heads: np.ndarray, tails: np.ndarray,

@@ -27,11 +27,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
+    ROOF_KINDS,
     BuildingConfig,
     CommunityConfig,
     DeviceKind,
     DeviceSpec,
-    HYDROGEN_CHAIN,
     Scenario,
     align_scenarios,
     scenario_channels,
@@ -42,18 +42,11 @@ from .devices import (
     BuildingEnergyRefs,
     DesignRefs,
     DeviceBlockRefs,
-    emit_battery,
-    emit_boiler,
     emit_building_balances,
     emit_community_balance,
-    emit_design,
-    emit_heat_pump,
-    emit_hydrogen_design,
-    emit_hydrogen_chain,
-    emit_pv,
+    emit_designs,
+    emit_operations,
     emit_roof_coupling,
-    emit_stc,
-    emit_tes,
     roof_capped,
 )
 from .milp import (
@@ -155,7 +148,7 @@ def _building_entity(bid: int) -> str:
 
 def _effective_spec(spec: DeviceSpec, building: BuildingConfig) -> DeviceSpec:
     """Roof-constrained design bounds for area-based devices."""
-    if spec.kind in (DeviceKind.PV, DeviceKind.STC):
+    if spec.kind in ROOF_KINDS:
         return roof_capped(spec, building.roof_area)
     return spec
 
@@ -163,26 +156,10 @@ def _effective_spec(spec: DeviceSpec, building: BuildingConfig) -> DeviceSpec:
 def _emit_building_designs(
     model: Model, building: BuildingConfig
 ) -> dict[DeviceKind, DesignRefs]:
-    refs: dict[DeviceKind, DesignRefs] = {}
     entity = _building_entity(building.id)
-    for spec in building.devices:
-        refs[spec.kind] = emit_design(model, _effective_spec(spec, building), entity)
-    emit_roof_coupling(model, refs.get(DeviceKind.PV), refs.get(DeviceKind.STC),
-                       building.roof_area, tag=entity)
-    return refs
-
-
-def _emit_community_designs(
-    model: Model, cfg: CommunityConfig
-) -> dict[DeviceKind, DesignRefs]:
-    refs: dict[DeviceKind, DesignRefs] = {}
-    hydrogen = {s.kind: s for s in cfg.community_devices if s.kind in HYDROGEN_CHAIN}
-    for spec in cfg.community_devices:
-        if spec.kind in HYDROGEN_CHAIN:
-            continue
-        refs[spec.kind] = emit_design(model, spec, COMMUNITY_ENTITY)
-    if hydrogen:
-        refs[DeviceKind.HYD] = emit_hydrogen_design(model, hydrogen, COMMUNITY_ENTITY)
+    refs = emit_designs(model, [_effective_spec(s, building) for s in building.devices], entity)
+    emit_roof_coupling(model, *(refs.get(kind) for kind in ROOF_KINDS), building.roof_area,
+                       tag=entity)
     return refs
 
 
@@ -191,7 +168,6 @@ class _BuildingScenarioRefs:
     thermal: object
     blocks: dict[DeviceKind, DeviceBlockRefs]
     flows: BuildingEnergyRefs
-    gas: VarBlock | tuple
 
 
 def _emit_building_scenario(
@@ -218,34 +194,11 @@ def _emit_building_scenario(
     emit_comfort_constraints(
         model, thermal, occupant.t_set, building.comfort_buffer, tag=tag
     )
-    blocks: dict[DeviceKind, DeviceBlockRefs] = {}
-    for spec in building.devices:
-        design = designs[spec.kind]
-        if spec.kind == DeviceKind.BAT:
-            blocks[spec.kind] = emit_battery(model, spec, design, horizon, cfg.step_hours, tag)
-        elif spec.kind == DeviceKind.TES:
-            blocks[spec.kind] = emit_tes(model, spec, design, horizon, cfg.step_hours, tag)
-        elif spec.kind == DeviceKind.BOL:
-            blocks[spec.kind] = emit_boiler(model, spec, design, horizon, tag)
-        elif spec.kind == DeviceKind.HP:
-            blocks[spec.kind] = emit_heat_pump(
-                model, spec, design, scenario.climate.t_amb, horizon, tag
-            )
-        elif spec.kind == DeviceKind.PV:
-            blocks[spec.kind] = emit_pv(
-                model, spec, design, scenario.climate.i_sol, horizon, tag
-            )
-        elif spec.kind == DeviceKind.STC:
-            blocks[spec.kind] = emit_stc(
-                model, spec, design, scenario.climate.i_sol, scenario.climate.t_amb,
-                horizon, tag,
-            )
+    blocks = emit_operations(model, designs, scenario.climate, horizon, cfg.step_hours, tag)
     flows = emit_building_balances(
         model, blocks, thermal.q_sp, occupant.e_base, horizon, tag
     )
-    boiler = blocks.get(DeviceKind.BOL)
-    gas = boiler.flows["gas"] if boiler is not None else ()
-    return _BuildingScenarioRefs(thermal=thermal, blocks=blocks, flows=flows, gas=gas)
+    return _BuildingScenarioRefs(thermal=thermal, blocks=blocks, flows=flows)
 
 
 @dataclass
@@ -253,36 +206,6 @@ class _CommunityScenarioRefs:
     blocks: dict[DeviceKind, DeviceBlockRefs]
     grid: GridBlockRefs
     hv: VarBlock
-
-
-def _emit_community_scenario(
-    model: Model,
-    cfg: CommunityConfig,
-    scenario: Scenario,
-    designs: Mapping[DeviceKind, DesignRefs],
-    horizon: int,
-    tag: str,
-    slack_building_ids: Sequence[int],
-) -> _CommunityScenarioRefs:
-    blocks: dict[DeviceKind, DeviceBlockRefs] = {}
-    for spec in cfg.community_devices:
-        if spec.kind == DeviceKind.BAT_COM:
-            blocks[spec.kind] = emit_battery(
-                model, spec, designs[spec.kind], horizon, cfg.step_hours, tag
-            )
-        elif spec.kind == DeviceKind.PV_COM:
-            blocks[spec.kind] = emit_pv(
-                model, spec, designs[spec.kind], scenario.climate.i_sol, horizon, tag
-            )
-    if DeviceKind.HYD in designs:
-        blocks[DeviceKind.HYD] = emit_hydrogen_chain(
-            model, designs[DeviceKind.HYD], horizon, cfg.step_hours, tag
-        )
-    grid = create_grid_refs(model, slack_building_ids, horizon, tag)
-    hv = emit_community_balance(
-        model, blocks, grid.mv_to_lv, grid.lv_to_mv, horizon, tag
-    )
-    return _CommunityScenarioRefs(blocks=blocks, grid=grid, hv=hv)
 
 
 # -- reading and pricing plans ------------------------------------------------
@@ -297,19 +220,8 @@ def _solution(result: SolveResult, what: str) -> np.ndarray:
     return result.x
 
 
-def _design_decisions(
-    x: np.ndarray, entity: str, designs: Mapping[DeviceKind, DesignRefs]
-) -> dict[tuple[str, str], DesignDecision]:
-    out = {}
-    for refs in designs.values():
-        chi = int(round(float(x[refs.chi.id])))
-        for spec, var in refs.entries:
-            out[(entity, spec.kind.value)] = DesignDecision(chi=chi, value=float(x[var.id]))
-    return out
-
-
 def _building_traces(x: np.ndarray, refs: _BuildingScenarioRefs, horizon: int) -> BuildingTraces:
-    gas = read_values(x, refs.gas) if len(refs.gas) else np.zeros(horizon)
+    gas = read_values(x, refs.flows.gas) if len(refs.flows.gas) else np.zeros(horizon)
     return BuildingTraces(
         indoor_celsius=tuple(refs.thermal.indoor_celsius(x).tolist()),
         heat=tuple(read_values(x, refs.thermal.q_sp).tolist()),
@@ -390,22 +302,18 @@ class BuiltModel:
             self.model.set_rhs(self.lv_rows[scenario.id], others_net[scenario.id])
 
     def design_entries(self) -> dict[tuple[str, str], tuple[DeviceSpec, VarRef, VarRef]]:
-        out: dict[tuple[str, str], tuple[DeviceSpec, VarRef, VarRef]] = {}
-        for bid, designs in self.building_designs.items():
-            for refs in designs.values():
-                for spec, var in refs.entries:
-                    out[(_building_entity(bid), spec.kind.value)] = (spec, var, refs.chi)
-        for refs in self.community_designs.values():
-            for spec, var in refs.entries:
-                out[(COMMUNITY_ENTITY, spec.kind.value)] = (spec, var, refs.chi)
-        return out
+        """(spec, design variable, existence binary) per (entity, kind), the
+        buildings first, each entity's designs in emission order."""
+        entities = {_building_entity(bid): d for bid, d in self.building_designs.items()}
+        entities[COMMUNITY_ENTITY] = self.community_designs
+        return {(entity, spec.kind.value): (spec, var, refs.chi)
+                for entity, designs in entities.items() for refs in designs.values()
+                for spec, var in refs.entries}
 
     def extract(self, result: SolveResult) -> PlanResult:
         x = _solution(result, f"solve of model {self.model.name!r}")
-        designs: dict[tuple[str, str], DesignDecision] = {}
-        for bid, bdesigns in self.building_designs.items():
-            designs.update(_design_decisions(x, _building_entity(bid), bdesigns))
-        designs.update(_design_decisions(x, COMMUNITY_ENTITY, self.community_designs))
+        designs = {key: DesignDecision(chi=int(round(float(x[chi.id]))), value=float(x[var.id]))
+                   for key, (_, var, chi) in self.design_entries().items()}
         operations: dict[str, ScenarioOperations] = {}
         for scenario in self.scenarios:
             com = self.community_refs[scenario.id]
@@ -437,8 +345,9 @@ def _checked(
     cfg: CommunityConfig, scenarios: Sequence[Scenario]
 ) -> tuple[list[Scenario], int]:
     """Aligned scenarios and the planning horizon of a valid configuration;
-    ValueError listing the violations, or naming a scenario without the
-    occupant profile of a configured building, otherwise."""
+    ValueError listing the violations, naming a scenario without the
+    occupant profile of a configured building, or naming both steps when
+    the scenarios' step is not the configured ``step_hours``, otherwise."""
     violations = validate_config(cfg)
     if violations:
         raise ValueError("invalid configuration:\n" + "\n".join(violations))
@@ -450,6 +359,11 @@ def _checked(
                 f"scenario {scenario.id!r} has no occupant profile for building(s) {missing}"
             )
     scenarios = align_scenarios(list(scenarios))
+    step = scenarios[0].climate.t_amb.step_hours  # align_scenarios checked they share it
+    if step != cfg.step_hours:
+        raise ValueError(
+            f"scenarios step {step} h differs from the configured step_hours {cfg.step_hours} h"
+        )
     return scenarios, min(cfg.horizon_steps, scenario_length(scenarios[0]))
 
 
@@ -473,7 +387,7 @@ def _build(
     """
     model = Model(name)
     building_designs = {b.id: _emit_building_designs(model, b) for b in buildings}
-    community_designs = _emit_community_designs(model, cfg)
+    community_designs = emit_designs(model, cfg.community_devices, COMMUNITY_ENTITY)
     investment = emit_investment_cost(
         [refs for designs in (*building_designs.values(), community_designs)
          for refs in designs.values()],
@@ -485,7 +399,7 @@ def _build(
     community_refs: dict[str, _CommunityScenarioRefs] = {}
     lv_rows: dict[str, int] = {}
     for w, scenario in enumerate(scenarios):
-        stag = f"s{w}"
+        stag, ctag = f"s{w}", f"COM_s{w}"
         first = len(model.variables)
         per_building = {
             b.id: _emit_building_scenario(
@@ -494,17 +408,17 @@ def _build(
             )
             for b in buildings
         }
-        com = _emit_community_scenario(
-            model, cfg, scenario, community_designs, horizon, f"COM_{stag}",
-            list(per_building),
-        )
+        blocks = emit_operations(model, community_designs, scenario.climate, horizon,
+                                 cfg.step_hours, ctag)
+        grid = create_grid_refs(model, list(per_building), horizon, ctag)
+        hv = emit_community_balance(model, blocks, grid.mv_to_lv, grid.lv_to_mv, horizon, ctag)
+        com = _CommunityScenarioRefs(blocks=blocks, grid=grid, hv=hv)
         flows = {bid: refs.flows for bid, refs in per_building.items()}
-        emit_grid_limits(model, com.grid, flows, cfg.lv_limit, cfg.mv_limit, f"COM_{stag}")
+        emit_grid_limits(model, grid, flows, cfg.lv_limit, cfg.mv_limit, ctag)
         lv_rows[scenario.id] = emit_lv_aggregation(
-            model, flows, com.grid,
-            0.0 if others_net is None else others_net[scenario.id], f"COM_{stag}",
+            model, flows, grid, 0.0 if others_net is None else others_net[scenario.id], ctag,
         )
-        gas = {bid: refs.gas for bid, refs in per_building.items()}
+        gas = {bid: refs.flows.gas for bid, refs in per_building.items()}
         eco = scenario.economic
         # every column these terms price was added in this scenario's loop
         stage = np.zeros(len(model.variables) - first)

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from communityplan.core import (
+    BUILDING_KINDS,
     CHANNELS,
+    COMMUNITY_KINDS,
+    KIND_CATALOGUE,
+    ROOF_KINDS,
+    DeviceKind,
     DeviceSpec,
     TimeSeries,
     Unit,
@@ -24,6 +29,40 @@ from conftest import (
     simple_scenario,
     ts,
 )
+
+
+class TestDeviceCatalogue:
+    def test_one_row_per_kind(self):
+        assert list(KIND_CATALOGUE) == list(DeviceKind)
+
+    def test_placement_sets(self):
+        assert BUILDING_KINDS == {DeviceKind(k) for k in ("BAT", "TES", "BOL", "HP", "PV", "STC")}
+        assert COMMUNITY_KINDS == {DeviceKind(k) for k in ("PV_COM", "BAT_COM", "EL", "HYD", "FC")}
+
+    def test_area_kinds(self):
+        areas = {kind for kind, facts in KIND_CATALOGUE.items() if facts.area}
+        assert areas == {DeviceKind.PV, DeviceKind.PV_COM, DeviceKind.STC}
+        assert ROOF_KINDS == (DeviceKind.PV, DeviceKind.STC)
+
+    def test_required_extras(self):
+        required = {kind: facts.extra for kind, facts in KIND_CATALOGUE.items() if facts.extra}
+        assert required == {
+            DeviceKind.BOL: ("eta",),
+            DeviceKind.HP: ("cop_coeffs", "t_dist"),
+            DeviceKind.PV: ("eta",),
+            DeviceKind.STC: ("eta", "u_loss", "t_collector"),
+            DeviceKind.PV_COM: ("eta",),
+        }
+        for kind, keys in required.items():
+            spec = DeviceSpec(kind=kind, cap_min=0.0, cap_max=1.0)
+            if kind in BUILDING_KINDS:
+                cfg = simple_config([simple_building(1, devices=(spec,))], horizon=24)
+                path = "buildings[0].devices[0]"
+            else:
+                cfg = simple_config([simple_building(1)], horizon=24, community_devices=(spec,))
+                path = "community_devices[0]"
+            missing = [v for v in validate_config(cfg) if ".extra" in v]
+            assert missing == [f"{path}.extra: missing required key '{key}'" for key in keys]
 
 
 class TestTimeSeries:
@@ -89,6 +128,13 @@ class TestValidateConfig:
         cfg = simple_config([simple_building(1, rc=bad_rc)], horizon=24)
         violations = validate_config(cfg)
         assert any("resistances" in v and "order 2" in v for v in violations)
+
+    def test_negative_building_id(self):
+        # model names carry the id, and LP text would read its "-" as an operator
+        cfg = simple_config([simple_building(-1, devices=(boiler_spec(),))], horizon=24)
+        assert validate_config(cfg) == ["buildings[0].id: requires id >= 0"]
+        cfg = simple_config([simple_building(0, devices=(boiler_spec(),))], horizon=24)
+        assert validate_config(cfg) == []
 
     def test_missing_required_extra(self):
         bad = DeviceSpec(kind="BOL", cap_min=1, cap_max=10)

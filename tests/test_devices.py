@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
-from communityplan.core import DeviceKind, DeviceSpec
+from communityplan.core import KIND_CATALOGUE, HYDROGEN_CHAIN, DeviceKind, DeviceSpec
 from communityplan.devices import (
+    BALANCE_TERMS,
+    GAS_FLOW,
     cop_profile,
     emit_battery,
     emit_boiler,
     emit_building_balances,
     emit_community_balance,
     emit_design,
+    emit_designs,
     emit_heat_pump,
     emit_hydrogen_chain,
     emit_hydrogen_design,
+    emit_operations,
     emit_pv,
     emit_roof_coupling,
     emit_stc,
@@ -20,10 +24,12 @@ from communityplan.devices import (
     simulate_storage,
     stc_yield_profile,
 )
+from communityplan.fixtures import generate_fixture
+from communityplan.io import ingest_community
 from communityplan.milp import LinExpr, Model, Sense, Status
 from communityplan.solvers import solve
 
-from conftest import battery_spec, boiler_spec
+from conftest import battery_spec, boiler_spec, simple_scenario
 from oracles import storage_replay
 
 
@@ -471,6 +477,55 @@ class TestCommunityBalance:
         m.minimize(LinExpr())
         result = solved(m)
         assert result.values[hv[0].name] == pytest.approx(0.0, abs=1e-9)
+
+
+class TestCatalogueTables:
+    def test_balance_terms_in_row_order(self):
+        kind = DeviceKind
+        assert BALANCE_TERMS == (
+            ("heat", kind.TES, "charge", 1.0),
+            ("heat", kind.TES, "discharge", -1.0),
+            ("heat", kind.BOL, "heat", -1.0),
+            ("heat", kind.HP, "heat", -1.0),
+            ("elec", kind.BAT, "charge", 1.0),
+            ("elec", kind.BAT, "discharge", -1.0),
+            ("elec", kind.HP, "power", 1.0),
+            ("elec", kind.PV, "power", -1.0),
+            ("mv", kind.BAT_COM, "charge", 1.0),
+            ("mv", kind.BAT_COM, "discharge", -1.0),
+            ("mv", kind.HYD, "charge", 1.0),
+            ("mv", kind.HYD, "discharge", -1.0),
+            ("mv", kind.PV_COM, "power", -1.0),
+        )
+        assert GAS_FLOW == (kind.BOL, "gas")
+
+    def test_every_kind_is_designed_and_operated(self, tmp_path):
+        # the fixture holds every kind; designs and blocks keep the specs'
+        # order with the hydrogen chain last, under the tank's kind, and
+        # every flow the balance tables name exists
+        cfg = ingest_community(generate_fixture(tmp_path, 1, seed=3)).config
+        specs = {"b1": cfg.buildings[0].devices,
+                 "COM": cfg.community_devices[::-1]}  # FC and EL before the rest
+        climate = simple_scenario(horizon=4).climate
+        m = Model()
+        operated = {}
+        for tag, entity_specs in specs.items():
+            designs = emit_designs(m, entity_specs, tag)
+            expected = [s.kind for s in entity_specs if s.kind not in HYDROGEN_CHAIN]
+            if tag == "COM":
+                expected.append(DeviceKind.HYD)
+                assert tuple(s.kind for s, _ in designs[DeviceKind.HYD].entries) == HYDROGEN_CHAIN
+            assert list(designs) == expected
+            for refs in designs.values():
+                for spec, var in refs.entries:
+                    prefix = "A_" if KIND_CATALOGUE[spec.kind].area else "C_"
+                    assert var.name == f"{prefix}{spec.kind.value}_{tag}"
+            blocks = emit_operations(m, designs, climate, 4, 1.0, tag)
+            assert list(blocks) == list(designs)
+            operated.update(blocks)
+        assert set(operated) == set(DeviceKind) - {DeviceKind.EL, DeviceKind.FC}
+        for kind, flow in [term[1:3] for term in BALANCE_TERMS] + [GAS_FLOW]:
+            assert len(operated[kind].flows[flow]) == 4
 
 
 class TestStorageReplayProperty:

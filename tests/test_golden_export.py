@@ -379,16 +379,21 @@ def test_year_export_matches_benchmark_record(year_model):
 
 
 def test_year_lp_export_holds_little_beside_its_text(year_model):
-    # names are gathered as shared pieces and rows are written a block at
-    # a time into the growing text, so the export's peak stays near the
-    # text itself (it was 4.3 times the text when it built every name and
-    # joined all blocks at the end).  The text grows in place only while
-    # no trace or profile hook is set: under one it reads 2.75 times.
+    # names are gathered as shared pieces and each block of rows goes into
+    # one byte buffer, decoded once, so the export's peak stays near twice
+    # the text (it was 4.3 times the text when it built every name).  A
+    # profile hook, as a coverage tool or profiler sets, must not change
+    # that: growing a str by "+=" stays in place only without one, and
+    # read 2.75 times under one.
     export_lp(year_model)  # fills the step-text and formatting caches
-    tracemalloc.start()
-    try:
-        text = export_lp(year_model)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * len(text)
+    for hooked in (False, True):
+        tracemalloc.start()
+        if hooked:
+            sys.setprofile(lambda frame, event, arg: None)
+        try:
+            text = export_lp(year_model)
+        finally:
+            sys.setprofile(None)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(text), hooked

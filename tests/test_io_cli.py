@@ -700,6 +700,32 @@ class TestCli:
         assert self.run("validate", "--dir", str(fx)) == 1
         assert violation in capsys.readouterr().err
 
+    def test_negative_building_id_is_user_error(self, tmp_path, capsys):
+        fx = generate_fixture(tmp_path / "fx", 1, seed=9)
+        config = json.loads((fx / "config.json").read_text())
+        config["buildings"][0]["id"] = -1
+        (fx / "config.json").write_text(json.dumps(config))
+        rc = json.loads((fx / "rc_catalogue.json").read_text())
+        (fx / "rc_catalogue.json").write_text(json.dumps({"-1": rc["1"]}))
+        assert self.run("validate", "--dir", str(fx)) == 1
+        assert "buildings[0].id: requires id >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["centralized", "distributed"])
+    def test_scenario_step_other_than_config_step_is_user_error(self, tmp_path, capsys, verb):
+        fx = generate_fixture(tmp_path / "fx", 1, seed=10)
+        bundle = tmp_path / "scn"
+        save_scenarios(bundle, [ingest_community(fx).history])
+        config = json.loads((fx / "config.json").read_text())
+        config["step_hours"] = 0.5
+        (fx / "config.json").write_text(json.dumps(config))
+        code = self.run(
+            "plan", verb, "--dir", str(fx), "--scenarios", str(bundle),
+            "--out", str(tmp_path / "out"), "--horizon", "24",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "scenarios step 1.0 h differs from the configured step_hours 0.5 h" in err
+
     def test_negative_probability_is_user_error(self, tmp_path, capsys):
         fx = generate_fixture(tmp_path / "fx", 1, seed=10)
         bundle = tmp_path / "scn"

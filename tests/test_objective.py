@@ -172,7 +172,7 @@ def expression_sum(built):
     total = inv
     for scenario in built.scenarios:
         com = built.community_refs[scenario.id]
-        gas = {bid: refs.gas for bid, refs in built.building_refs[scenario.id].items()}
+        gas = {bid: refs.flows.gas for bid, refs in built.building_refs[scenario.id].items()}
         eco = scenario.economic
         stage = (
             expr(emit_operational_cost(com.hv, gas, eco.p_el, eco.p_gas, cfg.step_hours))

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import inspect
 import json
 import sys
 import warnings
@@ -117,6 +120,14 @@ class TestCentralized:
             gate_lo = model.constraint_by_name(f"gate_lo_{kind}_b1").expr.terms
             assert gate_hi == {area.id: 1.0, chi.id: -10.0}
             assert gate_lo.get(chi.id, 0.0) == -cap_min
+
+    @pytest.mark.parametrize("plan", [build_centralized, solve_distributed])
+    def test_scenario_step_must_be_the_configured_step(self, boiler_community, plan):
+        # hourly scenarios are not planned as half-hours
+        cfg, scenario = boiler_community
+        with pytest.raises(ValueError, match=r"scenarios step 1\.0 h differs from "
+                                             r"the configured step_hours 0\.5 h"):
+            plan(dataclasses.replace(cfg, step_hours=0.5), [scenario])
 
     def test_invalid_config_raises(self, boiler_community):
         cfg, scenario = boiler_community
@@ -435,6 +446,78 @@ def test_fixed_highs_options_keep_the_plan(monkeypatch, index):
     reference = solve_centralized(cfg, scenarios)
     assert plan.designs == reference.designs
     assert plan.objective == pytest.approx(reference.objective, rel=1e-9, abs=0)
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(str(a.dtype).encode() + a.tobytes())
+    return h.hexdigest()
+
+
+def plan_digests(monkeypatch, index):
+    """SHA-256 of every array HiGHS receives and of every solution it
+    returns, centralized then distributed, and of the distributed plan
+    (objective history, designs and operations), on the criterion-1 shape
+    at 24 h."""
+    inputs, solutions = hashlib.sha256(), hashlib.sha256()
+    real_milp = communityplan.solvers.milp
+
+    def milp_spy(c, *, integrality, bounds, constraints, options):
+        matrix, row_lo, row_hi = constraints
+        inputs.update(_digest(c, integrality, *bounds, matrix.indptr, matrix.indices,
+                              matrix.data, row_lo, row_hi).encode())
+        run = real_milp(c, integrality=integrality, bounds=bounds, constraints=constraints,
+                        options=options)
+        solutions.update(_digest(run.x).encode())
+        return run
+
+    monkeypatch.setattr(communityplan.solvers, "milp", milp_spy)
+    cfg, scenarios = instances.criterion1_instance(300, index, horizon=24)
+    solve_centralized(cfg, scenarios)
+    plan = solve_distributed(cfg, scenarios)
+    history = [value.hex() for value in plan.solve_meta["o_tot_history"]]
+    merged = plan_result_to_dict(plan)
+    del merged["solve_meta"]
+    merged = json.dumps([history, merged], sort_keys=True).encode()
+    return inputs.hexdigest(), solutions.hexdigest(), hashlib.sha256(merged).hexdigest()
+
+
+# plan_digests as recorded from the planner whose emission branched on each
+# device kind; the catalogue-driven emission must give the same bits
+RECORDED_PLAN_DIGESTS = {
+    1: (
+        "4aa2aac693ffb0ac3d8fec6e78a540b554d91ed2eb0b61cb9ab562862b9346aa",
+        "d4fcad7faaff68b6454271784e427991fc877dd3cf0ebedb28ff5f3545ff18fe",
+        "0792ddc180d16a767f17637de2d8b8cf09d776c6138e17b09d4a41981a120e26",
+    ),
+    2: (
+        "958160449beae0c6add089456731c005764df0263477e59b6a109629a188499e",
+        "bcea0e2a123cdd0c7bc55ba43dcd14585784315fd8a47adc5b5697d09193f938",
+        "86afb79fdf41ef82b49bac3ebc27b73b96734b7f1258e68d7b73e00353d2f71f",
+    ),
+    3: (
+        "9bd562e444f6fe3358fa49db7b7353ffd42e57c88b5eec4f93186407cf272c89",
+        "14ac17157279bed3e7e30024cdef3762703a58cf70d16ea197ed6bf216744475",
+        "0705bebe663ce9bc489773beb9d6f7bf377bb691ddf947aa32e6ce7adec8543f",
+    ),
+    4: (
+        "3990c051729c86119fb72378afc3f9c1bfdbf42b7a65d4542df75bf7223d85f2",
+        "febb85241e927cbecaa27d9f6ca4b533ee874ee08a298885ee3cbbdd716ecc5c",
+        "8803745a92072ea6a9d308a60c7b4a36ea81756800b2b52e64e72b704b4102d9",
+    ),
+}
+
+
+@pytest.mark.parametrize("index", range(1, 5))
+def test_plans_are_bitwise_those_recorded(monkeypatch, index):
+    assert plan_digests(monkeypatch, index) == RECORDED_PLAN_DIGESTS[index]
+
+
+def test_planner_names_no_device_kind():
+    # per-kind facts live in core.KIND_CATALOGUE and the devices tables
+    assert "DeviceKind." not in inspect.getsource(planner)
 
 
 class TestStochasticOrderings:
