@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
@@ -22,6 +21,7 @@ from pathlib import Path
 from .core import validate_config
 from .fixtures import generate_fixture
 from .io import (
+    _write_json,
     emit_reports,
     ingest_community,
     load_plan_result,
@@ -273,10 +273,7 @@ def _dispatch_plan(args) -> int:
             backend=backend, options=options, factors=factors,
         )
         files = save_sensitivity_report(report, out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "run_manifest.json").write_text(
-            json.dumps(manifest.as_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        _write_json(out / "run_manifest.json", manifest.as_dict())
         print(f"wrote {len(files) + 1} sensitivity files to {out}")
         return 0
 

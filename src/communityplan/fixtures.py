@@ -11,7 +11,6 @@ techno-economic device catalogue.  Everything is a pure function of
 
 from __future__ import annotations
 
-import json
 from datetime import datetime
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .core import RC_CAPACITY_KEY, RC_RESISTANCES_BY_ORDER, RC_STATES_BY_ORDER
 from .core import TimeSeries, channel_names, channel_unit
-from .io import write_series_csv
+from .io import _write_json, write_series_csv
 
 __all__ = ["generate_fixture", "DEVICE_CATALOGUE"]
 
@@ -233,13 +232,7 @@ def generate_fixture(out_dir: Path | str, n_buildings: int, seed: int) -> Path:
         "horizon_steps": HOURS,
         "step_hours": 1.0,
     }
-    (out_dir / "config.json").write_text(
-        json.dumps(config, indent=2, sort_keys=True) + "\n"
-    )
-    (out_dir / "rc_catalogue.json").write_text(
-        json.dumps(rc_catalogue, indent=2, sort_keys=True) + "\n"
-    )
-    (out_dir / "device_catalogue.json").write_text(
-        json.dumps(DEVICE_CATALOGUE, indent=2, sort_keys=True) + "\n"
-    )
+    _write_json(out_dir / "config.json", config)
+    _write_json(out_dir / "rc_catalogue.json", rc_catalogue)
+    _write_json(out_dir / "device_catalogue.json", DEVICE_CATALOGUE)
     return out_dir

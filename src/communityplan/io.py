@@ -10,13 +10,15 @@ source and input hash lands in the :class:`RunManifest`.
 
 from __future__ import annotations
 
+import collections.abc
 import csv
 import functools
 import hashlib
 import itertools
 import json
 import operator
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -28,7 +30,6 @@ from . import __version__ as _tool_version
 from .core import (
     BuildingConfig,
     CommunityConfig,
-    DeviceKind,
     DeviceSpec,
     RCParameters,
     Scenario,
@@ -42,14 +43,7 @@ from .core import (
     scenario_from_channels,
     validate_config,
 )
-from .planner import (
-    BuildingTraces,
-    DesignDecision,
-    PlanResult,
-    ScenarioOperations,
-    SensitivityReport,
-)
-from .objective import ObjectiveBreakdown
+from .planner import PlanResult, SensitivityReport
 
 __all__ = [
     "read_series_csv",
@@ -72,6 +66,97 @@ __all__ = [
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _write_json(path: Path | str, data) -> Path:
+    """Write ``data`` as JSON with sorted keys, two-space indents and a
+    final line end, so equal data gives equal bytes."""
+    path = Path(path)
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    return path
+
+
+# -- records as JSON -------------------------------------------------------------
+#
+# A record's dataclass is the layout of its JSON object: one key per field,
+# named as the field.  Mapping keys are written as text (building ids as
+# "2", "10", design keys as "entity:device") and read back as the mapping's
+# key type.  A record with its own ``as_dict``/``from_dict`` keeps its layout.
+
+
+@functools.cache
+def _field_types(cls: type) -> dict[str, object]:
+    """Field name -> resolved type of each field of the dataclass ``cls``."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _to_json(value):
+    """JSON data of ``value``: a record as the object of its fields, a
+    mapping with text keys, anything else as it is (tuples are arrays)."""
+    if hasattr(value, "as_dict"):
+        return value.as_dict()
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Mapping):
+        return {
+            _design_key(*key) if isinstance(key, tuple) else str(key): _to_json(item)
+            for key, item in value.items()
+        }
+    return value
+
+
+def _from_json(hint, value, where: str):
+    """``value``, read from JSON, as type ``hint``: the inverse of
+    :func:`_to_json`.  Numbers and mapping keys are cast to their types,
+    arrays become tuples; records are checked by :func:`_fields_from_json`."""
+    if hint in (int, float):
+        return hint(value)
+    if hasattr(hint, "from_dict"):
+        return hint.from_dict(value)
+    if is_dataclass(hint):
+        return hint(**_fields_from_json(hint, value, where))
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple:
+        return tuple(value)
+    if origin is collections.abc.Mapping:
+        key_type, item_type = args
+        return {
+            (tuple(key.split(":", 1)) if typing.get_origin(key_type) is tuple
+             else key_type(key)): _from_json(item_type, item, f"{where}: {key}")
+            for key, item in value.items()
+        }
+    return value
+
+
+def _fields_from_json(
+    cls: type,
+    data: Mapping,
+    where: str,
+    optional: Iterable[str] | None = None,
+    elsewhere: Iterable[str] = (),
+) -> dict:
+    """The fields of the dataclass ``cls`` that ``data`` holds, each read
+    as its field's type (:func:`_from_json`).
+
+    Every key of ``data`` must name a field that is not read ``elsewhere``
+    (another file); every other field not ``optional`` (by default, each
+    field with a default) must be present.  Otherwise ``ValueError``
+    names ``where`` and the keys.
+    """
+    types = _field_types(cls)
+    if optional is None:
+        optional = [f.name for f in fields(cls)
+                    if f.default is not MISSING or f.default_factory is not MISSING]
+    unknown = [key for key in data if key not in types or key in elsewhere]
+    if unknown:
+        raise ValueError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
+    missing = [name for name in types
+               if name not in data and name not in optional and name not in elsewhere]
+    if missing:
+        raise ValueError(f"{where}: missing required key {', '.join(map(repr, missing))}")
+    return {key: _from_json(types[key], value, f"{where}: {key}")
+            for key, value in data.items()}
 
 
 @functools.lru_cache(maxsize=4)
@@ -241,44 +326,32 @@ def read_series_csv(path: Path | str, unit: Unit) -> tuple[TimeSeries, list[str]
 # -- configuration ------------------------------------------------------------
 
 
-def _device_from_dict(name: str, data: Mapping) -> DeviceSpec:
-    return DeviceSpec(
-        kind=DeviceKind(data["kind"]),
-        cap_min=float(data["cap_min"]),
-        cap_max=float(data["cap_max"]),
-        eta_ch=float(data.get("eta_ch", 1.0)),
-        eta_dch=float(data.get("eta_dch", 1.0)),
-        sigma=float(data.get("sigma", 1.0)),
-        gamma_ch=float(data.get("gamma_ch", 1.0)),
-        gamma_dch=float(data.get("gamma_dch", 1.0)),
-        size_price=float(data.get("size_price", 0.0)),
-        base_price=float(data.get("base_price", 0.0)),
-        lifetime_years=float(data.get("lifetime_years", 20.0)),
-        extra=dict(data.get("extra", {})),
-    )
-
-
-def _rc_from_dict(data: Mapping) -> RCParameters:
-    return RCParameters(
-        order=int(data["order"]),
-        resistances={k: float(v) for k, v in data["resistances"].items()},
-        capacities={k: float(v) for k, v in data["capacities"].items()},
-        window_area=float(data["window_area"]),
-        envelope_area=float(data.get("envelope_area", 0.0)),
-    )
-
-
 def load_config_tree(directory: Path | str) -> CommunityConfig:
-    """config.json plus the RC and device catalogues of a data directory."""
+    """config.json plus the RC and device catalogues of a data directory.
+
+    Each building entry of ``config.json`` holds the fields of
+    :class:`BuildingConfig` but ``rc``, which is the entry of
+    ``rc_catalogue.json`` under the building's id; each catalogue entry
+    holds the fields of :class:`RCParameters` or :class:`DeviceSpec`.
+    Fields with a default may be left out and take that default.
+    ``config.json`` holds the fields of :class:`CommunityConfig`, all of
+    them required but ``community_devices``; devices are named by their
+    catalogue key.  A key that is no field, or a missing required one,
+    raises ``ValueError`` naming the file, the entry and the key.
+    """
     directory = Path(directory)
     config_path = directory / "config.json"
     if not config_path.exists():
         raise ValueError(f"{config_path}: missing configuration file")
+    rc_path = directory / "rc_catalogue.json"
+    device_path = directory / "device_catalogue.json"
     raw = json.loads(config_path.read_text())
-    rc_catalogue = json.loads((directory / "rc_catalogue.json").read_text())
-    device_catalogue = json.loads((directory / "device_catalogue.json").read_text())
+    rc_catalogue = json.loads(rc_path.read_text())
     devices = {
-        name: _device_from_dict(name, entry) for name, entry in device_catalogue.items()
+        name: DeviceSpec(
+            **_fields_from_json(DeviceSpec, entry, f"{device_path}: entry '{name}'")
+        )
+        for name, entry in json.loads(device_path.read_text()).items()
     }
 
     def _resolve(names: Iterable[str], where: str) -> tuple[DeviceSpec, ...]:
@@ -289,30 +362,29 @@ def load_config_tree(directory: Path | str) -> CommunityConfig:
             out.append(devices[name])
         return tuple(out)
 
-    buildings = []
-    for entry in raw["buildings"]:
-        bid = int(entry["id"])
-        if str(bid) not in rc_catalogue:
-            raise ValueError(f"rc_catalogue.json: missing building id {bid}")
-        buildings.append(
-            BuildingConfig(
-                id=bid,
-                rc=_rc_from_dict(rc_catalogue[str(bid)]),
-                roof_area=float(entry["roof_area"]),
-                comfort_buffer=float(entry.get("comfort_buffer", 0.5)),
-                devices=_resolve(entry.get("devices", []), f"buildings[{bid}]"),
-            )
-        )
-    return CommunityConfig(
-        buildings=tuple(buildings),
-        community_devices=_resolve(raw.get("community_devices", []), "community_devices"),
-        lv_limit=float(raw["lv_limit"]),
-        mv_limit=float(raw["mv_limit"]),
-        slack_price=float(raw["slack_price"]),
-        discount_rate=float(raw["discount_rate"]),
-        horizon_steps=int(raw["horizon_steps"]),
-        step_hours=float(raw["step_hours"]),
+    values = _fields_from_json(
+        CommunityConfig, raw, str(config_path), optional=("community_devices",)
     )
+    buildings = []
+    for pos, entry in enumerate(values["buildings"]):
+        building = _fields_from_json(
+            BuildingConfig, entry, f"{config_path}: buildings[{pos}]", elsewhere=("rc",)
+        )
+        bid = building["id"]
+        if str(bid) not in rc_catalogue:
+            raise ValueError(f"{rc_path}: missing building id {bid}")
+        building["rc"] = RCParameters(**_fields_from_json(
+            RCParameters, rc_catalogue[str(bid)], f"{rc_path}: entry '{bid}'"
+        ))
+        if "devices" in building:
+            building["devices"] = _resolve(building["devices"], f"buildings[{bid}]")
+        buildings.append(BuildingConfig(**building))
+    values["buildings"] = buildings
+    if "community_devices" in values:
+        values["community_devices"] = _resolve(
+            values["community_devices"], "community_devices"
+        )
+    return CommunityConfig(**values)
 
 
 @dataclass(frozen=True)
@@ -395,9 +467,7 @@ def save_scenarios(
         "rng_seed": rng_seed,
         "scenarios": entries,
     }
-    path = directory / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    return _write_json(directory / "manifest.json", manifest)
 
 
 def load_scenarios(directory: Path | str) -> tuple[list[Scenario], dict]:
@@ -451,94 +521,21 @@ _VOLATILE_META = ("wall_time_s",)
 
 
 def plan_result_to_dict(plan: PlanResult) -> dict:
-    return {
-        "designs": {
-            _design_key(*key): {"chi": d.chi, "value": d.value}
-            for key, d in sorted(plan.designs.items())
-        },
-        "breakdown": plan.breakdown.as_dict(),
-        "operations": {
-            sid: {
-                "probability": ops.probability,
-                "hv_import": list(ops.hv_import),
-                "mv_to_lv": list(ops.mv_to_lv),
-                "lv_to_mv": list(ops.lv_to_mv),
-                "slack_mv": ops.slack_mv,
-                "slack_lv": {str(b): v for b, v in sorted(ops.slack_lv.items())},
-                "buildings": {
-                    str(b): {
-                        "indoor_celsius": list(tr.indoor_celsius),
-                        "heat": list(tr.heat),
-                        "e_in": list(tr.e_in),
-                        "e_out": list(tr.e_out),
-                        "gas": list(tr.gas),
-                    }
-                    for b, tr in sorted(ops.buildings.items())
-                },
-            }
-            for sid, ops in sorted(plan.operations.items())
-        },
-        "solve_meta": {
-            k: v for k, v in plan.solve_meta.items() if k not in _VOLATILE_META
-        },
-    }
+    """JSON data of a plan: an object per record with one key per field
+    (building ids as text, design keys as ``"entity:device"``), the
+    breakdown under its ``O_*`` names, and ``solve_meta`` without its
+    wall-clock keys."""
+    meta = {k: v for k, v in plan.solve_meta.items() if k not in _VOLATILE_META}
+    return _to_json(replace(plan, solve_meta=meta))
 
 
 def plan_result_from_dict(data: Mapping) -> PlanResult:
-    designs = {}
-    for key, entry in data["designs"].items():
-        entity, device = key.split(":", 1)
-        designs[(entity, device)] = DesignDecision(
-            chi=int(entry["chi"]), value=float(entry["value"])
-        )
-    breakdown_raw = data["breakdown"]
-    breakdown = ObjectiveBreakdown(
-        o_inv_lvl=float(breakdown_raw["O_inv_lvl"]),
-        o_opr=float(breakdown_raw["O_opr"]),
-        o_co2=float(breakdown_raw["O_co2"]),
-        o_slk=float(breakdown_raw["O_slk"]),
-        o_tot=float(breakdown_raw["O_tot"]),
-        per_scenario={
-            sid: {
-                "o_opr": float(vals["O_opr"]),
-                "o_co2": float(vals["O_co2"]),
-                "o_slk": float(vals["O_slk"]),
-            }
-            for sid, vals in breakdown_raw["per_scenario"].items()
-        },
-    )
-    operations = {}
-    for sid, ops in data["operations"].items():
-        operations[sid] = ScenarioOperations(
-            probability=float(ops["probability"]),
-            hv_import=tuple(ops["hv_import"]),
-            mv_to_lv=tuple(ops["mv_to_lv"]),
-            lv_to_mv=tuple(ops["lv_to_mv"]),
-            slack_mv=float(ops["slack_mv"]),
-            slack_lv={int(b): float(v) for b, v in ops["slack_lv"].items()},
-            buildings={
-                int(b): BuildingTraces(
-                    indoor_celsius=tuple(tr["indoor_celsius"]),
-                    heat=tuple(tr["heat"]),
-                    e_in=tuple(tr["e_in"]),
-                    e_out=tuple(tr["e_out"]),
-                    gas=tuple(tr["gas"]),
-                )
-                for b, tr in ops["buildings"].items()
-            },
-        )
-    return PlanResult(
-        designs=designs,
-        breakdown=breakdown,
-        operations=operations,
-        solve_meta=dict(data["solve_meta"]),
-    )
+    """The plan of :func:`plan_result_to_dict` data."""
+    return _from_json(PlanResult, data, "plan result")
 
 
 def save_plan_result(path: Path | str, plan: PlanResult) -> None:
-    Path(path).write_text(
-        json.dumps(plan_result_to_dict(plan), indent=2, sort_keys=True) + "\n"
-    )
+    _write_json(path, plan_result_to_dict(plan))
 
 
 def load_plan_result(path: Path | str) -> PlanResult:
@@ -565,12 +562,7 @@ def emit_reports(
     plan_path = out_dir / "plan_result.json"
     save_plan_result(plan_path, plan)
     written.append(plan_path)
-
-    breakdown_path = out_dir / "objective_breakdown.json"
-    breakdown_path.write_text(
-        json.dumps(plan.breakdown.as_dict(), indent=2, sort_keys=True) + "\n"
-    )
-    written.append(breakdown_path)
+    written.append(_write_json(out_dir / "objective_breakdown.json", plan.breakdown.as_dict()))
 
     design_path = out_dir / "design_table.csv"
     with design_path.open("w", newline="") as handle:
@@ -593,29 +585,15 @@ def emit_reports(
                 ["scenario", "building", "t", "indoor_celsius", "heat_kw",
                  "e_in_kw", "e_out_kw", "gas_kw"]
             )
-            ops = plan.operations[report_sid]
-            for bid, tr in sorted(ops.buildings.items()):
-                for t in range(len(tr.indoor_celsius)):
-                    writer.writerow(
-                        [
-                            report_sid,
-                            bid,
-                            t,
-                            _fmt(tr.indoor_celsius[t]),
-                            _fmt(tr.heat[t]),
-                            _fmt(tr.e_in[t]),
-                            _fmt(tr.e_out[t]),
-                            _fmt(tr.gas[t]),
-                        ]
-                    )
+            # one column per field of the building's traces
+            for bid, traces in sorted(plan.operations[report_sid].buildings.items()):
+                columns = (getattr(traces, f.name) for f in fields(traces))
+                for t, row in enumerate(zip(*columns)):
+                    writer.writerow([report_sid, bid, t, *map(_fmt, row)])
         written.append(traces_path)
 
     if manifest is not None:
-        manifest_path = out_dir / "run_manifest.json"
-        manifest_path.write_text(
-            json.dumps(manifest.as_dict(), indent=2, sort_keys=True) + "\n"
-        )
-        written.append(manifest_path)
+        written.append(_write_json(out_dir / "run_manifest.json", manifest.as_dict()))
     return written
 
 
@@ -636,15 +614,11 @@ def save_sensitivity_report(report: SensitivityReport, out_dir: Path | str) -> l
             }
             for factor, spreads in report.spreads.items()
         },
-        "reference": {
-            _design_key(*key): {"chi": d.chi, "value": d.value}
-            for key, d in sorted(report.reference.items())
-        },
-        "nominal_ids": {f: dict(v) for f, v in report.nominal_ids.items()},
-        "infeasible": [list(item) for item in report.infeasible],
+        "reference": _to_json(report.reference),
+        "nominal_ids": _to_json(report.nominal_ids),
+        "infeasible": report.infeasible,
     }
-    json_path = out_dir / "sensitivity_report.json"
-    json_path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    json_path = _write_json(out_dir / "sensitivity_report.json", data)
     csv_path = out_dir / "design_spread.csv"
     with csv_path.open("w", newline="") as handle:
         writer = csv.writer(handle)
@@ -697,31 +671,14 @@ class RunManifest:
         object.__setattr__(self, "seeds", dict(self.seeds))
 
     def as_dict(self) -> dict:
-        return {
-            "config_path": self.config_path,
-            "config_sha256": self.config_sha256,
-            "scenario_manifest_sha256": self.scenario_manifest_sha256,
-            "scenario_manifest_path": self.scenario_manifest_path,
-            "solver": self.solver,
-            "solver_options": dict(self.solver_options),
-            "seeds": dict(self.seeds),
-            "tool_version": self.tool_version,
-            "created_utc": self.created_utc,
-        }
+        """One key per field."""
+        return asdict(self)
 
     @staticmethod
     def from_dict(data: Mapping) -> "RunManifest":
-        return RunManifest(
-            config_path=data["config_path"],
-            config_sha256=data["config_sha256"],
-            scenario_manifest_sha256=data.get("scenario_manifest_sha256"),
-            solver=data["solver"],
-            solver_options=dict(data["solver_options"]),
-            seeds={k: int(v) for k, v in data["seeds"].items()},
-            tool_version=data.get("tool_version", _tool_version),
-            created_utc=data.get("created_utc", ""),
-            scenario_manifest_path=data.get("scenario_manifest_path"),
-        )
+        """The manifest of :meth:`as_dict` data; fields with a default may
+        be missing (manifests written before they were added)."""
+        return RunManifest(**_fields_from_json(RunManifest, data, "run manifest"))
 
 
 def make_run_manifest(

@@ -15,8 +15,10 @@ every term is a EUR amount regardless of the time resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+import functools
+import operator
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -105,14 +107,29 @@ def emit_slack_cost(grid: GridBlockRefs, slack_price: float) -> Terms:
     return ids, np.full(len(ids), float(slack_price))
 
 
+def _json_key(name: str) -> str:
+    """``O_opr`` for the term ``o_opr``."""
+    return "O" + name[1:]
+
+
+def _total(first: float, rest: Iterable[float]) -> float:
+    """``first`` plus each of ``rest``, added left to right."""
+    return functools.reduce(operator.add, rest, first)
+
+
 @dataclass(frozen=True)
 class ObjectiveBreakdown:
     """EUR decomposition of a solved plan.
 
     ``o_tot`` always equals ``o_inv_lvl`` plus the probability-weighted
     second-stage sums; :meth:`identity_gap` exposes the residual of that
-    identity for verification against the solver objective.
+    identity for verification against the solver objective.  The
+    second-stage terms are those of ``_SECOND_STAGE``, which are also
+    the keys of each ``per_scenario`` entry; :meth:`as_dict` writes every
+    term ``o_*`` as ``O_*``.
     """
+
+    _SECOND_STAGE: ClassVar[tuple[str, ...]] = ("o_opr", "o_co2", "o_slk")
 
     o_inv_lvl: float
     o_opr: float
@@ -126,8 +143,14 @@ class ObjectiveBreakdown:
             self, "per_scenario", {k: dict(v) for k, v in self.per_scenario.items()}
         )
 
-    @staticmethod
+    @classmethod
+    def _terms(cls) -> list[str]:
+        """The names of the fields that hold one EUR term each."""
+        return [f.name for f in fields(cls) if f.name.startswith("o_")]
+
+    @classmethod
     def from_terms(
+        cls,
         o_inv: float,
         per_scenario: Mapping[str, Mapping[str, float]],
         probs: Mapping[str, float],
@@ -137,37 +160,38 @@ class ObjectiveBreakdown:
             sid: {name: float(value) for name, value in vals.items()}
             for sid, vals in per_scenario.items()
         }
-        o_opr = sum(probs[s] * v["o_opr"] for s, v in per_scenario.items())
-        o_co2 = sum(probs[s] * v["o_co2"] for s, v in per_scenario.items())
-        o_slk = sum(probs[s] * v["o_slk"] for s, v in per_scenario.items())
-        return ObjectiveBreakdown(
+        sums = {
+            name: sum(probs[s] * v[name] for s, v in per_scenario.items())
+            for name in cls._SECOND_STAGE
+        }
+        return cls(
             o_inv_lvl=o_inv,
-            o_opr=o_opr,
-            o_co2=o_co2,
-            o_slk=o_slk,
-            o_tot=o_inv + o_opr + o_co2 + o_slk,
+            **sums,
+            o_tot=_total(o_inv, sums.values()),
             per_scenario=per_scenario,
         )
 
     def identity_gap(self) -> float:
         """Relative residual of o_tot against its recomputed parts."""
-        total = self.o_inv_lvl + self.o_opr + self.o_co2 + self.o_slk
+        total = _total(self.o_inv_lvl, (getattr(self, n) for n in self._SECOND_STAGE))
         scale = max(abs(self.o_tot), 1.0)
         return abs(total - self.o_tot) / scale
 
     def as_dict(self) -> dict:
-        return {
-            "O_inv_lvl": self.o_inv_lvl,
-            "O_opr": self.o_opr,
-            "O_co2": self.o_co2,
-            "O_slk": self.o_slk,
-            "O_tot": self.o_tot,
-            "per_scenario": {
-                sid: {
-                    "O_opr": vals["o_opr"],
-                    "O_co2": vals["o_co2"],
-                    "O_slk": vals["o_slk"],
-                }
-                for sid, vals in self.per_scenario.items()
-            },
+        out = {_json_key(name): getattr(self, name) for name in self._terms()}
+        out["per_scenario"] = {
+            sid: {_json_key(name): vals[name] for name in self._SECOND_STAGE}
+            for sid, vals in self.per_scenario.items()
         }
+        return out
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "ObjectiveBreakdown":
+        """The breakdown of :meth:`as_dict` data."""
+        return cls(
+            **{name: float(data[_json_key(name)]) for name in cls._terms()},
+            per_scenario={
+                sid: {name: float(vals[_json_key(name)]) for name in cls._SECOND_STAGE}
+                for sid, vals in data["per_scenario"].items()
+            },
+        )

@@ -12,7 +12,8 @@ import pytest
 import communityplan.io
 from communityplan.cli import main
 from communityplan.core import (
-    CHANNELS, Scenario, TimeSeries, Unit, channel_names, scenario_channels,
+    CHANNELS, BuildingConfig, DeviceKind, DeviceSpec, RCParameters, Scenario, TimeSeries,
+    Unit, channel_names, scenario_channels,
 )
 from communityplan.fixtures import generate_fixture
 from communityplan.io import (
@@ -28,7 +29,10 @@ from communityplan.io import (
     verify_run_manifest,
     write_series_csv,
 )
-from communityplan.planner import solve_centralized
+from communityplan.objective import ObjectiveBreakdown
+from communityplan.planner import (
+    BuildingTraces, DesignDecision, PlanResult, ScenarioOperations, solve_centralized,
+)
 from communityplan.scenarios import BootstrapSpec, bootstrap_years, channels_to_scenario
 from communityplan.solvers import HIGHS_OPTIONS
 
@@ -438,6 +442,82 @@ class TestFixture:
             ingest_community(directory)
 
 
+def edit_json(path: Path, change) -> None:
+    data = json.loads(path.read_text())
+    change(data)
+    path.write_text(json.dumps(data))
+
+
+class TestConfigKeys:
+    # (file, edit, the entry and key the error names)
+    UNKNOWN = {
+        "config": ("config.json", lambda c: c.update(slack_prices=1.0),
+                   "config.json: unknown key 'slack_prices'"),
+        "building": ("config.json", lambda c: c["buildings"][0].update(comfort_bufer=2.0),
+                     "config.json: buildings[0]: unknown key 'comfort_bufer'"),
+        "building_rc": ("config.json", lambda c: c["buildings"][0].update(rc={}),
+                        "config.json: buildings[0]: unknown key 'rc'"),
+        "device": ("device_catalogue.json",
+                   lambda c: c["BOL"].update(lifetime_year=5.0, szie_price=1.0),
+                   "device_catalogue.json: entry 'BOL': "
+                   "unknown key 'lifetime_year', 'szie_price'"),
+        "rc": ("rc_catalogue.json", lambda c: c["1"].update(windw_area=1.0),
+               "rc_catalogue.json: entry '1': unknown key 'windw_area'"),
+    }
+    # every key these files required before they were read by field, by
+    # the file and entry the error names
+    REQUIRED = {
+        ("config.json", None): ["buildings", "lv_limit", "mv_limit", "slack_price",
+                                "discount_rate", "horizon_steps", "step_hours"],
+        ("config.json", "buildings[0]"): ["id", "roof_area"],
+        ("device_catalogue.json", "entry 'BOL'"): ["kind", "cap_min", "cap_max"],
+        ("rc_catalogue.json", "entry '1'"): ["order", "resistances", "capacities",
+                                             "window_area"],
+    }
+    ENTRIES = {None: lambda c: c, "buildings[0]": lambda c: c["buildings"][0],
+               "entry 'BOL'": lambda c: c["BOL"], "entry '1'": lambda c: c["1"]}
+
+    @pytest.mark.parametrize("case", sorted(UNKNOWN))
+    def test_unknown_key_named(self, tmp_path, capsys, case):
+        name, change, message = self.UNKNOWN[case]
+        fx = generate_fixture(tmp_path / "fx", 1, seed=9)
+        edit_json(fx / name, change)
+        with pytest.raises(ValueError) as info:
+            ingest_community(fx)
+        assert str(info.value) == f"{fx}/{message}"
+        assert main(["validate", "--dir", str(fx)]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, entry, key", [
+        (name, entry, key) for (name, entry), keys in REQUIRED.items() for key in keys
+    ])
+    def test_missing_required_key_named(self, tmp_path, capsys, name, entry, key):
+        fx = generate_fixture(tmp_path / "fx", 1, seed=9)
+        edit_json(fx / name, lambda c: self.ENTRIES[entry](c).pop(key))
+        where = name if entry is None else f"{name}: {entry}"
+        message = f"{fx}/{where}: missing required key '{key}'"
+        with pytest.raises(ValueError) as info:
+            ingest_community(fx)
+        assert str(info.value) == message
+        assert main(["validate", "--dir", str(fx)]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_left_out_fields_take_their_defaults(self, tmp_path):
+        fx = generate_fixture(tmp_path / "fx", 1, seed=9)
+        edit_json(fx / "device_catalogue.json", lambda c: c.update(
+            BOL={"kind": "BOL", "cap_min": 1, "cap_max": 15.0}))
+        rc = json.loads((fx / "rc_catalogue.json").read_text())["1"]
+        edit_json(fx / "rc_catalogue.json", lambda c: c["1"].pop("envelope_area"))
+        edit_json(fx / "config.json", lambda c: c["buildings"][0].pop("comfort_buffer"))
+        building = communityplan.io.load_config_tree(fx).buildings[0]
+        boiler = building.devices[0]
+        assert boiler == DeviceSpec(DeviceKind.BOL, 1.0, 15.0)
+        assert type(boiler.cap_min) is float  # cast by field type
+        assert building.rc == RCParameters(rc["order"], rc["resistances"],
+                                           rc["capacities"], rc["window_area"])
+        assert building.comfort_buffer == BuildingConfig.comfort_buffer
+
+
 class TestScenarioBundles:
     def test_save_load_round_trip(self, tmp_path):
         scenarios = [
@@ -593,6 +673,90 @@ class TestReports:
         )
         with pytest.raises(ValueError, match="identity"):
             emit_reports(tampered, tmp_path)
+
+
+def pinned_plan() -> PlanResult:
+    """A hand-built time-limited plan: buildings 2 and 10 (whose ids sort
+    differently as numbers and as text), the hydrogen chain, two scenarios
+    and values whose shortest round-trip text is unusual."""
+    designs = {
+        ("b2", "BOL"): DesignDecision(1, 7.25),
+        ("b10", "HP"): DesignDecision(1, 0.1 + 0.2),
+        ("b10", "BAT"): DesignDecision(0, 0.0),
+        ("COM", "EL"): DesignDecision(1, 12.5),
+        ("COM", "HYD"): DesignDecision(1, 1e-7),
+        ("COM", "FC"): DesignDecision(1, 3.0000000000000004),
+    }
+
+    def traces(shift):
+        return BuildingTraces(
+            indoor_celsius=(19.0 + shift, 18.5, 1 / 3), heat=(2.0, -0.0, 5e-324),
+            e_in=(0.5, 0.25 + shift, 0.0), e_out=(0.0, 1e16, 0.125),
+            gas=(2.2, 2.0618556701030926, 0.0),
+        )
+
+    operations = {
+        sid: ScenarioOperations(
+            probability=probability, hv_import=(1.5, 2.5 + shift, 0.1),
+            mv_to_lv=(0.0, 0.75, 1.0), lv_to_mv=(0.25, 0.0, 0.0),
+            slack_mv=0.0, slack_lv={10: 1e-9 * shift, 2: 0.0},
+            buildings={10: traces(shift), 2: traces(2 * shift)},
+        )
+        for sid, probability, shift in (("s1", 0.75, 0.5), ("s0", 0.25, 1.0))
+    }
+    breakdown = ObjectiveBreakdown.from_terms(
+        1234.5678,
+        {
+            "s1": {"o_opr": 10.1, "o_co2": 0.7, "o_slk": 1e-4},
+            "s0": {"o_opr": 11.3, "o_co2": 0.9000000000000001, "o_slk": 0.0},
+        },
+        {"s1": 0.75, "s0": 0.25},
+    )
+    meta = {"status": "limit", "backend": "scipy", "mip_gap": 0.0123,
+            "iterations": 3, "converged": False, "o_tot_history": [1250.0, 1246.9],
+            "wall_time_s": 1.5}
+    return PlanResult(designs, breakdown, operations, meta)
+
+
+# SHA-256 of every file emit_reports writes for pinned_plan() and
+# PINNED_MANIFEST, recorded from the writer that listed each record's keys
+# by hand; the writer that walks the record fields must give the same bytes
+REPORT_GOLDEN = {
+    "plan_result.json":
+        "bf5d056428bcde1473300cd163bfc14a201871d704b71afc85c565072e16ed7e",
+    "objective_breakdown.json":
+        "09483e27458c3ad6d052f3b90a8f5a505a7dea3cb784ec18f460244b0c2a9ebf",
+    "design_table.csv":
+        "bb6aa76c92ffb5b3bf273f0c9625c3325a62e171e752dae9dbca5826ee56d905",
+    "traces.csv":
+        "3ade5ef304e5b8e2953741dd02c39b0086200f51735282e14b910ff1a704c019",
+    "run_manifest.json":
+        "77f19843130469e733aa8b0341c77b5c541fb08bc3e91ad89e1142a69d6022ad",
+}
+
+PINNED_MANIFEST = RunManifest(
+    config_path="data/config.json", config_sha256="c" * 64,
+    scenario_manifest_sha256="5" * 64, scenario_manifest_path="scn/manifest.json",
+    solver="scipy", solver_options={"mip_gap": 1e-6, "time_limit_s": 60.0},
+    seeds={"scenario_rng": 7}, tool_version="0.1.0",
+    created_utc="2026-01-01T00:00:00Z",
+)
+
+
+class TestReportBytes:
+    def test_report_bytes_are_pinned(self, tmp_path):
+        files = emit_reports(pinned_plan(), tmp_path, PINNED_MANIFEST)
+        assert [path.name for path in files] == list(REPORT_GOLDEN)
+        assert tree_digest(tmp_path) == REPORT_GOLDEN
+        # building ids are text keys: "10" sorts before "2"
+        text = (tmp_path / "plan_result.json").read_text()
+        assert text.index('"10": {') < text.index('"2": {')
+
+    def test_plan_round_trips(self, tmp_path):
+        plan = pinned_plan()
+        save_plan_result(tmp_path / "plan.json", plan)
+        meta = {k: v for k, v in plan.solve_meta.items() if k != "wall_time_s"}
+        assert load_plan_result(tmp_path / "plan.json") == replace(plan, solve_meta=meta)
 
 
 class TestRunManifest:
