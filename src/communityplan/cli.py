@@ -18,7 +18,6 @@ import os
 import sys
 from pathlib import Path
 
-from .core import validate_config
 from .fixtures import generate_fixture
 from .io import (
     _write_json,
@@ -162,14 +161,10 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args) -> int:
     if args.verb == "validate":
+        # ingest_community raises on any violation, one per line
         ingest = ingest_community(args.dir)
-        violations = validate_config(ingest.config)
         for warning in ingest.warnings:
             print(f"warning: {warning}", file=sys.stderr)
-        if violations:
-            for violation in violations:
-                print(violation)
-            return 1
         print(
             f"ok: {len(ingest.config.buildings)} buildings, "
             f"history of {len(ingest.history.climate.t_amb)} hours"

@@ -14,7 +14,6 @@ import collections.abc
 import csv
 import functools
 import hashlib
-import itertools
 import json
 import operator
 import typing
@@ -176,39 +175,76 @@ def _value_texts(values: np.ndarray) -> list[str]:
     return np.array(list(map(repr, unique.tolist())), dtype=object)[inverse].tolist()
 
 
+def _series_text(series: TimeSeries, texts: Sequence[str]) -> str:
+    """The file text of ``series`` whose values read ``texts``: the
+    ``timestamp,value`` header, one row per sample and ``\\r\\n`` after
+    every line."""
+    start = series.start
+    stamps = _timestamp_fields(
+        start, start.tzinfo, start.fold, series.step_hours, len(series)
+    )
+    parts = [""] * (2 * len(stamps) + 2)
+    parts[0], parts[-1] = "timestamp,value", "\r\n"
+    parts[1:-1:2], parts[2:-1:2] = stamps, texts
+    return "".join(parts)
+
+
 def write_series_csv(path: Path | str, series: TimeSeries) -> None:
     """Write ``timestamp,value`` rows with ``\\r\\n`` line ends: ISO-8601
     timestamps and the shortest decimal (``repr``) of each value, each
-    distinct value formatted once."""
-    start = series.start
-    fields = _timestamp_fields(
-        start, start.tzinfo, start.fold, series.step_hours, len(series)
-    )
-    with Path(path).open("w", newline="") as handle:
-        handle.write("timestamp,value")
-        handle.writelines(map(operator.add, fields, _value_texts(series.values)))
-        handle.write("\r\n")
+    distinct value formatted once, in one ``write``."""
+    Path(path).write_text(_series_text(series, _value_texts(series.values)), newline="")
 
 
-# Lines read per block while a series file is read: bounds the strings held
+# Lines split at once while a series file is read: bounds the strings held
 # at once, which the allocator keeps after a long file is read.
 _READ_BLOCK = 1024
-_COMMA, _LINE_END = ord(","), ord("\n")
+_COMMA, _RETURN, _LINE_FEED = b",\r\n"
+
+
+def _blocks(text: str) -> list[str]:
+    """``text`` cut after every ``_READ_BLOCK``-th line feed, so a
+    ``\\r\\n`` is never cut in two.  The cuts come from one byte scan,
+    whose offsets are the text's own only when it is ASCII; other text
+    is one block."""
+    if not text.isascii():
+        return [text] if text else []
+    feeds = np.flatnonzero(np.frombuffer(text.encode(), np.uint8) == _LINE_FEED)
+    cuts = [0, *(feeds[_READ_BLOCK - 1 :: _READ_BLOCK] + 1).tolist(), len(text)]
+    return [text[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:]) if lo < hi]
+
+
+def _one_pair_per_line(body: str, end: str) -> bool:
+    """Whether every line of ``body``, its lines ended by ``end`` and the
+    last one not, holds exactly one comma, and no other line end occurs.
+
+    The commas, carriage returns and line feeds of ``body`` must run
+    comma, ``end``, comma, ..., comma, and each ``end`` must be in one
+    piece.  A byte scan: neither byte occurs inside a multi-byte UTF-8
+    character."""
+    raw = np.frombuffer(body.encode(), np.uint8)
+    at = np.flatnonzero((raw == _COMMA) | (raw == _RETURN) | (raw == _LINE_FEED))
+    marks, cycle = raw[at], f",{end}".encode()
+    return bool(
+        len(marks) % len(cycle) == 1
+        and all((marks[i :: len(cycle)] == byte).all() for i, byte in enumerate(cycle))
+        # each carriage return of a "\r\n" end is the byte before its line feed
+        and (len(end) == 1 or (raw[at[1::3] + 1] == _LINE_FEED).all())
+    )
 
 
 def _split_rows(text: str) -> tuple[list[str], list[str]]:
     """Timestamp and value cells of lines that each read ``timestamp,value``,
-    with any line ends; ``ValueError`` for any other shape."""
-    text = text.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n")
-    # each line holds exactly one comma when the commas and line ends of
-    # the text alternate, starting and ending with a comma (neither byte
-    # occurs inside a multi-byte UTF-8 character)
-    raw = np.frombuffer(text.encode(), np.uint8)
-    marks = raw[(raw == _COMMA) | (raw == _LINE_END)]
-    if not (len(marks) % 2 and (marks[0::2] == _COMMA).all()
-            and (marks[1::2] == _LINE_END).all()):
-        raise ValueError("not one timestamp,value pair per line")
-    cells = text.replace("\n", ",").split(",")
+    with any line ends; ``ValueError`` for any other shape.  Text whose
+    line ends are all ``\\r\\n`` (as written) is split on them directly;
+    other text has its ``\\r\\n`` and lone ``\\r`` turned into ``\\n`` first."""
+    end, body = "\r\n", text.removesuffix("\r\n")
+    if not _one_pair_per_line(body, end):
+        end = "\n"
+        body = text.replace("\r\n", end).replace("\r", end).removesuffix(end)
+        if not _one_pair_per_line(body, end):
+            raise ValueError("not one timestamp,value pair per line")
+    cells = body.replace(end, ",").split(",")
     return cells[0::2], cells[1::2]
 
 
@@ -237,31 +273,40 @@ def _continues(stamps: list[str], last: datetime, step: timedelta) -> bool:
         return False
 
 
-def _read_rows(handle) -> tuple[datetime, set[timedelta], list[float]]:
+def _read_rows(handle) -> tuple[datetime, set[timedelta], np.ndarray]:
     """The fast path of :func:`read_series_csv`: the first sample time, the
-    set of spacings between sample times, and the values.  Each block of
-    lines is split in one call; raises ``ValueError`` at any row that does
-    not read ``timestamp,value``.  The spacing of the first two stamps is
-    the step; a block that continues the series at that step in canonical
-    spelling is checked by comparison, any other block is parsed."""
+    set of spacings between sample times, and the values.  The file is
+    read in one pass and each block of lines (:func:`_blocks`) is split in
+    one call; raises ``ValueError`` at any row that does not read
+    ``timestamp,value``.  The first two stamps are parsed and give the
+    step; the stamps after them in a block that continue the series at
+    that step in canonical spelling are checked by comparison, any others
+    are parsed."""
     start = last = step = None
     spacings: set[timedelta] = set()
-    values: list[float] = []
-    for lines in iter(lambda: list(itertools.islice(handle, _READ_BLOCK)), []):
-        stamps, block = _split_rows("".join(lines))
-        values += map(float, block)
-        if step is not None and _continues(stamps, last, step):
+    values = [np.empty(0)]
+    for text in _blocks(handle.read()):
+        stamps, block = _split_rows(text)
+        values.append(np.fromiter(map(float, block), float, len(block)))
+        if step is None:
+            head = 2 if last is None else 1  # stamps still needed for the step
+            times = [] if last is None else [last]
+            times += map(datetime.fromisoformat, stamps[:head])
+            stamps = stamps[head:]
+            start = times[0] if start is None else start
+            if len(times) > 1:
+                step = times[1] - times[0]
+                spacings.add(step)
+            last = times[-1]
+            if not stamps:
+                continue
+        if _continues(stamps, last, step):
             last += len(stamps) * step  # ``spacings`` already holds ``step``
             continue
-        times = [] if last is None else [last]
-        times += map(datetime.fromisoformat, stamps)
-        if start is None:
-            start = times[0]
-        if step is None and len(times) > 1:
-            step = times[1] - times[0]
+        times = [last, *map(datetime.fromisoformat, stamps)]
         spacings.update(map(operator.sub, times[1:], times[:-1]))
         last = times[-1]
-    return start, spacings, values
+    return start, spacings, np.concatenate(values)
 
 
 def _parse_rows(
@@ -287,10 +332,13 @@ def read_series_csv(path: Path | str, unit: Unit) -> tuple[TimeSeries, list[str]
     """Parse one series file; returns the series plus non-fatal warnings.
 
     Rows that each read exactly ``timestamp,value`` take a fast path:
-    blocks of lines split in one call, values parsed with ``map``.  The
-    first two stamps give the start and step; a block whose stamps equal
+    the rows after the header are read in one pass, each block of
+    ``_READ_BLOCK`` lines is split in one call, on its ``\\r\\n`` line ends
+    directly when they are all ``\\r\\n``, and the values are parsed with
+    ``float``.  The first
+    two stamps are parsed and give the start and step; stamps that equal
     the canonical ``isoformat()`` of the times that continue the series
-    at that step is checked by comparison, and any other block is parsed
+    at that step are checked by comparison, and any others are parsed
     with ``datetime.fromisoformat``.  Any other file (quoted or extra
     cells, blank lines, a bad row) is read again from the top with
     ``csv.reader``, row by row, which skips blank lines, ignores extra
@@ -434,6 +482,19 @@ def ingest_community(directory: Path | str) -> IngestResult:
 # -- scenario bundles ----------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _BundleEntry:
+    """One scenario of a bundle manifest: its id, probability and folder,
+    and, when the bundle records them, the exact probability as
+    ``"numerator/denominator"`` and the bootstrap's source days."""
+
+    id: str
+    probability: float
+    dir: str
+    probability_fraction: str | None = None
+    source_days: Sequence[int] | None = None
+
+
 def save_scenarios(
     directory: Path | str,
     scenarios: Sequence[Scenario],
@@ -441,26 +502,39 @@ def save_scenarios(
     source_days: Sequence[Sequence[int]] | None = None,
     probabilities_exact: Sequence[Fraction] | None = None,
 ) -> Path:
-    """Persist a scenario set as per-scenario CSV folders plus manifest."""
+    """Persist a scenario set as per-scenario CSV folders plus manifest.
+
+    Each file holds the bytes :func:`write_series_csv` writes for its
+    series, in one ``write``.  The scenarios of a bundle are draws from
+    one history, so their values repeat across scenarios: each channel's
+    distinct values are formatted once over the whole bundle, and only
+    one channel's texts are held at a time.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for pos, scenario in enumerate(scenarios):
-        sub = directory / f"s{pos:03d}"
+    folders = [directory / f"s{pos:03d}" for pos in range(len(scenarios))]
+    flats = [scenario_channels(scenario) for scenario in scenarios]
+    for sub in folders:
         sub.mkdir(exist_ok=True)
-        for name, series in scenario_channels(scenario).items():
-            write_series_csv(sub / f"{name}.csv", series)
-        entry = {
-            "id": scenario.id,
-            "probability": scenario.probability,
-            "dir": sub.name,
-        }
-        if probabilities_exact is not None:
-            frac = probabilities_exact[pos]
-            entry["probability_fraction"] = f"{frac.numerator}/{frac.denominator}"
-        if source_days is not None:
-            entry["source_days"] = list(source_days[pos])
-        entries.append(entry)
+    for name in dict.fromkeys(name for flat in flats for name in flat):
+        held = [(sub, flat[name]) for sub, flat in zip(folders, flats) if name in flat]
+        texts = _value_texts(np.concatenate([series.values for _, series in held]))
+        at = 0
+        for sub, series in held:
+            text = _series_text(series, texts[at : at + len(series)])
+            (sub / f"{name}.csv").write_text(text, newline="")
+            at += len(series)
+    entries = []
+    for pos, (scenario, sub) in enumerate(zip(scenarios, folders)):
+        frac = None if probabilities_exact is None else probabilities_exact[pos]
+        entry = _BundleEntry(
+            scenario.id, scenario.probability, sub.name,
+            None if frac is None else f"{frac.numerator}/{frac.denominator}",
+            None if source_days is None else list(source_days[pos]),
+        )
+        # what the bundle does not record is left out
+        entries.append({key: value for key, value in _to_json(entry).items()
+                        if value is not None})
     manifest = {
         "format": "communityplan-scenarios-v1",
         "tool_version": _tool_version,
@@ -472,17 +546,23 @@ def save_scenarios(
 
 def load_scenarios(directory: Path | str) -> tuple[list[Scenario], dict]:
     """Read a bundle written by :func:`save_scenarios`; returns the
-    scenarios and the manifest.  A scenario folder must hold every channel
-    file of its scenario and no other CSV, all with one start, step and
-    length."""
+    scenarios and the manifest.  Each manifest entry holds the fields of
+    a bundle entry (``id``, ``probability`` and ``dir`` required); a key
+    that is no field, or a missing required one, raises ``ValueError``
+    naming the manifest, the entry and the key.  A scenario folder must
+    hold every channel file of its scenario and no other CSV, all with
+    one start, step and length."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise ValueError(f"{manifest_path}: missing scenario manifest")
     manifest = json.loads(manifest_path.read_text())
     scenarios = []
-    for entry in manifest["scenarios"]:
-        sub = directory / entry["dir"]
+    for pos, raw in enumerate(manifest["scenarios"]):
+        entry = _BundleEntry(**_fields_from_json(
+            _BundleEntry, raw, f"{manifest_path}: scenarios[{pos}]"
+        ))
+        sub = directory / entry.dir
         channels: dict[str, TimeSeries] = {}
         paths = sorted(sub.glob("*.csv"))
         missing, unknown = check_channel_names(path.stem for path in paths)
@@ -502,9 +582,7 @@ def load_scenarios(directory: Path | str) -> tuple[list[Scenario], dict]:
             elif key != anchor:
                 raise ValueError(f"{path}: start, step or length differs from {anchor_name}")
             channels[path.stem] = series
-        scenarios.append(
-            scenario_from_channels(entry["id"], float(entry["probability"]), channels)
-        )
+        scenarios.append(scenario_from_channels(entry.id, entry.probability, channels))
     return scenarios, manifest
 
 

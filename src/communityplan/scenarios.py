@@ -340,15 +340,49 @@ def scenario_feature_matrix(
     return features
 
 
+def _drop_agreeing_columns(features: np.ndarray) -> np.ndarray:
+    """The rows of the C-contiguous matrix ``features`` without the columns
+    on which every row holds one finite value, compacted in place.
+
+    Each row's kept columns move to the front of the buffer, row by row
+    (row ``i`` lands at or before where it started, after rows ``< i``
+    were read), and the result is a view of that buffer: no second matrix
+    is made, and ``features`` itself is overwritten.
+
+    The Euclidean distances between the rows stay the same bit for bit.
+    SciPy's ``cdist`` (checked for SciPy 1.17.1; another version may sum
+    differently) adds each pair's squared differences column by column,
+    in order, from +0.0.  An agreeing column adds ``(x - x)**2 == +0.0``,
+    which leaves a sum that is never negative as it was.  A non-finite
+    column is kept, since ``inf - inf`` is NaN.  With every column
+    dropped, the rows are one point and ``cdist`` gives zeros, as on the
+    full matrix.
+    """
+    n_rows, n_cols = features.shape
+    lowest, highest = features.min(axis=0), features.max(axis=0)
+    keep = np.flatnonzero((lowest != highest) | ~np.isfinite(lowest))
+    if keep.size == n_cols:
+        return features
+    flat = features.reshape(-1)
+    width = keep.size
+    for i in range(n_rows):
+        flat[i * width : (i + 1) * width] = features[i, keep]
+    return flat[: n_rows * width].reshape(n_rows, width)
+
+
 def reduce_scenarios(
     years: Sequence[Scenario], k: int = 10, rng_seed: int = 0
 ) -> tuple[list[Scenario], ClusterResult]:
     """Pick k medoid years as the representative scenario set.
 
     Returned scenarios are verbatim members of the input with
-    probabilities set to the relative cluster sizes.
+    probabilities set to the relative cluster sizes.  The feature matrix
+    is clustered without the columns on which every year agrees (night
+    irradiance, flat prices, set-point schedules), compacted in place by
+    :func:`_drop_agreeing_columns`; the distances, and so the result, are
+    those of the full matrix bit for bit.
     """
-    features = scenario_feature_matrix(years)
+    features = _drop_agreeing_columns(scenario_feature_matrix(years))
     result = kmedoids(features, k, rng_seed=rng_seed)
     reduced = [
         replace(years[idx], probability=float(result.probabilities[pos]))
@@ -362,12 +396,13 @@ def nominal_scenario(scenarios: Sequence[Scenario], factor: str) -> str:
 
     Identified as the k = 1 medoid over the complement factors' channels:
     the occupant nominal is the year most central in economic and climate
-    terms, and so on.
+    terms, and so on.  Columns on which every scenario agrees are dropped
+    first, as in :func:`reduce_scenarios`, without changing the result.
     """
     if factor not in FACTORS:
         raise ValueError(f"unknown factor '{factor}'")
     complement = tuple(f for f in FACTORS if f != factor)
-    features = scenario_feature_matrix(scenarios, complement)
+    features = _drop_agreeing_columns(scenario_feature_matrix(scenarios, complement))
     result = kmedoids(features, 1)
     return scenarios[result.medoid_ids[0]].id
 

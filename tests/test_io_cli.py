@@ -293,7 +293,7 @@ class TestSeriesCsv:
 
     @pytest.mark.parametrize("text", [
         "a,1,b\n2", "a\nb,1,2", "a,1,b,2", "a,1\n\nb,2", "a,1\nb", "a", "", "\n", "a,1\n,\n,,",
-        "\u00e9,1,\u20ac\n2",
+        "\u00e9,1,\u20ac\n2", "a,1\rb\nc,2", "a,1\r\nb,2\r\r\n",
     ])
     def test_split_rows_rejects_other_shapes(self, text):
         with pytest.raises(ValueError, match="one timestamp,value pair per line"):
@@ -381,8 +381,9 @@ class TestSeriesCsv:
 
     @pytest.mark.parametrize("block", [1, 3, 1024])
     def test_canonical_stamps_are_compared_not_parsed(self, tmp_path, monkeypatch, block):
-        # once the first two stamps give the step, whole blocks are checked
-        # against the expected spelling; only the first block is parsed
+        # once the first two stamps give the step, the rest of every block
+        # is checked against the expected spelling; whatever the block
+        # size, only the first two stamps are parsed
         class CountingDatetime(datetime):
             parsed = 0
 
@@ -398,7 +399,53 @@ class TestSeriesCsv:
         write_series_csv(path, series)
         back, _ = read_series_csv(path, Unit.KILOWATT)
         assert back == series
-        assert CountingDatetime.parsed == min(8, max(2, block))
+        assert CountingDatetime.parsed == 2
+
+
+    # Files of three rows in the shapes a block boundary can meet: the row
+    # reader reads each to the same series; blank lines go to it.
+    BLOCK_SHAPES = {
+        "crlf": "timestamp,value\r\n{0},1\r\n{1},2.5\r\n{2},-3\r\n",
+        "lf": "timestamp,value\n{0},1\n{1},2.5\n{2},-3\n",
+        "lone_cr": "timestamp,value\r{0},1\r{1},2.5\r{2},-3\r",
+        "mixed_ends": "timestamp,value\n{0},1\r\n{1},2.5\r{2},-3\n",
+        "no_final_newline": "timestamp,value\r\n{0},1\r\n{1},2.5\r\n{2},-3",
+        "blank_lines": "timestamp,value\r\n{0},1\r\n\r\n{1},2.5\r\n{2},-3\r\n\r\n",
+    }
+
+    @pytest.mark.parametrize("shape", sorted(BLOCK_SHAPES))
+    def test_every_block_size_reads_the_same_series(self, tmp_path, monkeypatch, shape):
+        path = tmp_path / f"{shape}.csv"
+        text = self.BLOCK_SHAPES[shape].format(*self.HOURS)
+        path.write_bytes(text.encode())
+        row_reads = []
+        parse_rows = communityplan.io._parse_rows
+        monkeypatch.setattr(communityplan.io, "_parse_rows",
+                            lambda *args: row_reads.append(1) or parse_rows(*args))
+        expected = ts([1.0, 2.5, -3.0], Unit.KILOWATT, start=datetime(2019, 1, 1))
+        for block in range(1, 6):  # one line per block, ..., the whole file
+            monkeypatch.setattr(communityplan.io, "_READ_BLOCK", block)
+            assert read_series_csv(path, Unit.KILOWATT) == (expected, [])
+        assert len(row_reads) == (5 if shape == "blank_lines" else 0)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("text", [
+        "a,1\r\nb,2\r\nc,3\r\n", "a,1\nb,2\r\nc,3", "a,1\rb,2\rc,3\r", "a,1\r\n\r\nb,2\n",
+        "\u00e9,1\r\nb,2\r\n", "",
+    ])
+    def test_blocks_end_after_line_feeds(self, monkeypatch, text, block):
+        # blocks hold the text in order and end right after every
+        # ``block``-th line feed, so no "\r\n" is cut in two; text that is
+        # not ASCII is one block
+        monkeypatch.setattr(communityplan.io, "_READ_BLOCK", block)
+        blocks = communityplan.io._blocks(text)
+        assert "".join(blocks) == text and all(blocks)
+        if not text.isascii():
+            assert blocks == [text]
+            return
+        assert [b.count("\n") for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+        assert all(b.endswith("\n") for b in blocks[:-1])
+        assert blocks == [] or blocks[-1].count("\n") <= block
 
 
 class TestFixture:
@@ -526,6 +573,7 @@ class TestScenarioBundles:
         ]
         save_scenarios(tmp_path / "bundle", scenarios, rng_seed=5)
         back, manifest = load_scenarios(tmp_path / "bundle")
+        assert manifest == json.loads((tmp_path / "bundle" / "manifest.json").read_text())
         assert manifest["rng_seed"] == 5
         assert [s.id for s in back] == ["a", "b"]
         for original, loaded in zip(scenarios, back):
@@ -556,6 +604,54 @@ class TestScenarioBundles:
             probabilities_exact=[Fraction(1, 3), Fraction(2, 3)],
         )
         assert tree_digest(tmp_path / "bundle") == BUNDLE_GOLDEN
+
+    def test_bundle_files_hold_the_written_series_bytes(self, tmp_path):
+        # each channel's values are formatted once over the whole bundle;
+        # every file still holds what write_series_csv writes for its
+        # series, across scenarios of other lengths, starts and buildings
+        first, last = seeded_bundle()  # -0.0, 0.0, 1e-18, 1e16, 5e-324, ...
+        shared = scenario_channels(first)
+        hours = np.arange(30.0)
+        channels = {name: shared[name].values[:30] for name in
+                    ("T_amb", "I_sol", "p_gas", "p_co2", "E_base_b2")}  # values shared
+        channels.update(p_el=hours - 7.0, T_set_b2=np.where(hours % 24 > 6, 19.0, 17.0),
+                        E_base_b5=-hours * 0.0, T_set_b5=np.full(30, 1e-18))
+        other = channels_to_scenario("odd", 0.5, channels, START + timedelta(hours=5), 1.0)
+        scenarios = [first, other, last]
+        bundle = tmp_path / "bundle"
+        save_scenarios(bundle, scenarios)
+        reference = tmp_path / "reference.csv"
+        for pos, scenario in enumerate(scenarios):
+            folder = bundle / f"s{pos:03d}"
+            written = scenario_channels(scenario)
+            assert sorted(path.stem for path in folder.iterdir()) == sorted(written)
+            for name, series in written.items():
+                write_series_csv(reference, series)
+                assert (folder / f"{name}.csv").read_bytes() == reference.read_bytes(), name
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda entry: entry.pop("dir"), "missing required key 'dir'"),
+        (lambda entry: entry.pop("probability"), "missing required key 'probability'"),
+        (lambda entry: entry.update(probabilty=0.5), "unknown key 'probabilty'"),
+    ])
+    def test_manifest_entry_keys_are_checked(self, tmp_path, capsys, edit, message):
+        fx = generate_fixture(tmp_path / "fx", 1, seed=10)
+        bundle = tmp_path / "bundle"
+        history = ingest_community(fx).history
+        save_scenarios(bundle, [replace(history, id="a", probability=0.5),
+                                replace(history, id="b", probability=0.5)])
+        path = bundle / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest["scenarios"][1])
+        path.write_text(json.dumps(manifest))
+        expected = f"{path}: scenarios[1]: {message}"
+        with pytest.raises(ValueError) as info:
+            load_scenarios(bundle)
+        assert str(info.value) == expected
+        code = main(["plan", "centralized", "--dir", str(fx), "--scenarios", str(bundle),
+                     "--out", str(tmp_path / "out"), "--horizon", "24"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
 
     @pytest.mark.parametrize("change", ["start", "step", "length"])
     def test_misaligned_channel_file_rejected(self, tmp_path, change):
@@ -843,12 +939,20 @@ class TestCli:
         ) == 0
         assert (rep / "traces.csv").read_bytes() == (out / "traces.csv").read_bytes()
 
-    def test_validation_failure_is_user_error(self, tmp_path):
+    def test_validation_failure_is_user_error(self, tmp_path, capsys):
         fx = generate_fixture(tmp_path / "fx", 1, seed=9)
         config = json.loads((fx / "config.json").read_text())
         config["lv_limit"] = 0.0
+        config["mv_limit"] = -1.0
         (fx / "config.json").write_text(json.dumps(config))
         assert self.run("validate", "--dir", str(fx)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: {fx / 'config.json'}: invalid configuration:",
+            "lv_limit: requires lv_limit > 0",
+            "mv_limit: requires mv_limit > 0",
+        ]
 
     @pytest.mark.parametrize("change, violation", [
         (lambda c: c["buildings"][0]["devices"].append("PV_COM"),

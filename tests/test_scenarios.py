@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+import communityplan.scenarios
 from communityplan.core import scenario_channels
 from communityplan.io import ingest_community
 from communityplan.scenarios import (
+    FACTORS,
     BootstrapSpec,
+    _drop_agreeing_columns,
     _euclidean_distances,
     bootstrap_years,
     channels_to_scenario,
@@ -168,23 +171,58 @@ def test_bootstrap_and_reduction_are_pinned(tmp_path, seed, rng_seed):
     assert digest.hexdigest() == SCENARIO_GOLDEN[(seed, rng_seed)]
 
 
+def assert_full_cdist_result(points, result):
+    """The assignment and objective of ``result`` are those its medoids
+    give on the full ``cdist(points, points)`` matrix, bit for bit."""
+    medoids = list(result.medoid_ids)
+    sub = cdist(points, points)[:, medoids]
+    assignment = np.argmin(sub, axis=1)
+    assignment[medoids] = np.arange(len(medoids))
+    assert result.assignment == tuple(assignment.tolist())
+    objective = float(sub[np.arange(len(points)), assignment].sum())
+    assert repr(result.objective) == repr(objective)
+
+
 class TestKmedoids:
     @pytest.mark.parametrize("k, exact_limit", [(1, 1000), (2, 1000), (4, 1000), (3, 1)])
     def test_clusters_on_the_full_cdist_bits(self, k, exact_limit):
-        # kmedoids may compute fewer pairs, but the assignment and the
+        # kmedoids may compute fewer pairs, and reduce_scenarios drops the
+        # columns on which every point agrees, but the assignment and the
         # objective must be those of the full cdist(pts, pts) matrix, bit
         # for bit, duplicates included (exact and PAM paths)
         rng = np.random.default_rng(8)
-        points = rng.normal(0.0, 1.0, (40, 7))
-        points[[5, 17, 33]] = points[2]
-        points[21] = points[20]
+        varying = rng.normal(0.0, 1.0, (40, 7))
+        varying[[5, 17, 33]] = varying[2]
+        varying[21] = varying[20]
+        night = np.zeros((40, 5))  # a channel that reads zero at night
+        constant = np.full((40, 2), -1.2345678901234567)
+        points = np.hstack([constant[:, :1], varying[:, :3], night, -night[:, :2],
+                            varying[:, 3:], constant[:, 1:]])
         result = kmedoids(points, k=k, rng_seed=3, exact_limit=exact_limit)
-        sub = cdist(points, points)[:, list(result.medoid_ids)]
-        assignment = np.argmin(sub, axis=1)
-        assignment[list(result.medoid_ids)] = np.arange(k)
-        assert result.assignment == tuple(assignment.tolist())
-        objective = float(sub[np.arange(len(points)), assignment].sum())
-        assert repr(result.objective) == repr(objective)
+        assert_full_cdist_result(points, result)
+        compacted = _drop_agreeing_columns(points.copy())
+        assert np.array_equal(compacted, varying)
+        assert _euclidean_distances(compacted).tobytes() == cdist(points, points).tobytes()
+        again = kmedoids(compacted, k=k, rng_seed=3, exact_limit=exact_limit)
+        assert again == result
+
+    def test_dropping_agreeing_columns_compacts_in_place(self):
+        points = np.array([[1.0, 0.0, 2.0, np.inf, 5.0, np.nan],
+                           [1.0, -0.0, 3.0, np.inf, 5.0, np.nan],
+                           [1.0, 0.0, 4.0, np.inf, 6.0, np.nan]])
+        compacted = _drop_agreeing_columns(points)
+        # a column of one finite value is dropped (-0.0 == 0.0 included);
+        # a non-finite column is kept, since inf - inf is NaN
+        assert np.shares_memory(compacted, points)
+        assert compacted.flags.c_contiguous
+        np.testing.assert_array_equal(
+            compacted, [[2.0, np.inf, 5.0, np.nan], [3.0, np.inf, 5.0, np.nan],
+                        [4.0, np.inf, 6.0, np.nan]])
+        same = np.zeros((4, 3))
+        assert _drop_agreeing_columns(same).shape == (4, 0)
+        assert _euclidean_distances(np.zeros((4, 0))).tobytes() == cdist(same, same).tobytes()
+        kept = np.arange(6.0).reshape(2, 3)
+        assert _drop_agreeing_columns(kept) is kept
 
     def test_distance_matrix_is_cdist_bitwise(self):
         rng = np.random.default_rng(21)
@@ -267,6 +305,29 @@ class TestReduce:
                     scenario_channels(scenario)[name].values,
                     scenario_channels(source)[name].values,
                 )
+
+    @pytest.mark.parametrize("n_years, k", [(12, 3), (20, 3)])  # exact, PAM
+    def test_clusters_on_every_feature_column(self, n_years, k, monkeypatch):
+        # night irradiance, the flat gas and CO2 prices and the set-point
+        # schedule agree across years; clustering without those columns
+        # gives the result of the full feature matrix, bit for bit
+        history = make_history(seed=6)
+        years = list(
+            bootstrap_years(history, BootstrapSpec(n_years=n_years, rng_seed=2)).years
+        )
+        features = scenario_feature_matrix(years)
+        assert _drop_agreeing_columns(features.copy()).shape[1] < features.shape[1]
+        _, cluster = reduce_scenarios(years, k=k, rng_seed=5)
+        assert cluster == kmedoids(features, k, rng_seed=5)
+        assert_full_cdist_result(features, cluster)
+        clusters = []
+        monkeypatch.setattr(communityplan.scenarios, "kmedoids",
+                            lambda *args: clusters.append(kmedoids(*args)) or clusters[-1])
+        for factor in FACTORS:
+            complement = tuple(f for f in FACTORS if f != factor)
+            full = kmedoids(scenario_feature_matrix(years, complement), 1)
+            assert nominal_scenario(years, factor) == years[full.medoid_ids[0]].id
+            assert clusters.pop() == full
 
     def test_k_one(self):
         years = price_scenarios([0.1, 0.2, 0.9])
