@@ -32,5 +32,5 @@ print("LP round-trip byte-identical:", export_lp(round_tripped) == export_lp(mod
 result = solve(model)
 print(f"\nstatus    : {result.status.value}")
 print(f"objective : {result.objective:.2f} EUR")
-for name in ("capacity_kwh", "exists", "served_kwh"):
-    print(f"{name:12s} = {result.values[name]:.3f}")
+for var in (capacity, exists, served):
+    print(f"{var.name:12s} = {result.x[var.id]:.3f}")

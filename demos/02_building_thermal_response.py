@@ -43,8 +43,8 @@ emit_comfort_constraints(model, refs, t_set, buffer=0.5)
 model.minimize(LinExpr.of((q, 1.0) for q in refs.q_sp))
 result = solve(model)
 
-indoor = refs.indoor_celsius(result.values)
-heating = refs.heat_profile(result.values)
+indoor = refs.indoor_celsius(result.x)
+heating = refs.heat_profile(result.x)
 replay = simulate_thermal(building, climate, heating, t_set[0], HOURS)
 
 print(f"status: {result.status.value}")

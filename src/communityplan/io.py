@@ -495,6 +495,19 @@ class _BundleEntry:
     source_days: Sequence[int] | None = None
 
 
+@dataclass(frozen=True)
+class _BundleManifest:
+    """The top level of a bundle's ``manifest.json``: the bundle format,
+    the version of the tool that wrote it, the bootstrap seed (None when
+    not given) and, per scenario, the JSON object of its
+    :class:`_BundleEntry`."""
+
+    format: str
+    tool_version: str
+    rng_seed: int | None
+    scenarios: tuple[Mapping[str, object], ...]
+
+
 def save_scenarios(
     directory: Path | str,
     scenarios: Sequence[Scenario],
@@ -535,21 +548,20 @@ def save_scenarios(
         # what the bundle does not record is left out
         entries.append({key: value for key, value in _to_json(entry).items()
                         if value is not None})
-    manifest = {
-        "format": "communityplan-scenarios-v1",
-        "tool_version": _tool_version,
-        "rng_seed": rng_seed,
-        "scenarios": entries,
-    }
-    return _write_json(directory / "manifest.json", manifest)
+    manifest = _BundleManifest(
+        "communityplan-scenarios-v1", _tool_version, rng_seed, tuple(entries)
+    )
+    return _write_json(directory / "manifest.json", _to_json(manifest))
 
 
 def load_scenarios(directory: Path | str) -> tuple[list[Scenario], dict]:
     """Read a bundle written by :func:`save_scenarios`; returns the
-    scenarios and the manifest.  Each manifest entry holds the fields of
-    a bundle entry (``id``, ``probability`` and ``dir`` required); a key
-    that is no field, or a missing required one, raises ``ValueError``
-    naming the manifest, the entry and the key.  A scenario folder must
+    scenarios and the manifest as read.  The manifest holds ``format``,
+    ``tool_version``, ``rng_seed`` and ``scenarios``; each entry of
+    ``scenarios`` holds the fields of a bundle entry (``id``,
+    ``probability`` and ``dir`` required).  A key that is no field, or a
+    missing required one, raises ``ValueError`` naming the manifest, the
+    entry if any, and the key.  A scenario folder must
     hold every channel file of its scenario and no other CSV, all with
     one start, step and length."""
     directory = Path(directory)
@@ -557,8 +569,9 @@ def load_scenarios(directory: Path | str) -> tuple[list[Scenario], dict]:
     if not manifest_path.exists():
         raise ValueError(f"{manifest_path}: missing scenario manifest")
     manifest = json.loads(manifest_path.read_text())
+    bundle = _BundleManifest(**_fields_from_json(_BundleManifest, manifest, str(manifest_path)))
     scenarios = []
-    for pos, raw in enumerate(manifest["scenarios"]):
+    for pos, raw in enumerate(bundle.scenarios):
         entry = _BundleEntry(**_fields_from_json(
             _BundleEntry, raw, f"{manifest_path}: scenarios[{pos}]"
         ))

@@ -19,6 +19,11 @@ is ``cost() @ x + objective_constant``, one cost entry per column.  The
 scalar API (:class:`VarRef`, :class:`LinExpr`, :meth:`Model.add_var`,
 :meth:`Model.add_constraint`, ``model.variables``, ``model.constraints``)
 reads and writes the same storage.
+
+A solve returns a :class:`SolveResult` whose ``x`` is the solution vector
+in column order; ``x[var.id]`` reads one variable and :func:`read_values`
+a block.  Names appear only in text: the LP/MPS files and the
+``name value`` table of a command-line solver.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ __all__ = [
     "Constraint",
     "Model",
     "SolveResult",
-    "SolutionValues",
     "constraint_violation",
     "read_values",
     "FEASIBILITY_TOL",
@@ -840,68 +844,44 @@ class _ConstraintView(Sequence):
             yield self._make(row, name, cols[a:b], vals[a:b], sense, rhs)
 
 
-class SolutionValues(Mapping):
-    """Name-keyed view of a solution vector ``x`` of a model."""
-
-    def __init__(self, model: Model, x: np.ndarray) -> None:
-        self._model = model
-        self.x = x
-
-    def __getitem__(self, name: str) -> float:
-        return float(self.x[self._model.var_index(name)])
-
-    def __iter__(self) -> Iterator[str]:
-        return itertools.islice(self._model.var_names(), len(self.x))
-
-    def __len__(self) -> int:
-        return len(self.x)
-
-
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of one solve; values keyed by variable name.
+    """Outcome of one solve.
 
-    ``values`` is empty when the solver returned no solution (an
-    infeasible model, or a limit hit before any incumbent was found).
+    ``x`` is the solution in column order, a read-only float64 copy of
+    the array given, or None when the solver returned no solution (an
+    infeasible or unbounded model, or a limit hit before any incumbent
+    was found).
     """
 
     status: Status
     objective: float
-    values: Mapping[str, float]
+    x: np.ndarray | None
     solver_meta: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.values, SolutionValues):
-            object.__setattr__(self, "values", dict(self.values))
+        if self.x is not None:
+            x = np.array(self.x, dtype=np.float64)
+            x.flags.writeable = False
+            object.__setattr__(self, "x", x)
         object.__setattr__(self, "solver_meta", dict(self.solver_meta))
 
-    @property
-    def x(self) -> np.ndarray | None:
-        """Solution vector in column order, or None without a solution."""
-        return self.values.x if isinstance(self.values, SolutionValues) else None
 
-
-def _solution_vector(values) -> np.ndarray:
-    return values.x if isinstance(values, SolutionValues) else values
-
-
-def read_values(values, vars) -> np.ndarray:
-    """Values of a block or sequence of variables, from a solution vector
-    or :class:`SolutionValues`."""
-    x = _solution_vector(values)
+def read_values(x: np.ndarray, vars) -> np.ndarray:
+    """Values of a block or sequence of variables in the solution vector
+    ``x``, as a new array."""
     if isinstance(vars, VarBlock):
         return x[vars.start: vars.start + vars.size].copy()
     return x[_column_ids(vars)[1]]
 
 
-def constraint_violation(model: Model, values) -> float:
-    """Largest absolute constraint violation at a solution vector or
-    :class:`SolutionValues`.
+def constraint_violation(model: Model, x: np.ndarray) -> float:
+    """Largest absolute constraint violation at the solution vector ``x``.
 
     ``A @ x`` sums the terms of each row in the order they were added and
     is held against :meth:`Model.row_rhs`.
     """
-    lhs = model.matrix() @ _solution_vector(values)
+    lhs = model.matrix() @ x
     rhs = model.row_rhs()
     if not len(lhs):
         return 0.0

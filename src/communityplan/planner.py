@@ -72,8 +72,9 @@ from .objective import (
     emit_operational_cost,
     emit_slack_cost,
 )
-from .scenarios import compose_factor_scenarios
+from .scenarios import channels_to_scenario, compose_factor_scenarios
 from .solvers import SolveOptions, SolverError, solve
+from .thermal import ThermalBlockRefs, emit_comfort_constraints, emit_thermal_constraints
 
 __all__ = [
     "DesignDecision",
@@ -165,7 +166,7 @@ def _emit_building_designs(
 
 @dataclass
 class _BuildingScenarioRefs:
-    thermal: object
+    thermal: ThermalBlockRefs
     blocks: dict[DeviceKind, DeviceBlockRefs]
     flows: BuildingEnergyRefs
 
@@ -179,8 +180,6 @@ def _emit_building_scenario(
     horizon: int,
     tag: str,
 ) -> _BuildingScenarioRefs:
-    from .thermal import emit_comfort_constraints, emit_thermal_constraints
-
     occupant = scenario.occupant[building.id]
     thermal = emit_thermal_constraints(
         model,
@@ -687,8 +686,6 @@ def wait_and_see_value(
 
 def expected_value_scenario(scenarios: Sequence[Scenario]) -> Scenario:
     """Probability-weighted mean of every channel, as one scenario."""
-    from .scenarios import channels_to_scenario
-
     scenarios = align_scenarios(list(scenarios))
     first = scenario_channels(scenarios[0])
     mixed = {name: np.zeros(len(series)) for name, series in first.items()}
@@ -707,9 +704,23 @@ def evaluate_design(
     backend: object = "scipy",
     options: SolveOptions | None = None,
 ) -> PlanResult:
-    """Second-stage evaluation of a fixed first-stage design."""
+    """Second-stage evaluation of a fixed first-stage design.
+
+    ``designs`` holds one decision per design of the model, keyed
+    ``(entity, kind)``; ``ValueError`` names the designs it lacks and the
+    keys that are no design of the model.
+    """
     built = build_centralized(cfg, scenarios, name="evaluation")
-    for key, (_, var, chi) in built.design_entries().items():
+    entries = built.design_entries()
+    problems = [
+        f"{what} design(s) {', '.join(f'{entity}:{kind}' for entity, kind in keys)}"
+        for what, keys in (("missing", [k for k in entries if k not in designs]),
+                           ("unknown", [k for k in designs if k not in entries]))
+        if keys
+    ]
+    if problems:
+        raise ValueError(f"designs to evaluate: {'; '.join(problems)}")
+    for key, (_, var, chi) in entries.items():
         decision = designs[key]
         built.model.add_constraint(chi, Sense.EQ, float(decision.chi),
                                    f"fix_chi_{key[0]}_{key[1]}")

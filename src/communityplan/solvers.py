@@ -8,13 +8,16 @@ Two contracts are provided:
 * :class:`CommandBackend` is the portability guarantee: it writes the
   model to an LP file, invokes an arbitrary solver through a
   command template such as ``"mysolver {model} --out {sol}"`` and reads
-  the solution back from a ``name value`` whitespace table.
+  the solution back from a ``name value`` whitespace table, turned into
+  a vector by :func:`vector_from_names`, the one step from names to
+  columns.
 
 Both give the solver the model's cost vector
 (:meth:`~communityplan.milp.Model.cost`), as an array or as the LP
 objective, and return a :class:`~communityplan.milp.SolveResult` whose
-objective is the solver-reported optimum plus the model's objective
-constant.  A returned solution is re-checked:
+``x`` is the solution vector in column order and whose objective is the
+solver-reported optimum plus the model's objective constant.  A
+returned solution is re-checked:
 ``solver_meta['max_violation']`` records the largest row violation and
 ``solver_meta['objective_recomputed']`` the objective
 ``cost @ x + constant`` at that point.  Both pass a solver only the rows
@@ -53,9 +56,10 @@ import os
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -78,7 +82,6 @@ from .lpformat import export_lp, parse_solution_table
 from .milp import (
     FEASIBILITY_TOL,
     Model,
-    SolutionValues,
     SolveResult,
     Status,
     constraint_violation,
@@ -90,6 +93,7 @@ __all__ = [
     "ScipyBackend",
     "CommandBackend",
     "solve",
+    "vector_from_names",
     "FEASIBILITY_TOL",
     "HIGHS_OPTIONS",
 ]
@@ -203,8 +207,10 @@ def milp(c, *, integrality, bounds, constraints, options) -> HighsRun:
     )
 
 
-def _vector(model: Model, values) -> np.ndarray:
-    """Solution vector in column order from values keyed by name."""
+def vector_from_names(model: Model, values: Mapping[str, float]) -> np.ndarray:
+    """The solution vector in column order of values keyed by variable
+    name; :class:`SolverError` names a variable ``values`` lacks.  Names
+    that are no variable of the model are ignored."""
     try:
         return np.array([values[name] for name in model.var_names()], float)
     except KeyError as exc:
@@ -221,8 +227,7 @@ def _finalize(model: Model, status: Status, objective: float, x: np.ndarray,
     feasibility re-checked."""
     meta["max_violation"] = constraint_violation(model, x)
     meta["objective_recomputed"] = _objective_at(model, x)
-    return SolveResult(status=status, objective=objective,
-                       values=SolutionValues(model, x), solver_meta=meta)
+    return SolveResult(status, objective, x, meta)
 
 
 class ScipyBackend:
@@ -245,7 +250,7 @@ class ScipyBackend:
         rows, broken = model.rows_with_terms()
         if broken is not None:
             meta["infeasible_row"] = broken
-            return SolveResult(Status.INFEASIBLE, math.nan, {}, meta)
+            return SolveResult(Status.INFEASIBLE, math.nan, None, meta)
         if not len(model.variables):
             meta["wall_time_s"] = time.perf_counter() - t0
             return _finalize(model, Status.OPTIMAL, model.objective_constant,
@@ -272,7 +277,7 @@ class ScipyBackend:
         meta["message"] = res.message
         meta["wall_time_s"] = time.perf_counter() - t0
         if res.x is None:
-            return SolveResult(status, math.nan, {}, meta)
+            return SolveResult(status, math.nan, None, meta)
         objective = float(res.fun) + model.objective_constant
         if res.mip_gap is not None:
             meta["mip_gap"] = float(res.mip_gap)
@@ -300,7 +305,7 @@ class CommandBackend:
         broken = model.rows_with_terms()[1]
         if broken is not None:
             meta["infeasible_row"] = broken
-            return SolveResult(Status.INFEASIBLE, math.nan, {}, meta)
+            return SolveResult(Status.INFEASIBLE, math.nan, None, meta)
         with tempfile.TemporaryDirectory(prefix="communityplan_") as tmp:
             model_path = Path(tmp) / "model.lp"
             sol_path = Path(tmp) / "model.sol"
@@ -321,7 +326,7 @@ class CommandBackend:
                 )
             except subprocess.TimeoutExpired:
                 meta["wall_time_s"] = time.perf_counter() - t0
-                return SolveResult(Status.LIMIT, math.nan, {}, meta)
+                return SolveResult(Status.LIMIT, math.nan, None, meta)
             meta["returncode"] = proc.returncode
             if not sol_path.exists():
                 raise SolverError(
@@ -333,8 +338,8 @@ class CommandBackend:
         if status in (Status.INFEASIBLE, Status.UNBOUNDED) or (
             not values and len(model.variables)
         ):
-            return SolveResult(status, math.nan, {}, meta)
-        x = _vector(model, values)
+            return SolveResult(status, math.nan, None, meta)
+        x = vector_from_names(model, values)
         if objective is None:
             objective = _objective_at(model, x)
         return _finalize(model, status, float(objective), x, meta)
@@ -349,8 +354,12 @@ def solve(
 
     ``backend`` may be the string ``"scipy"``, a command template string
     containing ``{model}``/``{sol}`` placeholders, or any object with a
-    ``solve(model, options)`` method.  Values a backend returns keyed by
-    name come back as a solution vector over the model's columns.
+    ``solve(model, options)`` method that returns a
+    :class:`~communityplan.milp.SolveResult`.  Its ``x`` is None or holds
+    one value per column of the model, in column order; a solver that
+    reports values by name turns them into that vector with
+    :func:`vector_from_names`.  An ``x`` of another length raises
+    :class:`SolverError`.
     """
     if isinstance(backend, str):
         if backend == "scipy":
@@ -360,7 +369,11 @@ def solve(
         else:
             raise SolverError(f"unknown backend '{backend}'")
     result = backend.solve(model, options)
-    if result.x is None and result.values:
-        result = replace(result, values=SolutionValues(model, _vector(model, result.values)))
+    columns = len(model.variables)
+    if result.x is not None and result.x.shape != (columns,):
+        raise SolverError(
+            f"backend returned a solution of {result.x.size} values for a model of "
+            f"{columns} columns"
+        )
     return result
 

@@ -9,8 +9,9 @@ node otherwise; solar gains enter the interior through the effective
 window area and the envelope through the effective envelope area.
 
 State variables are kept non-negative by expressing them in Kelvin inside
-the model (RC terms only use differences, so the offset cancels); the
-block refs convert back to degC on extraction.
+the model (RC terms only use differences, so the offset cancels);
+:class:`ThermalBlockRefs` reads them back in degC from a solve's solution
+vector ``x``.
 
 Indexing: state vectors have one value per sample, ``T[0]`` pinned to the
 initial set point, and the update into ``T[t]`` uses inputs at ``t - 1``.
@@ -62,16 +63,17 @@ class ThermalBlockRefs:
     def t_i(self) -> VarBlock:
         return self.states["i"]
 
-    def indoor_celsius(self, values) -> np.ndarray:
-        """Interior temperature, from a solution vector or a solve's
-        ``SolutionValues``; a plain name-keyed mapping is not accepted."""
-        return read_values(values, self.t_i) - KELVIN_OFFSET
+    def indoor_celsius(self, x: np.ndarray) -> np.ndarray:
+        """Interior temperature, degC, in the solution vector ``x``."""
+        return read_values(x, self.t_i) - KELVIN_OFFSET
 
-    def state_celsius(self, node: str, values) -> np.ndarray:
-        return read_values(values, self.states[node]) - KELVIN_OFFSET
+    def state_celsius(self, node: str, x: np.ndarray) -> np.ndarray:
+        """Temperature of state ``node``, degC, in the solution vector ``x``."""
+        return read_values(x, self.states[node]) - KELVIN_OFFSET
 
-    def heat_profile(self, values) -> np.ndarray:
-        return read_values(values, self.q_sp)
+    def heat_profile(self, x: np.ndarray) -> np.ndarray:
+        """Space heat, kW, in the solution vector ``x``."""
+        return read_values(x, self.q_sp)
 
 
 def _active_couplings(states: Sequence[str], resistances: Mapping[str, float]):

@@ -125,6 +125,7 @@ def five_building_instance(interactive: bool):
     return cfg, scenarios
 
 
+@pytest.mark.slow
 @criterion(1, "distributed matches centralized (1% / exact when uncoupled, <5 min)")
 def test_criterion_1_distributed_equals_centralized():
     t0 = time.perf_counter()
@@ -189,7 +190,7 @@ def test_criterion_3_rc_oracle():
             order, dict(rc.resistances), dict(rc.capacities), rc.window_area,
             rc.envelope_area, clim.t_amb.values, clim.i_sol.values, q_fixed, 19.0,
         )
-        got = refs.indoor_celsius(result.values)
+        got = refs.indoor_celsius(result.x)
         assert np.max(np.abs(got - oracle["i"])) <= 1e-8
 
     # constant-input steady state of the full model, through the solver
@@ -214,7 +215,7 @@ def test_criterion_3_rc_oracle():
         rc.envelope_area, t_amb, i_sol, q,
     )
     for node in "iemhs":
-        final = refs.state_celsius(node, result.values)[-1]
+        final = refs.state_celsius(node, result.x)[-1]
         assert final == pytest.approx(steady[node], abs=1e-6)
 
 
@@ -281,10 +282,10 @@ def test_criterion_4_storage():
         for kind, refs in blocks.items():
             if refs.state is None:
                 continue
-            states = np.array([result.values[v.name] for v in refs.state])
-            charge = np.array([result.values[v.name] for v in refs.flows["charge"]])
+            states = np.array([result.x[v.id] for v in refs.state])
+            charge = np.array([result.x[v.id] for v in refs.flows["charge"]])
             discharge = np.array(
-                [result.values[v.name] for v in refs.flows["discharge"]]
+                [result.x[v.id] for v in refs.flows["discharge"]]
             )
             if kind == DeviceKind.HYD:
                 eta_ch = specs[DeviceKind.EL].eta_ch
@@ -333,7 +334,7 @@ def test_criterion_4_storage():
     model.minimize(LinExpr())
     result = solve(model)
     assert result.status == Status.OPTIMAL
-    recovered = result.values[refs.flows["discharge"][1].name]
+    recovered = result.x[refs.flows["discharge"][1].id]
     assert abs(recovered / 10.0 - 0.35) <= 1e-9
 
 

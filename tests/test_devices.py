@@ -66,7 +66,7 @@ class TestBattery:
         pin_all(m, refs.flows["discharge"], np.zeros(5))
         m.minimize(LinExpr())
         result = solved(m)
-        states = [result.values[v.name] for v in refs.state]
+        states = [result.x[v.id] for v in refs.state]
         assert np.ptp(states) <= 1e-9
 
     def test_single_step_charge(self):
@@ -79,7 +79,7 @@ class TestBattery:
         pin(m, refs.design.chi, 1.0)
         m.minimize(LinExpr())
         result = solved(m)
-        assert result.values[refs.state[1].name] == pytest.approx(0.95, abs=1e-9)
+        assert result.x[refs.state[1].id] == pytest.approx(0.95, abs=1e-9)
 
     def test_idle_self_discharge_decay(self):
         # three idle steps decay the state; a final free charge step lets
@@ -95,7 +95,7 @@ class TestBattery:
         pin(m, refs.design.chi, 1.0)
         m.minimize(LinExpr())
         result = solved(m)
-        assert result.values[refs.state[3].name] == pytest.approx(expected, abs=1e-9)
+        assert result.x[refs.state[3].id] == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(9.70299, abs=1e-5)
 
     def test_kind_check(self):
@@ -118,7 +118,7 @@ class TestBattery:
         pin(m, refs.design.chi, 1.0)
         m.minimize(LinExpr.of([(refs.state[1], -1.0)]))  # push state up
         result = solved(m)
-        assert result.values[refs.state[1].name] <= 4.0 + 1e-8
+        assert result.x[refs.state[1].id] <= 4.0 + 1e-8
 
 
 class TestTes:
@@ -135,7 +135,7 @@ class TestTes:
         pin(m, refs.design.chi, 1.0)
         m.minimize(LinExpr())
         result = solved(m)
-        assert result.values[refs.state[2].name] == pytest.approx(0.0, abs=1e-9)
+        assert result.x[refs.state[2].id] == pytest.approx(0.0, abs=1e-9)
 
     def test_rate_cap_binds(self):
         spec = DeviceSpec(kind="TES", cap_min=0.0, cap_max=10.0, gamma_ch=0.5,
@@ -146,7 +146,7 @@ class TestTes:
         pin(m, refs.design.chi, 1.0)
         m.minimize(LinExpr.of([(refs.flows["charge"][0], -1.0)]))
         result = solved(m)
-        assert result.values[refs.flows["charge"][0].name] == pytest.approx(5.0, abs=1e-8)
+        assert result.x[refs.flows["charge"][0].id] == pytest.approx(5.0, abs=1e-8)
 
     def test_lossy_round_trip_recovers_81_percent(self):
         spec = DeviceSpec(kind="TES", cap_min=0.0, cap_max=20.0, eta_ch=0.9,
@@ -161,7 +161,7 @@ class TestTes:
         pin(m, refs.design.chi, 1.0)
         m.minimize(LinExpr())
         result = solved(m)
-        recovered = result.values[refs.flows["discharge"][1].name]
+        recovered = result.x[refs.flows["discharge"][1].id]
         assert recovered == pytest.approx(10.0 * 0.81, abs=1e-9)
 
 
@@ -174,7 +174,7 @@ class TestBoiler:
         pin(m, refs.design.chi, 1.0)
         m.minimize(LinExpr())
         result = solved(m)
-        assert result.values[refs.flows["heat"][0].name] == pytest.approx(0.97, abs=1e-12)
+        assert result.x[refs.flows["heat"][0].id] == pytest.approx(0.97, abs=1e-12)
 
     def test_existence_gating_forces_zero_output(self):
         m = Model()
@@ -182,8 +182,8 @@ class TestBoiler:
         pin(m, refs.design.chi, 0.0)
         m.minimize(LinExpr.of((v, -1.0) for v in refs.flows["heat"]))
         result = solved(m)
-        assert all(result.values[v.name] <= 1e-9 for v in refs.flows["heat"])
-        assert result.values[refs.design.design.name] == pytest.approx(0.0, abs=1e-9)
+        assert all(result.x[v.id] <= 1e-9 for v in refs.flows["heat"])
+        assert result.x[refs.design.design.id] == pytest.approx(0.0, abs=1e-9)
 
     def test_inverse_conversion_demand(self):
         m = Model()
@@ -192,7 +192,7 @@ class TestBoiler:
         pin(m, refs.flows["heat"][0], 8.0)
         m.minimize(LinExpr())
         result = solved(m)
-        assert result.values[refs.flows["gas"][0].name] == pytest.approx(
+        assert result.x[refs.flows["gas"][0].id] == pytest.approx(
             8.0 / 0.9, abs=1e-9
         )
 
@@ -219,7 +219,7 @@ class TestHeatPump:
         pin(m, refs.flows["power"][0], 2.0)
         m.minimize(LinExpr())
         result = solved(m)
-        assert result.values[refs.flows["heat"][0].name] == pytest.approx(6.0, abs=1e-9)
+        assert result.x[refs.flows["heat"][0].id] == pytest.approx(6.0, abs=1e-9)
 
     def test_nonpositive_cop_rejected(self):
         spec = self.hp_spec([-1.0, 0.0, 0.0, 0.0])
@@ -240,7 +240,7 @@ class TestPv:
         pin(m, refs.design.design, 10.0)
         m.minimize(LinExpr())
         result = solved(m)
-        assert result.values[refs.flows["power"][0].name] == pytest.approx(0.0, abs=1e-12)
+        assert result.x[refs.flows["power"][0].id] == pytest.approx(0.0, abs=1e-12)
 
     def test_conversion_value(self):
         m = Model()
@@ -249,7 +249,7 @@ class TestPv:
         pin(m, refs.design.design, 10.0)
         m.minimize(LinExpr())
         result = solved(m)
-        assert result.values[refs.flows["power"][0].name] == pytest.approx(1.0, abs=1e-9)
+        assert result.x[refs.flows["power"][0].id] == pytest.approx(1.0, abs=1e-9)
 
     def test_existence_gating_zeroes_area(self):
         m = Model()
@@ -258,7 +258,7 @@ class TestPv:
         pin(m, refs.design.chi, 0.0)
         m.minimize(LinExpr.of([(refs.design.design, -1.0)]))
         result = solved(m)
-        assert result.values[refs.design.design.name] == pytest.approx(0.0, abs=1e-9)
+        assert result.x[refs.design.design.id] == pytest.approx(0.0, abs=1e-9)
 
 
 class TestStc:
@@ -280,7 +280,7 @@ class TestStc:
         pin(m, refs.design.design, 4.0)
         m.minimize(LinExpr())
         result = solved(m)
-        assert result.values[refs.flows["heat"][0].name] == pytest.approx(
+        assert result.x[refs.flows["heat"][0].id] == pytest.approx(
             1.344, abs=1e-9
         )  # 4 * 0.7 * (600 - 120) W = 1344 W
 
@@ -300,8 +300,8 @@ class TestRoofCoupling:
         emit_roof_coupling(m, pv.design, stc.design, 0.0)
         m.minimize(LinExpr.of([(pv.design.design, -1.0), (stc.design.design, -1.0)]))
         result = solved(m)
-        assert result.values[pv.design.design.name] == pytest.approx(0.0, abs=1e-9)
-        assert result.values[stc.design.design.name] == pytest.approx(0.0, abs=1e-9)
+        assert result.x[pv.design.design.id] == pytest.approx(0.0, abs=1e-9)
+        assert result.x[stc.design.design.id] == pytest.approx(0.0, abs=1e-9)
 
     def test_pv_leaves_room_for_stc(self):
         m = Model()
@@ -313,7 +313,7 @@ class TestRoofCoupling:
         pin(m, pv.design.design, 15.0)
         m.minimize(LinExpr.of([(stc.design.design, -1.0)]))
         result = solved(m)
-        assert result.values[stc.design.design.name] == pytest.approx(5.0, abs=1e-8)
+        assert result.x[stc.design.design.id] == pytest.approx(5.0, abs=1e-8)
 
 
 def hydrogen_specs(eta_el=0.7, eta_fc=0.5, sigma=1.0):
@@ -338,7 +338,7 @@ class TestHydrogenChain:
         )
         result = solved(m)
         for _, var in refs.design.entries:
-            assert result.values[var.name] == pytest.approx(0.0, abs=1e-9)
+            assert result.x[var.id] == pytest.approx(0.0, abs=1e-9)
 
     def test_round_trip_efficiency_35_percent(self):
         m = Model()
@@ -353,7 +353,7 @@ class TestHydrogenChain:
         pin(m, refs.flows["discharge"][2], 0.0)
         m.minimize(LinExpr())
         result = solved(m)
-        recovered = result.values[refs.flows["discharge"][1].name]
+        recovered = result.x[refs.flows["discharge"][1].id]
         assert recovered / 10.0 == pytest.approx(0.35, abs=1e-9)
 
     def test_idle_lossless_tank(self):
@@ -366,7 +366,7 @@ class TestHydrogenChain:
         pin(m, refs.design.chi, 1.0)
         m.minimize(LinExpr())
         result = solved(m)
-        assert result.values[refs.state[4].name] == pytest.approx(5.0, abs=1e-9)
+        assert result.x[refs.state[4].id] == pytest.approx(5.0, abs=1e-9)
 
     def test_missing_member_rejected(self):
         specs = hydrogen_specs()
@@ -390,8 +390,8 @@ class TestBuildingBalances:
         flows = emit_building_balances(m, {}, q_sp, np.full(2, 0.3), horizon=2)
         m.minimize(LinExpr.of((v, 1.0) for v in flows.e_in))
         result = solved(m)
-        assert result.values[flows.e_in[0].name] == pytest.approx(0.3, abs=1e-9)
-        assert result.values[flows.e_out[0].name] == pytest.approx(0.0, abs=1e-9)
+        assert result.x[flows.e_in[0].id] == pytest.approx(0.3, abs=1e-9)
+        assert result.x[flows.e_out[0].id] == pytest.approx(0.0, abs=1e-9)
 
     def test_boiler_meets_heat_demand(self):
         m = Model()
@@ -403,11 +403,11 @@ class TestBuildingBalances:
         flows = emit_building_balances(m, blocks, q_sp, np.zeros(2), horizon=2)
         m.minimize(LinExpr.of((v, 1.0) for v in blocks[DeviceKind.BOL].flows["gas"]))
         result = solved(m)
-        assert result.values[
-            blocks[DeviceKind.BOL].flows["heat"][0].name
+        assert result.x[
+            blocks[DeviceKind.BOL].flows["heat"][0].id
         ] == pytest.approx(4.5, abs=1e-9)
-        assert result.values[
-            blocks[DeviceKind.BOL].flows["gas"][0].name
+        assert result.x[
+            blocks[DeviceKind.BOL].flows["gas"][0].id
         ] == pytest.approx(5.0, abs=1e-9)
 
     def test_pv_surplus_exports(self):
@@ -422,8 +422,8 @@ class TestBuildingBalances:
         )
         m.minimize(LinExpr.of([(flows.e_in[0], 1.0)]))
         result = solved(m)
-        assert result.values[flows.e_out[0].name] == pytest.approx(0.8, abs=1e-9)
-        assert result.values[flows.e_in[0].name] == pytest.approx(0.0, abs=1e-9)
+        assert result.x[flows.e_out[0].id] == pytest.approx(0.8, abs=1e-9)
+        assert result.x[flows.e_in[0].id] == pytest.approx(0.0, abs=1e-9)
 
 
 class TestCommunityBalance:
@@ -436,7 +436,7 @@ class TestCommunityBalance:
         pin(m, lvmv[0], 0.5)
         m.minimize(LinExpr())
         result = solved(m)
-        assert result.values[hv[0].name] == pytest.approx(1.5, abs=1e-9)
+        assert result.x[hv[0].id] == pytest.approx(1.5, abs=1e-9)
 
     def test_community_pv_surplus_charges_battery(self):
         # PV makes 5 kW, the feeder draws 3: the 2 kW excess must land in
@@ -464,8 +464,8 @@ class TestCommunityBalance:
         pin(m, lvmv[1], 0.0)
         m.minimize(LinExpr.of((v, 1.0) for v in hv))
         result = solved(m)
-        assert result.values[bat.flows["charge"][0].name] == pytest.approx(2.0, abs=1e-8)
-        assert result.values[hv[0].name] == pytest.approx(0.0, abs=1e-9)
+        assert result.x[bat.flows["charge"][0].id] == pytest.approx(2.0, abs=1e-8)
+        assert result.x[hv[0].id] == pytest.approx(0.0, abs=1e-9)
 
     def test_all_zero_flows_feasible(self):
         m = Model()
@@ -476,7 +476,7 @@ class TestCommunityBalance:
         pin(m, lvmv[0], 0.0)
         m.minimize(LinExpr())
         result = solved(m)
-        assert result.values[hv[0].name] == pytest.approx(0.0, abs=1e-9)
+        assert result.x[hv[0].id] == pytest.approx(0.0, abs=1e-9)
 
 
 class TestCatalogueTables:
@@ -547,9 +547,9 @@ class TestStorageReplayProperty:
             m.add_constraint(expr, Sense.GE, 0.5, f"demand{t}")  # 0.5 kW load
         m.minimize(LinExpr.of((grid[t], price[t]) for t in range(horizon)))
         result = solved(m)
-        charge = np.array([result.values[v.name] for v in refs.flows["charge"]])
-        discharge = np.array([result.values[v.name] for v in refs.flows["discharge"]])
-        states = np.array([result.values[v.name] for v in refs.state])
+        charge = np.array([result.x[v.id] for v in refs.flows["charge"]])
+        discharge = np.array([result.x[v.id] for v in refs.flows["discharge"]])
+        states = np.array([result.x[v.id] for v in refs.state])
         replay = storage_replay(states[0], charge, discharge, 0.9, 0.9, 0.999)
         assert np.max(np.abs(states - replay)) <= 1e-8
         assert states[0] <= states[-1] + 1e-9  # relaxed cyclic bound
@@ -573,4 +573,4 @@ class TestDesignGating:
         pin(m, refs.chi, 1.0)
         m.minimize(LinExpr.of([(refs.design, 1.0)]))
         result = solved(m)
-        assert result.values[refs.design.name] == pytest.approx(spec.cap_min, abs=1e-9)
+        assert result.x[refs.design.id] == pytest.approx(spec.cap_min, abs=1e-9)

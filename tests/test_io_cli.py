@@ -653,6 +653,25 @@ class TestScenarioBundles:
         assert code == 1
         assert capsys.readouterr().err == f"error: {expected}\n"
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda manifest: manifest.pop("scenarios"), "missing required key 'scenarios'"),
+        (lambda manifest: manifest.update(scenarioz=[]), "unknown key 'scenarioz'"),
+    ])
+    def test_manifest_top_level_keys_are_checked(self, tmp_path, capsys, edit, message):
+        bundle = tmp_path / "bundle"
+        save_scenarios(bundle, seeded_bundle())
+        path = bundle / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        expected = f"{path}: {message}"
+        with pytest.raises(ValueError) as info:
+            load_scenarios(bundle)
+        assert str(info.value) == expected
+        code = main(["scenarios", "nominal", "--scenarios", str(bundle), "--factor", "occ"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
     @pytest.mark.parametrize("change", ["start", "step", "length"])
     def test_misaligned_channel_file_rejected(self, tmp_path, change):
         bundle = tmp_path / "bundle"

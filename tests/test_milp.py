@@ -19,6 +19,7 @@ from communityplan.milp import (
     LinExpr,
     Model,
     Sense,
+    SolveResult,
     Status,
     constraint_violation,
 )
@@ -30,6 +31,7 @@ from communityplan.solvers import (
     SolveOptions,
     SolverError,
     solve,
+    vector_from_names,
 )
 from scipy.optimize._highspy._core import HighsModelStatus
 
@@ -350,7 +352,9 @@ class TestSolve:
         m.add_constraint(x * 1.0, Sense.LE, 1.0, "a")
         m.add_constraint(x * 1.0, Sense.GE, 2.0, "b")
         m.minimize(x * 1.0)
-        assert solve(m).status == Status.INFEASIBLE
+        result = solve(m)
+        assert result.status == Status.INFEASIBLE
+        assert result.x is None
 
     def test_unbounded(self):
         m = Model()
@@ -368,7 +372,7 @@ class TestSolve:
     def test_optimal_solution_feasible(self):
         m = toy_model()
         res = solve(m)
-        assert constraint_violation(m, res.values) <= 1e-6
+        assert constraint_violation(m, res.x) <= 1e-6
 
     def test_empty_model(self):
         m = Model()
@@ -500,8 +504,11 @@ MOCK_SOLVER = textwrap.dedent(
     model_path, sol_path = sys.argv[1], sys.argv[2]
     model = parse_lp(open(model_path).read())
     res = solve(model)
+    pairs = list(zip(model.var_names(), res.x.tolist()))
+    if sys.argv[3:] == ["reversed"]:
+        pairs.reverse()
     with open(sol_path, "w") as handle:
-        handle.write(format_solution_table(res.status, res.objective, res.values))
+        handle.write(format_solution_table(res.status, res.objective, dict(pairs)))
     """
 )
 
@@ -515,7 +522,20 @@ class TestCommandBackend:
         reference = solve(toy_model())
         assert res.status == Status.OPTIMAL
         assert res.objective == pytest.approx(reference.objective, rel=1e-9)
-        assert res.values == pytest.approx(reference.values)
+        assert res.x == pytest.approx(reference.x)
+
+    def test_matches_scipy_through_vector_from_names(self, tmp_path):
+        # the table lists the variables last column first
+        script = tmp_path / "mock_solver.py"
+        script.write_text(MOCK_SOLVER)
+        backend = CommandBackend(f"{sys.executable} {script} {{model}} {{sol}} reversed")
+        res = backend.solve(toy_model(), SolveOptions())
+        assert res.x.tolist() == solve(toy_model()).x.tolist()
+
+    @pytest.mark.parametrize("status", [Status.LIMIT, Status.INFEASIBLE])
+    def test_table_without_values_has_no_solution(self, status):
+        res = CommandBackend(f"echo =status= {status.value} > {{sol}}").solve(toy_model())
+        assert res.status == status and res.x is None
 
     def test_launch_failure_raises(self):
         backend = CommandBackend("definitely-not-a-solver {model} {sol}")
@@ -527,6 +547,34 @@ class TestCommandBackend:
         script.write_text(MOCK_SOLVER)
         res = solve(toy_model(), backend=f"{sys.executable} {script} {{model}} {{sol}}")
         assert res.status == Status.OPTIMAL
+
+
+class TestSolutionVector:
+    def test_x_is_a_read_only_copy(self):
+        given = np.array([1.0, 2.0, 3.0])
+        result = SolveResult(Status.OPTIMAL, 0.0, given)
+        given[0] = 5.0
+        assert result.x.tolist() == [1.0, 2.0, 3.0]
+        with pytest.raises(ValueError, match="read-only"):
+            result.x[0] = 4.0
+        assert not solve(toy_model()).x.flags.writeable
+
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_backend_solution_of_another_length_raises(self, size):
+        class WrongLength:
+            def solve(self, model, options=None):
+                return SolveResult(Status.OPTIMAL, 0.0, np.zeros(size))
+
+        with pytest.raises(SolverError, match=f"{size} values for a model of 3 columns"):
+            solve(toy_model(), WrongLength())
+
+    def test_vector_from_names_places_each_value_in_its_column(self):
+        values = {"flag": 1.0, "y": 2.0, "x": 3.0, "not_a_column": 9.0}
+        assert vector_from_names(toy_model(), values).tolist() == [3.0, 2.0, 1.0]
+
+    def test_vector_from_names_names_a_missing_variable(self):
+        with pytest.raises(SolverError, match="lacks variable 'flag'"):
+            vector_from_names(toy_model(), {"x": 1.0, "y": 2.0})
 
 
 class TestSolutionTable:

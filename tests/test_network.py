@@ -50,8 +50,8 @@ class TestGridLimits:
             pin(m, grid.lv_to_mv[t], 0.0)
         minimize_slack(m, grid, 1e5)
         result = solved(m)
-        assert result.values[grid.s_mv.name] == pytest.approx(0.0, abs=1e-9)
-        assert result.values[grid.s_lv[1].name] == pytest.approx(0.0, abs=1e-9)
+        assert result.x[grid.s_mv.id] == pytest.approx(0.0, abs=1e-9)
+        assert result.x[grid.s_lv[1].id] == pytest.approx(0.0, abs=1e-9)
 
     def test_forced_overload_buys_exact_slack(self):
         m = Model()
@@ -64,7 +64,7 @@ class TestGridLimits:
         pin(m, grid.lv_to_mv[0], 0.0)
         minimize_slack(m, grid, 1e5)
         result = solved(m)
-        assert result.values[grid.s_lv[1].name] == pytest.approx(2.0, abs=1e-8)
+        assert result.x[grid.s_lv[1].id] == pytest.approx(2.0, abs=1e-8)
 
     def test_exact_limit_is_tight_with_zero_slack(self):
         m = Model()
@@ -77,7 +77,7 @@ class TestGridLimits:
         pin(m, flows.e_out[0], 0.0)
         minimize_slack(m, grid, 1e5)
         result = solved(m)
-        assert result.values[grid.s_mv.name] == pytest.approx(0.0, abs=1e-9)
+        assert result.x[grid.s_mv.id] == pytest.approx(0.0, abs=1e-9)
 
     def test_one_mv_slack_covers_both_directions(self):
         m = Model()
@@ -93,7 +93,7 @@ class TestGridLimits:
             pin(m, flows.e_out[t], 0.0)
         minimize_slack(m, grid, 1e5)
         result = solved(m)
-        assert result.values[grid.s_mv.name] == pytest.approx(3.0, abs=1e-8)
+        assert result.x[grid.s_mv.id] == pytest.approx(3.0, abs=1e-8)
 
 
 class TestLvAggregation:
@@ -107,7 +107,7 @@ class TestLvAggregation:
         pin(m, grid.lv_to_mv[0], 0.0)
         m.minimize(LinExpr())
         result = solved(m)
-        assert result.values[grid.mv_to_lv[0].name] == pytest.approx(1.0, abs=1e-9)
+        assert result.x[grid.mv_to_lv[0].id] == pytest.approx(1.0, abs=1e-9)
 
     def test_internal_netting(self):
         m = Model()
@@ -122,8 +122,8 @@ class TestLvAggregation:
             LinExpr.of([(grid.mv_to_lv[0], 1.0), (grid.lv_to_mv[0], 1.0)])
         )
         result = solved(m)
-        assert result.values[grid.mv_to_lv[0].name] == pytest.approx(0.0, abs=1e-9)
-        assert result.values[grid.lv_to_mv[0].name] == pytest.approx(0.0, abs=1e-9)
+        assert result.x[grid.mv_to_lv[0].id] == pytest.approx(0.0, abs=1e-9)
+        assert result.x[grid.lv_to_mv[0].id] == pytest.approx(0.0, abs=1e-9)
 
     def test_net_export(self):
         m = Model()
@@ -138,7 +138,7 @@ class TestLvAggregation:
             LinExpr.of([(grid.mv_to_lv[0], 1.0), (grid.lv_to_mv[0], 1.0)])
         )
         result = solved(m)
-        assert result.values[grid.lv_to_mv[0].name] == pytest.approx(3.0, abs=1e-9)
+        assert result.x[grid.lv_to_mv[0].id] == pytest.approx(3.0, abs=1e-9)
 
 
 class TestDistributedAggregation:
@@ -153,7 +153,7 @@ class TestDistributedAggregation:
             pin(m, grid.lv_to_mv[t], 0.0)
         m.minimize(LinExpr())
         result = solved(m)
-        assert result.values[grid.mv_to_lv[0].name] == pytest.approx(1.5, abs=1e-9)
+        assert result.x[grid.mv_to_lv[0].id] == pytest.approx(1.5, abs=1e-9)
 
     def test_others_export_nets_out_own_import(self):
         m = Model()
@@ -166,8 +166,8 @@ class TestDistributedAggregation:
             LinExpr.of([(grid.mv_to_lv[0], 1.0), (grid.lv_to_mv[0], 1.0)])
         )
         result = solved(m)
-        assert result.values[grid.mv_to_lv[0].name] == pytest.approx(0.0, abs=1e-9)
-        assert result.values[grid.lv_to_mv[0].name] == pytest.approx(0.0, abs=1e-9)
+        assert result.x[grid.mv_to_lv[0].id] == pytest.approx(0.0, abs=1e-9)
+        assert result.x[grid.lv_to_mv[0].id] == pytest.approx(0.0, abs=1e-9)
 
     def test_sign_split_with_inactive_building(self):
         m = Model()
@@ -185,10 +185,10 @@ class TestDistributedAggregation:
             )
         )
         result = solved(m)
-        assert result.values[grid.mv_to_lv[0].name] == pytest.approx(3.0, abs=1e-9)
-        assert result.values[grid.lv_to_mv[0].name] == pytest.approx(0.0, abs=1e-9)
-        assert result.values[grid.mv_to_lv[1].name] == pytest.approx(0.0, abs=1e-9)
-        assert result.values[grid.lv_to_mv[1].name] == pytest.approx(4.0, abs=1e-9)
+        assert result.x[grid.mv_to_lv[0].id] == pytest.approx(3.0, abs=1e-9)
+        assert result.x[grid.lv_to_mv[0].id] == pytest.approx(0.0, abs=1e-9)
+        assert result.x[grid.mv_to_lv[1].id] == pytest.approx(0.0, abs=1e-9)
+        assert result.x[grid.lv_to_mv[1].id] == pytest.approx(4.0, abs=1e-9)
 
     def test_length_mismatch_rejected(self):
         m = Model()
@@ -223,8 +223,8 @@ class TestDistributedAggregation:
             )
             result = solved(m)
             mv_net_seen.append(
-                np.array([result.values[v.name] for v in grid.mv_to_lv])
-                - np.array([result.values[v.name] for v in grid.lv_to_mv])
+                np.array([result.x[v.id] for v in grid.mv_to_lv])
+                - np.array([result.x[v.id] for v in grid.lv_to_mv])
             )
         total_net = net[1] + net[2]
         for seen in mv_net_seen:

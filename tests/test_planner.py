@@ -16,6 +16,7 @@ from communityplan.io import emit_reports, plan_result_to_dict
 from communityplan.lpformat import export_lp, export_mps
 from communityplan.milp import SolveResult, Status
 from communityplan.planner import (
+    DesignDecision,
     build_centralized,
     evaluate_design,
     expected_value_scenario,
@@ -30,6 +31,7 @@ from communityplan.solvers import (
     SolveOptions,
     SolverError,
     solve,
+    vector_from_names,
 )
 
 from conftest import (
@@ -567,6 +569,19 @@ class TestStochasticOrderings:
                 decision.value, abs=1e-6
             )
 
+    @pytest.mark.parametrize("designs, message", [
+        ({}, "designs to evaluate: missing design(s) b1:BOL"),
+        ({("b1", "BOL"): DesignDecision(1, 10.0), ("b1", "PV"): DesignDecision(0, 0.0),
+          ("b2", "BOL"): DesignDecision(0, 0.0)},
+         "designs to evaluate: unknown design(s) b1:PV, b2:BOL"),
+    ])
+    def test_evaluate_design_names_missing_and_unknown_designs(
+            self, boiler_community, designs, message):
+        cfg, scenario = boiler_community
+        with pytest.raises(ValueError) as info:
+            evaluate_design(cfg, [scenario], designs)
+        assert str(info.value) == message
+
 
 class TestSensitivity:
     def test_monotone_base_load_scaling(self):
@@ -643,7 +658,7 @@ class _NoIncumbentBackend:
     name = "no-incumbent"
 
     def solve(self, model, options=None):
-        return SolveResult(Status.LIMIT, float("nan"), {}, {"backend": self.name})
+        return SolveResult(Status.LIMIT, float("nan"), None, {"backend": self.name})
 
 
 class _NameKeyedBackend:
@@ -653,8 +668,9 @@ class _NameKeyedBackend:
 
     def solve(self, model, options=None):
         result = ScipyBackend().solve(model, options)
-        return SolveResult(result.status, result.objective, dict(result.values),
-                           {"backend": self.name})
+        values = dict(zip(model.var_names(), result.x.tolist()))
+        return SolveResult(result.status, result.objective,
+                           vector_from_names(model, values), {"backend": self.name})
 
 
 class _LimitOnceBackend:
@@ -670,7 +686,7 @@ class _LimitOnceBackend:
         result = ScipyBackend().solve(model, options)
         self.calls += 1
         status = Status.LIMIT if self.calls == 1 else result.status
-        return SolveResult(status, result.objective, result.values, result.solver_meta)
+        return SolveResult(status, result.objective, result.x, result.solver_meta)
 
 
 class TestCustomBackend:
@@ -718,7 +734,7 @@ class _GapBackend:
     def solve(self, model, options=None):
         result = ScipyBackend().solve(model, options)
         meta = dict(result.solver_meta, mip_gap=self.gaps.pop(0))
-        return SolveResult(result.status, result.objective, result.values, meta)
+        return SolveResult(result.status, result.objective, result.x, meta)
 
 
 class TestDistributedGap:

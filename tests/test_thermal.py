@@ -81,14 +81,14 @@ class TestDynamicsAgainstIndependentEuler:
             rc.envelope_area, clim.t_amb.values, clim.i_sol.values, q_fixed, 19.0,
         )
         for node in rc.states():
-            got = refs.state_celsius(node, result.values)
+            got = refs.state_celsius(node, result.x)
             assert np.max(np.abs(got - oracle[node])) <= 1e-8
 
     def test_equilibrium_fixed_point(self):
         horizon = 24
         clim = climate(horizon, t_amb=np.full(horizon, 20.0), i_sol=np.zeros(horizon))
         refs, result = solve_with_fixed_heating(1, clim, np.zeros(horizon), 20.0, horizon)
-        assert np.allclose(refs.indoor_celsius(result.values), 20.0, atol=1e-8)
+        assert np.allclose(refs.indoor_celsius(result.x), 20.0, atol=1e-8)
 
     def test_near_adiabatic_constant_heating_ramp(self):
         horizon = 24
@@ -105,7 +105,7 @@ class TestDynamicsAgainstIndependentEuler:
             )
         model.minimize(LinExpr())
         result = solve(model)
-        got = refs.indoor_celsius(result.values)
+        got = refs.indoor_celsius(result.x)
         # exact Euler recursion including the tiny leak term
         oracle = euler_rc_trajectories(
             1, {"R_ia": 1e6}, {"C_i": c_i}, 0.0, 0.0,
@@ -158,8 +158,8 @@ class TestComfort:
         model.minimize(LinExpr.of((v, 1.0) for v in refs.q_sp))
         result = solve(model)
         assert result.status.value == "optimal"
-        return refs.indoor_celsius(result.values), np.array(
-            [result.values[v.name] for v in refs.q_sp]
+        return refs.indoor_celsius(result.x), np.array(
+            [result.x[v.id] for v in refs.q_sp]
         )
 
     def test_buffer_gives_lower_bound(self):
@@ -193,7 +193,7 @@ class TestComfort:
         emit_comfort_constraints(model, refs, np.full(horizon, 19.0), 0.5)
         model.minimize(LinExpr.of((v, 1.0) for v in refs.q_sp))
         result = solve(model)
-        indoor = refs.indoor_celsius(result.values)
+        indoor = refs.indoor_celsius(result.x)
         assert result.status.value == "optimal"
         assert np.max(indoor) > 19.5  # drifts above the set point freely
 
@@ -211,8 +211,8 @@ class TestComfort:
         emit_comfort_constraints(model, refs, t_set + delta, 0.5)
         model.minimize(LinExpr.of((v, 1.0) for v in refs.q_sp))
         result = solve(model)
-        shifted_indoor = refs.indoor_celsius(result.values)
-        shifted_q = np.array([result.values[v.name] for v in refs.q_sp])
+        shifted_indoor = refs.indoor_celsius(result.x)
+        shifted_q = np.array([result.x[v.id] for v in refs.q_sp])
         assert np.max(np.abs(shifted_indoor - (base_indoor + delta))) <= 1e-5
         assert np.max(np.abs(shifted_q - base_q)) <= 1e-5
 
