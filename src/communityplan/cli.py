@@ -154,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

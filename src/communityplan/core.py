@@ -65,6 +65,7 @@ __all__ = [
     "scenario_length",
     "series_head",
     "distinct_bits",
+    "check_keys",
 ]
 
 
@@ -461,6 +462,19 @@ def series_head(series, horizon: int, name: str) -> np.ndarray:
     if values.size < horizon:
         raise ValueError(f"{name}: series of length {values.size} cannot cover horizon {horizon}")
     return values[:horizon]
+
+
+def check_keys(data: Mapping, allowed: Iterable[str], required: Iterable[str],
+               where: str) -> None:
+    """ValueError naming ``where`` and the keys of ``data`` that are not
+    ``allowed``, or else the ``required`` keys that ``data`` lacks."""
+    allowed = set(allowed)
+    unknown = [key for key in data if key not in allowed]
+    if unknown:
+        raise ValueError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ValueError(f"{where}: missing required key {', '.join(map(repr, missing))}")
 
 
 def distinct_bits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

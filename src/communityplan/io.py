@@ -37,6 +37,7 @@ from .core import (
     channel_names,
     channel_unit,
     check_channel_names,
+    check_keys,
     distinct_bits,
     scenario_channels,
     scenario_from_channels,
@@ -147,13 +148,8 @@ def _fields_from_json(
     if optional is None:
         optional = [f.name for f in fields(cls)
                     if f.default is not MISSING or f.default_factory is not MISSING]
-    unknown = [key for key in data if key not in types or key in elsewhere]
-    if unknown:
-        raise ValueError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
-    missing = [name for name in types
-               if name not in data and name not in optional and name not in elsewhere]
-    if missing:
-        raise ValueError(f"{where}: missing required key {', '.join(map(repr, missing))}")
+    read = [name for name in types if name not in elsewhere]
+    check_keys(data, read, [name for name in read if name not in optional], where)
     return {key: _from_json(types[key], value, f"{where}: {key}")
             for key, value in data.items()}
 

@@ -524,9 +524,6 @@ class Model:
     def var_by_name(self, name: str) -> VarRef:
         return self._var(self._cols.index(name))
 
-    def var_index(self, name: str) -> int:
-        return self._cols.index(name)
-
     def var_names(self) -> list[str]:
         return self._cols.names()
 

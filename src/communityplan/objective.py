@@ -22,7 +22,7 @@ from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import series_head
+from .core import check_keys, series_head
 from .devices import DesignRefs
 from .milp import VarRef, _column_ids
 from .network import GridBlockRefs
@@ -187,7 +187,13 @@ class ObjectiveBreakdown:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ObjectiveBreakdown":
-        """The breakdown of :meth:`as_dict` data."""
+        """The breakdown of :meth:`as_dict` data; ValueError names a missing
+        or unknown key of the breakdown or of a ``per_scenario`` entry."""
+        keys = [*(_json_key(name) for name in cls._terms()), "per_scenario"]
+        check_keys(data, keys, keys, "breakdown")
+        second_stage = [_json_key(name) for name in cls._SECOND_STAGE]
+        for sid, vals in data["per_scenario"].items():
+            check_keys(vals, second_stage, second_stage, f"breakdown: per_scenario: {sid}")
         return cls(
             **{name: float(data[_json_key(name)]) for name in cls._terms()},
             per_scenario={

@@ -13,6 +13,10 @@ Three entry points sit on top of the block emitters:
 * :func:`run_sensitivity`: one-at-a-time deterministic solves per
   uncertainty factor with the other factors pinned at their nominals.
 
+Every plan, centralized, evaluated or distributed, is read and priced by
+one function: each building's part from the solve of the model that owns
+the building, the community's part from one solve.
+
 Wait-and-see and expected-value benchmarks (:func:`wait_and_see_value`,
 :func:`expected_value_scenario`, :func:`evaluate_design`) provide the
 classic EVPI / VSS orderings for validation.
@@ -230,50 +234,72 @@ def _building_traces(x: np.ndarray, refs: _BuildingScenarioRefs, horizon: int) -
     )
 
 
-def _plan_breakdown(
-    cfg: CommunityConfig,
-    scenarios: Sequence[Scenario],
-    designs: Mapping[tuple[str, str], DesignDecision],
-    operations: Mapping[str, ScenarioOperations],
-) -> ObjectiveBreakdown:
-    """The four cost terms of a plan, priced from its designs and operations.
+def _read_plan(
+    parts: Sequence[tuple[BuiltModel, np.ndarray]],
+    community: tuple[BuiltModel, np.ndarray],
+) -> PlanResult:
+    """The priced plan, without ``solve_meta``, of solved models given with
+    their solution vectors: the designs, traces and LV slacks of the
+    buildings of each model in ``parts``, in that order, and the
+    community's designs, flows and MV slack from ``community``, whose
+    configuration and scenarios price the plan.
 
-    Investment is summed per entity in design order, then the community's
-    sum plus the buildings' sums.  Per scenario, electricity bought from
-    HV and the buildings' gas are priced at the scenario's prices, carbon
-    on that gas, and every grid slack at the slack price.
+    Investment is priced from the specs of the models' design entries,
+    summed per entity in design order, then the community's sum plus the
+    buildings' sums.  Per scenario, electricity bought from HV and the
+    buildings' gas are priced at the scenario's prices, carbon on that
+    gas, and every grid slack at the slack price.
     """
-    specs = {
-        (_building_entity(b.id), spec.kind.value): spec
-        for b in cfg.buildings
-        for spec in b.devices
-    }
-    specs.update({(COMMUNITY_ENTITY, s.kind.value): s for s in cfg.community_devices})
+    com_model, com_x = community
+    cfg, step = com_model.cfg, com_model.cfg.step_hours
+    designs: dict[tuple[str, str], DesignDecision] = {}
     inv: dict[str, float] = {}
-    for (entity, kind), decision in designs.items():
-        spec = specs[(entity, kind)]
-        factor = annuity_factor(cfg.discount_rate, spec.lifetime_years)
-        inv[entity] = inv.get(entity, 0.0) + (
-            spec.size_price * decision.value + spec.base_price * decision.chi
-        ) * factor
+    for (built, x), of_community in [*((part, False) for part in parts), (community, True)]:
+        for (entity, kind), (spec, var, chi) in built.design_entries().items():
+            if (entity == COMMUNITY_ENTITY) is of_community:
+                decision = designs[(entity, kind)] = DesignDecision(
+                    chi=int(round(float(x[chi.id]))), value=float(x[var.id]))
+                factor = annuity_factor(cfg.discount_rate, spec.lifetime_years)
+                inv[entity] = inv.get(entity, 0.0) + (
+                    spec.size_price * decision.value + spec.base_price * decision.chi
+                ) * factor
     o_inv = inv.pop(COMMUNITY_ENTITY, 0.0) + sum(inv.values())
 
+    operations: dict[str, ScenarioOperations] = {}
     per_scenario: dict[str, dict[str, float]] = {}
-    for scenario in scenarios:
-        ops = operations[scenario.id]
+    for scenario in com_model.scenarios:
+        sid = scenario.id
+        com = com_model.community_refs[sid]
+        owned = [(bid, refs, built, x) for built, x in parts
+                 for bid, refs in built.building_refs[sid].items()]
+        ops = operations[sid] = ScenarioOperations(
+            probability=scenario.probability,
+            hv_import=tuple(read_values(com_x, com.hv).tolist()),
+            mv_to_lv=tuple(read_values(com_x, com.grid.mv_to_lv).tolist()),
+            lv_to_mv=tuple(read_values(com_x, com.grid.lv_to_mv).tolist()),
+            slack_mv=float(com_x[com.grid.s_mv.id]),
+            slack_lv={bid: float(x[built.community_refs[sid].grid.s_lv[bid].id])
+                      for bid, _, built, x in owned},
+            buildings={bid: _building_traces(x, refs, built.horizon)
+                       for bid, refs, built, x in owned},
+        )
         horizon = len(ops.hv_import)
         eco = scenario.economic
         p_el, p_gas, p_co2 = (p.values[:horizon] for p in (eco.p_el, eco.p_gas, eco.p_co2))
-        step = cfg.step_hours
         gas = [np.array(trace.gas) for trace in ops.buildings.values()]
-        per_scenario[scenario.id] = {
+        per_scenario[sid] = {
             "o_opr": float(np.dot(np.array(ops.hv_import), p_el) * step)
             + sum(float(np.dot(g, p_gas) * step) for g in gas),
             "o_co2": sum(float(np.dot(g, p_co2) * step) for g in gas),
             "o_slk": cfg.slack_price * (ops.slack_mv + sum(ops.slack_lv.values())),
         }
-    probs = {s.id: s.probability for s in scenarios}
-    return ObjectiveBreakdown.from_terms(o_inv, per_scenario, probs)
+    probs = {s.id: s.probability for s in com_model.scenarios}
+    return PlanResult(
+        designs=designs,
+        breakdown=ObjectiveBreakdown.from_terms(o_inv, per_scenario, probs),
+        operations=operations,
+        solve_meta={},
+    )
 
 
 # -- the community model ------------------------------------------------------
@@ -310,34 +336,15 @@ class BuiltModel:
                 for spec, var in refs.entries}
 
     def extract(self, result: SolveResult) -> PlanResult:
+        """The priced plan of a solve of this model, every part read from
+        ``result``, with ``solve_meta``: the solver's meta, the model's
+        sizes, the status and the solver's objective.  SolverError when
+        the solve has no solution."""
         x = _solution(result, f"solve of model {self.model.name!r}")
-        designs = {key: DesignDecision(chi=int(round(float(x[chi.id]))), value=float(x[var.id]))
-                   for key, (_, var, chi) in self.design_entries().items()}
-        operations: dict[str, ScenarioOperations] = {}
-        for scenario in self.scenarios:
-            com = self.community_refs[scenario.id]
-            operations[scenario.id] = ScenarioOperations(
-                probability=scenario.probability,
-                hv_import=tuple(read_values(x, com.hv).tolist()),
-                mv_to_lv=tuple(read_values(x, com.grid.mv_to_lv).tolist()),
-                lv_to_mv=tuple(read_values(x, com.grid.lv_to_mv).tolist()),
-                slack_mv=float(x[com.grid.s_mv.id]),
-                slack_lv={bid: float(x[var.id]) for bid, var in com.grid.s_lv.items()},
-                buildings={
-                    bid: _building_traces(x, refs, self.horizon)
-                    for bid, refs in self.building_refs[scenario.id].items()
-                },
-            )
-        meta = dict(result.solver_meta)
-        meta.update(self.model.stats())
-        meta["status"] = result.status.value
-        meta["solver_objective"] = result.objective
-        return PlanResult(
-            designs=designs,
-            breakdown=_plan_breakdown(self.cfg, self.scenarios, designs, operations),
-            operations=operations,
-            solve_meta=meta,
-        )
+        plan = _read_plan([(self, x)], (self, x))
+        plan.solve_meta.update(result.solver_meta, **self.model.stats(),
+                               status=result.status.value, solver_objective=result.objective)
+        return plan
 
 
 def _checked(
@@ -480,6 +487,14 @@ def solve_centralized(
 # -- distributed ---------------------------------------------------------------
 
 
+@dataclass
+class _SubModel:
+    """One building's sub-model and the result of its latest solve."""
+
+    built: BuiltModel
+    result: SolveResult | None = None
+
+
 def solve_distributed(
     cfg: CommunityConfig,
     scenarios: Sequence[Scenario],
@@ -498,11 +513,15 @@ def solve_distributed(
     far.  Sweeps repeat in ascending building id order until the global
     objective changes by at most ``epsilon`` or ``max_iters`` is hit, in
     which case the last iterate is returned with
-    ``solve_meta["converged"]`` False.  ``solve_meta["status"]`` is
-    ``"limit"`` when any merged sub-plan ended at a solver limit and
-    ``"optimal"`` otherwise; ``solve_meta["backend"]`` is the backend
-    name the sub-plans report, and ``solve_meta["max_mip_gap"]`` the
-    largest ``mip_gap`` among the merged sub-plans that report one.
+    ``solve_meta["converged"]`` False.
+
+    Each sweep reads one plan: every building from the latest solve of
+    its own sub-model, the community from the sweep's last sub-solve.
+    ``solve_meta["status"]`` is ``"limit"`` when any sub-model's latest
+    solve ended at a solver limit and ``"optimal"`` otherwise;
+    ``solve_meta["backend"]`` is the backend name the last sub-solve
+    reports, and ``solve_meta["max_mip_gap"]`` the largest ``mip_gap``
+    among the latest sub-solves that report one.
 
     Each building's sub-model is built once, in the first sweep, and kept:
     a later sweep rewrites only its LV aggregation right-hand sides
@@ -515,8 +534,7 @@ def solve_distributed(
     scenarios, horizon = _checked(cfg, scenarios)
     t0 = time.perf_counter()
 
-    subs: dict[int, BuiltModel] = {}
-    plans: dict[int, PlanResult] = {}
+    subs: dict[int, _SubModel] = {}  # ascending bid
     net: dict[int, dict[str, np.ndarray]] = {}  # [bid][sid], ascending bid
     history: list[float] = []
     converged = False
@@ -527,62 +545,41 @@ def solve_distributed(
                 s.id: sum((net[o][s.id] for o in net if o != bid), np.zeros(horizon))
                 for s in scenarios
             }
-            built = subs.get(bid)
-            if built is None:
-                built = subs[bid] = _build(cfg, scenarios, horizon, [building], others_net,
-                                           f"sub_{_building_entity(bid)}")
+            sub = subs.get(bid)
+            if sub is None:
+                sub = subs[bid] = _SubModel(_build(cfg, scenarios, horizon, [building],
+                                                   others_net, f"sub_{_building_entity(bid)}"))
             else:
-                built.set_others_net(others_net)
-            plans[bid] = last = built.extract(solve(built.model, backend, options))
+                sub.built.set_others_net(others_net)
+            sub.result = solve(sub.built.model, backend, options)
+            x = _solution(sub.result, f"solve of model {sub.built.model.name!r}")
             net[bid] = {
-                sid: np.array(ops.buildings[bid].e_in) - np.array(ops.buildings[bid].e_out)
-                for sid, ops in last.operations.items()
+                sid: read_values(x, refs[bid].flows.e_in) - read_values(x, refs[bid].flows.e_out)
+                for sid, refs in sub.built.building_refs.items()
             }
-        designs, operations = _merge_plans(plans, last)
-        breakdown = _plan_breakdown(cfg, scenarios, designs, operations)
-        history.append(breakdown.o_tot)
+        # the community as the sweep's last sub-solve left it
+        plan = _read_plan([(s.built, s.result.x) for s in subs.values()], (sub.built, x))
+        history.append(plan.objective)
         if len(history) >= 2 and abs(history[-1] - history[-2]) <= epsilon:
             converged = True
             break
 
-    limited = any(p.solve_meta["status"] == Status.LIMIT.value for p in plans.values())
-    meta = {
+    results = [s.result for s in subs.values()]
+    limited = any(r.status == Status.LIMIT for r in results)
+    plan.solve_meta.update({
         "status": (Status.LIMIT if limited else Status.OPTIMAL).value,
         "iterations": sweep,
         "converged": converged,
         "epsilon": epsilon,
         "o_tot_history": history,
         "wall_time_s": time.perf_counter() - t0,
-    }
-    if "backend" in last.solve_meta:
-        meta["backend"] = last.solve_meta["backend"]
-    gaps = [p.solve_meta["mip_gap"] for p in plans.values() if "mip_gap" in p.solve_meta]
+    })
+    if "backend" in sub.result.solver_meta:
+        plan.solve_meta["backend"] = sub.result.solver_meta["backend"]
+    gaps = [r.solver_meta["mip_gap"] for r in results if "mip_gap" in r.solver_meta]
     if gaps:
-        meta["max_mip_gap"] = max(gaps)
-    return PlanResult(
-        designs=designs, breakdown=breakdown, operations=operations, solve_meta=meta
-    )
-
-
-def _merge_plans(
-    plans: Mapping[int, PlanResult], last: PlanResult
-) -> tuple[dict[tuple[str, str], DesignDecision], dict[str, ScenarioOperations]]:
-    """Each building's designs and traces from its latest sub-plan; the
-    community's designs, flows and MV slack from the last sub-plan."""
-    designs: dict[tuple[str, str], DesignDecision] = {}
-    for bid, plan in plans.items():
-        entity = _building_entity(bid)
-        designs.update((k, d) for k, d in plan.designs.items() if k[0] == entity)
-    designs.update((k, d) for k, d in last.designs.items() if k[0] == COMMUNITY_ENTITY)
-    operations = {
-        sid: replace(
-            ops,
-            slack_lv={bid: p.operations[sid].slack_lv[bid] for bid, p in plans.items()},
-            buildings={bid: p.operations[sid].buildings[bid] for bid, p in plans.items()},
-        )
-        for sid, ops in last.operations.items()
-    }
-    return designs, operations
+        plan.solve_meta["max_mip_gap"] = max(gaps)
+    return plan
 
 
 # -- sensitivity and stochastic benchmarks ------------------------------------

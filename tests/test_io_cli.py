@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import communityplan.cli
 import communityplan.io
 from communityplan.cli import main
 from communityplan.core import (
@@ -1050,6 +1051,38 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert f"scenario 'h' has no occupant profile for building(s) {missing}" in err
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda b: b.pop("O_opr"), "breakdown: missing required key 'O_opr'"),
+        (lambda b: b.update(O_bogus=1.0), "breakdown: unknown key 'O_bogus'"),
+        (lambda b: b["per_scenario"]["s0"].pop("O_co2"),
+         "breakdown: per_scenario: s0: missing required key 'O_co2'"),
+        (lambda b: b["per_scenario"]["s1"].update(O_bogus=0.0),
+         "breakdown: per_scenario: s1: unknown key 'O_bogus'"),
+    ])
+    def test_bad_breakdown_key_is_user_error(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "plan_result.json"
+        save_plan_result(path, pinned_plan())
+        data = json.loads(path.read_text())
+        edit(data["breakdown"])
+        path.write_text(json.dumps(data))
+        assert self.run("report", "--plan", str(path), "--out", str(tmp_path / "rep")) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_library_key_error_is_not_a_user_error(self, tmp_path, monkeypatch):
+        # a KeyError from a fault inside the library shows its traceback
+        def broken_solve(*args):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(communityplan.cli, "solve_centralized", broken_solve)
+        fx = generate_fixture(tmp_path / "fx", 1, seed=10)
+        bundle = tmp_path / "scn"
+        history = ingest_community(fx).history
+        save_scenarios(bundle, [Scenario("h", 1.0, history.occupant,
+                                         history.economic, history.climate)])
+        with pytest.raises(KeyError, match="internal"):
+            self.run("plan", "centralized", "--dir", str(fx), "--scenarios", str(bundle),
+                     "--out", str(tmp_path / "out"), "--horizon", "24")
 
     def test_solver_failure_exit_code(self, tmp_path):
         fx = generate_fixture(tmp_path / "fx", 1, seed=10)

@@ -275,9 +275,10 @@ class TestCoordinationContract:
 
 def _rebuilding_distributed(cfg, scenarios, epsilon):
     """solve_distributed with every sub-model built afresh by planner._build
-    in every sweep: (objective history, designs, operations)."""
+    in every sweep and each net load read from its sub-model's extracted
+    plan: (objective history, designs, operations)."""
     scenarios, horizon = planner._checked(cfg, scenarios)
-    plans, net, history = {}, {}, []
+    solved, net, history = {}, {}, []
     while True:
         for building in sorted(cfg.buildings, key=lambda b: b.id):
             bid = building.id
@@ -287,15 +288,16 @@ def _rebuilding_distributed(cfg, scenarios, epsilon):
             }
             built = planner._build(cfg, scenarios, horizon, [building], others_net,
                                    f"sub_b{bid}")
-            plans[bid] = last = built.extract(solve(built.model))
+            result = solve(built.model)
+            solved[bid] = last = (built, result.x)
             net[bid] = {
                 sid: np.array(ops.buildings[bid].e_in) - np.array(ops.buildings[bid].e_out)
-                for sid, ops in last.operations.items()
+                for sid, ops in built.extract(result).operations.items()
             }
-        designs, operations = planner._merge_plans(plans, last)
-        history.append(planner._plan_breakdown(cfg, scenarios, designs, operations).o_tot)
+        plan = planner._read_plan(list(solved.values()), last)
+        history.append(plan.objective)
         if len(history) >= 2 and abs(history[-1] - history[-2]) <= epsilon:
-            return history, designs, operations
+            return history, plan.designs, plan.operations
 
 
 class TestPersistentSubModels:
@@ -317,6 +319,21 @@ class TestPersistentSubModels:
         assert plan.solve_meta["o_tot_history"] == history
         assert plan.designs == designs and plan.operations == operations
         assert sorted(builds) == sorted(b.id for b in cfg.buildings)
+
+    def test_sub_plans_are_never_extracted(self, monkeypatch):
+        # the distributed plan is read once per sweep, not once per sub-solve
+        cfg, scenarios = instances.criterion1_instance(300, 1, horizon=24)
+        calls = []
+        real_extract = planner.BuiltModel.extract
+
+        def extract_spy(self, result):
+            calls.append(self.model.name)
+            return real_extract(self, result)
+
+        monkeypatch.setattr(planner.BuiltModel, "extract", extract_spy)
+        plan = solve_distributed(cfg, scenarios, epsilon=2.0, max_iters=3)
+        assert plan.solve_meta["iterations"] >= 2
+        assert calls == []
 
     def test_rewritten_sub_model_exports_like_a_fresh_build(self):
         cfg, scenarios = instances.criterion1_instance(300, 2, horizon=24)
@@ -387,6 +404,30 @@ class TestSharedPath:
         dist = plan_result_to_dict(solve_distributed(cfg, scenarios))
         del central["solve_meta"], dist["solve_meta"]
         assert dist == central
+
+    def test_distributed_plan_is_the_extract_of_the_last_sub_solve(
+        self, monkeypatch, one_building_two_scenarios
+    ):
+        cfg, scenarios = one_building_two_scenarios
+        builds, results = [], []
+        real_build, real_solve = planner._build, planner.solve
+
+        def build_spy(*args):
+            builds.append(real_build(*args))
+            return builds[-1]
+
+        def solve_spy(*args):
+            results.append(real_solve(*args))
+            return results[-1]
+
+        monkeypatch.setattr(planner, "_build", build_spy)
+        monkeypatch.setattr(planner, "solve", solve_spy)
+        dist = solve_distributed(cfg, scenarios)
+        assert len(builds) == 1 and len(results) == dist.solve_meta["iterations"]
+        extracted = builds[0].extract(results[-1])
+        assert dist.designs == extracted.designs
+        assert dist.operations == extracted.operations
+        assert dist.breakdown == extracted.breakdown
 
 
 def test_highs_receives_the_per_term_cost_vector(monkeypatch):
