@@ -1,19 +1,23 @@
-"""LP and MPS text export plus the matching parsers.
+"""LP and MPS text export, the matching readers, and solution tables.
 
 The LP dialect is the CPLEX-LP subset: ``Minimize``, ``Subject To``,
 ``Bounds``, ``Binaries``, ``End``.  MPS output is the classic fixed layout
 (ROWS / COLUMNS / RHS / BOUNDS) with whitespace-delimited fields so names
 longer than eight characters stay intact.  Export is deterministic:
-identical models give byte-identical text, and parsing an export then
-re-exporting reproduces it.
+identical models give byte-identical text.  The readers take exactly the
+layouts the writers write; any other line raises a ``ValueError`` naming
+its line number.  MPS text read and written again is the same text.  LP
+text reads back to the same columns, rows, bounds and costs, with the
+columns in order of first appearance, so its text may differ.
 
-Solution ingestion accepts a plain ``name value`` whitespace table; lines
-starting with ``=`` carry directives (``=status= optimal``,
-``=obj= 12.5``), lines starting with ``#`` are comments.
+A solution table has one ``name value`` pair per line; ``=status=`` and
+``=obj=`` lines carry the status and the objective, lines starting with
+``#`` are comments, and any other line raises a ``ValueError``.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Iterator, Mapping
 
@@ -296,250 +300,162 @@ def _mps_columns(model: Model, heads: np.ndarray, tails: np.ndarray,
     yield from columns(start, len(cost))
 
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
-_NUM_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+# A magnitude and a number as :func:`_num` writes them
+_MAG = r"\d+(?:\.\d+)?(?:e[+-]\d+)?"
+_NUM = "-?" + _MAG
+# An LP term, its sign written out, and a sum of them that may end in a number
+_TERM = re.compile(rf"([+-]) (?:({_MAG}) )?(\S+) ")
+_SUM = re.compile(rf"((?:[+-] (?:{_MAG} )?\S+ )*?)(?:([+-]) ({_MAG}) )?")
 
-_SECTIONS = {
-    "minimize": "objective",
-    "min": "objective",
-    "subject to": "constraints",
-    "st": "constraints",
-    "s.t.": "constraints",
-    "bounds": "bounds",
-    "binaries": "binaries",
-    "binary": "binaries",
-    "bin": "binaries",
-    "end": "end",
+# The head lines of each format, then each section's header and the shape
+# of its lines (None: it has none)
+_LP_HEAD = (re.compile(r"\\ (.*)"), re.compile("Minimize"), re.compile(r" obj: (.+)"))
+_LP_SECTIONS = {
+    "Minimize": None,
+    "Subject To": re.compile(rf" (\S+): (.+) (<=|=|>=) ({_NUM})"),
+    "Bounds": re.compile(rf" ({_MAG}) <= (\S+) <= ({_MAG})| (\S+) >= ({_MAG})"),
+    "Binaries": re.compile(r" (\S+)"),
+    "End": None,
+}
+_MPS_HEAD = (re.compile("NAME {10}(.*)"), re.compile("ROWS"), re.compile(" N  OBJ"))
+_MPS_SECTIONS = {
+    "ROWS": re.compile(r" ([LEG])  (\S+)"),
+    "COLUMNS": re.compile(rf"    (\S+)  (\S+)  ({_NUM})"
+                          r"|    MARKER\d+    'MARKER'    '(?:INTORG|INTEND)'"),
+    "RHS": re.compile(rf"    (RHS)  (\S+)  ({_NUM})"),
+    "BOUNDS": re.compile(rf" (BV) BND  (\S+)| (LO|UP) BND  (\S+)  ({_MAG})"),
+    "ENDATA": None,
 }
 
 
-def parse_lp(text: str) -> Model:
-    """Parse the LP dialect written by :func:`export_lp`.
-
-    Line oriented: each objective/constraint row starts with ``label:``
-    and may continue on following unlabeled lines; bounds rows are one
-    per line.
-    """
-    model = Model("parsed")
-    section = None
-    rows: list[tuple[str, str, list[str]]] = []  # (section, label, tokens)
-    current: list[str] | None = None
-    bounds_rows: list[list[str]] = []
-    binary_names: list[str] = []
-    for raw in text.splitlines():
-        stripped = raw.strip()
-        if section is None and stripped.startswith("\\"):
-            model.name = stripped[1:].strip() or model.name
-        line = raw.split("\\", 1)[0].strip()
-        if not line:
+def _records(lines: list[str], head: tuple, sections: dict, where: list[int]):
+    """``(None, match)`` for each capturing ``head`` pattern on the first
+    lines, then ``(header, match)`` for each later line but the headers,
+    which come in the order of ``sections`` (only ``Binaries`` may be left
+    out); each line must match its pattern.  ``where[0]`` is the number of
+    the line read last."""
+    headers, section = list(sections), 0
+    for where[0], line in enumerate(lines + [""] * (len(head) - len(lines)), 1):
+        header = headers[section] if where[0] > len(head) else None
+        if header and line in sections:
+            following = headers.index(line)
+            if following <= section or headers[section + 1:following] not in ([], ["Binaries"]):
+                raise ValueError(f"section '{line}' out of order")
+            section = following
             continue
-        low = line.lower()
-        if low in _SECTIONS:
-            section = _SECTIONS[low]
-            current = None
-            continue
-        toks = line.replace("<=", " <= ").replace(">=", " >= ").split()
-        if section in ("objective", "constraints"):
-            if toks[0].endswith(":"):
-                current = toks[1:]
-                rows.append((section, toks[0][:-1], current))
-            elif ":" in toks[0]:
-                label, rest = toks[0].split(":", 1)
-                current = ([rest] if rest else []) + toks[1:]
-                rows.append((section, label, current))
-            else:
-                if current is None:
-                    current = []
-                    rows.append((section, "", current))
-                current.extend(toks)
-        elif section == "bounds":
-            bounds_rows.append(toks)
-        elif section == "binaries":
-            binary_names.extend(toks)
-        else:
-            raise ValueError(f"unexpected line outside any LP section: '{line}'")
+        pattern = sections[header] if header else head[where[0] - 1]
+        match = pattern.fullmatch(line) if pattern else None
+        if match is None:
+            raise ValueError(f"not a line of {header or 'the head'!r}")
+        if header or pattern.groups:
+            yield header, match
+    if section != len(headers) - 1:  # where[0] is the last line
+        raise ValueError(f"text ends before '{headers[-1]}'")
 
-    var_domains: dict[str, Domain] = {}
-    var_bounds: dict[str, tuple[float, float]] = {}
-    for name in binary_names:
-        var_domains[name] = Domain.BINARY
-    for row in bounds_rows:
-        _apply_bound_row(row, var_bounds)
 
-    # register variables in first-appearance order across obj + constraints
-    order: list[str] = []
-    seen: set[str] = set()
-    for _, _, toks in rows:
-        for tok in toks:
-            if _NAME_RE.fullmatch(tok) and tok.lower() not in ("inf", "free"):
-                if tok not in seen:
-                    seen.add(tok)
-                    order.append(tok)
-    for name in binary_names:
-        if name not in seen:
-            seen.add(name)
-            order.append(name)
+def _terms(text: str, columns: dict[str, None]) -> tuple[list[tuple[str, float]], float | None]:
+    """The terms ``[-] [coef] name``, then ``+|- [coef] name``, of an LP
+    line, and the value of a last term without a name (None if none).
+    Adds the columns they name to ``columns``, in order of first appearance."""
+    match = _SUM.fullmatch(("" if text.startswith("- ") else "+ ") + text + " ")
+    if match is None:
+        raise ValueError("terms do not read '[-] [coef] name', then '+|- [coef] name'")
+    terms = [(name, float(sign + (coef or "1"))) for sign, coef, name in _TERM.findall(match[1])]
+    columns.update(dict.fromkeys(name for name, _ in terms))
+    return terms, float(match[2] + match[3]) if match[2] else None
+
+
+def _build(name: str, columns: dict[str, None], bounds: dict, cost: list, constant: float,
+           rows: list, where: list[int]) -> Model:
+    """The model a reader found: ``columns`` in order, with the ``(lo, hi,
+    binary, line)`` that ``bounds`` may hold for each; the objective's
+    terms and constant; ``rows`` of ``(line, label, terms, sense, rhs)``."""
+    model = Model(name)
     refs = {}
-    for name in order:
-        domain = var_domains.get(name, Domain.CONTINUOUS_NONNEG)
-        lo, hi = var_bounds.get(name, (0.0, float("inf")))
-        refs[name] = model.add_var(name, domain, lo, hi)
-
-    for sec, label, toks in rows:
-        expr, sense, rhs = _parse_row(toks, refs, expect_sense=(sec == "constraints"))
-        if sec == "objective":
-            model.minimize(expr)
-        else:
-            model.add_constraint(expr, sense, rhs, label or f"c{len(model.constraints)}")
+    for col in columns:
+        lo, hi, binary, where[0] = bounds.get(col, (0.0, math.inf, False, where[0]))
+        domain = Domain.BINARY if binary else Domain.CONTINUOUS_NONNEG
+        refs[col] = model.add_var(col, domain, lo, hi)
+    model.minimize(LinExpr.of(((refs[col], c) for col, c in cost), constant))
+    for where[0], label, terms, sense, rhs in rows:
+        model.add_constraint(LinExpr.of((refs[col], c) for col, c in terms), sense, rhs, label)
     return model
 
 
-def _apply_bound_row(row: list[str], out: dict[str, tuple[float, float]]) -> None:
-    toks = list(row)
-    if len(toks) == 2 and toks[1].lower() == "free":
-        raise ValueError("free variables are not part of the model contract")
-    names = [t for t in toks if _NAME_RE.fullmatch(t) and t.lower() not in ("inf",)]
-    if len(names) != 1:
-        raise ValueError(f"cannot parse bounds row: {' '.join(row)}")
-    name = names[0]
-    lo, hi = out.get(name, (0.0, float("inf")))
-    idx = toks.index(name)
-    left, right = toks[:idx], toks[idx + 1 :]
-    if left:
-        if left[-1] == "<=":
-            lo = float(left[-2])
-        elif left[-1] == ">=":
-            hi = float(left[-2])
-        else:
-            raise ValueError(f"cannot parse bounds row: {' '.join(row)}")
-    if right:
-        if right[0] == "<=":
-            hi = float(right[1])
-        elif right[0] == ">=":
-            lo = float(right[1])
-        elif right[0] == "=":
-            lo = hi = float(right[1])
-        else:
-            raise ValueError(f"cannot parse bounds row: {' '.join(row)}")
-    out[name] = (lo, hi)
-
-
-def _parse_row(
-    tokens: list[str], refs: Mapping[str, object], expect_sense: bool
-) -> tuple[LinExpr, Sense, float]:
-    expr = LinExpr()
-    sense: Sense | None = None
-    rhs = 0.0
-    sign = 1.0
-    coef: float | None = None
-    side = 1.0  # flips to -1 once past the sense token
-    for tok in tokens:
-        if tok in ("<=", ">=", "="):
-            sense = Sense(tok)
-            side = -1.0
-            sign, coef = 1.0, None
-            continue
-        if tok == "+":
-            sign = 1.0
-            continue
-        if tok == "-":
-            sign = -sign if coef is not None else -1.0
-            continue
-        if _NUM_RE.fullmatch(tok):
-            value = float(tok)
-            if side < 0:
-                rhs += sign * value
-                sign, coef = 1.0, None
+def parse_lp(text: str) -> Model:
+    """Read the LP text :func:`export_lp` writes: ``\\ name``,
+    ``Minimize`` and the ``obj:`` line, then one row, bound or binary per
+    line under its header.  Columns are registered in order of first
+    appearance over the objective, rows, bounds and binaries.  Any other
+    line raises a ``ValueError`` naming its line number."""
+    lines, where = text.splitlines(), [1]
+    try:
+        records = _records(lines, _LP_HEAD, _LP_SECTIONS, where)
+        name = next(records)[1][1]
+        columns, rows, bounds = {}, [], {}
+        cost, constant = _terms(next(records)[1][1], columns)
+        for header, match in records:
+            if header == "Subject To":
+                terms, extra = _terms(match[2], columns)
+                if extra is not None:
+                    raise ValueError("a row term lacks its column")
+                rows.append((where[0], match[1], terms, Sense(match[3]), float(match[4])))
+                continue
+            if header == "Binaries":
+                col, bound = match[1], (0.0, 1.0, True)
+            elif match[2]:
+                col, bound = match[2], (float(match[1]), float(match[3]), False)
             else:
-                coef = sign * value if coef is None else coef * value
-                sign = 1.0
-            continue
-        if _NAME_RE.fullmatch(tok):
-            var = refs[tok]
-            expr.add(var, side * (coef if coef is not None else sign))
-            sign, coef = 1.0, None
-            continue
-        raise ValueError(f"cannot parse token '{tok}'")
-    if side > 0 and coef is not None:
-        expr.constant += coef
-    if expect_sense:
-        if sense is None:
-            raise ValueError(f"constraint row lacks a sense: {' '.join(tokens)}")
-        return expr, sense, rhs
-    return expr, Sense.LE, 0.0
+                col, bound = match[4], (float(match[5]), math.inf, False)
+            if col in bounds:
+                raise ValueError(f"column '{col}' is listed twice")
+            columns.setdefault(col)
+            bounds[col] = (*bound, where[0])
+        return _build(name, columns, bounds, cost, constant or 0.0, rows, where)
+    except ValueError as exc:
+        raise ValueError(f"line {where[0]}: {exc}") from None
 
 
 def parse_mps(text: str) -> Model:
-    """Parse the MPS layout written by :func:`export_mps`."""
-    model = Model("parsed")
-    section = None
-    row_sense: dict[str, Sense] = {}
-    row_order: list[str] = []
-    col_entries: dict[str, list[tuple[str, float]]] = {}
-    col_order: list[str] = []
-    integer_cols: set[str] = set()
-    rhs_map: dict[str, float] = {}
-    bounds: dict[str, tuple[float, float]] = {}
-    bound_types: dict[str, str] = {}
-    in_integer = False
-    tag_to_sense = {"L": Sense.LE, "G": Sense.GE, "E": Sense.EQ}
-    for raw in text.splitlines():
-        line = raw.rstrip()
-        if not line or line.startswith("*"):
-            continue
-        head = line.split()
-        if line[0] not in " \t":
-            section = head[0].upper()
-            continue
-        if section == "ROWS":
-            tag, name = head
-            if tag == "N":
-                continue
-            row_sense[name] = tag_to_sense[tag]
-            row_order.append(name)
-        elif section == "COLUMNS":
-            if len(head) >= 3 and head[1].startswith("'MARKER'"):
-                in_integer = head[2].strip("'") == "INTORG"
-                continue
-            col, row, coef = head[0], head[1], float(head[2])
-            if col not in col_entries:
-                col_entries[col] = []
-                col_order.append(col)
-            if in_integer:
-                integer_cols.add(col)
-            if coef != 0.0:
-                col_entries[col].append((row, coef))
-        elif section == "RHS":
-            rhs_map[head[1]] = float(head[2])
-        elif section == "BOUNDS":
-            btype, _, name = head[0], head[1], head[2]
-            lo, hi = bounds.get(name, (0.0, float("inf")))
-            if btype == "BV":
-                bound_types[name] = "BV"
-            elif btype == "UP":
-                hi = float(head[3])
-            elif btype == "LO":
-                lo = float(head[3])
-            bounds[name] = (lo, hi)
-    refs = {}
-    for col in col_order:
-        lo, hi = bounds.get(col, (0.0, float("inf")))
-        if bound_types.get(col) == "BV" or (col in integer_cols and hi <= 1.0):
-            refs[col] = model.add_binary(col)
-        else:
-            refs[col] = model.add_var(col, Domain.CONTINUOUS_NONNEG, lo, hi)
-    obj = LinExpr(constant=-rhs_map.get("OBJ", 0.0))
-    row_exprs: dict[str, LinExpr] = {name: LinExpr() for name in row_order}
-    for col in col_order:
-        for row, coef in col_entries[col]:
-            if row == "OBJ":
-                obj.add(refs[col], coef)
-            else:
-                row_exprs[row].add(refs[col], coef)
-    model.minimize(obj)
-    for name in row_order:
-        model.add_constraint(row_exprs[name], row_sense[name], rhs_map.get(name, 0.0), name)
-    return model
+    """Read the MPS text :func:`export_mps` writes: ``NAME``, ``ROWS`` and
+    ``N  OBJ``, then one record per line under each header.  Entries and
+    right-hand sides name declared rows and bounds declared columns;
+    integer markers are skipped, and binaries come from ``BV`` bounds.
+    Any other line raises a ``ValueError`` naming its line number."""
+    lines, where = text.splitlines(), [1]
+    try:
+        records = _records(lines, _MPS_HEAD, _MPS_SECTIONS, where)
+        name = next(records)[1][1]
+        rows, columns, rhs, bounds = {"OBJ": (None, [])}, {}, {}, {}
+        for header, match in records:
+            if header == "ROWS":
+                if match[2] in rows:
+                    raise ValueError(f"row '{match[2]}' is declared twice")
+                rows[match[2]] = (SENSES["LEG".index(match[1])], [])
+            elif header == "BOUNDS":
+                kind, col = match[1] or match[3], match[2] or match[4]
+                lo, hi, _, _ = bounds.get(col, (0.0, math.inf, False, 0))
+                # a column has a BV, an LO, an UP, or an LO then an UP line
+                if col not in columns or col in bounds and (kind != "UP" or hi != math.inf):
+                    raise ValueError(f"bound of an undeclared column or a second bound: '{col}'")
+                value = float(match[5] or 1)
+                bounds[col] = (value if kind == "LO" else lo, hi if kind == "LO" else value,
+                               kind == "BV", where[0])
+            elif match[1]:  # an entry or a right-hand side (column "RHS"), not a marker
+                col, row, value = match[1], match[2], float(match[3])
+                if row not in rows or (header == "RHS" and row in rhs):
+                    raise ValueError(f"undeclared row or second right-hand side '{row}'")
+                if header == "RHS":
+                    rhs[row] = value
+                else:
+                    columns.setdefault(col)
+                    rows[row][1].append((col, value))
+        cost, constant = rows.pop("OBJ")[1], 0.0 - rhs.pop("OBJ", 0.0)  # 0.0, not -0.0
+        found = [(where[0], row, terms, sense, rhs.get(row, 0.0))
+                 for row, (sense, terms) in rows.items()]
+        return _build(name, columns, bounds, cost, constant, found, where)
+    except ValueError as exc:
+        raise ValueError(f"line {where[0]}: {exc}") from None
 
 
 def format_solution_table(
@@ -555,15 +471,19 @@ def parse_solution_table(text: str) -> tuple[Status, float | None, dict[str, flo
     status = Status.OPTIMAL
     objective: float | None = None
     values: dict[str, float] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for number, line in enumerate(text.splitlines(), 1):
         parts = line.split()
-        if parts[0] == "=status=":
-            status = Status(parts[1])
-        elif parts[0] == "=obj=":
-            objective = float(parts[1])
-        elif len(parts) >= 2:
-            values[parts[0]] = float(parts[1])
+        if not parts or parts[0].startswith("#"):
+            continue
+        try:
+            if len(parts) != 2:
+                raise ValueError("expected 'name value'")
+            if parts[0] == "=status=":
+                status = Status(parts[1])
+            elif parts[0] == "=obj=":
+                objective = float(parts[1])
+            else:
+                values[parts[0]] = float(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"solution table line {number}: {exc}") from None
     return status, objective, values

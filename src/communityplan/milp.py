@@ -224,12 +224,7 @@ class LinExpr:
                 out.model_id = other.model_id
             elif other.model_id is not None and out.model_id != other.model_id:
                 raise ValueError("cannot combine expressions from different models")
-            for vid, coef in other.terms.items():
-                new = out.terms.get(vid, 0.0) + sign * coef
-                if new == 0.0:
-                    out.terms.pop(vid, None)
-                else:
-                    out.terms[vid] = new
+            _accumulate(out.terms, other.terms, [sign * coef for coef in other.terms.values()])
             out.constant += sign * other.constant
             return out
         if isinstance(other, (int, float)):

@@ -290,7 +290,8 @@ class CommandBackend:
     ``cmd_template`` is formatted with ``{model}`` (path of the exported
     LP file) and ``{sol}`` (path the solver must write its
     ``name value`` solution table to); optional placeholders
-    ``{time_limit}`` and ``{mip_gap}`` receive the solve options.
+    ``{time_limit}`` and ``{mip_gap}`` receive the solve options.  A
+    missing or malformed solution table raises :class:`SolverError`.
     """
 
     name = "command"
@@ -333,7 +334,10 @@ class CommandBackend:
                     f"solver command produced no solution file: {cmd!r} "
                     f"(rc={proc.returncode}, stderr={proc.stderr[-500:]!r})"
                 )
-            status, objective, values = parse_solution_table(sol_path.read_text())
+            try:
+                status, objective, values = parse_solution_table(sol_path.read_text())
+            except ValueError as exc:
+                raise SolverError(f"malformed solution table: {exc}") from exc
         meta["wall_time_s"] = time.perf_counter() - t0
         if status in (Status.INFEASIBLE, Status.UNBOUNDED) or (
             not values and len(model.variables)

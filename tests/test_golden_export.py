@@ -13,12 +13,15 @@ integrality as the emitted model.
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from communityplan.core import DeviceSpec, scenario_channels
@@ -26,7 +29,7 @@ from communityplan.fixtures import generate_fixture
 from communityplan.io import ingest_community
 from communityplan import lpformat
 from communityplan.lpformat import export_lp, export_mps, parse_lp, parse_mps
-from communityplan.milp import Domain, LinExpr, Model, Sense
+from communityplan.milp import SENSES, Domain, LinExpr, Model, Sense
 from communityplan.planner import build_centralized
 from communityplan.scenarios import channels_to_scenario
 
@@ -204,6 +207,81 @@ def test_lp_round_trip_gives_same_arrays(request, which):
                            (from_mps.cost(), from_mps.objective_constant)):
         assert cost.tobytes() == model.cost().tobytes()
         assert constant == model.objective_constant
+
+
+COEFFICIENTS = [1.0, -1.0, -2.5, 3.0, 1e-05, -1e-05]
+RHS_VALUES = [0.0, 1.0, -1.5, 2.5, 1e-05]
+BOUNDS = [(0.0, math.inf), (1.5, math.inf), (0.0, 4.0), (1e-05, 2.5)]
+
+
+@st.composite
+def small_models(draw):
+    """Explicit and family columns: bounded, binary, and some with neither
+    cost nor terms; explicit rows whose terms may repeat a column, and a
+    row family; negative, unit and 1e-5 coefficients and an objective
+    constant."""
+    model = Model(draw(st.sampled_from(["m", "", "two words"])))
+    columns, blocks = [], []
+    kinds = draw(st.lists(st.sampled_from(["var", "binary", "block"]), min_size=1, max_size=6))
+    for i, kind in enumerate(kinds):
+        if kind == "var":
+            lo, hi = draw(st.sampled_from(BOUNDS))
+            columns.append(model.add_var(f"c{i}", lo=lo, hi=hi))
+        elif kind == "binary":
+            columns.append(model.add_binary(f"b{i}"))
+        else:
+            block = model.add_vars(f"f{i}", draw(st.integers(1, 3)),
+                                   lo=draw(st.sampled_from([0.0, 1.5])))
+            blocks.append(block)
+            columns.extend(block)
+    terms = st.lists(st.tuples(st.sampled_from(columns), st.sampled_from(COEFFICIENTS)),
+                     min_size=1, max_size=4)
+    for r, row in enumerate(draw(st.lists(terms, max_size=4))):
+        expr = LinExpr.of(row)
+        if expr.terms:  # a row whose terms cancel is not written
+            model.add_constraint(expr, draw(st.sampled_from(SENSES)),
+                                 draw(st.sampled_from(RHS_VALUES)), f"r{r}")
+    if blocks and draw(st.booleans()):
+        model.add_constraints(("g",), len(blocks[0]),
+                              [[(blocks[0], draw(st.sampled_from(COEFFICIENTS)))]],
+                              (draw(st.sampled_from(SENSES)),), draw(st.sampled_from(RHS_VALUES)))
+    costs = st.sampled_from([0.0, *COEFFICIENTS])
+    model.minimize(LinExpr.of(((var, draw(costs)) for var in columns),
+                              draw(st.sampled_from([0.0, 7.0, -0.5]))))
+    return model
+
+
+def _bits(value: float) -> int:
+    return int(np.float64(value).view(np.uint64))
+
+
+def _by_name(model, names):
+    """The columns in ``names`` and every row and the objective constant,
+    keyed by name, each number as its bit pattern."""
+    lo, hi = model.bounds()
+    binary, cost, col_names = model.binary_mask(), model.cost(), model.var_names()
+    columns = {name: (_bits(lo[j]), _bits(hi[j]), bool(binary[j]), _bits(cost[j]))
+               for j, name in enumerate(col_names) if name in names}
+    rows = {con.name: (con.sense, _bits(con.rhs),
+                       {col_names[j]: _bits(c) for j, c in con.expr.terms.items()})
+            for con in model.constraints}
+    return columns, rows, _bits(model.objective_constant)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_models())
+def test_small_models_read_back(model):
+    mps = export_mps(model)
+    assert export_mps(parse_mps(mps)) == mps
+    # LP text carries every column but one with no cost, no terms, the
+    # default bounds and no binary flag
+    lo, hi = model.bounds()
+    carried = ((model.cost() != 0.0) | (model.matrix().getnnz(axis=0) > 0) | (lo != 0.0)
+               | (hi != math.inf) | model.binary_mask())
+    names = {name for name, kept in zip(model.var_names(), carried) if kept}
+    parsed = parse_lp(export_lp(model))
+    assert set(parsed.var_names()) == names
+    assert _by_name(parsed, names) == _by_name(model, names)
 
 
 @pytest.mark.parametrize("which", ["catalogue", "criterion1"])

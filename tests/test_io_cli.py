@@ -1128,3 +1128,19 @@ class TestCli:
             "--solver", f"{sys.executable} {script} {{model}} {{sol}}",
         )
         assert code == 2
+
+    def test_malformed_solution_table_is_solver_failure(self, tmp_path, capsys):
+        # an external solver that writes "=obj=" without a value
+        fx = generate_fixture(tmp_path / "fx", 1, seed=10)
+        bundle = tmp_path / "scn"
+        history = ingest_community(fx).history
+        save_scenarios(bundle, [Scenario("h", 1.0, history.occupant,
+                                         history.economic, history.climate)])
+        code = self.run(
+            "plan", "centralized", "--dir", str(fx), "--scenarios", str(bundle),
+            "--out", str(tmp_path / "out"), "--horizon", "24",
+            "--solver", "printf '=status= optimal\\n=obj=\\n' > {sol}",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: ") and "solution table line 2: " in err

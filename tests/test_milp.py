@@ -328,6 +328,79 @@ class TestExport:
             export_lp(m)
 
 
+# what export_lp and export_mps write for min x + 3 y over x + 2 y + b >= 1,
+# x <= 4, b binary
+TOY_LP = """\
+\\ m
+Minimize
+ obj: x + 3 y
+Subject To
+ r: x + 2 y + b >= 1
+Bounds
+ 0 <= x <= 4
+Binaries
+ b
+End
+"""
+
+TOY_MPS = """\
+NAME          m
+ROWS
+ N  OBJ
+ G  r
+COLUMNS
+    x  OBJ  1
+    x  r  1
+    y  OBJ  3
+    y  r  2
+    MARKER0    'MARKER'    'INTORG'
+    b  r  1
+    MARKER1    'MARKER'    'INTEND'
+RHS
+    RHS  r  1
+BOUNDS
+ UP BND  x  4
+ BV BND  b
+ENDATA
+"""
+
+# (reader, text, number of the first line it cannot read)
+MALFORMED = {
+    "lp row without rhs": (parse_lp, TOY_LP.replace("b >= 1", "b <="), 5),
+    "lp bound without value": (parse_lp, TOY_LP.replace(" 0 <= x <= 4", " x >="), 7),
+    "lp continued row": (parse_lp, TOY_LP.replace(" + b >= 1", "\n + b >= 1"), 5),
+    "lp alias header": (parse_lp, TOY_LP.replace("Subject To", "st"), 4),
+    "lp free bound": (parse_lp, TOY_LP.replace(" 0 <= x <= 4", " x free"), 7),
+    "lp line after End": (parse_lp, TOY_LP + " y >= 2\n", 11),
+    "mps rhs of undeclared row": (parse_mps, TOY_MPS.replace("RHS  r", "RHS  q"), 14),
+    "mps short entry": (parse_mps, TOY_MPS.replace("    y  r  2", "    y  r"), 9),
+    "mps entry of undeclared row": (parse_mps, TOY_MPS.replace("    y  r  2", "    y  q  2"), 9),
+    "mps unknown row sense": (parse_mps, TOY_MPS.replace(" G  r", " X  r"), 4),
+    "mps comment": (parse_mps, TOY_MPS.replace("ROWS\n", "ROWS\n* rows\n"), 3),
+    "mps bound of undeclared column": (parse_mps, TOY_MPS.replace("BND  b", "BND  z"), 17),
+    "lp second objective": (parse_lp, TOY_LP.replace("3 y\n", "3 y\n obj: y\n"), 4),
+    "lp column bounded twice": (parse_lp, TOY_LP.replace("x <= 4\n", "x <= 4\n x >= 1\n"), 8),
+    "lp crossed bounds": (parse_lp, TOY_LP.replace(" 0 <= x", " 5 <= x"), 7),
+    "lp row label twice": (parse_lp, TOY_LP.replace("b >= 1\n", "b >= 1\n r: y >= 0\n"), 6),
+    "lp without End": (parse_lp, TOY_LP.replace("End\n", ""), 9),
+    "mps second bound": (parse_mps, TOY_MPS.replace("x  4\n", "x  4\n UP BND  x  5\n"), 17),
+    "mps row declared twice": (parse_mps, TOY_MPS.replace(" G  r\n", " G  r\n L  r\n"), 5),
+    "mps section left out": (parse_mps, TOY_MPS.replace("RHS\n", ""), 14),
+}
+
+
+class TestReaders:
+    def test_toy_texts_are_what_the_writers_write(self):
+        assert export_lp(parse_lp(TOY_LP)) == TOY_LP
+        assert export_mps(parse_mps(TOY_MPS)) == TOY_MPS
+        assert export_lp(parse_mps(TOY_MPS)) == TOY_LP
+
+    @pytest.mark.parametrize("reader, text, line", MALFORMED.values(), ids=MALFORMED)
+    def test_malformed_line_raises_value_error_naming_it(self, reader, text, line):
+        with pytest.raises(ValueError, match=f"^line {line}: "):
+            reader(text)
+
+
 class TestSolve:
     def test_min_x_ge_3(self):
         m = Model()
@@ -513,6 +586,15 @@ MOCK_SOLVER = textwrap.dedent(
 )
 
 
+# (solution table, number of its malformed line)
+MALFORMED_TABLES = [
+    ("=status= optimal\n=obj=\nx 1\n", 2),
+    ("=status= optimal\nx abc\n", 2),
+    ("=status= weird\nx 1\n", 1),
+    ("=status= optimal\n=obj= 1\nx 1\ny\n", 4),
+]
+
+
 class TestCommandBackend:
     def test_round_trip_through_external_process(self, tmp_path):
         script = tmp_path / "mock_solver.py"
@@ -536,6 +618,13 @@ class TestCommandBackend:
     def test_table_without_values_has_no_solution(self, status):
         res = CommandBackend(f"echo =status= {status.value} > {{sol}}").solve(toy_model())
         assert res.status == status and res.x is None
+
+    @pytest.mark.parametrize("table, line", MALFORMED_TABLES)
+    def test_malformed_table_is_a_solver_failure(self, table, line):
+        # printf turns each backslash-n back into a line break
+        backend = CommandBackend("printf '" + table.replace("\n", "\\n") + "' > {sol}")
+        with pytest.raises(SolverError, match=f"malformed solution table: .*line {line}: "):
+            backend.solve(toy_model(), SolveOptions())
 
     def test_launch_failure_raises(self):
         backend = CommandBackend("definitely-not-a-solver {model} {sol}")
@@ -590,6 +679,11 @@ class TestSolutionTable:
         status, _, values = parse_solution_table("=status= infeasible\n")
         assert status == Status.INFEASIBLE
         assert values == {}
+
+    @pytest.mark.parametrize("table, line", MALFORMED_TABLES)
+    def test_malformed_line_raises_value_error_naming_it(self, table, line):
+        with pytest.raises(ValueError, match=f"^solution table line {line}: "):
+            parse_solution_table(table)
 
 
 def empty_row_model(rhs):
