@@ -685,27 +685,12 @@ def emit_reports(
 
 
 def save_sensitivity_report(report: SensitivityReport, out_dir: Path | str) -> list[Path]:
+    """``sensitivity_report.json``, the report by field (``spreads``,
+    ``reference``, ``nominal_ids``, ``infeasible``), and
+    ``design_spread.csv``, one row per factor and design."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    data = {
-        "factors": {
-            factor: {
-                _design_key(*key): {
-                    "min": spread.minimum,
-                    "max": spread.maximum,
-                    "mean": spread.mean,
-                    "std": spread.std,
-                    "values": dict(spread.values),
-                }
-                for key, spread in sorted(spreads.items())
-            }
-            for factor, spreads in report.spreads.items()
-        },
-        "reference": _to_json(report.reference),
-        "nominal_ids": _to_json(report.nominal_ids),
-        "infeasible": report.infeasible,
-    }
-    json_path = _write_json(out_dir / "sensitivity_report.json", data)
+    json_path = _write_json(out_dir / "sensitivity_report.json", _to_json(report))
     csv_path = out_dir / "design_spread.csv"
     with csv_path.open("w", newline="") as handle:
         writer = csv.writer(handle)

@@ -353,27 +353,30 @@ def _records(lines: list[str], head: tuple, sections: dict, where: list[int]):
         raise ValueError(f"text ends before '{headers[-1]}'")
 
 
-def _terms(text: str, columns: dict[str, None]) -> tuple[list[tuple[str, float]], float | None]:
-    """The terms ``[-] [coef] name``, then ``+|- [coef] name``, of an LP
-    line, and the value of a last term without a name (None if none).
-    Adds the columns they name to ``columns``, in order of first appearance."""
+def _terms(text: str, columns: dict[str, int],
+           line: int) -> tuple[list[tuple[str, float]], float | None]:
+    """The terms ``[-] [coef] name``, then ``+|- [coef] name``, of LP line
+    ``line``, and the value of a last term without a name (None if none).
+    Adds the columns they name to ``columns`` with their first line."""
     match = _SUM.fullmatch(("" if text.startswith("- ") else "+ ") + text + " ")
     if match is None:
         raise ValueError("terms do not read '[-] [coef] name', then '+|- [coef] name'")
     terms = [(name, float(sign + (coef or "1"))) for sign, coef, name in _TERM.findall(match[1])]
-    columns.update(dict.fromkeys(name for name, _ in terms))
+    for name, _ in terms:
+        columns.setdefault(name, line)
     return terms, float(match[2] + match[3]) if match[2] else None
 
 
-def _build(name: str, columns: dict[str, None], bounds: dict, cost: list, constant: float,
+def _build(name: str, columns: dict[str, int], bounds: dict, cost: list, constant: float,
            rows: list, where: list[int]) -> Model:
-    """The model a reader found: ``columns`` in order, with the ``(lo, hi,
-    binary, line)`` that ``bounds`` may hold for each; the objective's
-    terms and constant; ``rows`` of ``(line, label, terms, sense, rhs)``."""
+    """The model a reader found: ``columns`` in order, each with its first
+    line and the ``(lo, hi, binary, line)`` that ``bounds`` may hold; the
+    objective's terms and constant; ``rows`` of ``(line, label, terms,
+    sense, rhs)``."""
     model = Model(name)
     refs = {}
-    for col in columns:
-        lo, hi, binary, where[0] = bounds.get(col, (0.0, math.inf, False, where[0]))
+    for col, line in columns.items():
+        lo, hi, binary, where[0] = bounds.get(col, (0.0, math.inf, False, line))
         domain = Domain.BINARY if binary else Domain.CONTINUOUS_NONNEG
         refs[col] = model.add_var(col, domain, lo, hi)
     model.minimize(LinExpr.of(((refs[col], c) for col, c in cost), constant))
@@ -393,10 +396,10 @@ def parse_lp(text: str) -> Model:
         records = _records(lines, _LP_HEAD, _LP_SECTIONS, where)
         name = next(records)[1][1]
         columns, rows, bounds = {}, [], {}
-        cost, constant = _terms(next(records)[1][1], columns)
+        cost, constant = _terms(next(records)[1][1], columns, where[0])
         for header, match in records:
             if header == "Subject To":
-                terms, extra = _terms(match[2], columns)
+                terms, extra = _terms(match[2], columns, where[0])
                 if extra is not None:
                     raise ValueError("a row term lacks its column")
                 rows.append((where[0], match[1], terms, Sense(match[3]), float(match[4])))
@@ -409,7 +412,7 @@ def parse_lp(text: str) -> Model:
                 col, bound = match[4], (float(match[5]), math.inf, False)
             if col in bounds:
                 raise ValueError(f"column '{col}' is listed twice")
-            columns.setdefault(col)
+            columns.setdefault(col, where[0])
             bounds[col] = (*bound, where[0])
         return _build(name, columns, bounds, cost, constant or 0.0, rows, where)
     except ValueError as exc:
@@ -448,7 +451,7 @@ def parse_mps(text: str) -> Model:
                 if header == "RHS":
                     rhs[row] = value
                 else:
-                    columns.setdefault(col)
+                    columns.setdefault(col, where[0])
                     rows[row][1].append((col, value))
         cost, constant = rows.pop("OBJ")[1], 0.0 - rhs.pop("OBJ", 0.0)  # 0.0, not -0.0
         found = [(where[0], row, terms, sense, rhs.get(row, 0.0))

@@ -34,6 +34,7 @@ import functools
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -281,6 +282,19 @@ def _split_name(name: str) -> tuple[str, int] | None:
     return None
 
 
+def _check_name(name: str, kind: str) -> None:
+    """ValueError naming ``name`` when LP text cannot carry it: when it is
+    empty, holds whitespace or ``:``, or reads as a number (a column ``5``
+    would be written `` obj: 5``, which reads as a constant)."""
+    if not name or re.search(r"[\s:]", name):
+        raise ValueError(f"{kind} {name!r} is empty or holds whitespace or ':'")
+    try:
+        float(name)
+    except ValueError:
+        return
+    raise ValueError(f"{kind} {name!r} reads as a number")
+
+
 @dataclass(frozen=True)
 class _Family:
     stems: tuple[str, ...]
@@ -301,6 +315,7 @@ class _Names:
         self._explicit_indexed: dict[str, set[int]] = {}  # stem -> indices
 
     def add_explicit(self, name: str, kind: str) -> int:
+        _check_name(name, f"{kind} name")
         if name in self._explicit or self._family_index(name) is not None:
             raise ValueError(f"duplicate {kind} name '{name}'")
         split = _split_name(name)
@@ -318,6 +333,8 @@ class _Names:
         start = self.size
         if steps == 0:
             return start
+        for stem in stems:
+            _check_name(stem, f"{kind} name stem")
         if len(set(stems)) != len(stems):
             raise ValueError(f"duplicate {kind} name stems {stems}")
         for stem in stems:

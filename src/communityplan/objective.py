@@ -4,10 +4,13 @@ Total cost = levelized investment (first stage, deterministic)
            + expected operation + carbon + slack penalties (second stage,
              probability weighted per scenario).
 
-Each ``emit_*_cost`` function prices one block and returns its column
-indices and coefficients as two arrays, in the order the terms are
-accumulated; a column may appear more than once.  The planner sums them
-into the model's one cost vector (:meth:`~communityplan.milp.Model.minimize`).
+This is the one module that pairs a flow with a price.  Each
+``emit_*_cost`` function prices the columns of one owner (a building or
+the community) and returns terms: column indices and coefficients as two
+arrays, in the order they are accumulated; a column may appear more than
+once.  The planner sums the terms into the model's one cost vector
+(:meth:`~communityplan.milp.Model.minimize`) and prices a plan by the
+same terms at the solution (:func:`terms_value`).
 
 Powers are multiplied by the step length wherever they meet a price, so
 every term is a EUR amount regardless of the time resolution.
@@ -22,17 +25,16 @@ from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import check_keys, series_head
+from .core import EconomicProfile, check_keys, series_head
 from .devices import DesignRefs
 from .milp import VarRef, _column_ids
-from .network import GridBlockRefs
 
 __all__ = [
     "annuity_factor",
     "emit_investment_cost",
-    "emit_operational_cost",
-    "emit_carbon_cost",
-    "emit_slack_cost",
+    "emit_community_cost",
+    "emit_building_cost",
+    "terms_value",
     "ObjectiveBreakdown",
 ]
 
@@ -54,8 +56,9 @@ def annuity_factor(r: float, tau: float) -> float:
 
 
 def emit_investment_cost(designs: Iterable[DesignRefs], r: float) -> Terms:
-    """Levelized investment: (size price * design + base price * chi)
-    times the annuity factor of each unit's lifetime."""
+    """Levelized investment of one entity's ``designs``: (size price *
+    design + base price * chi) times the annuity factor of each unit's
+    lifetime."""
     ids: list[int] = []
     coefs: list[float] = []
     for design in designs:
@@ -66,45 +69,34 @@ def emit_investment_cost(designs: Iterable[DesignRefs], r: float) -> Terms:
     return np.array(ids, np.int64), np.array(coefs, float)
 
 
-def emit_operational_cost(
-    hv_import: Sequence[VarRef],
-    gas_flows: Mapping[int, Sequence[VarRef]],
-    p_el,
-    p_gas,
-    step_hours: float = 1.0,
-) -> Terms:
-    """Electricity bought from the HV grid plus gas burnt in the
-    buildings; LV exports earn nothing."""
-    horizon = len(hv_import)
-    el = series_head(p_el, horizon, "p_el")
-    gas = series_head(p_gas, horizon, "p_gas")
-    ids = [_column_ids(hv_import)[1]]
-    coefs = [el * step_hours]
-    for flows in gas_flows.values():
-        ids.append(_column_ids(flows)[1])
-        coefs.append(gas[: len(flows)] * step_hours)
-    return np.concatenate(ids), np.concatenate(coefs)
+def emit_community_cost(hv_import: Sequence[VarRef], s_mv: VarRef, economic: EconomicProfile,
+                        step_hours: float, slack_price: float) -> dict[str, Terms]:
+    """The community's terms in one scenario, keyed by the second-stage
+    names of :class:`ObjectiveBreakdown`: electricity bought from the HV
+    grid (operation; it carries no carbon, and LV exports earn nothing) and
+    the MV slack, priced high enough that a slack only activates when the
+    problem is otherwise infeasible."""
+    ids = _column_ids(hv_import)[1]
+    return {"o_opr": (ids, series_head(economic.p_el, len(ids), "p_el") * step_hours),
+            "o_co2": (np.zeros(0, np.int64), np.zeros(0)),
+            "o_slk": (np.array([s_mv.id]), np.array([float(slack_price)]))}
 
 
-def emit_carbon_cost(
-    gas_flows: Mapping[int, Sequence[VarRef]],
-    p_co2,
-    step_hours: float = 1.0,
-) -> Terms:
-    """Carbon penalty on building gas use (electricity carries none)."""
-    ids = [np.zeros(0, np.int64)]
-    coefs = [np.zeros(0)]
-    for flows in gas_flows.values():
-        ids.append(_column_ids(flows)[1])
-        coefs.append(series_head(p_co2, len(flows), "p_co2") * step_hours)
-    return np.concatenate(ids), np.concatenate(coefs)
+def emit_building_cost(gas: Sequence[VarRef], s_lv: VarRef, economic: EconomicProfile,
+                       step_hours: float, slack_price: float) -> dict[str, Terms]:
+    """One building's terms in one scenario, keyed as those of
+    :func:`emit_community_cost`: the gas it burns (operation and carbon)
+    and its LV slack."""
+    ids = _column_ids(gas)[1]
+    return {"o_opr": (ids, series_head(economic.p_gas, len(ids), "p_gas") * step_hours),
+            "o_co2": (ids, series_head(economic.p_co2, len(ids), "p_co2") * step_hours),
+            "o_slk": (np.array([s_lv.id]), np.array([float(slack_price)]))}
 
 
-def emit_slack_cost(grid: GridBlockRefs, slack_price: float) -> Terms:
-    """Uniform penalty on every declared grid slack; priced high enough
-    that slacks only activate when the problem is otherwise infeasible."""
-    ids = np.array([grid.s_mv.id, *(var.id for var in grid.s_lv.values())], np.int64)
-    return ids, np.full(len(ids), float(slack_price))
+def terms_value(terms: Terms, x: np.ndarray) -> float:
+    """The EUR amount of ``terms`` at the solution vector ``x``."""
+    ids, coefs = terms
+    return float(coefs @ x[ids])
 
 
 def _json_key(name: str) -> str:

@@ -15,7 +15,8 @@ Three entry points sit on top of the block emitters:
 
 Every plan, centralized, evaluated or distributed, is read and priced by
 one function: each building's part from the solve of the model that owns
-the building, the community's part from one solve.
+the building, the community's part from one solve, each priced by the
+objective terms its model's cost vector was summed from.
 
 Wait-and-see and expected-value benchmarks (:func:`wait_and_see_value`,
 :func:`expected_value_scenario`, :func:`evaluate_design`) provide the
@@ -70,11 +71,11 @@ from .network import (
 )
 from .objective import (
     ObjectiveBreakdown,
-    annuity_factor,
-    emit_carbon_cost,
+    Terms,
+    emit_building_cost,
+    emit_community_cost,
     emit_investment_cost,
-    emit_operational_cost,
-    emit_slack_cost,
+    terms_value,
 )
 from .scenarios import channels_to_scenario, compose_factor_scenarios
 from .solvers import SolveOptions, SolverError, solve
@@ -242,28 +243,26 @@ def _read_plan(
     their solution vectors: the designs, traces and LV slacks of the
     buildings of each model in ``parts``, in that order, and the
     community's designs, flows and MV slack from ``community``, whose
-    configuration and scenarios price the plan.
+    scenarios weigh the plan.
 
-    Investment is priced from the specs of the models' design entries,
-    summed per entity in design order, then the community's sum plus the
-    buildings' sums.  Per scenario, electricity bought from HV and the
-    buildings' gas are priced at the scenario's prices, carbon on that
-    gas, and every grid slack at the slack price.
+    One set of terms per owner, stored on its model, gives both the
+    model's cost vector and the plan's breakdown: here evaluated at that
+    model's solution, the community's part plus the buildings' parts in
+    ``parts`` order.  An existence binary is priced at its solved value,
+    as in the solver's objective; ``DesignDecision.chi`` is it rounded.
     """
     com_model, com_x = community
-    cfg, step = com_model.cfg, com_model.cfg.step_hours
     designs: dict[tuple[str, str], DesignDecision] = {}
     inv: dict[str, float] = {}
     for (built, x), of_community in [*((part, False) for part in parts), (community, True)]:
-        for (entity, kind), (spec, var, chi) in built.design_entries().items():
+        for (entity, kind), (var, chi) in built.design_entries().items():
             if (entity == COMMUNITY_ENTITY) is of_community:
-                decision = designs[(entity, kind)] = DesignDecision(
+                designs[(entity, kind)] = DesignDecision(
                     chi=int(round(float(x[chi.id]))), value=float(x[var.id]))
-                factor = annuity_factor(cfg.discount_rate, spec.lifetime_years)
-                inv[entity] = inv.get(entity, 0.0) + (
-                    spec.size_price * decision.value + spec.base_price * decision.chi
-                ) * factor
-    o_inv = inv.pop(COMMUNITY_ENTITY, 0.0) + sum(inv.values())
+        for entity, terms in built.investment.items():
+            if (entity == COMMUNITY_ENTITY) is of_community:
+                inv[entity] = terms_value(terms, x)
+    o_inv = inv.pop(COMMUNITY_ENTITY) + sum(inv.values())
 
     operations: dict[str, ScenarioOperations] = {}
     per_scenario: dict[str, dict[str, float]] = {}
@@ -272,7 +271,7 @@ def _read_plan(
         com = com_model.community_refs[sid]
         owned = [(bid, refs, built, x) for built, x in parts
                  for bid, refs in built.building_refs[sid].items()]
-        ops = operations[sid] = ScenarioOperations(
+        operations[sid] = ScenarioOperations(
             probability=scenario.probability,
             hv_import=tuple(read_values(com_x, com.hv).tolist()),
             mv_to_lv=tuple(read_values(com_x, com.grid.mv_to_lv).tolist()),
@@ -283,15 +282,11 @@ def _read_plan(
             buildings={bid: _building_traces(x, refs, built.horizon)
                        for bid, refs, built, x in owned},
         )
-        horizon = len(ops.hv_import)
-        eco = scenario.economic
-        p_el, p_gas, p_co2 = (p.values[:horizon] for p in (eco.p_el, eco.p_gas, eco.p_co2))
-        gas = [np.array(trace.gas) for trace in ops.buildings.values()]
+        owners = [(built.costs[sid][_building_entity(bid)], x) for bid, _, built, x in owned]
         per_scenario[sid] = {
-            "o_opr": float(np.dot(np.array(ops.hv_import), p_el) * step)
-            + sum(float(np.dot(g, p_gas) * step) for g in gas),
-            "o_co2": sum(float(np.dot(g, p_co2) * step) for g in gas),
-            "o_slk": cfg.slack_price * (ops.slack_mv + sum(ops.slack_lv.values())),
+            name: terms_value(terms, com_x)
+            + sum(terms_value(costs[name], x) for costs, x in owners)
+            for name, terms in com_model.costs[sid][COMMUNITY_ENTITY].items()
         }
     probs = {s.id: s.probability for s in com_model.scenarios}
     return PlanResult(
@@ -310,7 +305,6 @@ class BuiltModel:
     """A community model plus the handles needed to read results back."""
 
     model: Model
-    cfg: CommunityConfig
     scenarios: list[Scenario]
     horizon: int
     building_designs: dict[int, dict[DeviceKind, DesignRefs]]
@@ -318,6 +312,8 @@ class BuiltModel:
     building_refs: dict[str, dict[int, _BuildingScenarioRefs]]
     community_refs: dict[str, _CommunityScenarioRefs]
     lv_rows: dict[str, int]  # scenario id -> first row of its LV aggregation
+    investment: dict[str, Terms]  # entity -> its investment terms
+    costs: dict[str, dict[str, dict[str, Terms]]]  # [sid][entity][second-stage term]
 
     def set_others_net(self, others_net: Mapping[str, np.ndarray]) -> None:
         """Make ``others_net[sid]`` the fixed net load of the buildings
@@ -326,12 +322,12 @@ class BuiltModel:
         for scenario in self.scenarios:
             self.model.set_rhs(self.lv_rows[scenario.id], others_net[scenario.id])
 
-    def design_entries(self) -> dict[tuple[str, str], tuple[DeviceSpec, VarRef, VarRef]]:
-        """(spec, design variable, existence binary) per (entity, kind), the
+    def design_entries(self) -> dict[tuple[str, str], tuple[VarRef, VarRef]]:
+        """(design variable, existence binary) per (entity, kind), the
         buildings first, each entity's designs in emission order."""
         entities = {_building_entity(bid): d for bid, d in self.building_designs.items()}
         entities[COMMUNITY_ENTITY] = self.community_designs
-        return {(entity, spec.kind.value): (spec, var, refs.chi)
+        return {(entity, spec.kind.value): (var, refs.chi)
                 for entity, designs in entities.items() for refs in designs.values()
                 for spec, var in refs.entries}
 
@@ -387,23 +383,24 @@ def _build(
     ``others_net[sid]`` is the fixed net consumption of the buildings left
     out of the model; None when the model holds every building.
 
-    The model is priced once all columns exist: the investment terms, then
-    per scenario its operation, carbon and slack terms summed over the
-    scenario's own columns and scaled by its probability.
+    The model keeps its objective terms, per entity and per scenario and
+    owner, and is priced from them once all columns exist: investment,
+    then per scenario its owners' terms summed over the scenario's own
+    columns and scaled by its probability.
     """
     model = Model(name)
     building_designs = {b.id: _emit_building_designs(model, b) for b in buildings}
     community_designs = emit_designs(model, cfg.community_devices, COMMUNITY_ENTITY)
-    investment = emit_investment_cost(
-        [refs for designs in (*building_designs.values(), community_designs)
-         for refs in designs.values()],
-        cfg.discount_rate,
-    )
+    investment = {_building_entity(bid): emit_investment_cost(d.values(), cfg.discount_rate)
+                  for bid, d in building_designs.items()}
+    investment[COMMUNITY_ENTITY] = emit_investment_cost(community_designs.values(),
+                                                        cfg.discount_rate)
 
     stages: list[tuple[int, np.ndarray]] = []  # (first column, weighted cost)
     building_refs: dict[str, dict[int, _BuildingScenarioRefs]] = {}
     community_refs: dict[str, _CommunityScenarioRefs] = {}
     lv_rows: dict[str, int] = {}
+    costs: dict[str, dict[str, dict[str, Terms]]] = {}
     for w, scenario in enumerate(scenarios):
         stag, ctag = f"s{w}", f"COM_s{w}"
         first = len(model.variables)
@@ -424,30 +421,32 @@ def _build(
         lv_rows[scenario.id] = emit_lv_aggregation(
             model, flows, grid, 0.0 if others_net is None else others_net[scenario.id], ctag,
         )
-        gas = {bid: refs.flows.gas for bid, refs in per_building.items()}
-        eco = scenario.economic
+        owners = costs[scenario.id] = {
+            _building_entity(bid): emit_building_cost(refs.flows.gas, grid.s_lv[bid],
+                                                      scenario.economic, cfg.step_hours,
+                                                      cfg.slack_price)
+            for bid, refs in per_building.items()
+        }
+        owners[COMMUNITY_ENTITY] = emit_community_cost(com.hv, grid.s_mv, scenario.economic,
+                                                       cfg.step_hours, cfg.slack_price)
         # every column these terms price was added in this scenario's loop
         stage = np.zeros(len(model.variables) - first)
-        for ids, coefs in (
-            emit_operational_cost(com.hv, gas, eco.p_el.values[:horizon],
-                                  eco.p_gas.values[:horizon], cfg.step_hours),
-            emit_carbon_cost(gas, eco.p_co2.values[:horizon], cfg.step_hours),
-            emit_slack_cost(com.grid, cfg.slack_price),
-        ):
-            np.add.at(stage, ids - first, coefs)
+        for terms in owners.values():
+            for ids, coefs in terms.values():
+                np.add.at(stage, ids - first, coefs)
         stage *= scenario.probability
         stages.append((first, stage))
         building_refs[scenario.id] = per_building
         community_refs[scenario.id] = com
 
     cost = np.zeros(len(model.variables))
-    np.add.at(cost, *investment)
+    for terms in investment.values():
+        np.add.at(cost, *terms)
     for first, stage in stages:
         cost[first: first + len(stage)] += stage
     model.minimize(cost)
     return BuiltModel(
         model=model,
-        cfg=cfg,
         scenarios=scenarios,
         horizon=horizon,
         building_designs=building_designs,
@@ -455,6 +454,8 @@ def _build(
         building_refs=building_refs,
         community_refs=community_refs,
         lv_rows=lv_rows,
+        investment=investment,
+        costs=costs,
     )
 
 
@@ -717,7 +718,7 @@ def evaluate_design(
     ]
     if problems:
         raise ValueError(f"designs to evaluate: {'; '.join(problems)}")
-    for key, (_, var, chi) in entries.items():
+    for key, (var, chi) in entries.items():
         decision = designs[key]
         built.model.add_constraint(chi, Sense.EQ, float(decision.chi),
                                    f"fix_chi_{key[0]}_{key[1]}")

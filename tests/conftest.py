@@ -19,12 +19,27 @@ from communityplan.core import (
     TimeSeries,
     Unit,
 )
+from communityplan.objective import emit_building_cost, emit_community_cost
 
 START = datetime(2019, 1, 7)  # a Monday
 
 
 def ts(values, unit=Unit.DEGC, start=START, step=1.0) -> TimeSeries:
     return TimeSeries(start, step, np.asarray(values, float), unit)
+
+
+def prices(p_el=0.25, p_gas=0.10, p_co2=0.02, horizon=24) -> EconomicProfile:
+    """The given price series; a scalar price holds for ``horizon`` steps."""
+    return EconomicProfile(*(ts(np.full(horizon, p) if np.ndim(p) == 0 else p, Unit.EUR_PER_KWH)
+                             for p in (p_el, p_gas, p_co2)))
+
+
+def grid_slack_terms(grid, price):
+    """The slack terms of every owner of ``grid``: the community's MV
+    slack, then each building's LV slack."""
+    return [emit_community_cost((), grid.s_mv, prices(), 1.0, price)["o_slk"],
+            *(emit_building_cost((), s_lv, prices(), 1.0, price)["o_slk"]
+              for s_lv in grid.s_lv.values())]
 
 
 def order1_rc(r_ia=6e-3, c_i=2e7, window_area=2.0) -> RCParameters:

@@ -27,12 +27,14 @@ from communityplan.io import (
     read_series_csv,
     save_plan_result,
     save_scenarios,
+    save_sensitivity_report,
     verify_run_manifest,
     write_series_csv,
 )
 from communityplan.objective import ObjectiveBreakdown
 from communityplan.planner import (
-    BuildingTraces, DesignDecision, PlanResult, ScenarioOperations, solve_centralized,
+    BuildingTraces, DesignDecision, DesignSpread, PlanResult, ScenarioOperations,
+    SensitivityReport, solve_centralized,
 )
 from communityplan.scenarios import BootstrapSpec, bootstrap_years, channels_to_scenario
 from communityplan.solvers import HIGHS_OPTIONS
@@ -873,6 +875,69 @@ class TestReportBytes:
         save_plan_result(tmp_path / "plan.json", plan)
         meta = {k: v for k, v in plan.solve_meta.items() if k != "wall_time_s"}
         assert load_plan_result(tmp_path / "plan.json") == replace(plan, solve_meta=meta)
+
+
+def pinned_sensitivity_report() -> SensitivityReport:
+    """Two factors, unsorted designs and scenario ids, a design without a
+    reference and values whose shortest round-trip text is unusual."""
+    def spread(values):
+        numbers = np.array(list(values.values()))
+        return DesignSpread(minimum=float(numbers.min()), maximum=float(numbers.max()),
+                            mean=float(numbers.mean()), std=float(numbers.std()),
+                            values=values)
+
+    return SensitivityReport(
+        spreads={
+            "occ": {("b2", "BOL"): spread({"s1": 0.1 + 0.2, "s0": 12.5}),
+                    ("COM", "BAT_COM"): spread({"s1": 0.0, "s0": 1e-7})},
+            "eco": {("b10", "HP"): spread({"s0": 3.0000000000000004})},
+        },
+        reference={("b2", "BOL"): DesignDecision(1, 12.25), ("b10", "HP"): DesignDecision(1, 3.0)},
+        nominal_ids={"occ": {"eco": "s0", "clim": "s1"}, "eco": {"occ": "s1", "clim": "s1"}},
+        infeasible=(("clim", "s2"), ("clim", "s0")),
+    )
+
+
+# SHA-256 of both files save_sensitivity_report writes for
+# pinned_sensitivity_report(), recorded from the writer that walks the
+# report's fields
+SENSITIVITY_GOLDEN = {
+    "sensitivity_report.json":
+        "9a35aebf6fae58960b4e7e83136d85ae7a0bcdecd56e150356668722e12ac6d1",
+    "design_spread.csv":
+        "bcfbdc778d393e7525de557b840276d65dd877871ebaa4afbd750db538ad73ce",
+}
+
+
+class TestSensitivityReport:
+    def test_report_bytes_are_pinned(self, tmp_path):
+        files = save_sensitivity_report(pinned_sensitivity_report(), tmp_path)
+        assert [path.name for path in files] == list(SENSITIVITY_GOLDEN)
+        assert tree_digest(tmp_path) == SENSITIVITY_GOLDEN
+
+    def test_json_keys_are_the_record_fields(self, tmp_path):
+        save_sensitivity_report(pinned_sensitivity_report(), tmp_path)
+        data = json.loads((tmp_path / "sensitivity_report.json").read_text())
+        assert list(data) == ["infeasible", "nominal_ids", "reference", "spreads"]
+        assert list(data["spreads"]["occ"]["b2:BOL"]) == ["maximum", "mean", "minimum", "std",
+                                                          "values"]
+        assert data["reference"]["b2:BOL"] == {"chi": 1, "value": 12.25}
+        assert data["infeasible"] == [["clim", "s2"], ["clim", "s0"]]
+        header = (tmp_path / "design_spread.csv").read_text().splitlines()[0]
+        assert header == "factor,entity,device,min,max,mean,std,reference"
+
+    def test_cli_plan_sensitivity_writes_the_files_it_names(self, tmp_path, capsys):
+        fx = generate_fixture(tmp_path / "fx", 1, seed=10)
+        bundle = tmp_path / "scn"
+        save_scenarios(bundle, [ingest_community(fx).history])
+        out = tmp_path / "out"
+        assert main(["plan", "sensitivity", "--dir", str(fx), "--scenarios", str(bundle),
+                     "--out", str(out), "--horizon", "24"]) == 0
+        assert capsys.readouterr().out == f"wrote 3 sensitivity files to {out}\n"
+        assert sorted(path.name for path in out.iterdir()) == [
+            "design_spread.csv", "run_manifest.json", "sensitivity_report.json"]
+        data = json.loads((out / "sensitivity_report.json").read_text())
+        assert sorted(data["spreads"]) == ["clim", "eco", "occ"]
 
 
 class TestRunManifest:

@@ -1,3 +1,4 @@
+import re
 import sys
 import textwrap
 from pathlib import Path
@@ -92,6 +93,29 @@ class TestModelBuilding:
         m.add_var("x")
         with pytest.raises(ValueError, match="duplicate"):
             m.add_var("x")
+
+    @pytest.mark.parametrize("name", ["", "two words", "tab\tstop", "line\nbreak", "a:b",
+                                      "5", "-1.5e3", ".5", "inf", "NaN", "1_000"])
+    def test_name_lp_text_cannot_carry_rejected(self, name):
+        # empty, with whitespace or ':', or read as a number
+        m = Model()
+        x = m.add_var("x")
+        adds = [lambda: m.add_var(name), lambda: m.add_binary(name),
+                lambda: m.add_vars(name, 2),
+                lambda: m.add_constraint(x * 1.0, Sense.GE, 1.0, name),
+                lambda: m.add_constraints(("ok", name), 2, [[(x, 1.0)]] * 2, (Sense.GE,) * 2)]
+        for add in adds:
+            with pytest.raises(ValueError, match=re.escape(repr(name))):
+                add()
+        assert (m.var_names(), m.row_names()) == (["x"], [])
+
+    def test_number_named_column_would_read_as_a_constant(self):
+        # a column named 5 with cost 1 would be written ' obj: 5', which
+        # reads back as the objective constant 5, not as a column
+        parsed = parse_lp(TOY_LP.replace(" obj: x + 3 y", " obj: 5"))
+        assert parsed.objective_constant == 5.0 and "5" not in parsed.var_names()
+        with pytest.raises(ValueError, match="variable name '5' reads as a number"):
+            Model().add_var("5")
 
     def test_bad_bounds_rejected(self):
         m = Model()
@@ -210,12 +234,12 @@ class TestConstraintFamilies:
 
     def test_names_list_matches_name_lookup(self):
         # explicit runs, one- and many-stem families, shared and distinct
-        # step ranges, an empty family between them and a stem with a
-        # line break
+        # step ranges, an empty family between them and a stem that reads
+        # like a member name
         m = Model()
         m.add_var("a")
         x = m.add_vars("x", 3)
-        m.add_vars("odd\nstem", 2)
+        m.add_vars("odd_t1", 2)
         m.add_var("b_t7")
         m.add_var("c")
         w = m.add_vars("w", 3)
@@ -236,7 +260,7 @@ class TestConstraintFamilies:
         assert heads[1] is heads[2] and tails[1] is tails[8]
         assert m.row_names()[:8] == ["first", "p_t2", "q_t2", "r_t2", "p_t3", "q_t3",
                                      "r_t3", "p_t4"]
-        assert m.var_names() == ["a", "x_t0", "x_t1", "x_t2", "odd\nstem_t0", "odd\nstem_t1",
+        assert m.var_names() == ["a", "x_t0", "x_t1", "x_t2", "odd_t1_t0", "odd_t1_t1",
                                  "b_t7", "c", "w_t0", "w_t1", "w_t2"]
 
 
@@ -386,6 +410,12 @@ MALFORMED = {
     "mps second bound": (parse_mps, TOY_MPS.replace("x  4\n", "x  4\n UP BND  x  5\n"), 17),
     "mps row declared twice": (parse_mps, TOY_MPS.replace(" G  r\n", " G  r\n L  r\n"), 5),
     "mps section left out": (parse_mps, TOY_MPS.replace("RHS\n", ""), 14),
+    "lp column with ':'": (parse_lp, TOY_LP.replace("x + 3 y", "x + 3 a:b"), 3),
+    "lp column read as a number": (parse_lp, TOY_LP.replace("2 y + b", "2 y + 2 1e5"), 5),
+    "lp binary read as a number": (parse_lp, TOY_LP.replace(" b\nEnd", " b\n inf\nEnd"), 10),
+    "lp row label read as a number": (parse_lp, TOY_LP.replace(" r: x", " 5: x"), 5),
+    "mps column read as a number": (parse_mps, TOY_MPS.replace("    y  r  2", "    5  r  2"),
+                                    9),
 }
 
 

@@ -8,8 +8,9 @@ from communityplan.network import (
     emit_grid_limits,
     emit_lv_aggregation,
 )
-from communityplan.objective import emit_slack_cost
 from communityplan.solvers import solve
+
+from conftest import grid_slack_terms
 
 
 def pin(model, var, value):
@@ -20,7 +21,8 @@ def pin(model, var, value):
 
 def minimize_slack(model, grid, price):
     cost = np.zeros(len(model.variables))
-    np.add.at(cost, *emit_slack_cost(grid, price))
+    for terms in grid_slack_terms(grid, price):
+        np.add.at(cost, *terms)
     model.minimize(cost)
 
 

@@ -9,14 +9,22 @@ from communityplan.network import create_grid_refs
 from communityplan.objective import (
     ObjectiveBreakdown,
     annuity_factor,
-    emit_carbon_cost,
+    emit_building_cost,
+    emit_community_cost,
     emit_investment_cost,
-    emit_operational_cost,
-    emit_slack_cost,
+    terms_value,
 )
 from communityplan.planner import build_centralized, solve_centralized
 
-from conftest import battery_spec, boiler_spec, simple_building, simple_config, simple_scenario
+from conftest import (
+    battery_spec,
+    boiler_spec,
+    grid_slack_terms,
+    prices,
+    simple_building,
+    simple_config,
+    simple_scenario,
+)
 from oracles import annuity_reference
 
 
@@ -90,26 +98,34 @@ class TestInvestment:
         )
 
 
+def community_opr(m, hv, p_el):
+    """The community's operation terms: ``hv`` bought at ``p_el``."""
+    return emit_community_cost(hv, m.add_var("sMV"), prices(p_el=p_el), 1.0, 1e5)["o_opr"]
+
+
 class TestOperationalAndCarbon:
     def test_zero_flows_zero_cost(self):
         m = Model()
         hv = [m.add_var(f"hv{t}") for t in range(3)]
-        terms = emit_operational_cost(hv, {}, np.full(3, 0.3), np.full(3, 0.1))
+        terms = community_opr(m, hv, np.full(3, 0.3))
         assert cost_at(m, terms, {v.name: 0.0 for v in hv}) == 0.0
 
     def test_import_for_two_hours(self):
         m = Model()
         hv = [m.add_var(f"hv{t}") for t in range(2)]
-        terms = emit_operational_cost(hv, {}, np.full(2, 0.30), np.full(2, 0.1))
+        terms = community_opr(m, hv, np.full(2, 0.30))
         assert cost_at(m, terms, {v.name: 1.0 for v in hv}) == pytest.approx(0.60)
 
     def test_gas_and_electricity_sum(self):
         m = Model()
         hv = [m.add_var("hv0")]
-        gas = {1: [m.add_var("g0")]}
-        terms = emit_operational_cost(hv, gas, np.array([0.30]), np.array([0.10]))
+        gas = [m.add_var("g0")]
+        economic = prices(p_el=[0.30], p_gas=[0.10])
+        owners = [emit_community_cost(hv, m.add_var("sMV"), economic, 1.0, 1e5),
+                  emit_building_cost(gas, m.add_var("sLV"), economic, 1.0, 1e5)]
         values = {"hv0": 1.0, "g0": 5.0}
-        assert cost_at(m, terms, values) == pytest.approx(0.30 + 0.50)
+        assert sum(cost_at(m, owner["o_opr"], values) for owner in owners) == pytest.approx(
+            0.30 + 0.50)
 
     def test_carbon_dot_product_matches_numpy(self):
         m = Model()
@@ -117,27 +133,48 @@ class TestOperationalAndCarbon:
         gas_vars = [m.add_var(f"g{t}") for t in range(24)]
         p_co2 = rng.uniform(0.01, 0.05, 24)
         flows = rng.uniform(0, 8, 24)
-        terms = emit_carbon_cost({1: gas_vars}, p_co2)
+        terms = emit_building_cost(gas_vars, m.add_var("sLV"), prices(p_co2=p_co2), 1.0,
+                                   1e5)["o_co2"]
         values = {v.name: flows[t] for t, v in enumerate(gas_vars)}
         assert cost_at(m, terms, values) == pytest.approx(float(np.dot(flows, p_co2)))
 
     def test_no_gas_no_carbon(self):
-        ids, coefs = emit_carbon_cost({}, np.array([0.02]))
-        assert ids.size == coefs.size == 0
+        m = Model()
+        owners = [emit_community_cost([m.add_var("hv0")], m.add_var("sMV"), prices(), 1.0, 1e5),
+                  emit_building_cost((), m.add_var("sLV"), prices(), 1.0, 1e5)]
+        for owner in owners:
+            ids, coefs = owner["o_co2"]
+            assert ids.size == coefs.size == 0
+
+    def test_owners_carry_every_second_stage_term(self):
+        m = Model()
+        owners = [emit_community_cost((), m.add_var("sMV"), prices(), 1.0, 1e5),
+                  emit_building_cost((), m.add_var("sLV"), prices(), 1.0, 1e5)]
+        assert all(list(owner) == ["o_opr", "o_co2", "o_slk"] for owner in owners)
+
+    def test_terms_value_is_coefs_at_x(self):
+        x = np.array([2.0, 3.0, 5.0])
+        terms = (np.array([2, 0, 2]), np.array([1.0, 10.0, 0.5]))
+        assert terms_value(terms, x) == 5.0 + 20.0 + 2.5
+        assert terms_value((np.zeros(0, np.int64), np.zeros(0)), x) == 0.0
 
 
 class TestSlackCost:
     def test_values(self):
         m = Model()
         grid = create_grid_refs(m, [1, 2, 3], horizon=2)
-        terms = emit_slack_cost(grid, 1e5)
+        terms = grid_slack_terms(grid, 1e5)
+
+        def cost(values):
+            return sum(cost_at(m, owner, values) for owner in terms)
+
         zeros = {grid.s_mv.name: 0.0, **{v.name: 0.0 for v in grid.s_lv.values()}}
-        assert cost_at(m, terms, zeros) == 0.0
+        assert cost(zeros) == 0.0
         mv_one = dict(zeros)
         mv_one[grid.s_mv.name] = 1.0
-        assert cost_at(m, terms, mv_one) == pytest.approx(1e5)
+        assert cost(mv_one) == pytest.approx(1e5)
         all_half = {grid.s_mv.name: 1.0, **{v.name: 0.5 for v in grid.s_lv.values()}}
-        assert cost_at(m, terms, all_half) == pytest.approx(1e5 + 3 * 0.5 * 1e5)
+        assert cost(all_half) == pytest.approx(1e5 + 3 * 0.5 * 1e5)
 
 
 def two_stage_instance(probs, **levels):
@@ -155,10 +192,10 @@ def two_stage_instance(probs, **levels):
 
 
 def expression_sum(built):
-    """The two-stage objective summed as expressions: investment plus, per
-    scenario, probability times (operation + carbon + slack)."""
-    model, cfg = built.model, built.cfg
-    variables = model.variables
+    """The two-stage objective summed as expressions from the terms the
+    model stored: investment plus, per scenario, probability times
+    (operation + carbon + slack)."""
+    variables = built.model.variables
 
     def expr(terms):
         out = LinExpr()
@@ -166,26 +203,22 @@ def expression_sum(built):
             out.add(variables[vid], coef)
         return out
 
-    designs = [refs for per in (*built.building_designs.values(), built.community_designs)
-               for refs in per.values()]
-    inv = expr(emit_investment_cost(designs, cfg.discount_rate))
+    inv = LinExpr()
+    for terms in built.investment.values():
+        inv = inv + expr(terms)
     total = inv
     for scenario in built.scenarios:
-        com = built.community_refs[scenario.id]
-        gas = {bid: refs.flows.gas for bid, refs in built.building_refs[scenario.id].items()}
-        eco = scenario.economic
-        stage = (
-            expr(emit_operational_cost(com.hv, gas, eco.p_el, eco.p_gas, cfg.step_hours))
-            + expr(emit_carbon_cost(gas, eco.p_co2, cfg.step_hours))
-            + expr(emit_slack_cost(com.grid, cfg.slack_price))
-        )
+        stage = LinExpr()
+        for name in ("o_opr", "o_co2", "o_slk"):
+            for owner in built.costs[scenario.id].values():
+                stage = stage + expr(owner[name])
         total = total + scenario.probability * stage
     return inv, total
 
 
 def design_columns(built):
     """Count of first-stage columns: they come before every scenario's."""
-    return 1 + max(max(var.id, chi.id) for _, var, chi in built.design_entries().values())
+    return 1 + max(max(var.id, chi.id) for var, chi in built.design_entries().values())
 
 
 def dense(model, expr):
@@ -241,6 +274,30 @@ class TestTwoStageAssembly:
 
 
 class TestBreakdown:
+    def test_matches_pricing_from_traces_and_specs(self):
+        # an oracle independent of the stored terms: the plan's designs
+        # priced from the configured specs, its traces at the scenario prices
+        cfg, scenarios = two_stage_instance([0.3, 0.7])
+        plan = solve_centralized(cfg, scenarios)
+        specs = {(f"b{b.id}", s.kind.value): s for b in cfg.buildings for s in b.devices}
+        specs.update({("COM", s.kind.value): s for s in cfg.community_devices})
+        o_inv = sum((specs[key].size_price * d.value + specs[key].base_price * d.chi)
+                    * annuity_factor(cfg.discount_rate, specs[key].lifetime_years)
+                    for key, d in plan.designs.items())
+        assert plan.breakdown.o_inv_lvl == pytest.approx(o_inv, rel=1e-9)
+        for scenario in scenarios:
+            ops, eco, step = plan.operations[scenario.id], scenario.economic, cfg.step_hours
+            gas = [np.array(trace.gas) for trace in ops.buildings.values()]
+            p_el, p_gas, p_co2 = (p.values[:len(ops.hv_import)]
+                                  for p in (eco.p_el, eco.p_gas, eco.p_co2))
+            expected = {
+                "o_opr": (np.dot(ops.hv_import, p_el) + sum(np.dot(g, p_gas) for g in gas)) * step,
+                "o_co2": sum(np.dot(g, p_co2) for g in gas) * step,
+                "o_slk": cfg.slack_price * (ops.slack_mv + sum(ops.slack_lv.values())),
+            }
+            assert plan.breakdown.per_scenario[scenario.id] == pytest.approx(
+                expected, rel=1e-9, abs=1e-9)
+
     def test_identity_holds_by_construction(self):
         breakdown = ObjectiveBreakdown.from_terms(
             10.0,

@@ -563,6 +563,14 @@ def test_planner_names_no_device_kind():
     assert "DeviceKind." not in inspect.getsource(planner)
 
 
+@pytest.mark.parametrize(
+    "price", ["annuity_factor", "size_price", "base_price", "p_el", "p_gas", "p_co2"])
+def test_planner_names_no_price(price):
+    # objective pairs every flow with its price; the planner sums and
+    # evaluates the terms it stored, so both read the same prices
+    assert price not in inspect.getsource(planner)
+
+
 class TestStochasticOrderings:
     def make_price_spread_instance(self, seed):
         """Scenarios share climate/occupancy, differ in prices: any design
