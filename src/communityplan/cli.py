@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import os
 import sys
 from pathlib import Path
@@ -37,7 +38,7 @@ from .scenarios import (
     reduce_scenarios,
     validate_bootstrap_spec,
 )
-from .solvers import HIGHS_OPTIONS, SolveOptions, SolverError
+from .solvers import DEFAULT_MIP_GAP, HIGHS_OPTIONS, SolveOptions, SolverError
 
 ENV_SOLVER = "COMMUNITYPLAN_SOLVER"
 ENV_CLOCK = "COMMUNITYPLAN_CLOCK"
@@ -52,6 +53,11 @@ class _Parser(argparse.ArgumentParser):
     def _user_error(message: str) -> int:
         print(f"error: {message}", file=sys.stderr)
         return 1
+
+
+def _default(func, name: str):
+    """The library's default of ``func``'s parameter ``name``."""
+    return inspect.signature(func).parameters[name].default
 
 
 def _build_parser() -> _Parser:
@@ -72,15 +78,15 @@ def _build_parser() -> _Parser:
     p_gen = scn_sub.add_parser("generate", help="bootstrap synthetic years")
     p_gen.add_argument("--dir", required=True, help="data directory with history/")
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--years", type=int, default=1000)
+    p_gen.add_argument("--years", type=int, default=BootstrapSpec.n_years)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--window-weeks", type=float, default=8.0)
+    p_gen.add_argument("--window-weeks", type=float, default=BootstrapSpec.window_weeks)
     p_gen.add_argument("--no-weekday-partition", action="store_true")
 
     p_red = scn_sub.add_parser("reduce", help="k-medoids reduction of a bundle")
     p_red.add_argument("--scenarios", required=True, help="scenario bundle directory")
     p_red.add_argument("--out", required=True)
-    p_red.add_argument("--k", type=int, default=10)
+    p_red.add_argument("--k", type=int, default=_default(reduce_scenarios, "k"))
     p_red.add_argument("--seed", type=int, default=0)
 
     p_nom = scn_sub.add_parser("nominal", help="print a factor's nominal scenario id")
@@ -98,10 +104,12 @@ def _build_parser() -> _Parser:
                        help="override the config horizon (steps)")
         p.add_argument("--solver", default=None, help="external solver template")
         p.add_argument("--time-limit", type=float, default=None)
-        p.add_argument("--mip-gap", type=float, default=1e-6)
+        p.add_argument("--mip-gap", type=float, default=DEFAULT_MIP_GAP)
         if name == "distributed":
-            p.add_argument("--epsilon", type=float, default=1.0)
-            p.add_argument("--max-iters", type=int, default=50)
+            p.add_argument("--epsilon", type=float,
+                           default=_default(solve_distributed, "epsilon"))
+            p.add_argument("--max-iters", type=int,
+                           default=_default(solve_distributed, "max_iters"))
         if name == "sensitivity":
             p.add_argument("--factors", default="occ,eco,clim")
 

@@ -3,13 +3,16 @@ building and community energy balances.
 
 Every device gets a binary existence variable gating its design variable
 into [cap_min, cap_max] or zero.  Design variables are first stage: they
-are made once per entity by :func:`emit_designs`, and every per-scenario
-emitter takes that design and adds only the operational variables and
-constraints that operate it; :func:`emit_operations` dispatches each kind
-to its emitter.  Roof caps on PV and collector areas belong to the design
-bounds; the planner applies them (through :func:`roof_capped`) before it
-makes the designs.  :data:`BALANCE_TERMS` lists each kind's energy-hub
-balance flows, :data:`GAS_FLOW` the flow bought from the gas grid.
+are made once per entity by :func:`emit_designs`.  :func:`emit_operations`
+is the one per-scenario operator: it checks that each design holds its
+key's kinds and hands it to that kind's emitter, which reads the spec
+from the design's entries and adds only the operational variables and
+constraints that operate it.  Every emitter is called as ``(model,
+design, climate, horizon, step_hours, tag)``.  Roof caps on PV and
+collector areas belong to the design bounds; the planner applies them
+(through :func:`roof_capped`) before it makes the designs.
+:data:`BALANCE_TERMS` lists each kind's energy-hub balance flows,
+:data:`GAS_FLOW` the flow bought from the gas grid.
 
 Storage bookkeeping: state vectors have ``horizon + 1`` entries, flows
 ``horizon``; per-step stored energy is power times step length, so
@@ -33,10 +36,10 @@ from .core import (
     ClimateProfile,
     DeviceKind,
     DeviceSpec,
-    TimeSeries,
     series_head,
 )
 from .milp import LinExpr, Model, Sense, VarBlock, VarRef
+from .thermal import W_PER_KW
 
 __all__ = [
     "HYDROGEN_CHAIN",
@@ -49,14 +52,7 @@ __all__ = [
     "emit_hydrogen_design",
     "emit_designs",
     "emit_operations",
-    "emit_battery",
-    "emit_tes",
-    "emit_boiler",
-    "emit_heat_pump",
-    "emit_pv",
-    "emit_stc",
     "emit_roof_coupling",
-    "emit_hydrogen_chain",
     "emit_building_balances",
     "emit_community_balance",
     "cop_profile",
@@ -64,8 +60,6 @@ __all__ = [
     "simulate_storage",
     "roof_capped",
 ]
-
-W_PER_KW = 1000.0
 
 
 @dataclass(frozen=True)
@@ -183,38 +177,20 @@ def emit_designs(
     return designs
 
 
-def _emit_storage(
-    model: Model,
-    spec: DeviceSpec,
-    design: DesignRefs,
-    horizon: int,
-    step_hours: float,
-    tag: str,
-    flow_symbol: str,
-) -> DeviceBlockRefs:
+def _emit_storage_rows(model, design, horizon, step_hours, specs, caps, names):
+    """The state, charge and discharge columns of one storage, then its
+    state caps, charge and discharge rates, state recursion and cyclic
+    bound.  ``specs`` and ``caps`` are the (state, charge, discharge)
+    specs and design variables; ``names`` the three column stems, then
+    the five row stems."""
     if horizon < 2:
         raise ValueError("storage blocks need a horizon of at least 2 steps")
-    kind = spec.kind.value
-    state = model.add_vars(f"E_{kind}_{tag}", horizon + 1, lo=spec.state_min())
-    charge = model.add_vars(f"{flow_symbol}ch_{kind}_{tag}", horizon)
-    discharge = model.add_vars(f"{flow_symbol}dch_{kind}_{tag}", horizon)
-    _emit_storage_rows(
-        model, horizon, step_hours, design.design, design.design, design.design,
-        state, charge, discharge, spec, spec, spec,
-        (f"cap_{kind}_{tag}", f"rate_ch_{kind}_{tag}", f"rate_dch_{kind}_{tag}",
-         f"soc_{kind}_{tag}", f"cyc_{kind}_{tag}"),
-    )
-    return DeviceBlockRefs(
-        design=design, flows={"charge": charge, "discharge": discharge}, state=state
-    )
-
-
-def _emit_storage_rows(model, horizon, step_hours, cap_state, cap_ch, cap_dch,
-                       state, charge, discharge, spec_ch, spec_state, spec_dch,
-                       names) -> None:
-    """State caps, charge and discharge rates, the state recursion and the
-    cyclic bound of one storage; ``names`` are the five row stems."""
-    cap, rate_ch, rate_dch, soc, cyc = names
+    spec_state, spec_ch, spec_dch = specs
+    cap_state, cap_ch, cap_dch = caps
+    state_name, ch_name, dch_name, cap, rate_ch, rate_dch, soc, cyc = names
+    state = model.add_vars(state_name, horizon + 1, lo=spec_state.state_min())
+    charge = model.add_vars(ch_name, horizon)
+    discharge = model.add_vars(dch_name, horizon)
     model.add_constraints((cap,), horizon + 1, [[(state, 1.0), (cap_state, -1.0)]],
                           (Sense.LE,))
     model.add_constraints(
@@ -233,77 +209,71 @@ def _emit_storage_rows(model, horizon, step_hours, cap_state, cap_ch, cap_dch,
         (Sense.LE, Sense.LE, Sense.EQ),
     )
     model.add_constraint(state[0] - state[horizon], Sense.LE, 0.0, cyc)
+    return DeviceBlockRefs(
+        design=design, flows={"charge": charge, "discharge": discharge}, state=state
+    )
 
 
-def emit_battery(
-    model: Model,
-    spec: DeviceSpec,
-    design: DesignRefs,
-    horizon: int,
-    step_hours: float = 1.0,
-    tag: str = "bat",
-) -> DeviceBlockRefs:
-    if spec.kind not in (DeviceKind.BAT, DeviceKind.BAT_COM):
-        raise ValueError(f"emit_battery got kind {spec.kind}")
-    return _emit_storage(model, spec, design, horizon, step_hours, tag, "E")
+def _emit_storage(model: Model, design: DesignRefs, climate: ClimateProfile, horizon: int,
+                  step_hours: float, tag: str) -> DeviceBlockRefs:
+    """Battery or thermal storage: electricity (``E``) or heat (``Q``) flows."""
+    ((spec, cap),) = design.entries
+    kind = spec.kind.value
+    flow = "Q" if spec.kind is DeviceKind.TES else "E"
+    return _emit_storage_rows(
+        model, design, horizon, step_hours, (spec,) * 3, (cap,) * 3,
+        (f"E_{kind}_{tag}", f"{flow}ch_{kind}_{tag}", f"{flow}dch_{kind}_{tag}",
+         f"cap_{kind}_{tag}", f"rate_ch_{kind}_{tag}", f"rate_dch_{kind}_{tag}",
+         f"soc_{kind}_{tag}", f"cyc_{kind}_{tag}"),
+    )
 
 
-def emit_tes(
-    model: Model,
-    spec: DeviceSpec,
-    design: DesignRefs,
-    horizon: int,
-    step_hours: float = 1.0,
-    tag: str = "tes",
-) -> DeviceBlockRefs:
-    if spec.kind != DeviceKind.TES:
-        raise ValueError(f"emit_tes got kind {spec.kind}")
-    return _emit_storage(model, spec, design, horizon, step_hours, tag, "Q")
+def _emit_hydrogen_chain(model: Model, design: DesignRefs, climate: ClimateProfile,
+                         horizon: int, step_hours: float, tag: str) -> DeviceBlockRefs:
+    """Electrolyzer, pressurized tank and fuel cell in series, operating
+    the design of :func:`emit_hydrogen_design`.
+
+    The tank state is counted in electricity-equivalent kWh at the tank
+    boundary (compressor losses folded into the electrolyzer charging
+    efficiency); the electrolyzer capacity caps electrical input, the
+    fuel cell capacity electrical output.
+    """
+    (spec_el, cap_el), (spec_hyd, cap_hyd), (spec_fc, cap_fc) = design.entries
+    return _emit_storage_rows(
+        model, design, horizon, step_hours, (spec_hyd, spec_el, spec_fc),
+        (cap_hyd, cap_el, cap_fc),
+        (f"E_HYD_{tag}", f"Ech_EL_{tag}", f"Edch_FC_{tag}", f"cap_HYD_{tag}",
+         f"rate_EL_{tag}", f"rate_FC_{tag}", f"soc_HYD_{tag}", f"cyc_HYD_{tag}"),
+    )
 
 
-def emit_boiler(
-    model: Model,
-    spec: DeviceSpec,
-    design: DesignRefs,
-    horizon: int,
-    tag: str = "bol",
-) -> DeviceBlockRefs:
-    if spec.kind != DeviceKind.BOL:
-        raise ValueError(f"emit_boiler got kind {spec.kind}")
+def _emit_boiler(model: Model, design: DesignRefs, climate: ClimateProfile, horizon: int,
+                 step_hours: float, tag: str) -> DeviceBlockRefs:
+    ((spec, cap),) = design.entries
     eta = float(spec.extra["eta"])
     heat = model.add_vars(f"Q_BOL_{tag}", horizon)
     gas = model.add_vars(f"Vgas_{tag}", horizon)
     model.add_constraints(
         (f"conv_BOL_{tag}", f"cap_BOL_{tag}"),
         horizon,
-        [[(heat, 1.0), (gas, -eta)], [(heat, 1.0), (design.design, -1.0)]],
+        [[(heat, 1.0), (gas, -eta)], [(heat, 1.0), (cap, -1.0)]],
         (Sense.EQ, Sense.LE),
     )
     return DeviceBlockRefs(design=design, flows={"heat": heat, "gas": gas})
 
 
-def cop_profile(spec: DeviceSpec, t_amb) -> np.ndarray:
+def cop_profile(spec: DeviceSpec, t_amb: np.ndarray) -> np.ndarray:
     """Pre-calculated COP as a double exponential of the distribution to
     ambient temperature gap."""
     a1, a2, a3, a4 = (float(c) for c in spec.extra["cop_coeffs"])
-    t_dist = float(spec.extra["t_dist"])
-    gap = t_dist - np.asarray(
-        t_amb.values if isinstance(t_amb, TimeSeries) else t_amb, float
-    )
+    gap = float(spec.extra["t_dist"]) - t_amb
     return a1 * np.exp(a2 * gap) + a3 * np.exp(a4 * gap)
 
 
-def emit_heat_pump(
-    model: Model,
-    spec: DeviceSpec,
-    design: DesignRefs,
-    t_amb,
-    horizon: int,
-    tag: str = "hp",
-) -> DeviceBlockRefs:
-    if spec.kind != DeviceKind.HP:
-        raise ValueError(f"emit_heat_pump got kind {spec.kind}")
-    cop = cop_profile(spec, series_head(t_amb, horizon, "T_amb"))
+def _emit_heat_pump(model: Model, design: DesignRefs, climate: ClimateProfile, horizon: int,
+                    step_hours: float, tag: str) -> DeviceBlockRefs:
+    ((spec, cap),) = design.entries
+    cop = cop_profile(spec, series_head(climate.t_amb, horizon, "T_amb"))
     if np.any(cop <= 0):
         bad = int(np.argmax(cop <= 0))
         raise ValueError(f"heat pump COP non-positive at step {bad}: {cop[bad]:.4f}")
@@ -312,36 +282,26 @@ def emit_heat_pump(
     model.add_constraints(
         (f"conv_HP_{tag}", f"cap_HP_{tag}"),
         horizon,
-        [[(heat, 1.0), (power, -cop)], [(heat, 1.0), (design.design, -1.0)]],
+        [[(heat, 1.0), (power, -cop)], [(heat, 1.0), (cap, -1.0)]],
         (Sense.EQ, Sense.LE),
     )
     return DeviceBlockRefs(design=design, flows={"heat": heat, "power": power})
 
 
-def emit_pv(
-    model: Model,
-    spec: DeviceSpec,
-    design: DesignRefs,
-    i_sol,
-    horizon: int,
-    tag: str = "pv",
-) -> DeviceBlockRefs:
-    if spec.kind not in (DeviceKind.PV, DeviceKind.PV_COM):
-        raise ValueError(f"emit_pv got kind {spec.kind}")
-    irr = series_head(i_sol, horizon, "I_sol")
-    eta = float(spec.extra["eta"])
-    out = model.add_vars(f"E_{spec.kind.value}_{tag}", horizon)
-    coef = irr * eta / W_PER_KW  # kW output per m2 of panel
+def _emit_pv(model: Model, design: DesignRefs, climate: ClimateProfile, horizon: int,
+             step_hours: float, tag: str) -> DeviceBlockRefs:
+    ((spec, area),) = design.entries
+    kind = spec.kind.value
+    irr = series_head(climate.i_sol, horizon, "I_sol")
+    out = model.add_vars(f"E_{kind}_{tag}", horizon)
+    coef = irr * float(spec.extra["eta"]) / W_PER_KW  # kW output per m2 of panel
     model.add_constraints(
-        (f"conv_{spec.kind.value}_{tag}",),
-        horizon,
-        [[(out, 1.0), (design.design, -coef)]],
-        (Sense.EQ,),
+        (f"conv_{kind}_{tag}",), horizon, [[(out, 1.0), (area, -coef)]], (Sense.EQ,)
     )
     return DeviceBlockRefs(design=design, flows={"power": out})
 
 
-def stc_yield_profile(spec: DeviceSpec, i_sol, t_amb) -> np.ndarray:
+def stc_yield_profile(spec: DeviceSpec, i_sol: np.ndarray, t_amb: np.ndarray) -> np.ndarray:
     """kW of collector heat per m2, clamped at zero.
 
     The loss term can exceed the irradiance (night, cold sky); a real
@@ -351,29 +311,18 @@ def stc_yield_profile(spec: DeviceSpec, i_sol, t_amb) -> np.ndarray:
     eta = float(spec.extra["eta"])
     u_loss = float(spec.extra["u_loss"])
     t_col = float(spec.extra["t_collector"])
-    irr = np.asarray(i_sol.values if isinstance(i_sol, TimeSeries) else i_sol, float)
-    amb = np.asarray(t_amb.values if isinstance(t_amb, TimeSeries) else t_amb, float)
-    raw = eta * (irr - u_loss * (t_col - amb)) / W_PER_KW
+    raw = eta * (i_sol - u_loss * (t_col - t_amb)) / W_PER_KW
     return np.maximum(raw, 0.0)
 
 
-def emit_stc(
-    model: Model,
-    spec: DeviceSpec,
-    design: DesignRefs,
-    i_sol,
-    t_amb,
-    horizon: int,
-    tag: str = "stc",
-) -> DeviceBlockRefs:
-    if spec.kind != DeviceKind.STC:
-        raise ValueError(f"emit_stc got kind {spec.kind}")
-    coefs = stc_yield_profile(
-        spec, series_head(i_sol, horizon, "I_sol"), series_head(t_amb, horizon, "T_amb")
-    )
+def _emit_stc(model: Model, design: DesignRefs, climate: ClimateProfile, horizon: int,
+              step_hours: float, tag: str) -> DeviceBlockRefs:
+    ((spec, area),) = design.entries
+    coefs = stc_yield_profile(spec, series_head(climate.i_sol, horizon, "I_sol"),
+                              series_head(climate.t_amb, horizon, "T_amb"))
     heat = model.add_vars(f"Q_STC_{tag}", horizon)
     model.add_constraints(
-        (f"conv_STC_{tag}",), horizon, [[(heat, 1.0), (design.design, -coefs)]], (Sense.EQ,)
+        (f"conv_STC_{tag}",), horizon, [[(heat, 1.0), (area, -coefs)]], (Sense.EQ,)
     )
     return DeviceBlockRefs(design=design, flows={"heat": heat})
 
@@ -389,45 +338,6 @@ def emit_roof_coupling(
     areas = [(refs.design, 1.0) for refs in (pv, stc) if refs is not None]
     if areas:
         model.add_constraint(LinExpr.of(areas), Sense.LE, roof_area, f"roof_{tag}")
-
-
-def emit_hydrogen_chain(
-    model: Model,
-    design: DesignRefs,
-    horizon: int,
-    step_hours: float = 1.0,
-    tag: str = "COM",
-) -> DeviceBlockRefs:
-    """Electrolyzer, pressurized tank and fuel cell in series, operating
-    the design of :func:`emit_hydrogen_design`, whose entries carry the
-    three specs.
-
-    The tank state is counted in electricity-equivalent kWh at the tank
-    boundary (compressor losses folded into the electrolyzer charging
-    efficiency); the electrolyzer capacity caps electrical input, the
-    fuel cell capacity electrical output.
-    """
-    kinds = tuple(spec.kind for spec, _ in design.entries)
-    if kinds != HYDROGEN_CHAIN:
-        raise ValueError(
-            "hydrogen chain needs EL, HYD, FC designs, got "
-            + ", ".join(kind.value for kind in kinds)
-        )
-    if horizon < 2:
-        raise ValueError("storage blocks need a horizon of at least 2 steps")
-    (spec_el, cap_el), (spec_hyd, cap_hyd), (spec_fc, cap_fc) = design.entries
-    state = model.add_vars(f"E_HYD_{tag}", horizon + 1, lo=spec_hyd.state_min())
-    charge = model.add_vars(f"Ech_EL_{tag}", horizon)
-    discharge = model.add_vars(f"Edch_FC_{tag}", horizon)
-    _emit_storage_rows(
-        model, horizon, step_hours, cap_hyd, cap_el, cap_fc,
-        state, charge, discharge, spec_el, spec_hyd, spec_fc,
-        (f"cap_HYD_{tag}", f"rate_EL_{tag}", f"rate_FC_{tag}", f"soc_HYD_{tag}",
-         f"cyc_HYD_{tag}"),
-    )
-    return DeviceBlockRefs(
-        design=design, flows={"charge": charge, "discharge": discharge}, state=state
-    )
 
 
 def emit_building_balances(
@@ -481,17 +391,21 @@ def emit_community_balance(
     return hv_in
 
 
-# each kind's emitter, called as (model, spec, design, climate, horizon, step_hours, tag)
+def _kinds(kinds: Sequence[DeviceKind]) -> str:
+    return ", ".join(kind.value for kind in kinds)
+
+
+# each kind's emitter, called as (model, design, climate, horizon, step_hours, tag)
 _OPERATORS: dict[DeviceKind, Callable[..., DeviceBlockRefs]] = {
-    DeviceKind.BAT: lambda m, s, d, c, h, dt, t: emit_battery(m, s, d, h, dt, t),
-    DeviceKind.BAT_COM: lambda m, s, d, c, h, dt, t: emit_battery(m, s, d, h, dt, t),
-    DeviceKind.TES: lambda m, s, d, c, h, dt, t: emit_tes(m, s, d, h, dt, t),
-    DeviceKind.BOL: lambda m, s, d, c, h, dt, t: emit_boiler(m, s, d, h, t),
-    DeviceKind.HP: lambda m, s, d, c, h, dt, t: emit_heat_pump(m, s, d, c.t_amb, h, t),
-    DeviceKind.PV: lambda m, s, d, c, h, dt, t: emit_pv(m, s, d, c.i_sol, h, t),
-    DeviceKind.PV_COM: lambda m, s, d, c, h, dt, t: emit_pv(m, s, d, c.i_sol, h, t),
-    DeviceKind.STC: lambda m, s, d, c, h, dt, t: emit_stc(m, s, d, c.i_sol, c.t_amb, h, t),
-    DeviceKind.HYD: lambda m, s, d, c, h, dt, t: emit_hydrogen_chain(m, d, h, dt, t),
+    DeviceKind.BAT: _emit_storage,
+    DeviceKind.BAT_COM: _emit_storage,
+    DeviceKind.TES: _emit_storage,
+    DeviceKind.BOL: _emit_boiler,
+    DeviceKind.HP: _emit_heat_pump,
+    DeviceKind.PV: _emit_pv,
+    DeviceKind.PV_COM: _emit_pv,
+    DeviceKind.STC: _emit_stc,
+    DeviceKind.HYD: _emit_hydrogen_chain,
 }
 
 
@@ -499,11 +413,16 @@ def emit_operations(model: Model, designs: Mapping[DeviceKind, DesignRefs],
                     climate: ClimateProfile, horizon: int, step_hours: float,
                     tag: str) -> dict[DeviceKind, DeviceBlockRefs]:
     """The operational block of every design in one scenario, emitted in
-    the designs' order by each kind's emitter."""
-    return {
-        kind: _OPERATORS[kind](model, refs.entries[0][0], refs, climate, horizon, step_hours, tag)
-        for kind, refs in designs.items()
-    }
+    the designs' order by each kind's emitter.  A design under key ``kind``
+    must hold one ``kind`` entry, under ``HYD`` the hydrogen chain's."""
+    for kind, refs in designs.items():
+        expected = HYDROGEN_CHAIN if kind is DeviceKind.HYD else (kind,)
+        got = tuple(spec.kind for spec, _ in refs.entries)
+        if got != expected:
+            raise ValueError(f"{kind.value} operates {_kinds(expected)} designs, "
+                             f"got {_kinds(got)}")
+    return {kind: _OPERATORS[kind](model, refs, climate, horizon, step_hours, tag)
+            for kind, refs in designs.items()}
 
 
 def simulate_storage(

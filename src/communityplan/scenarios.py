@@ -62,6 +62,9 @@ DAYS_PER_YEAR = 365
 
 FACTORS = ("occ", "eco", "clim")
 
+# kmedoids enumerates every medoid set when there are at most this many
+EXACT_LIMIT = 1000
+
 
 def channels_to_scenario(
     sid: str,
@@ -236,14 +239,13 @@ def kmedoids(
     points,
     k: int,
     rng_seed: int = 0,
-    exact_limit: int = 1000,
 ) -> ClusterResult:
     """Partition around medoids; exact for tiny instances.
 
     The distance between two points is Euclidean (``points`` are rows;
     :func:`reduce_scenarios` passes z-normalized year vectors).
     When the number of candidate medoid sets C(n, k) is at most
-    ``exact_limit`` the global optimum is found by enumeration (lowest
+    :data:`EXACT_LIMIT` the global optimum is found by enumeration (lowest
     index set wins ties); larger instances run PAM seeded with
     k-medoids++ draws from ``rng_seed`` until no single swap improves the
     total within-cluster distance.
@@ -258,7 +260,7 @@ def kmedoids(
         raise ValueError(f"k={k} exceeds the {n} available points")
     dist = _euclidean_distances(pts)
 
-    if math.comb(n, k) <= exact_limit:
+    if math.comb(n, k) <= EXACT_LIMIT:
         best: tuple[float, tuple[int, ...]] | None = None
         for combo in itertools.combinations(range(n), k):
             objective = float(dist[:, combo].min(axis=1).sum())

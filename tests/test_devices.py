@@ -1,25 +1,20 @@
 import numpy as np
 import pytest
 
-from communityplan.core import KIND_CATALOGUE, HYDROGEN_CHAIN, DeviceKind, DeviceSpec
+from communityplan.core import (
+    KIND_CATALOGUE, HYDROGEN_CHAIN, ClimateProfile, DeviceKind, DeviceSpec, Unit,
+)
 from communityplan.devices import (
     BALANCE_TERMS,
     GAS_FLOW,
     cop_profile,
-    emit_battery,
-    emit_boiler,
     emit_building_balances,
     emit_community_balance,
     emit_design,
     emit_designs,
-    emit_heat_pump,
-    emit_hydrogen_chain,
     emit_hydrogen_design,
     emit_operations,
-    emit_pv,
     emit_roof_coupling,
-    emit_stc,
-    emit_tes,
     roof_capped,
     simulate_storage,
     stc_yield_profile,
@@ -29,7 +24,7 @@ from communityplan.io import ingest_community
 from communityplan.milp import LinExpr, Model, Sense, Status
 from communityplan.solvers import solve
 
-from conftest import battery_spec, boiler_spec, simple_scenario
+from conftest import battery_spec, boiler_spec, simple_scenario, ts
 from oracles import storage_replay
 
 
@@ -51,6 +46,21 @@ def _designed(model, spec, roof=None, tag=None):
     return emit_design(model, capped, tag or spec.kind.value.lower())
 
 
+def climate(horizon, t_amb=0.0, i_sol=0.0):
+    """A climate of ``horizon`` steps; a scalar holds for every step."""
+    return ClimateProfile(ts(np.broadcast_to(t_amb, horizon)),
+                          ts(np.broadcast_to(i_sol, horizon), Unit.WATT_PER_M2))
+
+
+def operated(model, design, horizon, weather=None, tag="op"):
+    """The block that ``emit_operations`` makes of ``design`` alone, under
+    its own kind (the tank's for the hydrogen chain)."""
+    kind = DeviceKind.HYD if len(design.entries) > 1 else design.entries[0][0].kind
+    blocks = emit_operations(model, {kind: design}, weather or climate(horizon), horizon,
+                             1.0, tag)
+    return blocks[kind]
+
+
 def solved(model):
     result = solve(model)
     assert result.status == Status.OPTIMAL, result.solver_meta.get("message")
@@ -61,7 +71,7 @@ class TestBattery:
     def test_lossless_idle_keeps_state(self):
         m = Model()
         spec = battery_spec(sigma=1.0)
-        refs = emit_battery(m, spec, _designed(m, spec), horizon=5)
+        refs = operated(m, _designed(m, spec), 5)
         pin_all(m, refs.flows["charge"], np.zeros(5))
         pin_all(m, refs.flows["discharge"], np.zeros(5))
         m.minimize(LinExpr())
@@ -72,7 +82,7 @@ class TestBattery:
     def test_single_step_charge(self):
         m = Model()
         spec = battery_spec(eta=0.95)
-        refs = emit_battery(m, spec, _designed(m, spec), horizon=2)
+        refs = operated(m, _designed(m, spec), 2)
         pin(m, refs.state[0], 0.0)
         pin(m, refs.flows["charge"][0], 1.0)
         pin(m, refs.flows["discharge"][0], 0.0)
@@ -87,7 +97,7 @@ class TestBattery:
         expected = 10.0 * 0.99**3  # 9.70299
         m = Model()
         spec = battery_spec(sigma=0.99, cap_max=20.0)
-        refs = emit_battery(m, spec, _designed(m, spec), horizon=4)
+        refs = operated(m, _designed(m, spec), 4)
         pin(m, refs.state[0], 10.0)
         for t in range(3):
             pin(m, refs.flows["charge"][t], 0.0)
@@ -98,22 +108,16 @@ class TestBattery:
         assert result.x[refs.state[3].id] == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(9.70299, abs=1e-5)
 
-    def test_kind_check(self):
-        m = Model()
-        design = _designed(m, boiler_spec())
-        with pytest.raises(ValueError, match="kind"):
-            emit_battery(m, boiler_spec(), design, horizon=4)
-
     def test_horizon_too_short(self):
         m = Model()
         design = _designed(m, battery_spec())
         with pytest.raises(ValueError, match="horizon"):
-            emit_battery(m, battery_spec(), design, horizon=1)
+            operated(m, design, 1)
 
     def test_state_capped_by_design(self):
         m = Model()
         spec = battery_spec(cap_max=10.0)
-        refs = emit_battery(m, spec, _designed(m, spec), horizon=3)
+        refs = operated(m, _designed(m, spec), 3)
         pin(m, refs.design.design, 4.0)
         pin(m, refs.design.chi, 1.0)
         m.minimize(LinExpr.of([(refs.state[1], -1.0)]))  # push state up
@@ -126,7 +130,7 @@ class TestTes:
         spec = DeviceSpec(kind="TES", cap_min=0.0, cap_max=10.0, eta_ch=1.0,
                           eta_dch=1.0, sigma=1.0, gamma_ch=1.0, gamma_dch=1.0)
         m = Model()
-        refs = emit_tes(m, spec, _designed(m, spec), horizon=2)
+        refs = operated(m, _designed(m, spec), 2)
         pin(m, refs.state[0], 0.0)
         pin(m, refs.flows["charge"][0], 2.0)
         pin(m, refs.flows["discharge"][0], 0.0)
@@ -141,7 +145,7 @@ class TestTes:
         spec = DeviceSpec(kind="TES", cap_min=0.0, cap_max=10.0, gamma_ch=0.5,
                           gamma_dch=0.5, eta_ch=1.0, eta_dch=1.0, sigma=1.0)
         m = Model()
-        refs = emit_tes(m, spec, _designed(m, spec), horizon=2)
+        refs = operated(m, _designed(m, spec), 2)
         pin(m, refs.design.design, 10.0)
         pin(m, refs.design.chi, 1.0)
         m.minimize(LinExpr.of([(refs.flows["charge"][0], -1.0)]))
@@ -152,7 +156,7 @@ class TestTes:
         spec = DeviceSpec(kind="TES", cap_min=0.0, cap_max=20.0, eta_ch=0.9,
                           eta_dch=0.9, sigma=1.0, gamma_ch=1.0, gamma_dch=1.0)
         m = Model()
-        refs = emit_tes(m, spec, _designed(m, spec), horizon=2)
+        refs = operated(m, _designed(m, spec), 2)
         pin(m, refs.state[0], 0.0)
         pin(m, refs.flows["charge"][0], 10.0)  # 10 kWh in -> 9 stored
         pin(m, refs.flows["discharge"][0], 0.0)
@@ -169,7 +173,7 @@ class TestBoiler:
     def test_conversion(self):
         m = Model()
         spec = boiler_spec(eta=0.97)
-        refs = emit_boiler(m, spec, _designed(m, spec), horizon=1)
+        refs = operated(m, _designed(m, spec), 1)
         pin(m, refs.flows["gas"][0], 1.0)
         pin(m, refs.design.chi, 1.0)
         m.minimize(LinExpr())
@@ -178,7 +182,7 @@ class TestBoiler:
 
     def test_existence_gating_forces_zero_output(self):
         m = Model()
-        refs = emit_boiler(m, boiler_spec(), _designed(m, boiler_spec()), horizon=2)
+        refs = operated(m, _designed(m, boiler_spec()), 2)
         pin(m, refs.design.chi, 0.0)
         m.minimize(LinExpr.of((v, -1.0) for v in refs.flows["heat"]))
         result = solved(m)
@@ -188,7 +192,7 @@ class TestBoiler:
     def test_inverse_conversion_demand(self):
         m = Model()
         spec = boiler_spec(eta=0.9, cap_max=20.0)
-        refs = emit_boiler(m, spec, _designed(m, spec), horizon=1)
+        refs = operated(m, _designed(m, spec), 1)
         pin(m, refs.flows["heat"][0], 8.0)
         m.minimize(LinExpr())
         result = solved(m)
@@ -215,7 +219,7 @@ class TestHeatPump:
     def test_conversion_identity(self):
         spec = self.hp_spec([3.0, 0.0, 0.0, 0.0])
         m = Model()
-        refs = emit_heat_pump(m, spec, _designed(m, spec), np.full(2, 5.0), horizon=2)
+        refs = operated(m, _designed(m, spec), 2, climate(2, t_amb=5.0))
         pin(m, refs.flows["power"][0], 2.0)
         m.minimize(LinExpr())
         result = solved(m)
@@ -226,7 +230,7 @@ class TestHeatPump:
         m = Model()
         design = _designed(m, spec)
         with pytest.raises(ValueError, match="COP"):
-            emit_heat_pump(m, spec, design, np.full(3, 5.0), horizon=3)
+            operated(m, design, 3, climate(3, t_amb=5.0))
 
 
 class TestPv:
@@ -236,7 +240,7 @@ class TestPv:
     def test_night_zero(self):
         m = Model()
         spec = self.pv_spec()
-        refs = emit_pv(m, spec, _designed(m, spec), np.zeros(2), horizon=2)
+        refs = operated(m, _designed(m, spec), 2, climate(2, i_sol=0.0))
         pin(m, refs.design.design, 10.0)
         m.minimize(LinExpr())
         result = solved(m)
@@ -245,7 +249,7 @@ class TestPv:
     def test_conversion_value(self):
         m = Model()
         spec = self.pv_spec(eta=0.2)
-        refs = emit_pv(m, spec, _designed(m, spec), np.array([500.0]), horizon=1)
+        refs = operated(m, _designed(m, spec), 1, climate(1, i_sol=500.0))
         pin(m, refs.design.design, 10.0)
         m.minimize(LinExpr())
         result = solved(m)
@@ -254,7 +258,7 @@ class TestPv:
     def test_existence_gating_zeroes_area(self):
         m = Model()
         spec = self.pv_spec()
-        refs = emit_pv(m, spec, _designed(m, spec), np.array([500.0]), horizon=1)
+        refs = operated(m, _designed(m, spec), 1, climate(1, i_sol=500.0))
         pin(m, refs.design.chi, 0.0)
         m.minimize(LinExpr.of([(refs.design.design, -1.0)]))
         result = solved(m)
@@ -275,8 +279,7 @@ class TestStc:
     def test_yield_value(self):
         spec = self.stc_spec()
         m = Model()
-        refs = emit_stc(m, spec, _designed(m, spec), np.array([600.0]), np.array([5.0]),
-                        horizon=1)
+        refs = operated(m, _designed(m, spec), 1, climate(1, t_amb=5.0, i_sol=600.0))
         pin(m, refs.design.design, 4.0)
         m.minimize(LinExpr())
         result = solved(m)
@@ -294,9 +297,9 @@ class TestRoofCoupling:
     def test_zero_roof_forces_both_zero(self):
         m = Model()
         pv_spec, stc_spec = TestPv().pv_spec(), TestStc().stc_spec()
-        pv = emit_pv(m, pv_spec, _designed(m, pv_spec, roof=0.0), np.array([500.0]), 1)
-        stc = emit_stc(m, stc_spec, _designed(m, stc_spec, roof=0.0), np.array([500.0]),
-                       np.array([5.0]), 1)
+        weather = climate(1, t_amb=5.0, i_sol=500.0)
+        pv = operated(m, _designed(m, pv_spec, roof=0.0), 1, weather)
+        stc = operated(m, _designed(m, stc_spec, roof=0.0), 1, weather)
         emit_roof_coupling(m, pv.design, stc.design, 0.0)
         m.minimize(LinExpr.of([(pv.design.design, -1.0), (stc.design.design, -1.0)]))
         result = solved(m)
@@ -306,9 +309,9 @@ class TestRoofCoupling:
     def test_pv_leaves_room_for_stc(self):
         m = Model()
         pv_spec, stc_spec = TestPv().pv_spec(), TestStc().stc_spec()
-        pv = emit_pv(m, pv_spec, _designed(m, pv_spec, roof=20.0), np.array([500.0]), 1)
-        stc = emit_stc(m, stc_spec, _designed(m, stc_spec, roof=20.0), np.array([500.0]),
-                       np.array([5.0]), 1)
+        weather = climate(1, t_amb=5.0, i_sol=500.0)
+        pv = operated(m, _designed(m, pv_spec, roof=20.0), 1, weather)
+        stc = operated(m, _designed(m, stc_spec, roof=20.0), 1, weather)
         emit_roof_coupling(m, pv.design, stc.design, 20.0)
         pin(m, pv.design.design, 15.0)
         m.minimize(LinExpr.of([(stc.design.design, -1.0)]))
@@ -330,8 +333,7 @@ def hydrogen_specs(eta_el=0.7, eta_fc=0.5, sigma=1.0):
 class TestHydrogenChain:
     def test_shared_gating(self):
         m = Model()
-        refs = emit_hydrogen_chain(m, emit_hydrogen_design(m, hydrogen_specs(), "COM"),
-                                   horizon=3)
+        refs = operated(m, emit_hydrogen_design(m, hydrogen_specs(), "COM"), 3)
         pin(m, refs.design.chi, 0.0)
         m.minimize(
             LinExpr.of((var, -1.0) for _, var in refs.design.entries)
@@ -343,7 +345,7 @@ class TestHydrogenChain:
     def test_round_trip_efficiency_35_percent(self):
         m = Model()
         design = emit_hydrogen_design(m, hydrogen_specs(0.7, 0.5), "COM")
-        refs = emit_hydrogen_chain(m, design, horizon=3)
+        refs = operated(m, design, 3)
         pin(m, refs.state[0], 0.0)
         pin(m, refs.flows["charge"][0], 10.0)
         pin(m, refs.flows["discharge"][0], 0.0)
@@ -359,7 +361,7 @@ class TestHydrogenChain:
     def test_idle_lossless_tank(self):
         m = Model()
         design = emit_hydrogen_design(m, hydrogen_specs(sigma=1.0), "COM")
-        refs = emit_hydrogen_chain(m, design, horizon=4)
+        refs = operated(m, design, 4)
         pin(m, refs.state[0], 5.0)
         pin_all(m, refs.flows["charge"], np.zeros(4))
         pin_all(m, refs.flows["discharge"], np.zeros(4))
@@ -373,12 +375,6 @@ class TestHydrogenChain:
         del specs[DeviceKind.FC]
         with pytest.raises(ValueError, match="FC"):
             emit_hydrogen_design(Model(), specs, "COM")
-
-    def test_non_hydrogen_design_rejected(self):
-        m = Model()
-        design = _designed(m, battery_spec())
-        with pytest.raises(ValueError, match="EL, HYD, FC designs, got BAT"):
-            emit_hydrogen_chain(m, design, horizon=3)
 
 
 class TestBuildingBalances:
@@ -396,7 +392,7 @@ class TestBuildingBalances:
     def test_boiler_meets_heat_demand(self):
         m = Model()
         spec = boiler_spec(eta=0.9)
-        blocks = {DeviceKind.BOL: emit_boiler(m, spec, _designed(m, spec), 2)}
+        blocks = {DeviceKind.BOL: operated(m, _designed(m, spec), 2)}
         q_sp = [m.add_var(f"q{t}") for t in range(2)]
         for var in q_sp:
             pin(m, var, 4.5)
@@ -413,7 +409,7 @@ class TestBuildingBalances:
     def test_pv_surplus_exports(self):
         m = Model()
         spec = TestPv().pv_spec(eta=0.2)
-        pv = emit_pv(m, spec, _designed(m, spec), np.array([500.0]), 1)
+        pv = operated(m, _designed(m, spec), 1, climate(1, i_sol=500.0))
         pin(m, pv.design.design, 10.0)  # 1 kW output
         q_sp = [m.add_var("q0")]
         pin(m, q_sp[0], 0.0)
@@ -447,9 +443,9 @@ class TestCommunityBalance:
         bat_spec = DeviceSpec(kind="BAT_COM", cap_min=0.0, cap_max=50.0,
                               eta_ch=0.9, eta_dch=0.9, sigma=1.0,
                               gamma_ch=1.0, gamma_dch=1.0)
-        pv = emit_pv(m, pv_spec, _designed(m, pv_spec, tag="COM"), np.array([500.0, 0.0]),
-                     2, tag="COM")
-        bat = emit_battery(m, bat_spec, _designed(m, bat_spec, tag="COM"), 2, tag="COM")
+        pv = operated(m, _designed(m, pv_spec, tag="COM"), 2, climate(2, i_sol=[500.0, 0.0]),
+                      tag="COM")
+        bat = operated(m, _designed(m, bat_spec, tag="COM"), 2, tag="COM")
         pin(m, pv.design.design, 50.0)  # 5 kW at t0
         pin(m, bat.design.design, 50.0)
         pin(m, bat.state[0], 0.0)
@@ -528,6 +524,38 @@ class TestCatalogueTables:
             assert len(operated[kind].flows[flow]) == 4
 
 
+class TestOperatorKinds:
+    DESIGNS = {
+        "BOL": lambda m: _designed(m, boiler_spec()),
+        "BAT": lambda m: _designed(m, battery_spec()),
+        "PV": lambda m: _designed(m, TestPv().pv_spec()),
+        "HYD": lambda m: emit_hydrogen_design(m, hydrogen_specs(), "COM"),
+    }
+
+    @pytest.mark.parametrize("key, held, message", [
+        pytest.param(DeviceKind[key], held, message, id=f"{key}-got-{held}")
+        for key, held, message in [
+            ("BAT", "BOL", "BAT operates BAT designs, got BOL"),
+            ("BAT_COM", "BAT", "BAT_COM operates BAT_COM designs, got BAT"),
+            ("TES", "BAT", "TES operates TES designs, got BAT"),
+            ("HP", "BOL", "HP operates HP designs, got BOL"),
+            ("PV_COM", "PV", "PV_COM operates PV_COM designs, got PV"),
+            ("STC", "PV", "STC operates STC designs, got PV"),
+            ("BAT", "HYD", "BAT operates BAT designs, got EL, HYD, FC"),
+            ("HYD", "BAT", "HYD operates EL, HYD, FC designs, got BAT"),
+        ]
+    ])
+    def test_design_of_another_kind_rejected(self, key, held, message):
+        # every design is checked against its key before any kind emits
+        m = Model()
+        designs = {DeviceKind.BOL: _designed(m, boiler_spec(), tag="first"),
+                   key: self.DESIGNS[held](m)}
+        columns = len(m.variables)
+        with pytest.raises(ValueError, match=message):
+            emit_operations(m, designs, climate(3), 3, 1.0, "op")
+        assert len(m.variables) == columns
+
+
 class TestStorageReplayProperty:
     def test_arbitrage_replay_and_no_simultaneous_flows(self):
         # price valley then peak: charge cheap, discharge dear
@@ -535,7 +563,7 @@ class TestStorageReplayProperty:
         price = np.array([0.05, 0.05, 0.05, 0.3, 0.3, 0.3, 0.3, 0.05])
         spec = battery_spec(cap_max=8.0, eta=0.9, sigma=0.999, gamma=1.0)
         m = Model()
-        refs = emit_battery(m, spec, _designed(m, spec), horizon)
+        refs = operated(m, _designed(m, spec), horizon)
         pin(m, refs.design.chi, 1.0)
         pin(m, refs.design.design, 8.0)
         grid = [m.add_var(f"grid{t}") for t in range(horizon)]  # purchase only

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import sys
 from dataclasses import replace
@@ -34,10 +35,12 @@ from communityplan.io import (
 from communityplan.objective import ObjectiveBreakdown
 from communityplan.planner import (
     BuildingTraces, DesignDecision, DesignSpread, PlanResult, ScenarioOperations,
-    SensitivityReport, solve_centralized,
+    SensitivityReport, solve_centralized, solve_distributed,
 )
-from communityplan.scenarios import BootstrapSpec, bootstrap_years, channels_to_scenario
-from communityplan.solvers import HIGHS_OPTIONS
+from communityplan.scenarios import (
+    BootstrapSpec, bootstrap_years, channels_to_scenario, reduce_scenarios,
+)
+from communityplan.solvers import HIGHS_OPTIONS, SolveOptions
 
 from conftest import (
     START, battery_spec, boiler_spec, simple_building, simple_config, simple_scenario, ts,
@@ -986,6 +989,20 @@ class TestRunManifest:
 class TestCli:
     def run(self, *argv):
         return main(list(argv))
+
+    def test_defaults_are_the_librarys(self):
+        parse = communityplan.cli._build_parser().parse_args
+        where = ["--dir", "d", "--scenarios", "s", "--out", "o"]
+        distributed = inspect.signature(solve_distributed).parameters
+        plan = parse(["plan", "distributed", *where])
+        assert plan.mip_gap == SolveOptions().mip_gap
+        assert plan.epsilon == distributed["epsilon"].default
+        assert plan.max_iters == distributed["max_iters"].default
+        generate = parse(["scenarios", "generate", "--dir", "d", "--out", "o"])
+        assert generate.years == BootstrapSpec().n_years
+        assert generate.window_weeks == BootstrapSpec().window_weeks
+        reduce = parse(["scenarios", "reduce", "--scenarios", "s", "--out", "o"])
+        assert reduce.k == inspect.signature(reduce_scenarios).parameters["k"].default
 
     def test_full_flow_and_exit_codes(self, tmp_path, capsys):
         fx = tmp_path / "fx"

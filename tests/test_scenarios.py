@@ -185,7 +185,7 @@ def assert_full_cdist_result(points, result):
 
 class TestKmedoids:
     @pytest.mark.parametrize("k, exact_limit", [(1, 1000), (2, 1000), (4, 1000), (3, 1)])
-    def test_clusters_on_the_full_cdist_bits(self, k, exact_limit):
+    def test_clusters_on_the_full_cdist_bits(self, k, exact_limit, monkeypatch):
         # kmedoids may compute fewer pairs, and reduce_scenarios drops the
         # columns on which every point agrees, but the assignment and the
         # objective must be those of the full cdist(pts, pts) matrix, bit
@@ -198,12 +198,13 @@ class TestKmedoids:
         constant = np.full((40, 2), -1.2345678901234567)
         points = np.hstack([constant[:, :1], varying[:, :3], night, -night[:, :2],
                             varying[:, 3:], constant[:, 1:]])
-        result = kmedoids(points, k=k, rng_seed=3, exact_limit=exact_limit)
+        monkeypatch.setattr(communityplan.scenarios, "EXACT_LIMIT", exact_limit)
+        result = kmedoids(points, k=k, rng_seed=3)
         assert_full_cdist_result(points, result)
         compacted = _drop_agreeing_columns(points.copy())
         assert np.array_equal(compacted, varying)
         assert _euclidean_distances(compacted).tobytes() == cdist(points, points).tobytes()
-        again = kmedoids(compacted, k=k, rng_seed=3, exact_limit=exact_limit)
+        again = kmedoids(compacted, k=k, rng_seed=3)
         assert again == result
 
     def test_dropping_agreeing_columns_compacts_in_place(self):
@@ -262,14 +263,15 @@ class TestKmedoids:
             assert all(m in range(n) for m in result.medoid_ids)
             assert sum(result.probabilities) == Fraction(1)
 
-    def test_pam_path_on_blobs(self):
+    def test_pam_path_on_blobs(self, monkeypatch):
         # force the iterative PAM path and check it still lands on the
         # global optimum of a well separated instance
         rng = np.random.default_rng(4)
         blob_a = rng.normal(0.0, 0.3, (10, 2))
         blob_b = rng.normal(50.0, 0.3, (12, 2))
         points = np.vstack([blob_a, blob_b])
-        result = kmedoids(points, k=2, rng_seed=7, exact_limit=1)
+        monkeypatch.setattr(communityplan.scenarios, "EXACT_LIMIT", 1)
+        result = kmedoids(points, k=2, rng_seed=7)
         best_obj, _ = brute_force_kmedoids(cdist(points, points), 2)
         assert result.objective == pytest.approx(best_obj, rel=1e-12)
         sizes = sorted(result.cluster_sizes)
