@@ -38,8 +38,9 @@ climate = ClimateProfile(
 )
 
 model = Model("thermal_demo")
-refs = emit_thermal_constraints(model, building, climate, HOURS, t_init=t_set[0])
-emit_comfort_constraints(model, refs, t_set, buffer=0.5)
+refs = emit_thermal_constraints(model, building, climate, HOURS, t_init=t_set[0],
+                                step_hours=1.0, tag="b1")
+emit_comfort_constraints(model, refs, t_set, buffer=0.5, tag="comfort")
 model.minimize(LinExpr.of((q, 1.0) for q in refs.q_sp))
 result = solve(model)
 

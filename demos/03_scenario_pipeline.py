@@ -11,6 +11,7 @@ from pathlib import Path
 from communityplan.fixtures import generate_fixture
 from communityplan.io import ingest_community
 from communityplan.scenarios import (
+    FACTORS,
     BootstrapSpec,
     bootstrap_years,
     nominal_scenario,
@@ -34,6 +35,6 @@ for scenario, frac in zip(reduced, cluster.probabilities):
     print(f"  {scenario.id:8s} pi = {frac} = {float(frac):.3f}")
 print(f"clustering objective: {cluster.objective:.2f}")
 
-for factor in ("occ", "eco", "clim"):
+for factor in FACTORS:
     print(f"nominal for {factor:4s} analysis: "
           f"{nominal_scenario(reduced, factor)}")

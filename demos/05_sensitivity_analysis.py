@@ -80,7 +80,7 @@ scenarios = [
     scenario("harsh", 1.8, 0.38, -1.0, t_day=20.5),
 ]
 
-report = run_sensitivity(cfg, scenarios, scenarios, scenarios)
+report = run_sensitivity(cfg, scenarios)
 
 print("nominals per analysis:",
       {f: dict(v) for f, v in report.nominal_ids.items()})

@@ -32,6 +32,7 @@ from .io import (
 )
 from .planner import run_sensitivity, solve_centralized, solve_distributed
 from .scenarios import (
+    FACTORS,
     BootstrapSpec,
     bootstrap_years,
     nominal_scenario,
@@ -79,7 +80,7 @@ def _build_parser() -> _Parser:
     p_gen.add_argument("--dir", required=True, help="data directory with history/")
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--years", type=int, default=BootstrapSpec.n_years)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=int, default=BootstrapSpec.rng_seed)
     p_gen.add_argument("--window-weeks", type=float, default=BootstrapSpec.window_weeks)
     p_gen.add_argument("--no-weekday-partition", action="store_true")
 
@@ -87,11 +88,12 @@ def _build_parser() -> _Parser:
     p_red.add_argument("--scenarios", required=True, help="scenario bundle directory")
     p_red.add_argument("--out", required=True)
     p_red.add_argument("--k", type=int, default=_default(reduce_scenarios, "k"))
-    p_red.add_argument("--seed", type=int, default=0)
+    p_red.add_argument("--seed", type=int,
+                       default=_default(reduce_scenarios, "rng_seed"))
 
     p_nom = scn_sub.add_parser("nominal", help="print a factor's nominal scenario id")
     p_nom.add_argument("--scenarios", required=True)
-    p_nom.add_argument("--factor", required=True, choices=("occ", "eco", "clim"))
+    p_nom.add_argument("--factor", required=True, choices=FACTORS)
 
     p_plan = sub.add_parser("plan", help="solve a planning problem")
     plan_sub = p_plan.add_subparsers(dest="plan_verb", required=True)
@@ -111,7 +113,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--max-iters", type=int,
                            default=_default(solve_distributed, "max_iters"))
         if name == "sensitivity":
-            p.add_argument("--factors", default="occ,eco,clim")
+            p.add_argument("--factors", default=",".join(FACTORS))
 
     p_rep = sub.add_parser("report", help="re-emit report files from a stored plan")
     p_rep.add_argument("--plan", required=True, help="plan_result.json")
@@ -271,10 +273,7 @@ def _dispatch_plan(args) -> int:
 
     if args.plan_verb == "sensitivity":
         factors = tuple(f.strip() for f in args.factors.split(",") if f.strip())
-        report = run_sensitivity(
-            cfg, scenarios, scenarios, scenarios,
-            backend=backend, options=options, factors=factors,
-        )
+        report = run_sensitivity(cfg, scenarios, backend, options, factors)
         files = save_sensitivity_report(report, out)
         _write_json(out / "run_manifest.json", manifest.as_dict())
         print(f"wrote {len(files) + 1} sensitivity files to {out}")

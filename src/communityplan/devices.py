@@ -414,8 +414,12 @@ def emit_operations(model: Model, designs: Mapping[DeviceKind, DesignRefs],
                     tag: str) -> dict[DeviceKind, DeviceBlockRefs]:
     """The operational block of every design in one scenario, emitted in
     the designs' order by each kind's emitter.  A design under key ``kind``
-    must hold one ``kind`` entry, under ``HYD`` the hydrogen chain's."""
+    must hold one ``kind`` entry, under ``HYD`` the hydrogen chain's; a
+    kind without an emitter (``EL``, ``FC``) is a ``ValueError``."""
     for kind, refs in designs.items():
+        if kind not in _OPERATORS:
+            raise ValueError(f"{kind.value} has no operator of its own; "
+                             f"the hydrogen chain is operated under HYD")
         expected = HYDROGEN_CHAIN if kind is DeviceKind.HYD else (kind,)
         got = tuple(spec.kind for spec, _ in refs.entries)
         if got != expected:

@@ -77,7 +77,7 @@ from .objective import (
     emit_investment_cost,
     terms_value,
 )
-from .scenarios import channels_to_scenario, compose_factor_scenarios
+from .scenarios import FACTORS, channels_to_scenario, compose_factor_scenarios
 from .solvers import SolveOptions, SolverError, solve
 from .thermal import ThermalBlockRefs, emit_comfort_constraints, emit_thermal_constraints
 
@@ -613,27 +613,26 @@ class SensitivityReport:
 
 def run_sensitivity(
     cfg: CommunityConfig,
-    occ: Sequence[Scenario],
-    eco: Sequence[Scenario],
-    clim: Sequence[Scenario],
+    scenarios: Sequence[Scenario],
     backend: object = "scipy",
     options: SolveOptions | None = None,
-    factors: Sequence[str] = ("occ", "eco", "clim"),
+    factors: Sequence[str] = FACTORS,
 ) -> SensitivityReport:
     """One-at-a-time design sensitivity per uncertainty factor.
 
-    Solves one deterministic problem per factor member (other factors
-    pinned at their nominals), reports per-device design spread, and
-    includes the stochastic optimum over the occupant set ``occ``, which
-    usually is the joint ensemble.
-    ``factors`` restricts which families are run.
+    Solves one deterministic problem per scenario and factor in
+    ``factors`` (the other factors pinned at their nominals), reports the
+    per-device design spread, and includes the stochastic optimum over
+    ``scenarios`` as the reference.  ``ValueError`` names every factor
+    that is not one of :data:`~communityplan.scenarios.FACTORS`, before
+    any solve.
     """
-    problems = [
-        p
-        for p in compose_factor_scenarios(occ, eco, clim)
-        if p.factor in factors
-    ]
-    reference = solve_centralized(cfg, list(occ), backend, options)
+    unknown = [f for f in factors if f not in FACTORS]
+    if unknown:
+        raise ValueError(f"unknown factor(s) {', '.join(unknown)}; "
+                         f"factors are {', '.join(FACTORS)}")
+    problems = [p for p in compose_factor_scenarios(scenarios) if p.factor in factors]
+    reference = solve_centralized(cfg, list(scenarios), backend, options)
 
     spreads: dict[str, dict[tuple[str, str], DesignSpread]] = {}
     infeasible: list[tuple[str, str]] = []

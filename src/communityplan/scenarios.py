@@ -418,40 +418,27 @@ class FactorProblems:
     nominal_ids: Mapping[str, str]
 
 
-def compose_factor_scenarios(
-    occ: Sequence[Scenario],
-    eco: Sequence[Scenario],
-    clim: Sequence[Scenario],
-) -> list[FactorProblems]:
+def compose_factor_scenarios(scenarios: Sequence[Scenario]) -> list[FactorProblems]:
     """Build the one-at-a-time problem sets for the sensitivity analysis:
-    per factor, one deterministic singleton per member scenario with the
-    other two factors pinned at their nominal scenarios' channels.
+    per factor, one deterministic singleton per scenario with the other
+    two factors pinned at their nominal scenarios' channels.
     """
-    pools: dict[str, Sequence[Scenario]] = {"occ": occ, "eco": eco, "clim": clim}
-    nominals = {
-        factor: nominal_scenario(pool, factor) for factor, pool in pools.items()
-    }
-    nominal_scn = {
-        factor: next(s for s in pools[factor] if s.id == nominals[factor])
-        for factor in FACTORS
-    }
+    nominal_scn = {}
+    for factor in FACTORS:
+        nominal_id = nominal_scenario(scenarios, factor)
+        nominal_scn[factor] = next(s for s in scenarios if s.id == nominal_id)
     problems = []
     for factor in FACTORS:
-        singletons = []
-        for member in pools[factor]:
-            pinned = {
-                FACTOR_GROUPS[other]: getattr(nominal_scn[other], FACTOR_GROUPS[other])
-                for other in FACTORS
-                if other != factor
-            }
-            singletons.append(
-                replace(member, id=f"{factor}_{member.id}", probability=1.0, **pinned)
-            )
-        problems.append(
-            FactorProblems(
-                factor=factor,
-                scenarios=tuple(singletons),
-                nominal_ids={f: nominals[f] for f in FACTORS if f != factor},
-            )
+        others = [f for f in FACTORS if f != factor]
+        pinned = {FACTOR_GROUPS[f]: getattr(nominal_scn[f], FACTOR_GROUPS[f])
+                  for f in others}
+        singletons = tuple(
+            replace(member, id=f"{factor}_{member.id}", probability=1.0, **pinned)
+            for member in scenarios
         )
+        problems.append(FactorProblems(
+            factor=factor,
+            scenarios=singletons,
+            nominal_ids={f: nominal_scn[f].id for f in others},
+        ))
     return problems

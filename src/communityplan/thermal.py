@@ -113,8 +113,8 @@ def emit_thermal_constraints(
     climate: ClimateProfile,
     horizon: int,
     t_init: float,
-    step_hours: float = 1.0,
-    tag: str = "",
+    step_hours: float,
+    tag: str,
 ) -> ThermalBlockRefs:
     """Emit the discrete heat-dynamics equalities for one building.
 
@@ -129,11 +129,10 @@ def emit_thermal_constraints(
     t_amb = series_head(climate.t_amb, horizon, "T_amb") + KELVIN_OFFSET
     i_sol = series_head(climate.i_sol, horizon, "I_sol")
     step_s = step_hours * SECONDS_PER_HOUR
-    label = tag or f"b{bcfg.id}"
     nodes = rc.states()
 
-    states = {node: model.add_vars(f"T{node}_{label}", horizon) for node in nodes}
-    q_sp = model.add_vars(f"Qsp_{label}", horizon)
+    states = {node: model.add_vars(f"T{node}_{tag}", horizon) for node in nodes}
+    q_sp = model.add_vars(f"Qsp_{tag}", horizon)
     heat_node = "h" if "h" in nodes else "i"
 
     # every state starts at the initial set point; leaving non-interior
@@ -141,7 +140,7 @@ def emit_thermal_constraints(
     # makes trajectories non-unique under fixed heating
     for node in nodes:
         model.add_constraint(states[node][0], Sense.EQ, t_init + KELVIN_OFFSET,
-                             f"tinit_{node}_{label}")
+                             f"tinit_{node}_{tag}")
 
     # the update into step t (t = 1 .. horizon - 1) reads inputs at t - 1
     steps = horizon - 1
@@ -174,7 +173,7 @@ def emit_thermal_constraints(
         rows.append(terms)
         rhs_rows.append(rhs)
     model.add_constraints(
-        [f"rc_{node}_{label}" for node in nodes], max(steps, 0), rows,
+        [f"rc_{node}_{tag}" for node in nodes], max(steps, 0), rows,
         [Sense.EQ] * len(nodes), rhs_rows, first=1,
     )
     return ThermalBlockRefs(states=states, q_sp=q_sp, horizon=horizon)
@@ -185,7 +184,7 @@ def emit_comfort_constraints(
     refs: ThermalBlockRefs,
     t_set,
     buffer: float,
-    tag: str = "",
+    tag: str,
 ) -> None:
     """Lower comfort bound T_i(t) >= T_set(t) - buffer for every step.
 
@@ -193,9 +192,8 @@ def emit_comfort_constraints(
     to float above the set point.
     """
     setpoints = series_head(t_set, refs.horizon, "T_set")
-    label = tag or "comfort"
     model.add_constraints(
-        (f"comf_{label}",), len(refs.t_i), [[(refs.t_i, 1.0)]], (Sense.GE,),
+        (f"comf_{tag}",), len(refs.t_i), [[(refs.t_i, 1.0)]], (Sense.GE,),
         [setpoints[: len(refs.t_i)] - buffer + KELVIN_OFFSET],
     )
 

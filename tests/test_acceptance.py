@@ -175,7 +175,8 @@ def test_criterion_3_rc_oracle():
         q_fixed = rng.uniform(0.0, 2.5, horizon)
         model = Model(f"rc{order}")
         refs = emit_thermal_constraints(
-            model, building_of_order(order), clim, horizon, t_init=19.0
+            model, building_of_order(order), clim, horizon, t_init=19.0,
+            step_hours=1.0, tag="b1",
         )
         for t, var in enumerate(refs.q_sp):
             model.add_constraint(
@@ -200,7 +201,8 @@ def test_criterion_3_rc_oracle():
                    i_sol=np.full(horizon, i_sol))
     model = Model("rc5ss")
     refs = emit_thermal_constraints(
-        model, building_of_order(5), clim, horizon, t_init=19.0
+        model, building_of_order(5), clim, horizon, t_init=19.0,
+        step_hours=1.0, tag="b1",
     )
     for t, var in enumerate(refs.q_sp):
         model.add_constraint(
@@ -472,7 +474,7 @@ def test_criterion_9_sensitivity():
         )
         for i in range(3)
     ]
-    report = run_sensitivity(cfg, scenarios, scenarios, scenarios)
+    report = run_sensitivity(cfg, scenarios)
     solves = sum(
         len(spreads[("b1", "BOL")].values) for spreads in report.spreads.values()
     )
@@ -480,7 +482,7 @@ def test_criterion_9_sensitivity():
     assert report.infeasible == ()
 
     # pinned channels byte-match the nominals per composed problem
-    problems = compose_factor_scenarios(scenarios, scenarios, scenarios)
+    problems = compose_factor_scenarios(scenarios)
     for problem in problems:
         for other, nominal_id in problem.nominal_ids.items():
             nominal = next(s for s in scenarios if s.id == nominal_id)

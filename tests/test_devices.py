@@ -555,6 +555,17 @@ class TestOperatorKinds:
             emit_operations(m, designs, climate(3), 3, 1.0, "op")
         assert len(m.variables) == columns
 
+    @pytest.mark.parametrize("kind", [DeviceKind.EL, DeviceKind.FC])
+    def test_chain_member_has_no_operator_of_its_own(self, kind):
+        m = Model()
+        designs = {DeviceKind.BOL: _designed(m, boiler_spec(), tag="first"),
+                   kind: _designed(m, hydrogen_specs()[kind])}
+        columns = len(m.variables)
+        with pytest.raises(ValueError, match=f"^{kind.value} has no operator of its own; "
+                                             "the hydrogen chain is operated under HYD$"):
+            emit_operations(m, designs, climate(3), 3, 1.0, "op")
+        assert len(m.variables) == columns
+
 
 class TestStorageReplayProperty:
     def test_arbitrage_replay_and_no_simultaneous_flows(self):

@@ -942,6 +942,17 @@ class TestSensitivityReport:
         data = json.loads((out / "sensitivity_report.json").read_text())
         assert sorted(data["spreads"]) == ["clim", "eco", "occ"]
 
+    def test_cli_plan_sensitivity_rejects_an_unknown_factor(self, tmp_path, capsys):
+        fx = generate_fixture(tmp_path / "fx", 1, seed=10)
+        bundle = tmp_path / "scn"
+        save_scenarios(bundle, [ingest_community(fx).history])
+        out = tmp_path / "out"
+        assert main(["plan", "sensitivity", "--dir", str(fx), "--scenarios", str(bundle),
+                     "--out", str(out), "--horizon", "24", "--factors", "occ,climate"]) == 1
+        assert capsys.readouterr().err == (
+            "error: unknown factor(s) climate; factors are occ, eco, clim\n")
+        assert not out.exists()
+
 
 class TestRunManifest:
     def test_hashes_verify_and_detect_drift(self, tmp_path):
@@ -1001,8 +1012,11 @@ class TestCli:
         generate = parse(["scenarios", "generate", "--dir", "d", "--out", "o"])
         assert generate.years == BootstrapSpec().n_years
         assert generate.window_weeks == BootstrapSpec().window_weeks
+        assert generate.seed == BootstrapSpec().rng_seed
         reduce = parse(["scenarios", "reduce", "--scenarios", "s", "--out", "o"])
-        assert reduce.k == inspect.signature(reduce_scenarios).parameters["k"].default
+        reduction = inspect.signature(reduce_scenarios).parameters
+        assert reduce.k == reduction["k"].default
+        assert reduce.seed == reduction["rng_seed"].default
 
     def test_full_flow_and_exit_codes(self, tmp_path, capsys):
         fx = tmp_path / "fx"

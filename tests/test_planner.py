@@ -642,7 +642,7 @@ class TestSensitivity:
                      base.economic, base.climate)
             for i, f in enumerate((0.5, 1.0, 2.0))
         ]
-        report = run_sensitivity(cfg, occ, occ[:1], occ[:1], factors=("occ",))
+        report = run_sensitivity(cfg, occ, factors=("occ",))
         spread = report.spreads["occ"][("b1", "BOL")]
         values = [spread.values[f"occ_occ{i}"] for i in range(3)]
         assert values[0] <= values[1] + 1e-6 <= values[2] + 2e-6
@@ -658,7 +658,7 @@ class TestSensitivity:
                             e_base_scale=0.5 + 0.5 * i)
             for i in range(3)
         ]
-        report = run_sensitivity(cfg, scenarios, scenarios, scenarios)
+        report = run_sensitivity(cfg, scenarios)
         total = sum(
             len(spread.values)
             for spreads in report.spreads.values()
@@ -675,7 +675,7 @@ class TestSensitivity:
             Scenario(f"s{i}", 1 / 3, base.occupant, base.economic, base.climate)
             for i in range(3)
         ]
-        report = run_sensitivity(cfg, clones, clones, clones, factors=("occ",))
+        report = run_sensitivity(cfg, clones, factors=("occ",))
         spread = report.spreads["occ"][("b1", "BOL")]
         assert spread.std == pytest.approx(0.0, abs=1e-7)
 
@@ -686,8 +686,7 @@ class TestSensitivity:
             simple_scenario(f"s{i}", 0.5, horizon=24, t_amb_level=2.0 + i)
             for i in range(2)
         ]
-        report = run_sensitivity(cfg, scenarios, scenarios, scenarios,
-                                 factors=("eco",))
+        report = run_sensitivity(cfg, scenarios, factors=("eco",))
         direct = solve_centralized(cfg, scenarios)
         assert report.reference == direct.designs
 
@@ -695,10 +694,30 @@ class TestSensitivity:
         building = simple_building(1, devices=(boiler_spec(),))
         cfg = simple_config([building], horizon=24)
         one = [simple_scenario(horizon=24)]
-        report = run_sensitivity(cfg, one, one, one, factors=("clim",))
+        report = run_sensitivity(cfg, one, factors=("clim",))
         spread = report.spreads["clim"][("b1", "BOL")]
         assert spread.std == 0.0
         assert spread.mean == spread.minimum == spread.maximum
+
+    @pytest.mark.parametrize("factors, named", [
+        (("climate",), "climate"),
+        (("occ", "climate", "weather"), "climate, weather"),
+    ])
+    def test_unknown_factor_named_before_any_solve(self, factors, named):
+        cfg = simple_config([simple_building(1, devices=(boiler_spec(),))], horizon=24)
+        with pytest.raises(ValueError) as info:
+            run_sensitivity(cfg, [simple_scenario(horizon=24)], _NeverSolves(),
+                            factors=factors)
+        assert str(info.value) == f"unknown factor(s) {named}; factors are occ, eco, clim"
+
+
+class _NeverSolves:
+    """A solver that fails the test if it is asked to solve."""
+
+    name = "never"
+
+    def solve(self, model, options=None):
+        raise AssertionError("solved a model")
 
 
 class _NoIncumbentBackend:

@@ -361,14 +361,14 @@ class TestNominal:
 class TestCompose:
     def test_counting_one_at_a_time(self):
         scenarios = price_scenarios([0.1, 0.2, 0.3, 0.4])
-        problems = compose_factor_scenarios(scenarios, scenarios, scenarios)
+        problems = compose_factor_scenarios(scenarios)
         assert [p.factor for p in problems] == ["occ", "eco", "clim"]
         assert all(len(p.scenarios) == 4 for p in problems)
         assert all(s.probability == 1.0 for p in problems for s in p.scenarios)
 
     def test_all_singletons(self):
         single = price_scenarios([0.2])
-        problems = compose_factor_scenarios(single, single, single)
+        problems = compose_factor_scenarios(single)
         assert all(len(p.scenarios) == 1 for p in problems)
 
     def test_pinned_channels_match_nominals_bytewise(self):
@@ -388,7 +388,7 @@ class TestCompose:
             scenarios.append(
                 channels_to_scenario(f"s{i}", 1 / 3, channels, HISTORY_START, 1.0)
             )
-        problems = compose_factor_scenarios(scenarios, scenarios, scenarios)
+        problems = compose_factor_scenarios(scenarios)
         by_factor = {p.factor: p for p in problems}
         occ = by_factor["occ"]
         eco_nominal = next(

@@ -55,7 +55,8 @@ def climate(horizon, t_amb=None, i_sol=None) -> ClimateProfile:
 def solve_with_fixed_heating(order, clim, q_fixed, t_init, horizon):
     model = Model("rc")
     refs = emit_thermal_constraints(
-        model, building_of_order(order), clim, horizon, t_init=t_init
+        model, building_of_order(order), clim, horizon, t_init=t_init,
+        step_hours=1.0, tag="b1",
     )
     for t, var in enumerate(refs.q_sp):
         model.add_constraint(
@@ -98,7 +99,8 @@ class TestDynamicsAgainstIndependentEuler:
         clim = climate(horizon, t_amb=np.full(horizon, 20.0), i_sol=np.zeros(horizon))
         q = 0.5  # kW
         model = Model("adiabatic")
-        refs = emit_thermal_constraints(model, building, clim, horizon, t_init=20.0)
+        refs = emit_thermal_constraints(model, building, clim, horizon, t_init=20.0,
+                                        step_hours=1.0, tag="b1")
         for t, var in enumerate(refs.q_sp):
             model.add_constraint(
                 LinExpr({var.id: 1.0}, 0.0, var.model_id), Sense.EQ, q, f"pin{t}"
@@ -152,9 +154,10 @@ class TestComfort:
                        i_sol=np.zeros(horizon))
         model = Model("comfort")
         refs = emit_thermal_constraints(
-            model, building_of_order(order), clim, horizon, t_init=float(t_set[0])
+            model, building_of_order(order), clim, horizon, t_init=float(t_set[0]),
+            step_hours=1.0, tag="b1",
         )
-        emit_comfort_constraints(model, refs, t_set, buffer)
+        emit_comfort_constraints(model, refs, t_set, buffer, tag="comfort")
         model.minimize(LinExpr.of((v, 1.0) for v in refs.q_sp))
         result = solve(model)
         assert result.status.value == "optimal"
@@ -188,9 +191,10 @@ class TestComfort:
         clim = climate(horizon, t_amb=np.full(horizon, 30.0), i_sol=np.zeros(horizon))
         model = Model("warm")
         refs = emit_thermal_constraints(
-            model, building_of_order(1), clim, horizon, t_init=19.0
+            model, building_of_order(1), clim, horizon, t_init=19.0,
+            step_hours=1.0, tag="b1",
         )
-        emit_comfort_constraints(model, refs, np.full(horizon, 19.0), 0.5)
+        emit_comfort_constraints(model, refs, np.full(horizon, 19.0), 0.5, tag="comfort")
         model.minimize(LinExpr.of((v, 1.0) for v in refs.q_sp))
         result = solve(model)
         indoor = refs.indoor_celsius(result.x)
@@ -206,9 +210,10 @@ class TestComfort:
                        i_sol=np.zeros(horizon))
         model = Model("shifted")
         refs = emit_thermal_constraints(
-            model, building_of_order(1), clim, horizon, t_init=19.0 + delta
+            model, building_of_order(1), clim, horizon, t_init=19.0 + delta,
+            step_hours=1.0, tag="b1",
         )
-        emit_comfort_constraints(model, refs, t_set + delta, 0.5)
+        emit_comfort_constraints(model, refs, t_set + delta, 0.5, tag="comfort")
         model.minimize(LinExpr.of((v, 1.0) for v in refs.q_sp))
         result = solve(model)
         shifted_indoor = refs.indoor_celsius(result.x)
@@ -236,7 +241,8 @@ class TestGuards:
         clim = climate(10)
         with pytest.raises(ValueError, match="cover horizon"):
             emit_thermal_constraints(
-                Model(), building_of_order(1), clim, 24, t_init=19.0
+                Model(), building_of_order(1), clim, 24, t_init=19.0,
+                step_hours=1.0, tag="b1",
             )
 
     def test_nonpositive_rc_rejected(self):
@@ -244,4 +250,5 @@ class TestGuards:
         object.__setattr__(bad, "resistances", {"R_ia": -1.0})
         building = BuildingConfig(id=1, rc=bad, roof_area=0.0)
         with pytest.raises(ValueError, match="non-positive"):
-            emit_thermal_constraints(Model(), building, climate(24), 24, t_init=19.0)
+            emit_thermal_constraints(Model(), building, climate(24), 24, t_init=19.0,
+                                     step_hours=1.0, tag="b1")
