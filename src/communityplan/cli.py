@@ -148,7 +148,7 @@ def _plan_manifest(args, backend, options: SolveOptions, manifest: dict):
             "mip_gap": options.mip_gap,
             **(HIGHS_OPTIONS if backend == "scipy" else {}),
         },
-        seeds={"scenario_rng": int(manifest.get("rng_seed") or 0)},
+        seeds={} if manifest["rng_seed"] is None else {"scenario_rng": manifest["rng_seed"]},
         clock=os.environ.get(ENV_CLOCK),
     )
 

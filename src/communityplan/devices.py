@@ -332,7 +332,7 @@ def emit_roof_coupling(
     pv: DesignRefs | None,
     stc: DesignRefs | None,
     roof_area: float,
-    tag: str = "roof",
+    tag: str,
 ) -> None:
     """Shared roof budget: the PV and collector areas fit side by side."""
     areas = [(refs.design, 1.0) for refs in (pv, stc) if refs is not None]
@@ -346,7 +346,7 @@ def emit_building_balances(
     q_sp: Sequence[VarRef],
     e_base,
     horizon: int,
-    tag: str = "b",
+    tag: str,
 ) -> BuildingEnergyRefs:
     """Heat and electricity balances tying the building's devices to the
     space-heat decision, the fixed base load and the LV grid exchange.
@@ -376,7 +376,7 @@ def emit_community_balance(
     mv_to_lv: Sequence[VarRef],
     lv_to_mv: Sequence[VarRef],
     horizon: int,
-    tag: str = "COM",
+    tag: str,
 ) -> VarBlock:
     """Medium-voltage bus balance linking community devices, the LV feeder
     exchange and the high-voltage import.

@@ -445,9 +445,9 @@ class _Grow:
         out.flags.writeable = False
         return out
 
-    def write(self, at: int, values: np.ndarray) -> None:
-        """Overwrite entries ``at .. at + len(values) - 1`` in place."""
-        self._buf[at: at + len(values)] = values
+    def write(self, at, values: np.ndarray) -> None:
+        """Overwrite the entries ``at`` (a slice or index array) in place."""
+        self._buf[at] = values
 
 
 def _broadcast(value, steps: int, what: str) -> np.ndarray:
@@ -524,10 +524,9 @@ class Model:
         return VarBlock(self._model_id, stem, start, 0, size, lo)
 
     def _var(self, vid: int) -> VarRef:
-        binary = bool(self._binary.view[vid])
-        return VarRef(vid, self._cols.name(vid),
-                      Domain.BINARY if binary else Domain.CONTINUOUS_NONNEG,
-                      float(self._lo.view[vid]), float(self._hi.view[vid]), self._model_id)
+        lo, hi = float(self._lo.view[vid]), float(self._hi.view[vid])
+        domain = Domain.BINARY if self._binary.view[vid] and lo != hi else Domain.CONTINUOUS_NONNEG
+        return VarRef(vid, self._cols.name(vid), domain, lo, hi, self._model_id)
 
     @property
     def variables(self) -> "_VariableView":
@@ -551,7 +550,29 @@ class Model:
         return self._lo.view, self._hi.view
 
     def binary_mask(self) -> np.ndarray:
-        return self._binary.view
+        """The binaries whose bounds differ; a fixed binary is continuous."""
+        return self._binary.view & (self._lo.view != self._hi.view)
+
+    def set_bounds(self, ids, lo, hi) -> None:
+        """Rewrite the bounds of columns ``ids`` in place, as :meth:`set_rhs`
+        does rows.  A ``ValueError`` names the first column whose ``lo`` is
+        negative, not finite or above ``hi``, or a binary's bound other than
+        0 or 1; then nothing is written."""
+        ids, lo, hi = np.asarray(ids, np.int64), np.asarray(lo, float), np.asarray(hi, float)
+        if ids.ndim != 1 or not ids.shape == lo.shape == hi.shape:
+            raise ValueError(f"bounds of shapes {lo.shape} and {hi.shape} for ids {ids.shape}")
+        outside = ids[(ids < 0) | (ids >= self._cols.size)]
+        if len(outside):
+            raise ValueError(f"column {outside[0]} is out of range for {self._cols.size} columns")
+        binary = self._binary.view[ids]
+        bad = (~np.isfinite(lo) | (lo < 0) | ~(lo <= hi)
+               | binary & ~np.isin([lo, hi], (0, 1)).all(axis=0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"column '{self._cols.name(int(ids[i]))}': bounds [{lo[i]}, {hi[i]}] "
+                             "break 0 <= lo <= hi with lo finite, each 0 or 1 for a binary")
+        self._lo.write(ids, lo)
+        self._hi.write(ids, hi)
 
     # -- constraints and objective ----------------------------------------
 
@@ -673,7 +694,7 @@ class Model:
             )
         if not np.isfinite(values).all():
             raise ValueError("rhs values must be finite")
-        self._row_rhs.write(first, values)
+        self._row_rhs.write(slice(first, first + len(values)), values)
 
     def _append_row_terms(self, terms: Mapping[int, float]) -> None:
         self._row_nnz.append(len(terms))
@@ -784,7 +805,7 @@ class Model:
     def stats(self) -> dict[str, int]:
         return {
             "variables": self._cols.size,
-            "binaries": int(np.count_nonzero(self._binary.view)),
+            "binaries": int(np.count_nonzero(self.binary_mask())),
             "constraints": self._rows.size,
         }
 

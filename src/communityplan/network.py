@@ -37,7 +37,7 @@ class GridBlockRefs:
 
 
 def create_grid_refs(
-    model: Model, building_ids: Sequence[int], horizon: int, tag: str = "COM"
+    model: Model, building_ids: Sequence[int], horizon: int, tag: str
 ) -> GridBlockRefs:
     """Declare the MV exchange vectors plus one slack per line entity."""
     mv_to_lv = model.add_vars(f"Emvlv_{tag}", horizon)
@@ -53,7 +53,7 @@ def emit_grid_limits(
     building_flows: Mapping[int, BuildingEnergyRefs],
     lv_limit: float,
     mv_limit: float,
-    tag: str = "COM",
+    tag: str,
 ) -> None:
     """Line capacity limits, relaxed by the entity slacks.
 
@@ -83,8 +83,8 @@ def emit_lv_aggregation(
     model: Model,
     building_flows: Mapping[int, BuildingEnergyRefs],
     grid: GridBlockRefs,
-    others_net=0.0,
-    tag: str = "COM",
+    others_net,
+    tag: str,
 ) -> int:
     """LV bus balance: MV->LV supply plus building exports equal building
     imports plus LV->MV return, per timestep; returns the index of the

@@ -56,7 +56,6 @@ from .devices import (
 )
 from .milp import (
     Model,
-    Sense,
     SolveResult,
     Status,
     VarBlock,
@@ -705,7 +704,10 @@ def evaluate_design(
 
     ``designs`` holds one decision per design of the model, keyed
     ``(entity, kind)``; ``ValueError`` names the designs it lacks and the
-    keys that are no design of the model.
+    keys that are no design of the model.  It solves the model of
+    :func:`build_centralized`, each design column and existence binary
+    fixed at ``(value, chi)`` by :meth:`Model.set_bounds`: an LP.  A design
+    the gate rows or comfort cannot hold raises :class:`SolverError`.
     """
     built = build_centralized(cfg, scenarios, name="evaluation")
     entries = built.design_entries()
@@ -717,11 +719,7 @@ def evaluate_design(
     ]
     if problems:
         raise ValueError(f"designs to evaluate: {'; '.join(problems)}")
-    for key, (var, chi) in entries.items():
-        decision = designs[key]
-        built.model.add_constraint(chi, Sense.EQ, float(decision.chi),
-                                   f"fix_chi_{key[0]}_{key[1]}")
-        built.model.add_constraint(var, Sense.EQ, decision.value,
-                                   f"fix_val_{key[0]}_{key[1]}")
+    fixed = [v for key in entries for v in (designs[key].value, float(designs[key].chi))]
+    built.model.set_bounds([ref.id for refs in entries.values() for ref in refs], fixed, fixed)
     result = solve(built.model, backend, options)
     return built.extract(result)

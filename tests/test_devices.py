@@ -300,7 +300,7 @@ class TestRoofCoupling:
         weather = climate(1, t_amb=5.0, i_sol=500.0)
         pv = operated(m, _designed(m, pv_spec, roof=0.0), 1, weather)
         stc = operated(m, _designed(m, stc_spec, roof=0.0), 1, weather)
-        emit_roof_coupling(m, pv.design, stc.design, 0.0)
+        emit_roof_coupling(m, pv.design, stc.design, 0.0, "roof")
         m.minimize(LinExpr.of([(pv.design.design, -1.0), (stc.design.design, -1.0)]))
         result = solved(m)
         assert result.x[pv.design.design.id] == pytest.approx(0.0, abs=1e-9)
@@ -312,7 +312,7 @@ class TestRoofCoupling:
         weather = climate(1, t_amb=5.0, i_sol=500.0)
         pv = operated(m, _designed(m, pv_spec, roof=20.0), 1, weather)
         stc = operated(m, _designed(m, stc_spec, roof=20.0), 1, weather)
-        emit_roof_coupling(m, pv.design, stc.design, 20.0)
+        emit_roof_coupling(m, pv.design, stc.design, 20.0, "roof")
         pin(m, pv.design.design, 15.0)
         m.minimize(LinExpr.of([(stc.design.design, -1.0)]))
         result = solved(m)
@@ -383,7 +383,7 @@ class TestBuildingBalances:
         q_sp = [m.add_var(f"q{t}") for t in range(2)]
         for var in q_sp:
             pin(m, var, 0.0)
-        flows = emit_building_balances(m, {}, q_sp, np.full(2, 0.3), horizon=2)
+        flows = emit_building_balances(m, {}, q_sp, np.full(2, 0.3), horizon=2, tag="b")
         m.minimize(LinExpr.of((v, 1.0) for v in flows.e_in))
         result = solved(m)
         assert result.x[flows.e_in[0].id] == pytest.approx(0.3, abs=1e-9)
@@ -396,7 +396,7 @@ class TestBuildingBalances:
         q_sp = [m.add_var(f"q{t}") for t in range(2)]
         for var in q_sp:
             pin(m, var, 4.5)
-        flows = emit_building_balances(m, blocks, q_sp, np.zeros(2), horizon=2)
+        flows = emit_building_balances(m, blocks, q_sp, np.zeros(2), horizon=2, tag="b")
         m.minimize(LinExpr.of((v, 1.0) for v in blocks[DeviceKind.BOL].flows["gas"]))
         result = solved(m)
         assert result.x[
@@ -414,7 +414,7 @@ class TestBuildingBalances:
         q_sp = [m.add_var("q0")]
         pin(m, q_sp[0], 0.0)
         flows = emit_building_balances(
-            m, {DeviceKind.PV: pv}, q_sp, np.array([0.2]), horizon=1
+            m, {DeviceKind.PV: pv}, q_sp, np.array([0.2]), horizon=1, tag="b"
         )
         m.minimize(LinExpr.of([(flows.e_in[0], 1.0)]))
         result = solved(m)
@@ -427,7 +427,7 @@ class TestCommunityBalance:
         m = Model()
         mvlv = [m.add_var("mvlv0")]
         lvmv = [m.add_var("lvmv0")]
-        hv = emit_community_balance(m, {}, mvlv, lvmv, horizon=1)
+        hv = emit_community_balance(m, {}, mvlv, lvmv, horizon=1, tag="COM")
         pin(m, mvlv[0], 2.0)
         pin(m, lvmv[0], 0.5)
         m.minimize(LinExpr())
@@ -452,7 +452,7 @@ class TestCommunityBalance:
         mvlv = [m.add_var(f"mvlv{t}") for t in range(2)]
         lvmv = [m.add_var(f"lvmv{t}") for t in range(2)]
         hv = emit_community_balance(
-            m, {DeviceKind.PV_COM: pv, DeviceKind.BAT_COM: bat}, mvlv, lvmv, 2
+            m, {DeviceKind.PV_COM: pv, DeviceKind.BAT_COM: bat}, mvlv, lvmv, 2, "COM"
         )
         pin(m, mvlv[0], 3.0)  # LV side draws 3 kW
         pin(m, lvmv[0], 0.0)
@@ -467,7 +467,7 @@ class TestCommunityBalance:
         m = Model()
         mvlv = [m.add_var("mvlv0")]
         lvmv = [m.add_var("lvmv0")]
-        hv = emit_community_balance(m, {}, mvlv, lvmv, horizon=1)
+        hv = emit_community_balance(m, {}, mvlv, lvmv, horizon=1, tag="COM")
         pin(m, mvlv[0], 0.0)
         pin(m, lvmv[0], 0.0)
         m.minimize(LinExpr())

@@ -1055,6 +1055,19 @@ class TestCli:
         ) == 0
         assert (rep / "traces.csv").read_bytes() == (out / "traces.csv").read_bytes()
 
+    @pytest.mark.parametrize("seed, seeds", [(None, {}), (0, {"scenario_rng": 0})])
+    def test_plan_manifest_records_the_bundle_seed_when_it_has_one(self, tmp_path, seed,
+                                                                   seeds):
+        fx = generate_fixture(tmp_path / "fx", 1, seed=10)
+        bundle = tmp_path / "scn"
+        save_scenarios(bundle, [ingest_community(fx).history], rng_seed=seed)
+        out = tmp_path / "out"
+        assert self.run(
+            "plan", "centralized", "--dir", str(fx), "--scenarios", str(bundle),
+            "--out", str(out), "--horizon", "24",
+        ) == 0
+        assert json.loads((out / "run_manifest.json").read_text())["seeds"] == seeds
+
     def test_validation_failure_is_user_error(self, tmp_path, capsys):
         fx = generate_fixture(tmp_path / "fx", 1, seed=9)
         config = json.loads((fx / "config.json").read_text())

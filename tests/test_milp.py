@@ -303,6 +303,49 @@ class TestRhsRewrite:
         assert m.row_rhs().tolist() == [1.0] * 3 + [20.0] * 3
 
 
+class TestBoundsRewrite:
+    def test_rewrite_keeps_rows_and_costs_and_a_fixed_binary_is_continuous(self):
+        m = toy_model()
+        matrix, cost, rhs = m.matrix(), m.cost(), m.row_rhs().tolist()
+        m.set_bounds([1, 2], [2.0, 1.0], [4.0, 1.0])
+        assert m.matrix() is matrix and m.cost() is cost and m.row_rhs().tolist() == rhs
+        lo, hi = m.bounds()
+        assert lo.tolist() == [0.0, 2.0, 1.0] and hi.tolist() == [np.inf, 4.0, 1.0]
+        assert m.binary_mask().tolist() == [False, False, False]
+        assert m.stats()["binaries"] == 0
+        assert [var.domain for var in m.variables] == [Domain.CONTINUOUS_NONNEG] * 3
+        flag = m.var_by_name("flag")
+        assert (flag.domain, flag.lo, flag.hi) == (Domain.CONTINUOUS_NONNEG, 1.0, 1.0)
+        assert solve(m).x.tolist() == [0.0, 3.0, 1.0]
+        # freed again, the column is a binary
+        m.set_bounds([2], [0.0], [1.0])
+        assert m.binary_mask().tolist() == [False, False, True]
+        assert m.var_by_name("flag").domain == Domain.BINARY
+        assert export_lp(m).endswith("Bounds\n 2 <= y <= 4\nBinaries\n flag\nEnd\n")
+
+    @pytest.mark.parametrize("ids, lo, hi, message", [
+        ([3], [0.0], [1.0], "column 3 is out of range for 3 columns"),
+        ([-1], [0.0], [1.0], "column -1 is out of range for 3 columns"),
+        ([0, 1], [0.0], [1.0, 2.0], "bounds of shapes (1,) and (2,) for ids (2,)"),
+        ([1], [-1.0], [2.0], "column 'y': bounds [-1.0, 2.0] break 0 <= lo <= hi"),
+        ([1], [np.inf], [np.inf], "column 'y': bounds [inf, inf]"),
+        ([1], [np.nan], [1.0], "column 'y': bounds [nan, 1.0]"),
+        ([1], [3.0], [2.0], "column 'y': bounds [3.0, 2.0]"),
+        ([1], [0.0], [np.nan], "column 'y': bounds [0.0, nan]"),
+        ([2], [0.5], [0.5], "column 'flag': bounds [0.5, 0.5] break 0 <= lo <= hi with lo "
+                            "finite, each 0 or 1"),
+        ([2], [0.0], [2.0], "column 'flag': bounds [0.0, 2.0]"),
+        ([2], [0.0], [0.5], "column 'flag': bounds [0.0, 0.5]"),
+        ([0, 2], [1.0, 1.0], [1.0, -1.0], "column 'flag': bounds [1.0, -1.0]"),
+    ])
+    def test_bad_rewrite_rejected_naming_the_column_and_nothing_written(
+            self, ids, lo, hi, message):
+        m = toy_model()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            m.set_bounds(ids, lo, hi)
+        assert [b.tolist() for b in m.bounds()] == [[0.0] * 3, [np.inf, 10.0, 1.0]]
+
+
 class TestExport:
     def test_export_deterministic(self):
         assert export_lp(toy_model()) == export_lp(toy_model())
@@ -343,6 +386,24 @@ class TestExport:
         assert solve(from_lp).objective == pytest.approx(
             solve(from_mps).objective, rel=1e-9
         )
+
+    @pytest.mark.parametrize("value, lp_line, mps_lines, objective", [
+        (1.0, " 1 <= flag <= 1\n", " LO BND  flag  1\n UP BND  flag  1\n", 10.5),
+        (0.0, " 0 <= flag <= 0\n", " UP BND  flag  0\n", 10.0),
+    ])
+    def test_fixed_binary_is_written_bounded_and_continuous(self, value, lp_line, mps_lines,
+                                                            objective):
+        m = toy_model()
+        m.set_bounds([m.var_by_name("flag").id], [value], [value])
+        lp, mps = export_lp(m), export_mps(m)
+        assert lp_line in lp and "Binaries" not in lp
+        assert mps_lines in mps and "MARKER" not in mps and " BV " not in mps
+        assert solve(m).objective == pytest.approx(objective, rel=1e-12)
+        for parsed in (parse_lp(lp), parse_mps(mps)):
+            assert not parsed.binary_mask().any()
+            assert solve(parsed).objective == pytest.approx(objective, rel=1e-12)
+        assert export_mps(parse_mps(mps)) == mps
+        assert export_lp(parse_lp(lp)) == lp
 
     def test_unsatisfiable_vacuous_row_blocks_export(self):
         m = Model()

@@ -43,8 +43,8 @@ class TestGridLimits:
         m = Model()
         horizon = 3
         flows = free_flows(m, 1, horizon)
-        grid = create_grid_refs(m, [1], horizon)
-        emit_grid_limits(m, grid, {1: flows}, lv_limit=10.0, mv_limit=20.0)
+        grid = create_grid_refs(m, [1], horizon, "COM")
+        emit_grid_limits(m, grid, {1: flows}, lv_limit=10.0, mv_limit=20.0, tag="COM")
         for t in range(horizon):
             pin(m, flows.e_in[t], 4.0)
             pin(m, flows.e_out[t], 0.0)
@@ -58,8 +58,8 @@ class TestGridLimits:
     def test_forced_overload_buys_exact_slack(self):
         m = Model()
         flows = free_flows(m, 1, 1)
-        grid = create_grid_refs(m, [1], 1)
-        emit_grid_limits(m, grid, {1: flows}, lv_limit=10.0, mv_limit=50.0)
+        grid = create_grid_refs(m, [1], 1, "COM")
+        emit_grid_limits(m, grid, {1: flows}, lv_limit=10.0, mv_limit=50.0, tag="COM")
         pin(m, flows.e_in[0], 12.0)
         pin(m, flows.e_out[0], 0.0)
         pin(m, grid.mv_to_lv[0], 12.0)
@@ -71,8 +71,8 @@ class TestGridLimits:
     def test_exact_limit_is_tight_with_zero_slack(self):
         m = Model()
         flows = free_flows(m, 1, 1)
-        grid = create_grid_refs(m, [1], 1)
-        emit_grid_limits(m, grid, {1: flows}, lv_limit=10.0, mv_limit=7.0)
+        grid = create_grid_refs(m, [1], 1, "COM")
+        emit_grid_limits(m, grid, {1: flows}, lv_limit=10.0, mv_limit=7.0, tag="COM")
         pin(m, grid.mv_to_lv[0], 7.0)
         pin(m, grid.lv_to_mv[0], 0.0)
         pin(m, flows.e_in[0], 7.0)
@@ -84,8 +84,8 @@ class TestGridLimits:
     def test_one_mv_slack_covers_both_directions(self):
         m = Model()
         flows = free_flows(m, 1, 2)
-        grid = create_grid_refs(m, [1], 2)
-        emit_grid_limits(m, grid, {1: flows}, lv_limit=50.0, mv_limit=5.0)
+        grid = create_grid_refs(m, [1], 2, "COM")
+        emit_grid_limits(m, grid, {1: flows}, lv_limit=50.0, mv_limit=5.0, tag="COM")
         pin(m, grid.mv_to_lv[0], 8.0)  # 3 over
         pin(m, grid.lv_to_mv[0], 0.0)
         pin(m, grid.mv_to_lv[1], 0.0)
@@ -102,8 +102,8 @@ class TestLvAggregation:
     def test_single_import(self):
         m = Model()
         flows = free_flows(m, 1, 1)
-        grid = create_grid_refs(m, [1], 1)
-        emit_lv_aggregation(m, {1: flows}, grid)
+        grid = create_grid_refs(m, [1], 1, "COM")
+        emit_lv_aggregation(m, {1: flows}, grid, 0.0, "COM")
         pin(m, flows.e_in[0], 1.0)
         pin(m, flows.e_out[0], 0.0)
         pin(m, grid.lv_to_mv[0], 0.0)
@@ -114,8 +114,8 @@ class TestLvAggregation:
     def test_internal_netting(self):
         m = Model()
         f1, f2 = free_flows(m, 1, 1), free_flows(m, 2, 1)
-        grid = create_grid_refs(m, [1, 2], 1)
-        emit_lv_aggregation(m, {1: f1, 2: f2}, grid)
+        grid = create_grid_refs(m, [1, 2], 1, "COM")
+        emit_lv_aggregation(m, {1: f1, 2: f2}, grid, 0.0, "COM")
         pin(m, f1.e_in[0], 2.0)
         pin(m, f1.e_out[0], 0.0)
         pin(m, f2.e_in[0], 0.0)
@@ -130,8 +130,8 @@ class TestLvAggregation:
     def test_net_export(self):
         m = Model()
         f1, f2 = free_flows(m, 1, 1), free_flows(m, 2, 1)
-        grid = create_grid_refs(m, [1, 2], 1)
-        emit_lv_aggregation(m, {1: f1, 2: f2}, grid)
+        grid = create_grid_refs(m, [1, 2], 1, "COM")
+        emit_lv_aggregation(m, {1: f1, 2: f2}, grid, 0.0, "COM")
         pin(m, f1.e_in[0], 1.0)
         pin(m, f1.e_out[0], 0.0)
         pin(m, f2.e_in[0], 0.0)
@@ -147,8 +147,8 @@ class TestDistributedAggregation:
     def test_zero_others_reduces_to_single_building(self):
         m = Model()
         flows = free_flows(m, 1, 2)
-        grid = create_grid_refs(m, [1], 2)
-        emit_lv_aggregation(m, {1: flows}, grid, np.zeros(2))
+        grid = create_grid_refs(m, [1], 2, "COM")
+        emit_lv_aggregation(m, {1: flows}, grid, np.zeros(2), "COM")
         for t in range(2):
             pin(m, flows.e_in[t], 1.5)
             pin(m, flows.e_out[t], 0.0)
@@ -160,8 +160,8 @@ class TestDistributedAggregation:
     def test_others_export_nets_out_own_import(self):
         m = Model()
         flows = free_flows(m, 1, 1)
-        grid = create_grid_refs(m, [1], 1)
-        emit_lv_aggregation(m, {1: flows}, grid, np.array([-2.0]))
+        grid = create_grid_refs(m, [1], 1, "COM")
+        emit_lv_aggregation(m, {1: flows}, grid, np.array([-2.0]), "COM")
         pin(m, flows.e_in[0], 2.0)
         pin(m, flows.e_out[0], 0.0)
         m.minimize(
@@ -174,9 +174,9 @@ class TestDistributedAggregation:
     def test_sign_split_with_inactive_building(self):
         m = Model()
         flows = free_flows(m, 1, 2)
-        grid = create_grid_refs(m, [1], 2)
+        grid = create_grid_refs(m, [1], 2, "COM")
         others = np.array([3.0, -4.0])  # others import 3, then export 4
-        emit_lv_aggregation(m, {1: flows}, grid, others)
+        emit_lv_aggregation(m, {1: flows}, grid, others, "COM")
         for t in range(2):
             pin(m, flows.e_in[t], 0.0)
             pin(m, flows.e_out[t], 0.0)
@@ -195,9 +195,9 @@ class TestDistributedAggregation:
     def test_length_mismatch_rejected(self):
         m = Model()
         flows = free_flows(m, 1, 4)
-        grid = create_grid_refs(m, [1], 4)
+        grid = create_grid_refs(m, [1], 4, "COM")
         with pytest.raises(ValueError, match="others_net"):
-            emit_lv_aggregation(m, {1: flows}, grid, np.zeros(2))
+            emit_lv_aggregation(m, {1: flows}, grid, np.zeros(2), "COM")
 
     def test_summed_distributed_balances_match_centralized(self):
         # two buildings with fixed flows: the distributed residuals summed
@@ -211,9 +211,9 @@ class TestDistributedAggregation:
         for b in (1, 2):
             m = Model()
             flows = free_flows(m, b, horizon)
-            grid = create_grid_refs(m, [b], horizon)
+            grid = create_grid_refs(m, [b], horizon, "COM")
             others = net[2 if b == 1 else 1]
-            emit_lv_aggregation(m, {1: flows}, grid, others)
+            emit_lv_aggregation(m, {1: flows}, grid, others, "COM")
             for t in range(horizon):
                 pin(m, flows.e_in[t], e_in[b][t])
                 pin(m, flows.e_out[t], e_out[b][t])

@@ -162,7 +162,7 @@ class TestOperationalAndCarbon:
 class TestSlackCost:
     def test_values(self):
         m = Model()
-        grid = create_grid_refs(m, [1, 2, 3], horizon=2)
+        grid = create_grid_refs(m, [1, 2, 3], horizon=2, tag="COM")
         terms = grid_slack_terms(grid, 1e5)
 
         def cost(values):

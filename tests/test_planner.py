@@ -632,6 +632,71 @@ class TestStochasticOrderings:
         assert str(info.value) == message
 
 
+class TestEvaluationModel:
+    """A boiler and a battery sized away from their optimum (a 3.7 kW
+    boiler and no battery), so a solver that sized them freely would
+    return another plan."""
+
+    DESIGNS = {("b1", "BOL"): DesignDecision(1, 12.5), ("b1", "BAT"): DesignDecision(1, 4.0)}
+
+    @staticmethod
+    def instance():
+        building = simple_building(1, devices=(boiler_spec(), battery_spec(cap_max=8.0)))
+        return simple_config([building], horizon=24), [simple_scenario(horizon=24)]
+
+    def test_centralized_model_with_the_designs_fixed_through_bounds(self, monkeypatch):
+        models, integrality = [], []
+        real_solve, real_milp = ScipyBackend.solve, communityplan.solvers.milp
+
+        def solve_spy(self, model, options=None):
+            models.append(model)
+            return real_solve(self, model, options)
+
+        def milp_spy(c, **kwargs):
+            integrality.append(np.array(kwargs["integrality"]))
+            return real_milp(c=c, **kwargs)
+
+        monkeypatch.setattr(ScipyBackend, "solve", solve_spy)
+        monkeypatch.setattr(communityplan.solvers, "milp", milp_spy)
+        cfg, scenarios = self.instance()
+        plan = evaluate_design(cfg, scenarios, self.DESIGNS)
+        [evaluated] = models
+        built = build_centralized(cfg, scenarios)
+        central = built.model
+        mine, theirs = evaluated.matrix(), central.matrix()
+        assert mine.shape == theirs.shape
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(mine, part), getattr(theirs, part))
+        assert np.array_equal(evaluated.row_rhs(), central.row_rhs())
+        assert np.array_equal(evaluated.row_sense(), central.row_sense())
+        assert evaluated.row_names() == central.row_names()
+        assert np.array_equal(evaluated.cost(), central.cost())
+        fixed = {ref.id: value for key, (var, chi) in built.design_entries().items()
+                 for ref, value in ((var, self.DESIGNS[key].value),
+                                    (chi, self.DESIGNS[key].chi))}
+        for mine, theirs in zip(evaluated.bounds(), central.bounds()):
+            differ = np.flatnonzero(mine != theirs)
+            assert set(differ.tolist()) <= set(fixed)
+            assert mine[list(fixed)].tolist() == list(fixed.values())
+        [used] = integrality
+        assert not used.any()
+        assert "mip_gap" not in plan.solve_meta and plan.solve_meta["binaries"] == 0
+        assert plan.designs == self.DESIGNS
+
+    def test_command_solver_evaluates_like_scipy(self, tmp_path):
+        from test_milp import MOCK_SOLVER
+
+        script = tmp_path / "mock_solver.py"
+        script.write_text(MOCK_SOLVER)
+        cfg, scenarios = self.instance()
+        expected = evaluate_design(cfg, scenarios, self.DESIGNS)
+        plan = evaluate_design(cfg, scenarios, self.DESIGNS,
+                               f"{sys.executable} {script} {{model}} {{sol}}")
+        assert plan.designs == expected.designs == self.DESIGNS
+        assert plan.objective == pytest.approx(expected.objective, rel=1e-9)
+        assert plan.objective > solve_centralized(cfg, scenarios).objective + 1.0
+
+
 class TestSensitivity:
     def test_monotone_base_load_scaling(self):
         building = simple_building(1, devices=(boiler_spec(cap_max=30.0),))
